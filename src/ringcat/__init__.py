@@ -14,6 +14,7 @@ from .basis import (
     embed_single_flow,
     enumerate_fock,
     mode_transform_matrix,
+    quasimomentum_labels,
     quasimomentum_sector,
     state_index,
 )
@@ -37,6 +38,7 @@ from .effective import (
     epsilon_of_phi,
     lowdin_coupling,
     path_coupling,
+    path_normalisation,
     two_level_predict,
 )
 from .errors import (
@@ -49,11 +51,13 @@ from .errors import (
     UnsupportedConfigurationError,
 )
 from .hamiltonians import (
+    FlowSweep,
     HermitianOperator,
     ModelParams,
     build_flow_hamiltonian,
     build_site_hamiltonian,
     flow_hamiltonian_by_conjugation,
+    flow_sweep,
 )
 from .loopmodel import (
     LoopCouplingResult,
@@ -67,7 +71,7 @@ from .loopmodel import (
     loop_sweep,
     single_flow_energy,
 )
-from .solver import EigenResult, SpectrumTable, eigensolve, spectrum_sweep
+from .solver import EigenResult, SpectrumTable, eigensolve, sector_eigensolve, spectrum_sweep
 
 __version__ = "0.1.0"
 
@@ -78,6 +82,7 @@ __all__ = [
     "CouplingGraph",
     "EffectiveTable",
     "EigenResult",
+    "FlowSweep",
     "FockBasis",
     "HermitianOperator",
     "InvalidModeError",
@@ -110,6 +115,7 @@ __all__ = [
     "enumerate_fock",
     "epsilon_of_phi",
     "flow_hamiltonian_by_conjugation",
+    "flow_sweep",
     "ground_cat_metrics",
     "loop_coupling_v01",
     "loop_single_energy",
@@ -118,7 +124,10 @@ __all__ = [
     "lowdin_coupling",
     "mode_transform_matrix",
     "path_coupling",
+    "path_normalisation",
+    "quasimomentum_labels",
     "quasimomentum_sector",
+    "sector_eigensolve",
     "single_flow_energy",
     "spectrum_sweep",
     "state_index",

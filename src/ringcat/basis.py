@@ -106,6 +106,12 @@ def quasimomentum_sector(occupation: Sequence[int]) -> int:
     return (occ[1] + 2 * occ[2]) % 3
 
 
+def quasimomentum_labels(basis: FockBasis) -> np.ndarray:
+    """``quasimomentum_sector`` of every state of ``basis``, in basis order."""
+    occ = np.array(basis.states, dtype=np.intp).reshape(-1, 3)
+    return (occ[:, 1] + 2 * occ[:, 2]) % 3
+
+
 def embed_single_flow(n: int, k: int) -> np.ndarray:
     """Site-basis amplitudes of the state with all ``n`` atoms in flow mode ``k``.
 

@@ -17,8 +17,8 @@ import numpy as np
 
 from .basis import FockBasis, embed_single_flow
 from .errors import NumericalContractError
-from .hamiltonians import ModelParams, build_site_hamiltonian
-from .solver import eigensolve
+from .hamiltonians import HermitianOperator, ModelParams, build_site_hamiltonian, flow_sweep
+from .solver import eigensolve, sector_eigensolve
 from .util import parallel_map, write_csv
 
 #: Offsets smaller than this are treated as sitting exactly on the crossing,
@@ -38,13 +38,17 @@ class CatMetrics:
     diverged: bool = False
 
 
-def _pair_amplitudes(state: np.ndarray, basis: FockBasis) -> tuple[complex, complex]:
+def _pair_projections(states: np.ndarray, basis: FockBasis) -> np.ndarray:
+    """Amplitudes on |N,0,0> and |0,N,0> (rows) of one state or of columns of states.
+
+    In the flow basis they are the two entries themselves; in the site basis
+    they are projections onto the embedded flow states.
+    """
     n = basis.n
     if basis.interpretation == "flow":
-        return complex(state[basis.index((n, 0, 0))]), complex(state[basis.index((0, n, 0))])
-    e0 = embed_single_flow(n, 0)
-    e1 = embed_single_flow(n, 1)
-    return complex(e0.conj() @ state), complex(e1.conj() @ state)
+        return states[[basis.index((n, 0, 0)), basis.index((0, n, 0))]]
+    pair = np.vstack([embed_single_flow(n, 0), embed_single_flow(n, 1)])
+    return pair.conj() @ states
 
 
 def cat_amplitudes(state: Sequence[complex], basis: FockBasis) -> CatMetrics:
@@ -64,7 +68,7 @@ def cat_amplitudes(state: Sequence[complex], basis: FockBasis) -> CatMetrics:
         raise NumericalContractError("cannot compute cat metrics of a zero state")
     vec = vec / norm
 
-    a0, a1 = _pair_amplitudes(vec, basis)
+    a0, a1 = (complex(a) for a in _pair_projections(vec, basis))
     reference = a0 if abs(a0) > 0.0 else a1
     if abs(reference) > 0.0:
         rotation = cmath.exp(-1j * cmath.phase(reference))
@@ -95,10 +99,7 @@ def crossing_pair_state(vectors: np.ndarray, basis: FockBasis) -> np.ndarray:
     that maximises |a0|^2 + |a1|^2, i.e. the top eigenvector of the 2x2 Gram
     matrix of the projections onto the cat pair.
     """
-    n = basis.n
-    e0 = embed_single_flow(n, 0)
-    e1 = embed_single_flow(n, 1)
-    a = np.vstack([e0.conj() @ vectors, e1.conj() @ vectors])  # (2, n_vectors)
+    a = _pair_projections(vectors, basis)  # (2, n_vectors)
     gram = a.conj().T @ a
     eigvals, eigvecs = np.linalg.eigh(gram)
     return vectors @ eigvecs[:, -1]
@@ -139,10 +140,25 @@ class CatScanTable:
         write_csv(path, header, self.rows(), comment=comment)
 
 
-def ground_cat_metrics(params: ModelParams, dphi: float) -> CatMetrics:
-    """Cat metrics of the exact ground state at phase twist pi + dphi."""
-    operator = build_site_hamiltonian(params.with_phi(math.pi + dphi))
-    result = eigensolve(operator, n_levels=2)
+def ground_cat_metrics(
+    params: ModelParams, dphi: float, operator: HermitianOperator | None = None
+) -> CatMetrics:
+    """Cat metrics of the exact ground state at phase twist pi + dphi.
+
+    With equal tunnelling the ground state comes from the quasi-momentum
+    blocks of the flow Hamiltonian (``operator`` if given, the flow
+    Hamiltonian at pi + dphi otherwise); unequal bonds use a dense solve of
+    the site Hamiltonian.
+    """
+    phi = math.pi + dphi
+    if operator is None and params.equal_j:
+        operator = flow_sweep(params).at(phi)
+    elif operator is None:
+        operator = build_site_hamiltonian(params.with_phi(phi))
+    if operator.basis.interpretation == "flow":
+        result = sector_eigensolve(operator, n_levels=2)
+    else:
+        result = eigensolve(operator, n_levels=2)
     if abs(dphi) <= CROSSING_DPHI_ATOL and result.vectors.shape[1] >= 2:
         state = crossing_pair_state(result.vectors[:, :2], operator.basis)
     else:
@@ -157,19 +173,22 @@ def catscan(
 ) -> CatScanTable:
     """Scan the exact cat metrics and the two-level prediction over offsets.
 
-    The analytic ratio column requires equal tunnelling; with unequal bonds
-    it is reported as nan.
+    With equal tunnelling the flow interaction is built once for the whole
+    scan, and each offset's flow Hamiltonian serves both the ground state and
+    the two-level prediction.  The analytic ratio column requires equal
+    tunnelling; with unequal bonds it is reported as nan.
     """
     from .effective import effective_point  # deferred to avoid an import cycle
 
     dphis = np.asarray(list(dphi_grid), dtype=float)
+    sweep = flow_sweep(params) if params.equal_j else None
 
     def one(dphi: float) -> tuple[CatMetrics, float]:
-        metrics = ground_cat_metrics(params, dphi)
-        if params.equal_j:
-            analytic = abs(effective_point(params, dphi).predicted_ratio)
-        else:
-            analytic = math.nan
+        if sweep is None:
+            return ground_cat_metrics(params, dphi), math.nan
+        operator = sweep.at(math.pi + dphi)
+        metrics = ground_cat_metrics(params, dphi, operator=operator)
+        analytic = abs(effective_point(params, dphi, operator=operator).predicted_ratio)
         return metrics, analytic
 
     results = parallel_map(one, list(dphis), threads=threads)

@@ -28,6 +28,7 @@ from .effective import (
     effective_report,
     lowdin_coupling,
     path_coupling,
+    path_normalisation,
 )
 from .errors import ConfigError, NumericalContractError, UnsupportedConfigurationError
 from .hamiltonians import ModelParams, build_flow_hamiltonian, flow_hamiltonian_by_conjugation
@@ -298,6 +299,7 @@ def run_paths(opts: dict) -> str:
         label = ">".join(_occupation_label(operator.basis.states[i]) for i in path)
         rows.append((index, len(path) - 2, label, weight.real, weight.imag))
     total = path_coupling(graph, targets, elimination.lam, opts["max_order"])
+    normalised = total / path_normalisation(graph, targets, elimination.lam)
     write_csv(
         opts["out"],
         ("path_index", "n_intermediates", "path", "weight_re", "weight_im"),
@@ -306,7 +308,8 @@ def run_paths(opts: dict) -> str:
     )
     return (
         f"{len(rows)} connecting path(s) up to order {opts['max_order']}; "
-        f"path-sum coupling = {total:.9g}; elimination coupling = {elimination.v01:.9g} "
+        f"normalised path-sum coupling = {normalised:.9g} (raw sum {total:.9g}); "
+        f"elimination coupling = {elimination.v01:.9g} "
         f"at working energy {elimination.lam:.12g}"
     )
 

@@ -19,7 +19,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .basis import FockBasis, quasimomentum_sector
+from .basis import FockBasis, quasimomentum_labels
 from .errors import (
     NearResonantIntermediateError,
     NumericalContractError,
@@ -74,6 +74,10 @@ class TwoLevelModel:
     def _branch_ratio(self, signed_r: float) -> complex:
         if self.degenerate:
             return complex(float("nan"), float("nan"))
+        if self.eps * signed_r < 0.0 and self.v01 != 0:
+            # eps + signed_r cancels (to exactly 0 when |v01| << |eps|); use
+            # (eps + r)(eps - r) = -|v01|^2 instead.
+            return self.v01 * (self.eps - signed_r) / abs(self.v01) ** 2
         den = self.eps + signed_r
         if den == 0.0:
             return complex(float("inf"))
@@ -115,15 +119,14 @@ def _elimination_space(operator: HermitianOperator, targets: tuple[int, int]) ->
     """
     basis = operator.basis
     t0, t1 = targets
-    indices = np.arange(basis.dimension)
+    keep = np.ones(basis.dimension, dtype=bool)
     params = operator.params
     if params is not None and params.equal_j:
-        k0 = quasimomentum_sector(basis.states[t0])
-        k1 = quasimomentum_sector(basis.states[t1])
-        if k0 == k1:
-            sector = [i for i in indices if quasimomentum_sector(basis.states[i]) == k0]
-            return np.array([i for i in sector if i not in (t0, t1)], dtype=np.intp)
-    return np.array([i for i in indices if i not in (t0, t1)], dtype=np.intp)
+        labels = quasimomentum_labels(basis)
+        if labels[t0] == labels[t1]:
+            keep = labels == labels[t0]
+    keep[[t0, t1]] = False
+    return np.flatnonzero(keep)
 
 
 def lowdin_coupling(
@@ -365,6 +368,20 @@ def path_coupling(
     return total
 
 
+def path_normalisation(graph: CouplingGraph, targets: tuple[int, int], lam: float) -> complex:
+    """Loop determinant of the eliminated states connected to the targets.
+
+    Summed to all orders, ``path_coupling`` equals the elimination coupling
+    times this factor (Loewdin partitioning written out path by path), so
+    dividing by it normalises the path sum.
+    """
+    t0, t1 = targets
+    component = graph.connected_component(t0)
+    if t1 not in component:
+        return 1.0 + 0j
+    return _complement_factor(graph, sorted(component - {t0, t1}), lam)
+
+
 # ---------------------------------------------------------------------------
 # Report over a grid of phase offsets
 # ---------------------------------------------------------------------------
@@ -402,15 +419,20 @@ class EffectiveTable:
         )
 
 
-def effective_point(params: ModelParams, dphi: float) -> TwoLevelModel:
+def effective_point(
+    params: ModelParams, dphi: float, operator: HermitianOperator | None = None
+) -> TwoLevelModel:
     """Two-level prediction at phase twist pi + dphi.
 
     The coupling and the centre energy E0 come from exact elimination at the
-    working phase; the detuning uses the analytic eps(phi).
+    working phase, in ``operator`` (the flow Hamiltonian at pi + dphi) when it
+    is given and in a newly built one otherwise; the detuning uses the
+    analytic eps(phi).
     """
     phi = math.pi + dphi
-    p = params.with_phi(phi)
-    operator = build_flow_hamiltonian(p) if p.equal_j else flow_hamiltonian_by_conjugation(p)
+    if operator is None:
+        p = params.with_phi(phi)
+        operator = build_flow_hamiltonian(p) if p.equal_j else flow_hamiltonian_by_conjugation(p)
     result = lowdin_coupling(operator)
     e0 = 0.5 * float(np.real(result.heff[0, 0] + result.heff[1, 1]))
     eps = epsilon_of_phi(params, phi)

@@ -92,7 +92,8 @@ class HermitianOperator:
 
     Hermiticity is verified entrywise at construction (tolerance
     ``hermitian_atol``) and the matrix is then symmetrised exactly so that
-    downstream solvers see H == H^dagger to machine precision.
+    downstream solvers see H == H^dagger to machine precision.  A real matrix
+    is kept real, so that it is solved as a real symmetric one.
     """
 
     matrix: np.ndarray
@@ -101,7 +102,8 @@ class HermitianOperator:
     hermitian_atol: float = 1e-12
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.asarray(self.matrix)
+        m = m.astype(complex if np.iscomplexobj(m) else float, copy=False)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise NumericalContractError(f"operator matrix must be square, got shape {m.shape}")
         if m.shape[0] != self.basis.dimension:
@@ -178,26 +180,99 @@ def build_site_hamiltonian(params: ModelParams) -> HermitianOperator:
     return HermitianOperator(h, basis, params)
 
 
-def _flow_interaction_coefficients(params: ModelParams) -> tuple[float, float, float]:
-    """(self, density-density, pair-exchange) coefficients of the flow form."""
-    if params.dipolar:
-        # Printed dipolar flow form, kept verbatim as a comparison target; see
-        # tests for its relation to the conjugated site operator.
-        return (
-            (params.u0 + params.u1) / 6.0,
-            (4.0 * params.u0 + params.u1) / 6.0,
-            (2.0 * params.u0 - params.u1) / 6.0,
-        )
-    return params.u / 3.0, 4.0 * params.u / 3.0, 2.0 * params.u / 3.0
+#: For each flow mode, the other two modes.
+_OTHER_MODES = ((1, 2), (0, 2), (0, 1))
 
 
-def build_flow_hamiltonian(params: ModelParams) -> HermitianOperator:
-    """Dense flow-basis Hamiltonian from the analytic flow-form expressions.
+def _flow_interaction_coefficients(params: ModelParams) -> tuple[tuple[float, ...], ...]:
+    """(self, density-density, pair-exchange) coefficients of each flow mode.
 
-    Requires equal tunnelling on all bonds; otherwise the kinetic part is not
-    diagonal in the flow basis and ``flow_hamiltonian_by_conjugation`` must be
-    used instead.
+    Entry m of each triple multiplies a term built on flow mode m: m^+2 m^2,
+    the density product of the other two modes, and m^2 lowered into the
+    other two (+ h.c.).  With equal bonds the interaction is
+
+        (1/3) sum_m G_m [m^+2 m^2 + 4 n_m' n_m'' + 2 (m^2 m'^+ m''^+ + h.c.)],
+
+    with G_m = U for the contact interaction.  The dipolar pair exchange adds
+    2 U1 cos(2 pi K / 3) to the pairs of total quasi-momentum K, and the
+    terms built on mode m hold the pairs with K = -m mod 3, so
+    G = (U0 + 2 U1, U0 - U1, U0 - U1).
     """
+    if params.dipolar:
+        strengths = (params.u0 + 2.0 * params.u1, params.u0 - params.u1, params.u0 - params.u1)
+    else:
+        strengths = (params.u,) * 3
+    return (
+        tuple(g / 3.0 for g in strengths),
+        tuple(4.0 * g / 3.0 for g in strengths),
+        tuple(2.0 * g / 3.0 for g in strengths),
+    )
+
+
+def _printed_dipolar_coefficients(params: ModelParams) -> tuple[tuple[float, ...], ...]:
+    """Printed dipolar flow form, kept verbatim as a comparison target.
+
+    The tests record its relation to the conjugated site operator: at U1 = 0
+    it is half of it.
+    """
+    return (
+        ((params.u0 + params.u1) / 6.0,) * 3,
+        ((4.0 * params.u0 + params.u1) / 6.0,) * 3,
+        ((2.0 * params.u0 - params.u1) / 6.0,) * 3,
+    )
+
+
+def _flow_interaction(basis: FockBasis, coefficients: tuple[tuple[float, ...], ...]) -> np.ndarray:
+    """Real phase-independent flow-basis interaction matrix."""
+    c_self, c_dens, c_exch = coefficients
+    dim = basis.dimension
+    h = np.zeros((dim, dim))
+    # Each exchange term annihilates two quanta of one mode and creates one in
+    # each of the other two; total quasi-momentum is conserved mod 3.
+    for s, occ in enumerate(basis.states):
+        for m, (o1, o2) in enumerate(_OTHER_MODES):
+            h[s, s] += c_self[m] * occ[m] * (occ[m] - 1) + c_dens[m] * occ[o1] * occ[o2]
+            if occ[m] < 2:
+                continue
+            raised = list(occ)
+            raised[m] -= 2
+            raised[o1] += 1
+            raised[o2] += 1
+            t = basis.index(raised)
+            value = c_exch[m] * math.sqrt(occ[m] * (occ[m] - 1.0) * raised[o1] * raised[o2])
+            h[t, s] += value
+            h[s, t] += value
+    return h
+
+
+@dataclass(frozen=True)
+class FlowSweep:
+    """Equal-bond flow-basis Hamiltonian over a sweep of phase twists.
+
+    In the flow basis the phase twist enters only the diagonal kinetic term,
+
+        -J (2 n_alpha - n_beta - n_gamma) cos(phi/3) - sqrt(3) J (n_beta - n_gamma) sin(phi/3),
+
+    so the real interaction matrix is built once and ``at`` adds that
+    diagonal for each phase.
+    """
+
+    params: ModelParams
+    basis: FockBasis
+    interaction: np.ndarray
+    kinetic_cos: np.ndarray
+    kinetic_sin: np.ndarray
+
+    def at(self, phi: float) -> HermitianOperator:
+        """The (real) flow Hamiltonian at phase twist ``phi``."""
+        h = self.interaction.copy()
+        h[np.diag_indices_from(h)] += (
+            self.kinetic_cos * math.cos(phi / 3.0) + self.kinetic_sin * math.sin(phi / 3.0)
+        )
+        return HermitianOperator(h, self.basis, self.params.with_phi(phi))
+
+
+def _flow_sweep(params: ModelParams, coefficients: tuple[tuple[float, ...], ...]) -> FlowSweep:
     if not params.equal_j:
         raise UnsupportedConfigurationError(
             "analytic flow Hamiltonian requires equal tunnelling; "
@@ -205,35 +280,39 @@ def build_flow_hamiltonian(params: ModelParams) -> HermitianOperator:
         )
     j = params.j1
     basis = enumerate_fock(params.n, "flow")
-    dim = basis.dimension
-    h = np.zeros((dim, dim), dtype=complex)
-    cos_p = math.cos(params.phi / 3.0)
-    sin_p = math.sin(params.phi / 3.0)
-    c_self, c_dens, c_exch = _flow_interaction_coefficients(params)
+    occ = np.array(basis.states, dtype=float).reshape(-1, 3)
+    return FlowSweep(
+        params=params,
+        basis=basis,
+        interaction=_flow_interaction(basis, coefficients),
+        kinetic_cos=-j * (2.0 * occ[:, 0] - occ[:, 1] - occ[:, 2]),
+        kinetic_sin=-(_SQRT3 * j * (occ[:, 1] - occ[:, 2])),
+    )
 
-    # Each exchange term annihilates two quanta of one mode and creates one in
-    # each of the other two; total quasi-momentum is conserved mod 3.
-    exchange = ((0, 1, 2), (1, 0, 2), (2, 0, 1))  # (lowered twice, raised, raised)
 
-    for s, (na, nb, ng) in enumerate(basis.states):
-        h[s, s] += -j * (2 * na - nb - ng) * cos_p - _SQRT3 * j * (nb - ng) * sin_p
-        h[s, s] += c_self * (na * (na - 1) + nb * (nb - 1) + ng * (ng - 1))
-        h[s, s] += c_dens * (na * nb + na * ng + nb * ng)
-        occ = (na, nb, ng)
-        for low, up1, up2 in exchange:
-            if occ[low] < 2:
-                continue
-            raised = list(occ)
-            raised[low] -= 2
-            raised[up1] += 1
-            raised[up2] += 1
-            t = basis.index(raised)
-            value = c_exch * math.sqrt(
-                occ[low] * (occ[low] - 1.0) * (raised[up1]) * (raised[up2])
-            )
-            h[t, s] += value
-            h[s, t] += value
-    return HermitianOperator(h, basis, params)
+def flow_sweep(params: ModelParams) -> FlowSweep:
+    """Flow Hamiltonian of ``params`` at any phase, with the interaction built once.
+
+    Contact and dipolar interactions are both exact: ``sweep.at(phi)`` is the
+    site Hamiltonian conjugated into the flow basis.  Requires equal
+    tunnelling on all bonds.
+    """
+    return _flow_sweep(params, _flow_interaction_coefficients(params))
+
+
+def build_flow_hamiltonian(params: ModelParams) -> HermitianOperator:
+    """Dense flow-basis Hamiltonian from the analytic flow-form expressions.
+
+    The dipolar interaction uses the printed flow coefficients, a comparison
+    target only (``flow_sweep`` holds the exact dipolar form).  Requires
+    equal tunnelling on all bonds; otherwise the kinetic part is not diagonal
+    in the flow basis and ``flow_hamiltonian_by_conjugation`` must be used
+    instead.
+    """
+    coefficients = (
+        _printed_dipolar_coefficients(params) if params.dipolar else _flow_interaction_coefficients(params)
+    )
+    return _flow_sweep(params, coefficients).at(params.phi)
 
 
 def flow_hamiltonian_by_conjugation(params: ModelParams) -> HermitianOperator:

@@ -7,9 +7,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .basis import FockBasis
-from .errors import NumericalContractError
-from .hamiltonians import HermitianOperator, ModelParams, build_site_hamiltonian
+from .basis import FockBasis, quasimomentum_labels
+from .errors import NumericalContractError, UnsupportedConfigurationError
+from .hamiltonians import HermitianOperator, ModelParams, build_site_hamiltonian, flow_sweep
 from .util import parallel_map, write_csv
 
 #: Relative tolerances on the eigensolver's own output, checked on every call.
@@ -39,14 +39,16 @@ def eigensolve(operator: HermitianOperator | np.ndarray, n_levels: int | None = 
     """Full dense Hermitian diagonalization, optionally truncated to ``n_levels``.
 
     Raises a numerical-contract error for non-Hermitian input, and verifies
-    the residual and orthonormality guarantees on the returned pairs.
+    the residual and orthonormality guarantees on the returned pairs.  Real
+    symmetric input is solved in real arithmetic and gives real vectors.
     """
     basis = params = None
     if isinstance(operator, HermitianOperator):
         matrix = operator.matrix
         basis, params = operator.basis, operator.params
     else:
-        matrix = np.asarray(operator, dtype=complex)
+        matrix = np.asarray(operator)
+        matrix = matrix.astype(complex if np.iscomplexobj(matrix) else float, copy=False)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise NumericalContractError(f"expected a square matrix, got shape {matrix.shape}")
         deviation = np.max(np.abs(matrix - matrix.conj().T)) if matrix.size else 0.0
@@ -70,6 +72,44 @@ def eigensolve(operator: HermitianOperator | np.ndarray, n_levels: int | None = 
         energies = energies[:n_levels]
         vectors = vectors[:, :n_levels]
     return EigenResult(energies=energies, vectors=vectors, basis=basis, params=params)
+
+
+def sector_eigensolve(operator: HermitianOperator, n_levels: int) -> EigenResult:
+    """Lowest ``n_levels`` of a flow-basis operator that conserves quasi-momentum.
+
+    With equal tunnelling the flow Hamiltonian is block-diagonal in the label
+    k = (n_beta + 2 n_gamma) mod 3.  Each block goes through ``eigensolve``
+    with all its checks; the lowest levels over the blocks are merged in the
+    order (energy, k, index within the block) and embedded in the full flow
+    basis.  Raises a numerical-contract error if the operator couples blocks.
+    """
+    basis = operator.basis
+    if basis.interpretation != "flow":
+        raise UnsupportedConfigurationError("the sector solve expects a flow-basis operator")
+    h = operator.matrix
+    labels = quasimomentum_labels(basis)
+    leak = np.max(np.abs(h[labels[:, None] != labels[None, :]]), initial=0.0)
+    if leak > operator.hermitian_atol:
+        raise NumericalContractError(f"operator couples quasi-momentum sectors: max |H_kk'| = {leak:.3e}")
+
+    n_levels = max(1, min(int(n_levels), basis.dimension))
+    blocks = {}
+    candidates = []
+    for k in range(3):
+        members = np.flatnonzero(labels == k)
+        if members.size == 0:
+            continue
+        block = eigensolve(h[np.ix_(members, members)], n_levels=n_levels)
+        blocks[k] = (members, block.vectors)
+        candidates += [(float(e), k, i) for i, e in enumerate(block.energies)]
+    chosen = sorted(candidates)[:n_levels]
+
+    vectors = np.zeros((basis.dimension, n_levels), dtype=h.dtype)
+    for column, (_, k, i) in enumerate(chosen):
+        members, block_vectors = blocks[k]
+        vectors[members, column] = block_vectors[:, i]
+    energies = np.array([e for e, _, _ in chosen])
+    return EigenResult(energies=energies, vectors=vectors, basis=basis, params=operator.params)
 
 
 @dataclass
@@ -96,14 +136,26 @@ def spectrum_sweep(
     n_levels: int = 6,
     threads: int = 1,
 ) -> SpectrumTable:
-    """Diagonalize the site Hamiltonian at each phase of ``phi_grid``."""
+    """Lowest levels of the ring Hamiltonian at each phase of ``phi_grid``.
+
+    With equal tunnelling the flow Hamiltonian is built once and solved one
+    quasi-momentum block at a time; unequal bonds break that symmetry, so the
+    site Hamiltonian is diagonalized whole.
+    """
     phis = np.asarray(list(phi_grid), dtype=float)
     dim = (params.n + 1) * (params.n + 2) // 2
     n_levels = max(1, min(int(n_levels), dim))
 
-    def solve_one(phi: float) -> np.ndarray:
-        h = build_site_hamiltonian(params.with_phi(phi))
-        return eigensolve(h, n_levels=n_levels).energies
+    if params.equal_j:
+        sweep = flow_sweep(params)
+
+        def solve_one(phi: float) -> np.ndarray:
+            return sector_eigensolve(sweep.at(phi), n_levels).energies
+    else:
+
+        def solve_one(phi: float) -> np.ndarray:
+            h = build_site_hamiltonian(params.with_phi(phi))
+            return eigensolve(h, n_levels=n_levels).energies
 
     levels = parallel_map(solve_one, list(phis), threads=threads)
     return SpectrumTable(

@@ -16,6 +16,7 @@ from ringcat import (
     embed_single_flow,
     enumerate_fock,
     ground_cat_metrics,
+    mode_transform_matrix,
 )
 
 N3_PARAMS = ModelParams(n=3, j=1.0, u=0.1)
@@ -63,6 +64,17 @@ def test_flow_basis_amplitudes_read_directly():
     np.testing.assert_allclose(m.ratio, 0.75, atol=1e-14)
     np.testing.assert_allclose(m.theta, math.pi / 2.0, atol=1e-14)
     np.testing.assert_allclose(m.captured_norm, 1.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_flow_entries_equal_site_projections_phase_included(n):
+    rng = np.random.default_rng(n)
+    flow = enumerate_fock(n, "flow")
+    vec = rng.normal(size=flow.dimension) + 1j * rng.normal(size=flow.dimension)
+    in_flow = cat_amplitudes(vec, flow)
+    in_site = cat_amplitudes(mode_transform_matrix(n) @ vec, enumerate_fock(n))
+    np.testing.assert_allclose(in_flow.a0, in_site.a0, atol=1e-14)
+    np.testing.assert_allclose(in_flow.a1, in_site.a1, atol=1e-14)
 
 
 @pytest.mark.parametrize("sign, theta", [(1.0, 0.0), (-1.0, math.pi)])

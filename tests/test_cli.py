@@ -121,6 +121,16 @@ def test_paths_summary_connected(tmp_path, capsys):
     assert lines[2].split(",")[2] == "3-0-0>1-1-1>0-3-0"
 
 
+def test_paths_summary_prints_the_normalised_path_sum(tmp_path, capsys):
+    out = tmp_path / "p6.csv"
+    assert run_cli(["paths", "--n", "6", "--max-order", "20", "--out", str(out)]) == 0  # all orders
+    summary = capsys.readouterr().out
+    normalised = summary.split("normalised path-sum coupling = ")[1].split(" ")[0]
+    elimination = summary.split("elimination coupling = ")[1].split(" ")[0]
+    assert normalised == elimination
+    assert "raw sum -0.00177187704" in summary
+
+
 def test_paths_summary_disconnected(tmp_path, capsys):
     out = tmp_path / "p4.csv"
     assert run_cli(["paths", "--n", "4", "--out", str(out)]) == 0

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringcat import (
     ModelParams,
@@ -23,6 +25,7 @@ from ringcat import (
     epsilon_of_phi,
     lowdin_coupling,
     path_coupling,
+    path_normalisation,
     two_level_predict,
 )
 
@@ -77,6 +80,28 @@ def test_two_level_detuning_equal_to_coupling():
     np.testing.assert_allclose(
         abs(model.predicted_ratio_excited), 1.0 / (math.sqrt(2.0) - 1.0), atol=1e-12
     )
+
+
+def test_analytic_ratio_is_finite_far_below_the_crossing():
+    # At N = 36, eps + r rounds to exactly 0 for dphi <= -0.06.
+    model = effective_point(ModelParams(n=36, u=0.1), -0.2)
+    r = math.hypot(model.eps, abs(model.v01))
+    assert model.eps < 0.0 and math.isfinite(abs(model.predicted_ratio))
+    assert abs(model.predicted_ratio) == pytest.approx((r - model.eps) / abs(model.v01), rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    eps=st.floats(1e-3, 1e3).flatmap(lambda m: st.sampled_from([m, -m])),
+    log_ratio=st.floats(-12.0, 1.0),
+    angle=st.floats(-math.pi, math.pi),
+)
+def test_branch_ratios_are_reciprocal_in_magnitude(eps, log_ratio, angle):
+    """(eps + r)(eps - r) = -|v01|^2 makes |ground ratio * excited ratio| = 1."""
+    v01 = abs(eps) * 10.0**log_ratio * complex(math.cos(angle), math.sin(angle))
+    model = two_level_predict(0.0, eps, v01)
+    product = abs(model.predicted_ratio * model.predicted_ratio_excited)
+    assert product == pytest.approx(1.0, rel=1e-12)
 
 
 def test_two_level_degenerate_flagged():
@@ -236,6 +261,18 @@ def test_off_path_loop_factor_near_resonance_raises():
     graph = build_coupling_graph(h)
     with pytest.raises(NearResonantIntermediateError):
         path_coupling(graph, (0, 2), 3.1, max_order=2)
+
+
+@pytest.mark.parametrize("n", [3, 6, 9])
+def test_normalised_all_orders_path_sum_equals_elimination_coupling(n):
+    op = build_flow_hamiltonian(ModelParams(n=n, u=0.1, phi=math.pi))
+    targets = default_flow_targets(op.basis)
+    elimination = lowdin_coupling(op)
+    graph = build_coupling_graph(op)
+    all_orders = len(graph.connected_component(targets[0]))
+    total = path_coupling(graph, targets, elimination.lam, max_order=all_orders)
+    normalised = total / path_normalisation(graph, targets, elimination.lam)
+    assert abs(normalised - elimination.v01) <= 1e-12 * abs(elimination.v01)
 
 
 def test_path_sum_requires_distinct_targets():

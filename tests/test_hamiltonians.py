@@ -16,6 +16,7 @@ from ringcat import (
     build_site_hamiltonian,
     enumerate_fock,
     flow_hamiltonian_by_conjugation,
+    flow_sweep,
     mode_transform_matrix,
     quasimomentum_sector,
 )
@@ -156,6 +157,27 @@ def test_conjugation_matches_analytic_flow_form(n, phi):
     analytic = build_flow_hamiltonian(params)
     conjugated = flow_hamiltonian_by_conjugation(params)
     np.testing.assert_allclose(conjugated.matrix, analytic.matrix, atol=1e-10)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 5])
+@pytest.mark.parametrize(
+    "interaction",
+    [{"u": 0.3}, {"u0": 0.3, "u1": 0.08, "dipolar": True}, {"u0": 0.0, "u1": -0.2, "dipolar": True}],
+)
+def test_flow_sweep_is_the_conjugated_site_hamiltonian(n, interaction):
+    params = ModelParams(n=n, j=0.9, **interaction)
+    sweep = flow_sweep(params)
+    for phi in (0.0, 1.7, math.pi):
+        op = sweep.at(phi)
+        assert op.matrix.dtype == np.float64
+        assert op.params == params.with_phi(phi)
+        conjugated = flow_hamiltonian_by_conjugation(params.with_phi(phi))
+        np.testing.assert_allclose(op.matrix, conjugated.matrix, atol=1e-12)
+
+
+def test_flow_sweep_matches_the_analytic_contact_form():
+    params = ModelParams(n=5, j=1.1, u=0.4, phi=2.3)
+    np.testing.assert_array_equal(flow_sweep(params).at(2.3).matrix, build_flow_hamiltonian(params).matrix)
 
 
 @pytest.mark.parametrize("dipolar_kwargs", [{}, {"u0": 0.3, "u1": 0.08, "dipolar": True}])

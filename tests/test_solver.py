@@ -8,10 +8,17 @@ import numpy as np
 import pytest
 
 from ringcat import (
+    HermitianOperator,
     ModelParams,
     NumericalContractError,
+    UnsupportedConfigurationError,
     build_site_hamiltonian,
     eigensolve,
+    enumerate_fock,
+    flow_hamiltonian_by_conjugation,
+    flow_sweep,
+    quasimomentum_labels,
+    sector_eigensolve,
     spectrum_sweep,
 )
 
@@ -25,6 +32,15 @@ def test_eigensolve_known_two_level_matrix():
 def test_eigensolve_rejects_non_hermitian():
     with pytest.raises(NumericalContractError):
         eigensolve(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_eigensolve_keeps_real_symmetric_input_real():
+    result = eigensolve(np.array([[2.0, 1.0], [1.0, 2.0]]))
+    assert result.energies.dtype == np.float64
+    assert result.vectors.dtype == np.float64
+    np.testing.assert_allclose(result.energies, [1.0, 3.0], atol=1e-14)
+    with pytest.raises(NumericalContractError):
+        eigensolve(np.array([[2.0, 1.0], [0.5, 2.0]]))
 
 
 def test_eigensolve_level_slicing():
@@ -107,3 +123,32 @@ def test_minimum_gap_sits_at_the_crossing_phase():
     table = spectrum_sweep(params, phis, n_levels=2)
     gaps = table.energies[:, 1] - table.energies[:, 0]
     assert int(np.argmin(gaps)) == int(np.argmin(np.abs(phis - math.pi)))
+
+
+def test_sector_solve_embeds_block_vectors_in_the_flow_basis():
+    op = flow_sweep(ModelParams(n=6, u=0.3)).at(2.0)
+    result = sector_eigensolve(op, n_levels=4)
+    assert result.vectors.dtype == np.float64
+    assert result.basis is op.basis
+    np.testing.assert_allclose(result.energies, np.linalg.eigvalsh(op.matrix)[:4], atol=1e-12)
+    np.testing.assert_allclose(op.matrix @ result.vectors, result.vectors * result.energies, atol=1e-12)
+    labels = quasimomentum_labels(op.basis)
+    for column in result.vectors.T:
+        assert len(set(labels[np.abs(column) > 0])) == 1
+
+
+def test_sector_solve_breaks_ties_by_sector_then_block_index():
+    basis = enumerate_fock(2, "flow")
+    op = HermitianOperator(np.zeros((basis.dimension, basis.dimension)), basis)
+    result = sector_eigensolve(op, n_levels=3)
+    np.testing.assert_array_equal(result.energies, 0.0)
+    picked = [basis.states[int(np.argmax(np.abs(v)))] for v in result.vectors.T]
+    assert picked == [(2, 0, 0), (0, 1, 1), (1, 1, 0)]  # k = 0, 0, 1
+
+
+def test_sector_solve_rejects_operators_that_couple_sectors():
+    op = flow_hamiltonian_by_conjugation(ModelParams(n=3, j=(1.0, 0.8, 1.2), u=0.1, phi=0.4))
+    with pytest.raises(NumericalContractError):
+        sector_eigensolve(op, n_levels=2)
+    with pytest.raises(UnsupportedConfigurationError):
+        sector_eigensolve(build_site_hamiltonian(ModelParams(n=3, u=0.1)), n_levels=2)
