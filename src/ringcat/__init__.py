@@ -51,13 +51,14 @@ from .errors import (
     UnsupportedConfigurationError,
 )
 from .hamiltonians import (
-    FlowSweep,
     HermitianOperator,
     ModelParams,
+    PhaseSweep,
     build_flow_hamiltonian,
     build_site_hamiltonian,
     flow_hamiltonian_by_conjugation,
     flow_sweep,
+    site_sweep,
 )
 from .loopmodel import (
     LoopCouplingResult,
@@ -82,7 +83,6 @@ __all__ = [
     "CouplingGraph",
     "EffectiveTable",
     "EigenResult",
-    "FlowSweep",
     "FockBasis",
     "HermitianOperator",
     "InvalidModeError",
@@ -95,6 +95,7 @@ __all__ = [
     "NearResonantIntermediateError",
     "NumericalContractError",
     "Occupation",
+    "PhaseSweep",
     "RingcatError",
     "SpectrumTable",
     "TwoLevelModel",
@@ -128,6 +129,7 @@ __all__ = [
     "quasimomentum_labels",
     "quasimomentum_sector",
     "sector_eigensolve",
+    "site_sweep",
     "single_flow_energy",
     "spectrum_sweep",
     "state_index",

@@ -14,7 +14,7 @@ single index convention serves site and flow operators alike.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -27,6 +27,9 @@ Occupation = tuple[int, int, int]
 #: mode_k^dagger = sum_j MODE_PHASES[j, k] a_j^dagger / sqrt(3).
 #: The annihilation operators carry e^{+i 2pi j k / 3}; creation conjugates.
 MODE_PHASES = np.exp(-2j * np.pi * np.outer(np.arange(3), np.arange(3)) / 3.0) / math.sqrt(3.0)
+
+#: Row m is the occupation triple of one quantum in mode m.
+_UNIT = np.eye(3, dtype=np.intp)
 
 
 def _as_occupation(occupation: Sequence[int]) -> Occupation:
@@ -51,15 +54,15 @@ class FockBasis:
     n: int
     interpretation: str
     states: tuple[Occupation, ...]
-    _index: dict[Occupation, int] = field(repr=False, compare=False, default_factory=dict)
-
-    def __post_init__(self):
-        if not self._index:
-            object.__setattr__(self, "_index", {occ: i for i, occ in enumerate(self.states)})
 
     @property
     def dimension(self) -> int:
         return len(self.states)
+
+    @property
+    def occupations(self) -> np.ndarray:
+        """The states as a (dimension, 3) integer array, in basis order."""
+        return np.array(self.states, dtype=np.intp).reshape(-1, 3)
 
     def index(self, occupation: Sequence[int]) -> int:
         occ = _as_occupation(occupation)
@@ -67,10 +70,46 @@ class FockBasis:
             raise InvalidOccupationError(
                 f"occupation {occ} has {sum(occ)} particles, basis holds {self.n}"
             )
-        return self._index[occ]
+        return int(_ranks(np.array(occ)))
 
     def __iter__(self) -> Iterable[Occupation]:
         return iter(self.states)
+
+
+def _ranks(occupations: np.ndarray) -> np.ndarray:
+    """Basis index of valid occupation rows (n1, n2, n3), without checks.
+
+    In the descending order the states with n2 + n3 = t start at t(t+1)/2 and
+    are ordered by increasing n3, so the rank does not depend on the particle
+    number.
+    """
+    tail = occupations[..., 1] + occupations[..., 2]
+    return tail * (tail + 1) // 2 + occupations[..., 2]
+
+
+def _ladder(
+    occupations: np.ndarray, create: Sequence[int], annihilate: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Apply prod_m (a_m^dagger)^create[m] prod_m a_m^annihilate[m] to every state.
+
+    ``occupations`` holds one state per row.  Returns (targets, sources,
+    amplitudes): the term maps row ``sources[i]`` to the state of rank
+    ``targets[i]`` with amplitude ``amplitudes[i]``, the square root of the
+    falling factorials; rows the term annihilates are left out.
+    """
+    lowered = occupations - np.asarray(annihilate)
+    sources = np.flatnonzero(np.all(lowered >= 0, axis=1))
+    lowered = lowered[sources]
+    product = np.ones(len(sources), dtype=np.int64)
+    # a^l |n> = sqrt(n!/(n-l)!) |n-l> and (a^+)^r |k> = sqrt((k+r)!/k!) |k+r>:
+    # both factorial ratios count up from the lowered occupation k = n - l.
+    for m in range(3):
+        for step in range(annihilate[m]):
+            product *= lowered[:, m] + 1 + step
+        for step in range(create[m]):
+            product *= lowered[:, m] + 1 + step
+    raised = lowered + np.asarray(create)
+    return _ranks(raised), sources, np.sqrt(product.astype(float))
 
 
 def enumerate_fock(n: int, interpretation: str = "site") -> FockBasis:
@@ -108,7 +147,7 @@ def quasimomentum_sector(occupation: Sequence[int]) -> int:
 
 def quasimomentum_labels(basis: FockBasis) -> np.ndarray:
     """``quasimomentum_sector`` of every state of ``basis``, in basis order."""
-    occ = np.array(basis.states, dtype=np.intp).reshape(-1, 3)
+    occ = basis.occupations
     return (occ[:, 1] + 2 * occ[:, 2]) % 3
 
 
@@ -133,70 +172,27 @@ def embed_single_flow(n: int, k: int) -> np.ndarray:
     return vec
 
 
-def _creation_maps(n_max: int) -> list[list[tuple[np.ndarray, np.ndarray]]]:
-    """Index maps for a_j^dagger from the m-particle to the (m+1)-particle basis.
-
-    maps[m][j] = (targets, factors): applying a_j^dagger to amplitude vec at
-    particle number m gives new[targets] += factors * vec.
-    """
-    bases = [enumerate_fock(m) for m in range(n_max + 1)]
-    maps = []
-    for m in range(n_max):
-        per_site = []
-        for j in range(3):
-            targets = np.empty(bases[m].dimension, dtype=np.intp)
-            factors = np.empty(bases[m].dimension, dtype=float)
-            for i, occ in enumerate(bases[m].states):
-                raised = list(occ)
-                raised[j] += 1
-                targets[i] = bases[m + 1].index(raised)
-                factors[i] = math.sqrt(occ[j] + 1.0)
-            per_site.append((targets, factors))
-        maps.append(per_site)
-    return maps
-
-
 def mode_transform_matrix(n: int) -> np.ndarray:
     """Unitary W mapping flow-basis amplitudes to site-basis amplitudes.
 
     Column f of W is the site-basis expansion of the flow Fock state at
-    flow-basis index f, built by repeated application of the flow creation
-    operators to the vacuum.  For n = 1 this is the 3x3 discrete-Fourier-type
-    matrix of the mode definitions.
+    flow-basis index f.  The columns are grown one particle at a time: a
+    state with m + 1 particles is mode_k^dagger / sqrt(n_k) applied to the
+    m-particle state it contains, for one occupied flow mode k, and
+    mode_k^dagger = sum_j MODE_PHASES[j, k] a_j^dagger.  For n = 1 this is the
+    3x3 discrete-Fourier-type matrix of the mode definitions.
     """
     if n < 0:
         raise InvalidOccupationError(f"particle number must be non-negative, got {n}")
-    maps = _creation_maps(n)
-    flow = enumerate_fock(n, "flow")
-    dim = flow.dimension
-    dims = [(m + 1) * (m + 2) // 2 for m in range(n + 1)]
-    w = np.zeros((dim, dim), dtype=complex)
-
-    def raise_mode(vec: np.ndarray, m: int, k: int) -> np.ndarray:
-        out = np.zeros(dims[m + 1], dtype=complex)
+    w = np.ones((1, 1), dtype=complex)
+    for m in range(n):
+        site = enumerate_fock(m).occupations
+        flow = enumerate_fock(m + 1, "flow").occupations
+        mode = np.argmax(flow > 0, axis=1)
+        parents = w[:, _ranks(flow - _UNIT[mode])] / np.sqrt(flow[np.arange(len(flow)), mode])
+        grown = np.zeros((len(flow), len(flow)), dtype=complex)
         for j in range(3):
-            targets, factors = maps[m][j]
-            out[targets] += MODE_PHASES[j, k] * factors * vec
-        return out
-
-    # Grow prefix states (n_alpha, n_beta, *) incrementally; normalisation by
-    # sqrt(n_alpha! n_beta! n_gamma!) is applied when each column is stored.
-    vac = np.ones(1, dtype=complex)
-    for n_alpha in range(n + 1):
-        if n_alpha > 0:
-            vac_a = raise_mode(vac_a, n_alpha - 1, 0)
-        else:
-            vac_a = vac
-        vec_ab = vac_a
-        for n_beta in range(n - n_alpha + 1):
-            if n_beta > 0:
-                vec_ab = raise_mode(vec_ab, n_alpha + n_beta - 1, 1)
-            vec_abc = vec_ab
-            n_gamma = n - n_alpha - n_beta
-            for step in range(n_gamma):
-                vec_abc = raise_mode(vec_abc, n_alpha + n_beta + step, 2)
-            norm = math.sqrt(
-                math.factorial(n_alpha) * math.factorial(n_beta) * math.factorial(n_gamma)
-            )
-            w[:, flow.index((n_alpha, n_beta, n_gamma))] = vec_abc / norm
+            targets, sources, amplitudes = _ladder(site, create=_UNIT[j], annihilate=(0, 0, 0))
+            grown[targets] += amplitudes[:, None] * parents[sources] * MODE_PHASES[j, mode]
+        w = grown
     return w

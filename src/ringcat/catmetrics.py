@@ -17,9 +17,9 @@ import numpy as np
 
 from .basis import FockBasis, embed_single_flow
 from .errors import NumericalContractError
-from .hamiltonians import HermitianOperator, ModelParams, build_site_hamiltonian, flow_sweep
-from .solver import eigensolve, sector_eigensolve
-from .util import parallel_map, write_csv
+from .hamiltonians import HermitianOperator, ModelParams, flow_sweep, site_sweep
+from .solver import _lowest
+from .util import write_csv
 
 #: Offsets smaller than this are treated as sitting exactly on the crossing,
 #: where the two lowest levels are quasi-degenerate.
@@ -150,15 +150,9 @@ def ground_cat_metrics(
     Hamiltonian at pi + dphi otherwise); unequal bonds use a dense solve of
     the site Hamiltonian.
     """
-    phi = math.pi + dphi
-    if operator is None and params.equal_j:
-        operator = flow_sweep(params).at(phi)
-    elif operator is None:
-        operator = build_site_hamiltonian(params.with_phi(phi))
-    if operator.basis.interpretation == "flow":
-        result = sector_eigensolve(operator, n_levels=2)
-    else:
-        result = eigensolve(operator, n_levels=2)
+    if operator is None:
+        operator = (flow_sweep if params.equal_j else site_sweep)(params).at(math.pi + dphi)
+    result = _lowest(operator, n_levels=2)
     if abs(dphi) <= CROSSING_DPHI_ATOL and result.vectors.shape[1] >= 2:
         state = crossing_pair_state(result.vectors[:, :2], operator.basis)
     else:
@@ -166,39 +160,35 @@ def ground_cat_metrics(
     return cat_amplitudes(state, operator.basis)
 
 
-def catscan(
-    params: ModelParams,
-    dphi_grid: Sequence[float],
-    threads: int = 1,
-) -> CatScanTable:
+def catscan(params: ModelParams, dphi_grid: Sequence[float]) -> CatScanTable:
     """Scan the exact cat metrics and the two-level prediction over offsets.
 
-    With equal tunnelling the flow interaction is built once for the whole
-    scan, and each offset's flow Hamiltonian serves both the ground state and
-    the two-level prediction.  The analytic ratio column requires equal
-    tunnelling; with unequal bonds it is reported as nan.
+    The Hamiltonian is built once for the whole scan (the flow Hamiltonian
+    with equal tunnelling, the site one otherwise), and each offset's
+    operator serves both the ground state and the two-level prediction.  The
+    analytic ratio column requires equal tunnelling; with unequal bonds it is
+    reported as nan.
     """
     from .effective import effective_point  # deferred to avoid an import cycle
 
     dphis = np.asarray(list(dphi_grid), dtype=float)
-    sweep = flow_sweep(params) if params.equal_j else None
-
-    def one(dphi: float) -> tuple[CatMetrics, float]:
-        if sweep is None:
-            return ground_cat_metrics(params, dphi), math.nan
+    sweep = (flow_sweep if params.equal_j else site_sweep)(params)
+    metrics, analytic = [], []
+    for dphi in dphis:
         operator = sweep.at(math.pi + dphi)
-        metrics = ground_cat_metrics(params, dphi, operator=operator)
-        analytic = abs(effective_point(params, dphi, operator=operator).predicted_ratio)
-        return metrics, analytic
-
-    results = parallel_map(one, list(dphis), threads=threads)
+        metrics.append(ground_cat_metrics(params, dphi, operator=operator))
+        analytic.append(
+            abs(effective_point(params, dphi, operator=operator).predicted_ratio)
+            if params.equal_j
+            else math.nan
+        )
     j1 = params.j1
     reference_u = params.u0 if params.dipolar else params.u
     return CatScanTable(
         n=params.n,
         u_over_j=(reference_u / j1) if j1 != 0 else math.nan,
         dphis=dphis,
-        metrics=[m for m, _ in results],
-        ratio_analytic=np.array([r for _, r in results]),
+        metrics=metrics,
+        ratio_analytic=np.array(analytic),
         params=params,
     )

@@ -31,7 +31,7 @@ from .effective import (
     path_normalisation,
 )
 from .errors import ConfigError, NumericalContractError, UnsupportedConfigurationError
-from .hamiltonians import ModelParams, build_flow_hamiltonian, flow_hamiltonian_by_conjugation
+from .hamiltonians import ModelParams, flow_hamiltonian_by_conjugation, flow_sweep
 from .catmetrics import catscan
 from .loopmodel import LoopParams, loop_sweep
 from .solver import spectrum_sweep
@@ -46,7 +46,7 @@ DEFAULT_U_OVER_J = 0.1
 
 _GRID_KEYS = ("phi", "dphi")
 _FLOAT_KEYS = ("u", "u0", "u1", "u_over_j", "length", "barrier", "barrier_pos")
-_INT_KEYS = ("n", "levels", "threads", "kmax", "max_order")
+_INT_KEYS = ("n", "levels", "kmax", "max_order")
 _STR_KEYS = ("j", "out")
 _ALL_KEYS = set(_GRID_KEYS) | set(_FLOAT_KEYS) | set(_INT_KEYS) | set(_STR_KEYS)
 
@@ -142,7 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--levels", type=int, default=None, help="number of levels to emit")
         p.add_argument("--out", type=str, default=None, help="output CSV path (default <command>.csv)")
         p.add_argument("--config", type=str, default=None, help="flat key = value config file")
-        p.add_argument("--threads", type=int, default=None, help="parallelism degree (default 1)")
 
     for name, description in (
         ("spectrum", "sweep the lowest ring levels over phase twists"),
@@ -217,10 +216,6 @@ def resolve_options(args: argparse.Namespace) -> dict:
     opts["levels"] = int(merged.get("levels", levels_default))
     if opts["levels"] < 1:
         raise ConfigError(f"'levels' must be >= 1, got {opts['levels']}")
-    threads = int(merged.get("threads", 1))
-    if threads < 1:
-        raise ConfigError(f"'threads' must be >= 1, got {threads}")
-    opts["threads"] = threads
     opts["out"] = str(merged.get("out", f"{command}.csv"))
     opts["max_order"] = int(merged.get("max_order", 6))
     if opts["max_order"] < 0:
@@ -248,8 +243,9 @@ def model_params(opts: dict) -> ModelParams:
 def config_comment(opts: dict) -> str:
     """One-line record of the fully resolved configuration.
 
-    The parallelism degree is deliberately omitted: it does not affect the
-    numbers, and identical configs must produce identical files.
+    Every option that can change the numbers is recorded, so identical
+    configs produce identical files: each command builds its operator once
+    per run and solves one phase point after another.
     """
     parts = [f"command={opts['command']}"]
     if opts["command"] == "loop":
@@ -284,7 +280,7 @@ def _occupation_label(occ) -> str:
 def run_paths(opts: dict) -> str:
     params = model_params(opts)
     operator = (
-        build_flow_hamiltonian(params) if params.equal_j else flow_hamiltonian_by_conjugation(params)
+        flow_sweep(params).at(params.phi) if params.equal_j else flow_hamiltonian_by_conjugation(params)
     )
     targets = default_flow_targets(operator.basis)
     elimination = lowdin_coupling(operator)
@@ -317,15 +313,15 @@ def run_paths(opts: dict) -> str:
 def run(opts: dict) -> str:
     command = opts["command"]
     if command == "spectrum":
-        table = spectrum_sweep(model_params(opts), opts["grid"], n_levels=opts["levels"], threads=opts["threads"])
+        table = spectrum_sweep(model_params(opts), opts["grid"], n_levels=opts["levels"])
         table.to_csv(opts["out"], comment=config_comment(opts))
         return f"wrote {opts['out']} ({len(opts['grid'])} phases x {table.n_levels} levels)"
     if command == "catscan":
-        table = catscan(model_params(opts), opts["grid"], threads=opts["threads"])
+        table = catscan(model_params(opts), opts["grid"])
         table.to_csv(opts["out"], comment=config_comment(opts))
         return f"wrote {opts['out']} ({len(opts['grid'])} offsets)"
     if command == "effective":
-        table = effective_report(model_params(opts), opts["grid"], threads=opts["threads"])
+        table = effective_report(model_params(opts), opts["grid"])
         table.to_csv(opts["out"], comment=config_comment(opts))
         return f"wrote {opts['out']} ({len(opts['grid'])} offsets)"
     if command == "paths":
@@ -335,9 +331,7 @@ def run(opts: dict) -> str:
         loop_params = LoopParams(
             length=opts["length"], barrier=opts["barrier"], barrier_position=opts["barrier_pos"]
         )
-        table = loop_sweep(
-            loop_params, opts["grid"], k_max=opts["kmax"], n_levels=opts["levels"], threads=opts["threads"]
-        )
+        table = loop_sweep(loop_params, opts["grid"], k_max=opts["kmax"], n_levels=opts["levels"])
         table.to_csv(opts["out"], comment=config_comment(opts))
         return f"wrote {opts['out']} ({len(opts['grid'])} phases x {table.n_levels} levels)"
     raise ConfigError(f"unknown command {command!r}")

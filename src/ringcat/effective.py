@@ -25,8 +25,8 @@ from .errors import (
     NumericalContractError,
     UnsupportedConfigurationError,
 )
-from .hamiltonians import HermitianOperator, ModelParams, build_flow_hamiltonian, flow_hamiltonian_by_conjugation
-from .util import parallel_map, write_csv
+from .hamiltonians import HermitianOperator, ModelParams, flow_hamiltonian_by_conjugation, flow_sweep
+from .util import write_csv
 
 #: An eliminated state closer to the working energy than this (relative to the
 #: operator scale) makes the resolvent ill-conditioned.
@@ -430,25 +430,26 @@ def effective_point(
     analytic eps(phi).
     """
     phi = math.pi + dphi
-    if operator is None:
-        p = params.with_phi(phi)
-        operator = build_flow_hamiltonian(p) if p.equal_j else flow_hamiltonian_by_conjugation(p)
+    if operator is None and params.equal_j:
+        operator = flow_sweep(params).at(phi)
+    elif operator is None:
+        operator = flow_hamiltonian_by_conjugation(params.with_phi(phi))
     result = lowdin_coupling(operator)
     e0 = 0.5 * float(np.real(result.heff[0, 0] + result.heff[1, 1]))
     eps = epsilon_of_phi(params, phi)
     return two_level_predict(e0, eps, result.v01, lam=result.lam)
 
 
-def effective_report(
-    params: ModelParams,
-    dphi_grid: Sequence[float],
-    threads: int = 1,
-) -> EffectiveTable:
-    """Tabulate the two-level machinery over a grid of offsets from pi."""
+def effective_report(params: ModelParams, dphi_grid: Sequence[float]) -> EffectiveTable:
+    """Tabulate the two-level machinery over a grid of offsets from pi.
+
+    The flow Hamiltonian is built once for the report.
+    """
     if not params.equal_j:
         raise UnsupportedConfigurationError("the two-level report requires equal tunnelling")
     dphis = np.asarray(list(dphi_grid), dtype=float)
-    models = parallel_map(lambda d: effective_point(params, d), list(dphis), threads=threads)
+    sweep = flow_sweep(params)
+    models = [effective_point(params, d, operator=sweep.at(math.pi + d)) for d in dphis]
     return EffectiveTable(
         dphis=dphis,
         eps=np.array([m.eps for m in models]),

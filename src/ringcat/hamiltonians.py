@@ -1,4 +1,4 @@
-"""Hamiltonian builders for N bosons on a phase-twisted three-site ring.
+"""Ring Hamiltonians for N bosons on a phase-twisted three-site ring.
 
 Site basis (operators a, b, c on sites 0, 1, 2):
 
@@ -20,8 +20,14 @@ and the contact interaction becomes
             + 2 (alpha^2 beta^+ gamma^+ + beta^2 alpha^+ gamma^+
                  + gamma^2 alpha^+ beta^+ + h.c.) ].
 
-For unequal tunnelling the flow form is obtained by unitary conjugation of
-the site Hamiltonian with the mode transform.
+Both bases are assembled the same way: every off-diagonal term is one
+normal-ordered product of ladder operators applied to all basis states at
+once (``basis._ladder``), and the diagonal terms are sums over the
+occupation array.  Both are returned as a ``PhaseSweep``,
+H(phi) = H_0 + e^{i phi/3} A + h.c., with the real phase-independent part
+H_0 built once and A the hopping (site basis) or the kinetic diagonal (flow
+basis).  For unequal tunnelling the flow form is obtained by unitary
+conjugation of the site Hamiltonian with the mode transform.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import FockBasis, enumerate_fock, mode_transform_matrix
+from .basis import _UNIT, FockBasis, _ladder, enumerate_fock, mode_transform_matrix
 from .errors import NumericalContractError, UnsupportedConfigurationError
 
 _SQRT3 = math.sqrt(3.0)
@@ -83,6 +89,8 @@ class ModelParams:
         return self.j[0]
 
     def with_phi(self, phi: float) -> "ModelParams":
+        if float(phi) == self.phi:
+            return self
         return dataclasses.replace(self, phi=float(phi))
 
 
@@ -120,64 +128,6 @@ class HermitianOperator:
     @property
     def dimension(self) -> int:
         return self.matrix.shape[0]
-
-    def dump(self, path) -> None:
-        """Write the matrix as coordinate-format text: ``row col re im`` lines."""
-        lines = [
-            "%% ringcat hermitian operator, coordinate complex",
-            f"%% basis={self.basis.interpretation} n={self.basis.n} dim={self.dimension}",
-        ]
-        entries = [
-            (i, j, self.matrix[i, j])
-            for i in range(self.dimension)
-            for j in range(self.dimension)
-            if self.matrix[i, j] != 0
-        ]
-        lines.append(f"{self.dimension} {self.dimension} {len(entries)}")
-        for i, j, v in entries:
-            lines.append(f"{i} {j} {v.real:.17g} {v.imag:.17g}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-
-
-def build_site_hamiltonian(params: ModelParams) -> HermitianOperator:
-    """Dense site-basis Hamiltonian for the given parameters."""
-    basis = enumerate_fock(params.n, "site")
-    dim = basis.dimension
-    h = np.zeros((dim, dim), dtype=complex)
-    phase = np.exp(1j * params.phi / 3.0)
-    bonds = ((0, 1, params.j[0]), (1, 2, params.j[1]), (2, 0, params.j[2]))
-
-    for s, occ in enumerate(basis.states):
-        # Hopping: -J_pq e^{i phi/3} a_p^dagger a_q + h.c. on each directed bond.
-        for p, q, j_pq in bonds:
-            if occ[q] == 0:
-                continue
-            raised = list(occ)
-            raised[q] -= 1
-            raised[p] += 1
-            t = basis.index(raised)
-            value = -j_pq * phase * math.sqrt(occ[q] * (occ[p] + 1.0))
-            h[t, s] += value
-            h[s, t] += value.conjugate()
-        if params.dipolar:
-            h[s, s] += params.u0 * sum(nj * (nj - 1) for nj in occ)
-            # Pair exchange (a_p^dagger)^2 a_q^2 + h.c. around the ring.
-            for p, q in ((0, 1), (1, 2), (2, 0)):
-                if occ[q] < 2:
-                    continue
-                raised = list(occ)
-                raised[q] -= 2
-                raised[p] += 2
-                t = basis.index(raised)
-                value = params.u1 * math.sqrt(
-                    occ[q] * (occ[q] - 1.0) * (occ[p] + 1.0) * (occ[p] + 2.0)
-                )
-                h[t, s] += value
-                h[s, t] += value
-        else:
-            h[s, s] += params.u * sum(nj * (nj - 1) for nj in occ)
-    return HermitianOperator(h, basis, params)
 
 
 #: For each flow mode, the other two modes.
@@ -222,75 +172,109 @@ def _printed_dipolar_coefficients(params: ModelParams) -> tuple[tuple[float, ...
     )
 
 
-def _flow_interaction(basis: FockBasis, coefficients: tuple[tuple[float, ...], ...]) -> np.ndarray:
-    """Real phase-independent flow-basis interaction matrix."""
-    c_self, c_dens, c_exch = coefficients
-    dim = basis.dimension
-    h = np.zeros((dim, dim))
-    # Each exchange term annihilates two quanta of one mode and creates one in
-    # each of the other two; total quasi-momentum is conserved mod 3.
-    for s, occ in enumerate(basis.states):
-        for m, (o1, o2) in enumerate(_OTHER_MODES):
-            h[s, s] += c_self[m] * occ[m] * (occ[m] - 1) + c_dens[m] * occ[o1] * occ[o2]
-            if occ[m] < 2:
-                continue
-            raised = list(occ)
-            raised[m] -= 2
-            raised[o1] += 1
-            raised[o2] += 1
-            t = basis.index(raised)
-            value = c_exch[m] * math.sqrt(occ[m] * (occ[m] - 1.0) * raised[o1] * raised[o2])
-            h[t, s] += value
-            h[s, t] += value
-    return h
+#: The directed bonds (p, q) of the ring, in the order of ModelParams.j.
+_BONDS = ((0, 1), (1, 2), (2, 0))
+
+
+def _add_exchange(h: np.ndarray, occ: np.ndarray, create, annihilate, coefficient: float) -> None:
+    """h += coefficient * (term + h.c.) for a real, phase-independent ladder term."""
+    targets, sources, amplitudes = _ladder(occ, create, annihilate)
+    h[targets, sources] += coefficient * amplitudes
+    h[sources, targets] += coefficient * amplitudes
 
 
 @dataclass(frozen=True)
-class FlowSweep:
-    """Equal-bond flow-basis Hamiltonian over a sweep of phase twists.
+class PhaseSweep:
+    """Ring Hamiltonian over a sweep of phase twists, built once.
 
-    In the flow basis the phase twist enters only the diagonal kinetic term,
-
-        -J (2 n_alpha - n_beta - n_gamma) cos(phi/3) - sqrt(3) J (n_beta - n_gamma) sin(phi/3),
-
-    so the real interaction matrix is built once and ``at`` adds that
-    diagonal for each phase.
+    H(phi) = base + e^{i phi/3} A + h.c., where ``base`` is the real
+    phase-independent part and A is held as triplets: A[rows, cols] = values.
+    In the site basis A is the hopping; in the flow basis (equal tunnelling)
+    it is the diagonal -J sum_k n_k e^{-2 pi i k/3}, so that A + h.c. is the
+    kinetic diagonal in cos(phi/3) and sin(phi/3) and H(phi) stays real.
     """
 
     params: ModelParams
     basis: FockBasis
-    interaction: np.ndarray
-    kinetic_cos: np.ndarray
-    kinetic_sin: np.ndarray
+    base: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
 
     def at(self, phi: float) -> HermitianOperator:
-        """The (real) flow Hamiltonian at phase twist ``phi``."""
-        h = self.interaction.copy()
-        h[np.diag_indices_from(h)] += (
-            self.kinetic_cos * math.cos(phi / 3.0) + self.kinetic_sin * math.sin(phi / 3.0)
-        )
+        """The Hamiltonian at phase twist ``phi``."""
+        c, s = math.cos(phi / 3.0), math.sin(phi / 3.0)
+        if np.array_equal(self.rows, self.cols):
+            h = self.base.copy()
+            h[self.rows, self.rows] += 2.0 * (c * self.values.real - s * self.values.imag)
+        else:
+            hop = complex(c, s) * self.values
+            h = self.base.astype(complex)
+            h[self.rows, self.cols] += hop
+            h[self.cols, self.rows] += hop.conj()
         return HermitianOperator(h, self.basis, self.params.with_phi(phi))
 
 
-def _flow_sweep(params: ModelParams, coefficients: tuple[tuple[float, ...], ...]) -> FlowSweep:
+def site_sweep(params: ModelParams) -> PhaseSweep:
+    """Site Hamiltonian of ``params`` at any phase, with every term built once."""
+    basis = enumerate_fock(params.n, "site")
+    occ = basis.occupations
+    base = np.zeros((basis.dimension, basis.dimension))
+    onsite = params.u0 if params.dipolar else params.u
+    base[np.diag_indices_from(base)] = onsite * (occ * (occ - 1)).sum(axis=1)
+    if params.dipolar:
+        for p, q in _BONDS:
+            _add_exchange(base, occ, 2 * _UNIT[p], 2 * _UNIT[q], params.u1)
+    hopping = [_ladder(occ, _UNIT[p], _UNIT[q]) for p, q in _BONDS]
+    return PhaseSweep(
+        params=params,
+        basis=basis,
+        base=base,
+        rows=np.concatenate([targets for targets, _, _ in hopping]),
+        cols=np.concatenate([sources for _, sources, _ in hopping]),
+        values=np.concatenate(
+            [-j_pq * amplitudes for j_pq, (_, _, amplitudes) in zip(params.j, hopping)]
+        ).astype(complex),
+    )
+
+
+def build_site_hamiltonian(params: ModelParams) -> HermitianOperator:
+    """Dense site-basis Hamiltonian for the given parameters."""
+    return site_sweep(params).at(params.phi)
+
+
+def _flow_sweep(params: ModelParams, coefficients: tuple[tuple[float, ...], ...]) -> PhaseSweep:
     if not params.equal_j:
         raise UnsupportedConfigurationError(
             "analytic flow Hamiltonian requires equal tunnelling; "
             "use flow_hamiltonian_by_conjugation for unequal bonds"
         )
-    j = params.j1
     basis = enumerate_fock(params.n, "flow")
-    occ = np.array(basis.states, dtype=float).reshape(-1, 3)
-    return FlowSweep(
+    occ = basis.occupations
+    base = np.zeros((basis.dimension, basis.dimension))
+    diagonal = np.zeros(basis.dimension)
+    c_self, c_dens, c_exch = coefficients
+    # Each exchange term annihilates two quanta of one mode and creates one in
+    # each of the other two; total quasi-momentum is conserved mod 3.
+    for m, (o1, o2) in enumerate(_OTHER_MODES):
+        diagonal += c_self[m] * occ[:, m] * (occ[:, m] - 1) + c_dens[m] * occ[:, o1] * occ[:, o2]
+        _add_exchange(base, occ, _UNIT[o1] + _UNIT[o2], 2 * _UNIT[m], c_exch[m])
+    base[np.diag_indices_from(base)] = diagonal
+    # A = -J sum_k n_k e^{-2 pi i k/3}, written with exact integer combinations.
+    kinetic_cos = -params.j1 * (2 * occ[:, 0] - occ[:, 1] - occ[:, 2])
+    kinetic_sin = -_SQRT3 * params.j1 * (occ[:, 1] - occ[:, 2])
+    states = np.arange(basis.dimension)
+    return PhaseSweep(
         params=params,
         basis=basis,
-        interaction=_flow_interaction(basis, coefficients),
-        kinetic_cos=-j * (2.0 * occ[:, 0] - occ[:, 1] - occ[:, 2]),
-        kinetic_sin=-(_SQRT3 * j * (occ[:, 1] - occ[:, 2])),
+        base=base,
+        rows=states,
+        cols=states,
+        values=0.5 * (kinetic_cos - 1j * kinetic_sin),
     )
 
 
-def flow_sweep(params: ModelParams) -> FlowSweep:
+def flow_sweep(params: ModelParams) -> PhaseSweep:
     """Flow Hamiltonian of ``params`` at any phase, with the interaction built once.
 
     Contact and dipolar interactions are both exact: ``sweep.at(phi)`` is the

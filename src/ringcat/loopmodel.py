@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import UnsupportedConfigurationError
-from .util import parallel_map, write_csv
+from .util import write_csv
 
 
 @dataclass(frozen=True)
@@ -206,16 +206,11 @@ def loop_sweep(
     phi_grid: Sequence[float],
     k_max: int = 12,
     n_levels: int = 4,
-    threads: int = 1,
 ) -> LoopTable:
     """Sweep the barrier-split loop spectrum over phase twists."""
     phis = np.asarray(list(phi_grid), dtype=float)
     n_levels = max(1, min(int(n_levels), 2 * k_max + 1))
-
-    def one(phi: float) -> np.ndarray:
-        return loop_spectrum_with_barrier(params, phi, k_max=k_max, n_levels=n_levels)
-
-    levels = parallel_map(one, list(phis), threads=threads)
+    levels = [loop_spectrum_with_barrier(params, phi, k_max=k_max, n_levels=n_levels) for phi in phis]
     return LoopTable(
         phis=phis,
         n_levels=n_levels,

@@ -9,8 +9,8 @@ import numpy as np
 
 from .basis import FockBasis, quasimomentum_labels
 from .errors import NumericalContractError, UnsupportedConfigurationError
-from .hamiltonians import HermitianOperator, ModelParams, build_site_hamiltonian, flow_sweep
-from .util import parallel_map, write_csv
+from .hamiltonians import HermitianOperator, ModelParams, flow_sweep, site_sweep
+from .util import write_csv
 
 #: Relative tolerances on the eigensolver's own output, checked on every call.
 RESIDUAL_RTOL = 1e-9
@@ -112,6 +112,13 @@ def sector_eigensolve(operator: HermitianOperator, n_levels: int) -> EigenResult
     return EigenResult(energies=energies, vectors=vectors, basis=basis, params=operator.params)
 
 
+def _lowest(operator: HermitianOperator, n_levels: int) -> EigenResult:
+    """Lowest levels: by quasi-momentum block in the flow basis, whole otherwise."""
+    if operator.basis.interpretation == "flow":
+        return sector_eigensolve(operator, n_levels)
+    return eigensolve(operator, n_levels=n_levels)
+
+
 @dataclass
 class SpectrumTable:
     """Lowest levels of the ring Hamiltonian on a grid of phase twists."""
@@ -134,30 +141,18 @@ def spectrum_sweep(
     params: ModelParams,
     phi_grid: Sequence[float],
     n_levels: int = 6,
-    threads: int = 1,
 ) -> SpectrumTable:
     """Lowest levels of the ring Hamiltonian at each phase of ``phi_grid``.
 
-    With equal tunnelling the flow Hamiltonian is built once and solved one
-    quasi-momentum block at a time; unequal bonds break that symmetry, so the
-    site Hamiltonian is diagonalized whole.
+    The Hamiltonian is built once for the sweep.  With equal tunnelling it is
+    the flow Hamiltonian, solved one quasi-momentum block at a time; unequal
+    bonds break that symmetry, so the site Hamiltonian is diagonalized whole.
     """
     phis = np.asarray(list(phi_grid), dtype=float)
     dim = (params.n + 1) * (params.n + 2) // 2
     n_levels = max(1, min(int(n_levels), dim))
-
-    if params.equal_j:
-        sweep = flow_sweep(params)
-
-        def solve_one(phi: float) -> np.ndarray:
-            return sector_eigensolve(sweep.at(phi), n_levels).energies
-    else:
-
-        def solve_one(phi: float) -> np.ndarray:
-            h = build_site_hamiltonian(params.with_phi(phi))
-            return eigensolve(h, n_levels=n_levels).energies
-
-    levels = parallel_map(solve_one, list(phis), threads=threads)
+    sweep = flow_sweep(params) if params.equal_j else site_sweep(params)
+    levels = [_lowest(sweep.at(phi), n_levels).energies for phi in phis]
     return SpectrumTable(
         phis=phis, n_levels=n_levels, energies=np.array(levels), params=params
     )

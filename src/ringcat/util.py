@@ -1,10 +1,9 @@
-"""Small shared helpers: float formatting, CSV writing, ordered parallel map."""
+"""Small shared helpers: float formatting and CSV writing."""
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 
 def format_float(x: float) -> str:
@@ -35,14 +34,3 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence], comment: st
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
-
-def parallel_map(fn: Callable, items: Sequence, threads: int = 1) -> list:
-    """Map ``fn`` over ``items`` preserving input order.
-
-    With ``threads > 1`` the work is fanned out to a thread pool; results are
-    assembled in input order so output is identical for any thread count.
-    """
-    if threads is None or threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))

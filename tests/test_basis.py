@@ -30,7 +30,7 @@ def test_enumeration_dimension_and_ordering(n):
     assert len(set(basis.states)) == basis.dimension
 
 
-@pytest.mark.parametrize("n", [1, 3, 6])
+@pytest.mark.parametrize("n", [1, 3, 6, 10, 25, 40])
 def test_index_round_trip(n):
     basis = enumerate_fock(n)
     for i, occ in enumerate(basis.states):

@@ -13,6 +13,7 @@ from ringcat import (
     cat_amplitudes,
     catscan,
     crossing_pair_state,
+    effective_point,
     embed_single_flow,
     enumerate_fock,
     ground_cat_metrics,
@@ -175,15 +176,18 @@ def test_catscan_metadata_and_csv(tmp_path):
     assert lines[3].split(",")[0] == "3"
 
 
-def test_catscan_thread_determinism(tmp_path):
+def test_catscan_thread_determinism():
+    """Each row of a scan, which builds its operator once, equals the
+    per-point metrics and prediction, for equal and unequal bonds."""
     grid = np.linspace(-0.1, 0.1, 7)
-    serial = catscan(N3_PARAMS, grid, threads=1)
-    threaded = catscan(N3_PARAMS, grid, threads=4)
-    a = tmp_path / "serial.csv"
-    b = tmp_path / "threaded.csv"
-    serial.to_csv(a, comment="same")
-    threaded.to_csv(b, comment="same")
-    assert a.read_bytes() == b.read_bytes()
+    for params in (N3_PARAMS, ModelParams(n=4, j=(1.0, 0.9, 1.1), u=0.1)):
+        table = catscan(params, grid)
+        for dphi, metrics, analytic in zip(grid, table.metrics, table.ratio_analytic):
+            assert metrics == ground_cat_metrics(params, dphi)
+            if params.equal_j:
+                assert analytic == abs(effective_point(params, dphi).predicted_ratio)
+            else:
+                assert math.isnan(analytic)
 
 
 def test_catscan_unequal_tunnelling_has_no_analytic_column():

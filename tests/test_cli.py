@@ -102,7 +102,7 @@ def test_descending_grid_rejected(capsys):
     [
         (["spectrum", "--n", "0", "--phi", "0"], "'n'"),
         (["spectrum", "--levels", "0", "--phi", "0"], "'levels'"),
-        (["spectrum", "--threads", "0", "--phi", "0"], "'threads'"),
+        (["loop", "--kmax", "0", "--phi", "0"], "k_max"),
         (["paths", "--max-order", "-1"], "'max_order'"),
     ],
 )
@@ -149,16 +149,19 @@ def test_loop_csv(tmp_path):
 
 
 def test_thread_count_does_not_change_output(tmp_path):
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    base = ["catscan", "--n", "3", "--dphi", "-0.2:0.2:9"]
-    assert run_cli(base + ["--threads", "1", "--out", str(a)]) == 0
-    assert run_cli(base + ["--threads", "4", "--out", str(b)]) == 0
-    # identical apart from the file name recorded in the comment line
-    a_lines = a.read_text().splitlines()
-    b_lines = b.read_text().splitlines()
-    assert a_lines[1:] == b_lines[1:]
-    assert a_lines[0].replace("out=" + str(a), "") == b_lines[0].replace("out=" + str(b), "")
+    """Each CSV row of a scan equals the row of a one-point run at that
+    offset, for equal and unequal bonds."""
+    dphis = ("-0.2", "-0.1", "0", "0.1", "0.2")
+    for bonds in ("1", "1,0.9,1.1"):
+        sweep = tmp_path / "sweep.csv"
+        base = ["catscan", "--n", "3", "--j", bonds]
+        assert run_cli(base + ["--dphi", "-0.2:0.2:5", "--out", str(sweep)]) == 0
+        rows = sweep.read_text().splitlines()[2:]
+        assert len(rows) == len(dphis)
+        for dphi, row in zip(dphis, rows):
+            point = tmp_path / "point.csv"
+            assert run_cli(base + ["--dphi", dphi, "--out", str(point)]) == 0
+            assert point.read_text().splitlines()[2:] == [row]
 
 
 def test_dipolar_flags_enable_dipolar_interaction(tmp_path):

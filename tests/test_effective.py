@@ -17,12 +17,14 @@ from ringcat import (
     build_coupling_graph,
     build_flow_hamiltonian,
     build_site_hamiltonian,
+    catscan,
     default_flow_targets,
     effective_point,
     effective_report,
     eigensolve,
     enumerate_fock,
     epsilon_of_phi,
+    flow_sweep,
     lowdin_coupling,
     path_coupling,
     path_normalisation,
@@ -307,11 +309,29 @@ def test_effective_report_requires_equal_tunnelling():
 
 
 def test_effective_report_thread_determinism():
+    """Each row of the report, which builds its operator once, equals the
+    per-point two-level prediction."""
     grid = np.linspace(-0.2, 0.2, 9)
-    serial = effective_report(N3_PARAMS, grid, threads=1)
-    threaded = effective_report(N3_PARAMS, grid, threads=3)
-    np.testing.assert_array_equal(serial.v01_abs, threaded.v01_abs)
-    np.testing.assert_array_equal(serial.e_minus, threaded.e_minus)
+    for params in (N3_PARAMS, ModelParams(n=6, j=1.0, u0=0.1, u1=0.05, dipolar=True)):
+        table = effective_report(params, grid)
+        for i, dphi in enumerate(grid):
+            model = effective_point(params, dphi)
+            assert table.v01_abs[i] == abs(model.v01)
+            assert table.ratio_analytic[i] == abs(model.predicted_ratio)
+            assert (table.e_minus[i], table.e_plus[i]) == model.predicted_energies
+
+
+def test_dipolar_report_solves_the_exact_flow_operator():
+    """effective, catscan and the elimination of the exact flow Hamiltonian
+    agree for the dipolar interaction (the printed flow coefficients do not
+    describe the site Hamiltonian)."""
+    params = ModelParams(n=6, j=1.0, u0=0.1, u1=0.05, dipolar=True)
+    dphi = 0.05
+    report = effective_report(params, [dphi])
+    scan = catscan(params, [dphi])
+    v01 = lowdin_coupling(flow_sweep(params).at(math.pi + dphi)).v01
+    np.testing.assert_allclose(report.ratio_analytic[0], scan.ratio_analytic[0], rtol=1e-12)
+    np.testing.assert_allclose(report.v01_abs[0], abs(v01), rtol=1e-12)
 
 
 @pytest.mark.parametrize("n", [3, 6])

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringcat import (
     HermitianOperator,
@@ -19,7 +21,10 @@ from ringcat import (
     flow_sweep,
     mode_transform_matrix,
     quasimomentum_sector,
+    site_sweep,
 )
+
+BONDS = ((0, 1), (1, 2), (2, 0))
 
 
 def test_params_broadcast_and_properties():
@@ -68,6 +73,45 @@ def test_operator_rejects_non_hermitian_and_wrong_shape():
 def test_site_hamiltonian_is_hermitian(n, phi, kwargs):
     op = build_site_hamiltonian(ModelParams(n=n, phi=phi, **kwargs))
     np.testing.assert_allclose(op.matrix, op.matrix.conj().T, atol=1e-14)
+
+
+def kronecker_site_hamiltonian(params: ModelParams) -> np.ndarray:
+    """The site Hamiltonian written with a_p as Kronecker products on the
+    (N+1)^3 product space, projected onto the ``enumerate_fock`` order."""
+    n = params.n
+    lower = np.diag(np.sqrt(np.arange(1.0, n + 1)), k=1)
+    eye = np.eye(n + 1)
+    a = [np.kron(np.kron(lower, eye), eye), np.kron(np.kron(eye, lower), eye), np.kron(np.kron(eye, eye), lower)]
+    hop = sum(-j * np.exp(1j * params.phi / 3.0) * a[p].T @ a[q] for j, (p, q) in zip(params.j, BONDS))
+    onsite = params.u0 if params.dipolar else params.u
+    h = hop + hop.conj().T + onsite * sum(a[p].T @ a[p].T @ a[p] @ a[p] for p in range(3))
+    if params.dipolar:
+        pair = sum(a[p].T @ a[p].T @ a[q] @ a[q] for p, q in BONDS)
+        h = h + params.u1 * (pair + pair.T)
+    keep = [(n1 * (n + 1) + n2) * (n + 1) + n3 for n1, n2, n3 in enumerate_fock(n).states]
+    return h[np.ix_(keep, keep)]
+
+
+ring_params = st.builds(
+    lambda n, j, u, u1, dipolar, phi: ModelParams(
+        n=n, j=j, u=u, u0=u, u1=u1, dipolar=dipolar, phi=phi
+    ),
+    st.integers(1, 4),
+    st.tuples(*[st.floats(0.1, 2.0)] * 3),
+    st.floats(0.0, 1.0),
+    st.floats(-1.0, 1.0),
+    st.booleans(),
+    st.floats(-2 * math.pi, 4 * math.pi),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ring_params, st.floats(-2 * math.pi, 4 * math.pi))
+def test_site_hamiltonian_matches_the_kronecker_oracle(params, other_phi):
+    oracle = kronecker_site_hamiltonian(params)
+    np.testing.assert_allclose(build_site_hamiltonian(params).matrix, oracle, rtol=0, atol=1e-14)
+    swept = site_sweep(params.with_phi(other_phi)).at(params.phi)
+    np.testing.assert_allclose(swept.matrix, oracle, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("phi", [0.0, 0.7, math.pi, 4.0, 2 * math.pi])
@@ -206,24 +250,6 @@ def test_flow_hamiltonian_conserves_quasimomentum(n):
         for j in range(op.dimension):
             if sectors[i] != sectors[j]:
                 assert abs(op.matrix[i, j]) < 1e-14
-
-
-def test_dump_round_trips(tmp_path):
-    op = build_site_hamiltonian(ModelParams(n=2, j=1.0, u=0.3, phi=1.1))
-    path = tmp_path / "op.txt"
-    op.dump(path)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("%%")
-    rows, cols, count = (int(v) for v in lines[2].split())
-    assert rows == cols == op.dimension
-    rebuilt = np.zeros((rows, cols), dtype=complex)
-    entries = lines[3:]
-    assert len(entries) == count
-    for line in entries:
-        i, j, re, im = line.split()
-        rebuilt[int(i), int(j)] = float(re) + 1j * float(im)
-    # %.17g round-trips doubles exactly
-    np.testing.assert_array_equal(rebuilt, op.matrix)
 
 
 @pytest.mark.parametrize("n", [2, 4])

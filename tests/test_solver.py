@@ -94,11 +94,22 @@ def test_spectrum_is_periodic_and_reflection_symmetric(n, u):
 
 
 def test_sweep_is_deterministic_across_thread_counts():
-    params = ModelParams(n=3, j=1.0, u=0.1)
+    """The output does not depend on the execution strategy: each row of a
+    sweep built once equals the solve of an operator built for that point
+    alone, for equal and unequal bonds."""
     phis = np.linspace(0.0, 2 * math.pi, 13)
-    serial = spectrum_sweep(params, phis, n_levels=4, threads=1)
-    threaded = spectrum_sweep(params, phis, n_levels=4, threads=4)
-    np.testing.assert_array_equal(serial.energies, threaded.energies)
+    for params in (
+        ModelParams(n=3, j=1.0, u=0.1),
+        ModelParams(n=4, j=(1.0, 0.9, 1.1), u0=0.1, u1=0.05, dipolar=True),
+    ):
+        table = spectrum_sweep(params, phis, n_levels=4)
+        for phi, row in zip(phis, table.energies):
+            p = params.with_phi(phi)
+            if p.equal_j:
+                point = sector_eigensolve(flow_sweep(p).at(phi), n_levels=4)
+            else:
+                point = eigensolve(build_site_hamiltonian(p), n_levels=4)
+            np.testing.assert_array_equal(row, point.energies)
 
 
 def test_sweep_csv_layout(tmp_path):
