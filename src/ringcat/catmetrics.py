@@ -17,7 +17,7 @@ import numpy as np
 
 from .basis import FockBasis, embed_single_flow
 from .errors import NumericalContractError
-from .hamiltonians import HermitianOperator, ModelParams, flow_sweep, site_sweep
+from .hamiltonians import HermitianOperator, ModelParams, flow_sweep
 from .solver import _lowest
 from .util import write_csv
 
@@ -145,13 +145,12 @@ def ground_cat_metrics(
 ) -> CatMetrics:
     """Cat metrics of the exact ground state at phase twist pi + dphi.
 
-    With equal tunnelling the ground state comes from the quasi-momentum
-    blocks of the flow Hamiltonian (``operator`` if given, the flow
-    Hamiltonian at pi + dphi otherwise); unequal bonds use a dense solve of
-    the site Hamiltonian.
+    The state is the ground state of ``operator`` if given and of the flow
+    Hamiltonian at pi + dphi otherwise; with equal tunnelling it comes from
+    the quasi-momentum blocks of the flow Hamiltonian.
     """
     if operator is None:
-        operator = (flow_sweep if params.equal_j else site_sweep)(params).at(math.pi + dphi)
+        operator = flow_sweep(params).at(math.pi + dphi)
     result = _lowest(operator, n_levels=2)
     if abs(dphi) <= CROSSING_DPHI_ATOL and result.vectors.shape[1] >= 2:
         state = crossing_pair_state(result.vectors[:, :2], operator.basis)
@@ -163,8 +162,7 @@ def ground_cat_metrics(
 def catscan(params: ModelParams, dphi_grid: Sequence[float]) -> CatScanTable:
     """Scan the exact cat metrics and the two-level prediction over offsets.
 
-    The Hamiltonian is built once for the whole scan (the flow Hamiltonian
-    with equal tunnelling, the site one otherwise), and each offset's
+    The flow Hamiltonian is built once for the whole scan, and each offset's
     operator serves both the ground state and the two-level prediction.  The
     analytic ratio column requires equal tunnelling; with unequal bonds it is
     reported as nan.
@@ -172,7 +170,7 @@ def catscan(params: ModelParams, dphi_grid: Sequence[float]) -> CatScanTable:
     from .effective import effective_point  # deferred to avoid an import cycle
 
     dphis = np.asarray(list(dphi_grid), dtype=float)
-    sweep = (flow_sweep if params.equal_j else site_sweep)(params)
+    sweep = flow_sweep(params)
     metrics, analytic = [], []
     for dphi in dphis:
         operator = sweep.at(math.pi + dphi)

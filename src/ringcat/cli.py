@@ -27,11 +27,11 @@ from .effective import (
     default_flow_targets,
     effective_report,
     lowdin_coupling,
-    path_coupling,
     path_normalisation,
+    weighted_paths,
 )
 from .errors import ConfigError, NumericalContractError, UnsupportedConfigurationError
-from .hamiltonians import ModelParams, flow_hamiltonian_by_conjugation, flow_sweep
+from .hamiltonians import ModelParams, flow_sweep
 from .catmetrics import catscan
 from .loopmodel import LoopParams, loop_sweep
 from .solver import spectrum_sweep
@@ -279,22 +279,17 @@ def _occupation_label(occ) -> str:
 
 def run_paths(opts: dict) -> str:
     params = model_params(opts)
-    operator = (
-        flow_sweep(params).at(params.phi) if params.equal_j else flow_hamiltonian_by_conjugation(params)
-    )
+    operator = flow_sweep(params).at(params.phi)
     targets = default_flow_targets(operator.basis)
     elimination = lowdin_coupling(operator)
     graph = build_coupling_graph(operator)
     rows = []
-    for index, path in enumerate(graph.simple_paths(*targets, max_intermediates=opts["max_order"])):
-        weight = 1.0 + 0j
-        for a, b in zip(path, path[1:]):
-            weight *= graph.edge_value(a, b)
-        for node in path[1:-1]:
-            weight /= elimination.lam - graph.diagonal[node]
+    total = 0j
+    paths = weighted_paths(graph, targets, elimination.lam, opts["max_order"])
+    for index, (path, weight, factor) in enumerate(paths):
         label = ">".join(_occupation_label(operator.basis.states[i]) for i in path)
         rows.append((index, len(path) - 2, label, weight.real, weight.imag))
-    total = path_coupling(graph, targets, elimination.lam, opts["max_order"])
+        total += weight * factor
     normalised = total / path_normalisation(graph, targets, elimination.lam)
     write_csv(
         opts["out"],

@@ -25,12 +25,27 @@ from .errors import (
     NumericalContractError,
     UnsupportedConfigurationError,
 )
-from .hamiltonians import HermitianOperator, ModelParams, flow_hamiltonian_by_conjugation, flow_sweep
+from .hamiltonians import HermitianOperator, ModelParams, _hermitian, flow_sweep
 from .util import write_csv
 
 #: An eliminated state closer to the working energy than this (relative to the
 #: operator scale) makes the resolvent ill-conditioned.
 RESONANCE_RTOL = 1e-10
+
+
+def _check_resonance(gaps: np.ndarray, lam: float, scale: float, state_of) -> None:
+    """Raise on the eliminated level nearest to lam if its gap ``gaps[i]`` = lam - e_i
+    is below RESONANCE_RTOL * scale; ``state_of(i)`` names level i."""
+    if gaps.size == 0:
+        return
+    nearest = int(np.argmin(np.abs(gaps)))
+    if abs(gaps[nearest]) >= RESONANCE_RTOL * scale:
+        return
+    occ = state_of(nearest)
+    raise NearResonantIntermediateError(
+        f"eliminated state {occ} lies within {abs(gaps[nearest]):.3e} of the working energy {lam:.12g}",
+        occupation=occ if isinstance(occ, tuple) else None,
+    )
 
 
 def epsilon_of_phi(params: ModelParams, phi: float) -> float:
@@ -40,7 +55,7 @@ def epsilon_of_phi(params: ModelParams, phi: float) -> float:
     slope J N / sqrt(3) at the crossing.  Requires equal tunnelling.
     """
     if not params.equal_j:
-        raise UnsupportedConfigurationError("detuning formula requires equal tunnelling")
+        raise UnsupportedConfigurationError("the two-level detuning eps(phi) requires equal tunnelling")
     jn = params.j1 * params.n
     return jn - 2.0 * jn * math.cos(phi / 3.0)
 
@@ -169,15 +184,9 @@ def lowdin_coupling(
 
     def effective(lam: float) -> np.ndarray:
         gaps = lam - e_q
-        nearest = int(np.argmin(np.abs(gaps)))
-        if abs(gaps[nearest]) < RESONANCE_RTOL * scale:
-            dominant = int(np.argmax(np.abs(z[:, nearest])))
-            occ = basis.states[q_indices[dominant]]
-            raise NearResonantIntermediateError(
-                f"eliminated state {occ} lies within {abs(gaps[nearest]):.3e} of the "
-                f"working energy {lam:.12g}",
-                occupation=occ,
-            )
+        _check_resonance(
+            gaps, lam, scale, lambda i: basis.states[q_indices[int(np.argmax(np.abs(z[:, i])))]]
+        )
         return h_pp + b.conj().T @ (b / gaps[:, None])
 
     lam = float(np.mean([h[t0, t0].real, h[t1, t1].real])) if seed_energy is None else float(seed_energy)
@@ -266,13 +275,7 @@ def build_coupling_graph(
     if isinstance(operator, HermitianOperator):
         h, basis = operator.matrix, operator.basis
     else:
-        h = np.asarray(operator, dtype=complex)
-        deviation = np.max(np.abs(h - h.conj().T)) if h.size else 0.0
-        if deviation > 1e-12:
-            raise NumericalContractError(
-                f"coupling graph requires a hermitian matrix: max |H - H^dagger| = {deviation:.3e}"
-            )
-        basis = None
+        h, basis = _hermitian(operator), None
     dim = h.shape[0]
     edges: dict[tuple[int, int], complex] = {}
     adjacency: dict[int, list[int]] = {i: [] for i in range(dim)}
@@ -302,14 +305,7 @@ def _complement_factor(graph: CouplingGraph, nodes: Sequence[int], lam: float) -
     nodes = list(nodes)
     gaps = lam - graph.diagonal[nodes]
     scale = max(1.0, float(np.max(np.abs(graph.diagonal))))
-    nearest = int(np.argmin(np.abs(gaps)))
-    if abs(gaps[nearest]) < RESONANCE_RTOL * scale:
-        occ = graph.describe_state(nodes[nearest])
-        raise NearResonantIntermediateError(
-            f"eliminated state {occ} lies within {abs(gaps[nearest]):.3e} of the "
-            f"working energy {lam:.12g}",
-            occupation=occ if isinstance(occ, tuple) else None,
-        )
+    _check_resonance(gaps, lam, scale, lambda i: graph.describe_state(nodes[i]))
     m = np.zeros((len(nodes), len(nodes)), dtype=complex)
     pos = {node: idx for idx, node in enumerate(nodes)}
     for idx, node in enumerate(nodes):
@@ -318,6 +314,33 @@ def _complement_factor(graph: CouplingGraph, nodes: Sequence[int], lam: float) -
             if other in pos:
                 m[idx, pos[other]] = -graph.edge_value(node, other) / gaps[pos[other]]
     return complex(np.linalg.det(m))
+
+
+def weighted_paths(
+    graph: CouplingGraph, targets: tuple[int, int], lam: float, max_order: int
+) -> Iterator[tuple[tuple[int, ...], complex, complex]]:
+    """Yield (path, bare weight, loop factor) for each term of ``path_coupling``.
+
+    The bare weight is the path's contribution without the loop factor.
+    """
+    t0, t1 = targets
+    if t0 == t1:
+        raise UnsupportedConfigurationError("path coupling needs two distinct targets")
+    component = graph.connected_component(t0)
+    if t1 not in component:
+        return
+    eliminated = component - {t0, t1}
+    scale = max(1.0, float(np.max(np.abs(graph.diagonal))))
+    for path in graph.simple_paths(t0, t1, max_intermediates=max_order):
+        intermediates = list(path[1:-1])
+        gaps = lam - graph.diagonal[intermediates]
+        _check_resonance(gaps, lam, scale, lambda i: graph.describe_state(intermediates[i]))
+        weight = 1.0 + 0j
+        for a, b in zip(path, path[1:]):
+            weight *= graph.edge_value(a, b)
+        for gap in gaps:
+            weight /= gap
+        yield path, weight, _complement_factor(graph, sorted(eliminated - set(path)), lam)
 
 
 def path_coupling(
@@ -339,32 +362,9 @@ def path_coupling(
     Summed to all orders this reproduces the exact elimination coupling up to
     overall resolvent normalisation.
     """
-    t0, t1 = targets
-    if t0 == t1:
-        raise UnsupportedConfigurationError("path coupling needs two distinct targets")
-    component = graph.connected_component(t0)
-    if t1 not in component:
-        return 0j
-    eliminated = component - {t0, t1}
-    scale = max(1.0, float(np.max(np.abs(graph.diagonal))) if len(graph.diagonal) else 1.0)
-
     total = 0j
-    for path in graph.simple_paths(t0, t1, max_intermediates=max_order):
-        weight = 1.0 + 0j
-        for a, b in zip(path, path[1:]):
-            weight *= graph.edge_value(a, b)
-        for node in path[1:-1]:
-            gap = lam - graph.diagonal[node]
-            if abs(gap) < RESONANCE_RTOL * scale:
-                occ = graph.describe_state(node)
-                raise NearResonantIntermediateError(
-                    f"intermediate state {occ} lies within "
-                    f"{abs(gap):.3e} of the working energy {lam:.12g}",
-                    occupation=occ if isinstance(occ, tuple) else None,
-                )
-            weight /= gap
-        off_path = sorted(eliminated - set(path))
-        total += weight * _complement_factor(graph, off_path, lam)
+    for _, weight, factor in weighted_paths(graph, targets, lam, max_order):
+        total += weight * factor
     return total
 
 
@@ -427,26 +427,23 @@ def effective_point(
     The coupling and the centre energy E0 come from exact elimination at the
     working phase, in ``operator`` (the flow Hamiltonian at pi + dphi) when it
     is given and in a newly built one otherwise; the detuning uses the
-    analytic eps(phi).
+    analytic eps(phi), so equal tunnelling is required.
     """
     phi = math.pi + dphi
-    if operator is None and params.equal_j:
+    eps = epsilon_of_phi(params, phi)
+    if operator is None:
         operator = flow_sweep(params).at(phi)
-    elif operator is None:
-        operator = flow_hamiltonian_by_conjugation(params.with_phi(phi))
     result = lowdin_coupling(operator)
     e0 = 0.5 * float(np.real(result.heff[0, 0] + result.heff[1, 1]))
-    eps = epsilon_of_phi(params, phi)
     return two_level_predict(e0, eps, result.v01, lam=result.lam)
 
 
 def effective_report(params: ModelParams, dphi_grid: Sequence[float]) -> EffectiveTable:
     """Tabulate the two-level machinery over a grid of offsets from pi.
 
-    The flow Hamiltonian is built once for the report.
+    The flow Hamiltonian is built once for the report.  Like
+    ``effective_point``, it requires equal tunnelling.
     """
-    if not params.equal_j:
-        raise UnsupportedConfigurationError("the two-level report requires equal tunnelling")
     dphis = np.asarray(list(dphi_grid), dtype=float)
     sweep = flow_sweep(params)
     models = [effective_point(params, d, operator=sweep.at(math.pi + d)) for d in dphis]

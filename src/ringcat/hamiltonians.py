@@ -9,7 +9,7 @@ with contact interactions U (a^2 a^2 + b^2 b^2 + c^2 c^2) (number convention
 n(n-1), no 1/2), or dipolar interactions
 U0 sum_j n_j(n_j-1) + U1 [(a^+)^2 b^2 + (b^+)^2 c^2 + (c^+)^2 a^2 + h.c.].
 
-Flow basis (equal tunnelling J only): the kinetic part is diagonal,
+Flow basis: with equal tunnelling J the kinetic part is diagonal,
 
     -J (2 n_alpha - n_beta - n_gamma) cos(phi/3)
     - sqrt(3) J (n_beta - n_gamma) sin(phi/3),
@@ -20,14 +20,16 @@ and the contact interaction becomes
             + 2 (alpha^2 beta^+ gamma^+ + beta^2 alpha^+ gamma^+
                  + gamma^2 alpha^+ beta^+ + h.c.) ].
 
+Unequal bonds put their mean on that diagonal and their asymmetry into
+hopping between the flow modes, which couples the quasi-momentum sectors.
+
 Both bases are assembled the same way: every off-diagonal term is one
 normal-ordered product of ladder operators applied to all basis states at
 once (``basis._ladder``), and the diagonal terms are sums over the
-occupation array.  Both are returned as a ``PhaseSweep``,
-H(phi) = H_0 + e^{i phi/3} A + h.c., with the real phase-independent part
-H_0 built once and A the hopping (site basis) or the kinetic diagonal (flow
-basis).  For unequal tunnelling the flow form is obtained by unitary
-conjugation of the site Hamiltonian with the mode transform.
+occupation array.  The hopping is one routine for both bases, fed the bond
+matrix in the site modes or in the flow modes.  Both are returned as a
+``PhaseSweep``, H(phi) = H_0 + e^{i phi/3} A + h.c., with the real
+phase-independent part H_0 built once and A the hopping.
 """
 
 from __future__ import annotations
@@ -94,6 +96,18 @@ class ModelParams:
         return dataclasses.replace(self, phi=float(phi))
 
 
+def _hermitian(matrix, atol: float = 1e-12) -> np.ndarray:
+    """(H + H^dagger) / 2 of a square ``matrix`` with max |H - H^dagger| <= ``atol``."""
+    m = np.asarray(matrix)
+    m = m.astype(complex if np.iscomplexobj(m) else float, copy=False)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise NumericalContractError(f"operator matrix must be square, got shape {m.shape}")
+    deviation = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
+    if deviation > atol:
+        raise NumericalContractError(f"operator is not hermitian: max |H - H^dagger| = {deviation:.3e}")
+    return 0.5 * (m + m.conj().T)
+
+
 @dataclass
 class HermitianOperator:
     """A dense Hermitian matrix together with its basis and parameters.
@@ -110,20 +124,11 @@ class HermitianOperator:
     hermitian_atol: float = 1e-12
 
     def __post_init__(self):
-        m = np.asarray(self.matrix)
-        m = m.astype(complex if np.iscomplexobj(m) else float, copy=False)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise NumericalContractError(f"operator matrix must be square, got shape {m.shape}")
-        if m.shape[0] != self.basis.dimension:
+        self.matrix = _hermitian(self.matrix, self.hermitian_atol)
+        if self.dimension != self.basis.dimension:
             raise NumericalContractError(
-                f"matrix dimension {m.shape[0]} does not match basis dimension {self.basis.dimension}"
+                f"matrix dimension {self.dimension} does not match basis dimension {self.basis.dimension}"
             )
-        deviation = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
-        if deviation > self.hermitian_atol:
-            raise NumericalContractError(
-                f"operator is not hermitian: max |H - H^dagger| = {deviation:.3e}"
-            )
-        self.matrix = 0.5 * (m + m.conj().T)
 
     @property
     def dimension(self) -> int:
@@ -183,15 +188,30 @@ def _add_exchange(h: np.ndarray, occ: np.ndarray, create, annihilate, coefficien
     h[sources, targets] += coefficient * amplitudes
 
 
+def _hopping(occ: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Triplets (rows, cols, values) of sum_pq t[p, q] a_p^+ a_q for a ``t`` with zero diagonal.
+
+    No two triplets share an entry, and zero entries of ``t`` add none.
+    """
+    rows, cols, values = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], [np.zeros(0, complex)]
+    for p, q in zip(*np.nonzero(t)):
+        targets, sources, amplitudes = _ladder(occ, _UNIT[p], _UNIT[q])
+        rows.append(targets)
+        cols.append(sources)
+        values.append(t[p, q] * amplitudes)
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
+
+
 @dataclass(frozen=True)
 class PhaseSweep:
     """Ring Hamiltonian over a sweep of phase twists, built once.
 
     H(phi) = base + e^{i phi/3} A + h.c., where ``base`` is the real
-    phase-independent part and A is held as triplets: A[rows, cols] = values.
-    In the site basis A is the hopping; in the flow basis (equal tunnelling)
-    it is the diagonal -J sum_k n_k e^{-2 pi i k/3}, so that A + h.c. is the
-    kinetic diagonal in cos(phi/3) and sin(phi/3) and H(phi) stays real.
+    phase-independent part and A is the hopping, held as triplets:
+    A[rows, cols] = values.  In the flow basis A has the diagonal
+    -J sum_k n_k e^{-2 pi i k/3}, with J the mean bond, so that A + h.c. is
+    the kinetic diagonal in cos(phi/3) and sin(phi/3).  With equal tunnelling
+    that diagonal is all of A and H(phi) stays real.
     """
 
     params: ModelParams
@@ -225,17 +245,11 @@ def site_sweep(params: ModelParams) -> PhaseSweep:
     if params.dipolar:
         for p, q in _BONDS:
             _add_exchange(base, occ, 2 * _UNIT[p], 2 * _UNIT[q], params.u1)
-    hopping = [_ladder(occ, _UNIT[p], _UNIT[q]) for p, q in _BONDS]
-    return PhaseSweep(
-        params=params,
-        basis=basis,
-        base=base,
-        rows=np.concatenate([targets for targets, _, _ in hopping]),
-        cols=np.concatenate([sources for _, sources, _ in hopping]),
-        values=np.concatenate(
-            [-j_pq * amplitudes for j_pq, (_, _, amplitudes) in zip(params.j, hopping)]
-        ).astype(complex),
-    )
+    bonds = np.zeros((3, 3), dtype=complex)
+    for (p, q), j_pq in zip(_BONDS, params.j):
+        bonds[p, q] = -j_pq
+    rows, cols, values = _hopping(occ, bonds)
+    return PhaseSweep(params=params, basis=basis, base=base, rows=rows, cols=cols, values=values)
 
 
 def build_site_hamiltonian(params: ModelParams) -> HermitianOperator:
@@ -244,11 +258,6 @@ def build_site_hamiltonian(params: ModelParams) -> HermitianOperator:
 
 
 def _flow_sweep(params: ModelParams, coefficients: tuple[tuple[float, ...], ...]) -> PhaseSweep:
-    if not params.equal_j:
-        raise UnsupportedConfigurationError(
-            "analytic flow Hamiltonian requires equal tunnelling; "
-            "use flow_hamiltonian_by_conjugation for unequal bonds"
-        )
     basis = enumerate_fock(params.n, "flow")
     occ = basis.occupations
     base = np.zeros((basis.dimension, basis.dimension))
@@ -260,26 +269,37 @@ def _flow_sweep(params: ModelParams, coefficients: tuple[tuple[float, ...], ...]
         diagonal += c_self[m] * occ[:, m] * (occ[:, m] - 1) + c_dens[m] * occ[:, o1] * occ[:, o2]
         _add_exchange(base, occ, _UNIT[o1] + _UNIT[o2], 2 * _UNIT[m], c_exch[m])
     base[np.diag_indices_from(base)] = diagonal
-    # A = -J sum_k n_k e^{-2 pi i k/3}, written with exact integer combinations.
-    kinetic_cos = -params.j1 * (2 * occ[:, 0] - occ[:, 1] - occ[:, 2])
-    kinetic_sin = -_SQRT3 * params.j1 * (occ[:, 1] - occ[:, 2])
+    # The bonds in the flow modes, t_kk' = -e^{-2 pi i k'/3} Jhat_{k-k'} / 3 with
+    # Jhat_m = sum_j J_j e^{2 pi i j m/3}.  The diagonal (Jhat_0 / 3 is the mean
+    # bond) is written below with exact integer combinations, and Jhat_1 so
+    # that equal bonds give exactly J1 there and exactly 0 off the diagonal.
+    j1, j2, j3 = params.j
+    mean = j1 + ((j2 - j1) + (j3 - j1)) / 3.0
+    jhat1 = complex(j1 - 0.5 * (j2 + j3), 0.5 * _SQRT3 * (j2 - j3))
+    jhat = (0.0, jhat1, jhat1.conjugate())
+    twiddles = np.exp(-2j * np.pi * np.arange(3) / 3)
+    flow_bonds = np.array([[-twiddles[q] * jhat[(p - q) % 3] / 3 for q in range(3)] for p in range(3)])
+    rows, cols, values = _hopping(occ, flow_bonds)
+    kinetic_cos = -mean * (2 * occ[:, 0] - occ[:, 1] - occ[:, 2])
+    kinetic_sin = -_SQRT3 * mean * (occ[:, 1] - occ[:, 2])
     states = np.arange(basis.dimension)
     return PhaseSweep(
         params=params,
         basis=basis,
         base=base,
-        rows=states,
-        cols=states,
-        values=0.5 * (kinetic_cos - 1j * kinetic_sin),
+        rows=np.concatenate([states, rows]),
+        cols=np.concatenate([states, cols]),
+        values=np.concatenate([0.5 * (kinetic_cos - 1j * kinetic_sin), values]),
     )
 
 
 def flow_sweep(params: ModelParams) -> PhaseSweep:
     """Flow Hamiltonian of ``params`` at any phase, with the interaction built once.
 
-    Contact and dipolar interactions are both exact: ``sweep.at(phi)`` is the
-    site Hamiltonian conjugated into the flow basis.  Requires equal
-    tunnelling on all bonds.
+    Contact and dipolar interactions are both exact, for any bonds:
+    ``sweep.at(phi)`` is the site Hamiltonian conjugated into the flow basis.
+    With equal tunnelling it is real and conserves quasi-momentum; unequal
+    bonds add hopping between the flow modes and make it complex.
     """
     return _flow_sweep(params, _flow_interaction_coefficients(params))
 
@@ -289,10 +309,13 @@ def build_flow_hamiltonian(params: ModelParams) -> HermitianOperator:
 
     The dipolar interaction uses the printed flow coefficients, a comparison
     target only (``flow_sweep`` holds the exact dipolar form).  Requires
-    equal tunnelling on all bonds; otherwise the kinetic part is not diagonal
-    in the flow basis and ``flow_hamiltonian_by_conjugation`` must be used
-    instead.
+    equal tunnelling on all bonds, where the kinetic part is diagonal in the
+    flow basis; ``flow_sweep`` takes any bonds.
     """
+    if not params.equal_j:
+        raise UnsupportedConfigurationError(
+            "analytic flow Hamiltonian requires equal tunnelling; use flow_sweep for unequal bonds"
+        )
     coefficients = (
         _printed_dipolar_coefficients(params) if params.dipolar else _flow_interaction_coefficients(params)
     )
@@ -302,8 +325,8 @@ def build_flow_hamiltonian(params: ModelParams) -> HermitianOperator:
 def flow_hamiltonian_by_conjugation(params: ModelParams) -> HermitianOperator:
     """Flow-basis Hamiltonian by unitary conjugation of the site Hamiltonian.
 
-    Valid for any tunnelling pattern; this is the authoritative flow-basis
-    operator when the analytic form does not apply.
+    Valid for any tunnelling pattern; the dense reference that ``flow_sweep``
+    is tested against.
     """
     site = build_site_hamiltonian(params)
     w = mode_transform_matrix(params.n)

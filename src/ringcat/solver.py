@@ -9,7 +9,7 @@ import numpy as np
 
 from .basis import FockBasis, quasimomentum_labels
 from .errors import NumericalContractError, UnsupportedConfigurationError
-from .hamiltonians import HermitianOperator, ModelParams, flow_sweep, site_sweep
+from .hamiltonians import HermitianOperator, ModelParams, _hermitian, flow_sweep
 from .util import write_csv
 
 #: Relative tolerances on the eigensolver's own output, checked on every call.
@@ -42,20 +42,17 @@ def eigensolve(operator: HermitianOperator | np.ndarray, n_levels: int | None = 
     the residual and orthonormality guarantees on the returned pairs.  Real
     symmetric input is solved in real arithmetic and gives real vectors.
     """
-    basis = params = None
     if isinstance(operator, HermitianOperator):
-        matrix = operator.matrix
-        basis, params = operator.basis, operator.params
+        matrix, basis, params = operator.matrix, operator.basis, operator.params
     else:
-        matrix = np.asarray(operator)
-        matrix = matrix.astype(complex if np.iscomplexobj(matrix) else float, copy=False)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise NumericalContractError(f"expected a square matrix, got shape {matrix.shape}")
-        deviation = np.max(np.abs(matrix - matrix.conj().T)) if matrix.size else 0.0
-        if deviation > 1e-12:
-            raise NumericalContractError(
-                f"eigensolve requires a hermitian matrix: max |H - H^dagger| = {deviation:.3e}"
-            )
+        matrix, basis, params = _hermitian(operator), None, None
+    energies, vectors = _checked_eigh(matrix, n_levels)
+    return EigenResult(energies=energies, vectors=vectors, basis=basis, params=params)
+
+
+def _checked_eigh(matrix: np.ndarray, n_levels: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """``eigh`` of an exactly Hermitian matrix, with its residual and
+    orthonormality verified, truncated to the lowest ``n_levels`` pairs."""
     energies, vectors = np.linalg.eigh(matrix)
 
     scale = max(float(np.max(np.abs(energies))), 1e-300)
@@ -71,17 +68,18 @@ def eigensolve(operator: HermitianOperator | np.ndarray, n_levels: int | None = 
         n_levels = min(int(n_levels), len(energies))
         energies = energies[:n_levels]
         vectors = vectors[:, :n_levels]
-    return EigenResult(energies=energies, vectors=vectors, basis=basis, params=params)
+    return energies, vectors
 
 
 def sector_eigensolve(operator: HermitianOperator, n_levels: int) -> EigenResult:
     """Lowest ``n_levels`` of a flow-basis operator that conserves quasi-momentum.
 
     With equal tunnelling the flow Hamiltonian is block-diagonal in the label
-    k = (n_beta + 2 n_gamma) mod 3.  Each block goes through ``eigensolve``
-    with all its checks; the lowest levels over the blocks are merged in the
-    order (energy, k, index within the block) and embedded in the full flow
-    basis.  Raises a numerical-contract error if the operator couples blocks.
+    k = (n_beta + 2 n_gamma) mod 3.  Each block gets the residual and
+    orthonormality checks of ``eigensolve``; the lowest levels over the
+    blocks are merged in the order (energy, k, index within the block) and
+    embedded in the full flow basis.  Raises a numerical-contract error if
+    the operator couples blocks.
     """
     basis = operator.basis
     if basis.interpretation != "flow":
@@ -99,9 +97,9 @@ def sector_eigensolve(operator: HermitianOperator, n_levels: int) -> EigenResult
         members = np.flatnonzero(labels == k)
         if members.size == 0:
             continue
-        block = eigensolve(h[np.ix_(members, members)], n_levels=n_levels)
-        blocks[k] = (members, block.vectors)
-        candidates += [(float(e), k, i) for i, e in enumerate(block.energies)]
+        energies, vectors = _checked_eigh(h[np.ix_(members, members)], n_levels)
+        blocks[k] = (members, vectors)
+        candidates += [(float(e), k, i) for i, e in enumerate(energies)]
     chosen = sorted(candidates)[:n_levels]
 
     vectors = np.zeros((basis.dimension, n_levels), dtype=h.dtype)
@@ -113,8 +111,10 @@ def sector_eigensolve(operator: HermitianOperator, n_levels: int) -> EigenResult
 
 
 def _lowest(operator: HermitianOperator, n_levels: int) -> EigenResult:
-    """Lowest levels: by quasi-momentum block in the flow basis, whole otherwise."""
-    if operator.basis.interpretation == "flow":
+    """Lowest levels: by quasi-momentum block for a flow operator with equal
+    tunnelling, by one dense solve otherwise."""
+    params = operator.params
+    if operator.basis.interpretation == "flow" and params is not None and params.equal_j:
         return sector_eigensolve(operator, n_levels)
     return eigensolve(operator, n_levels=n_levels)
 
@@ -144,14 +144,13 @@ def spectrum_sweep(
 ) -> SpectrumTable:
     """Lowest levels of the ring Hamiltonian at each phase of ``phi_grid``.
 
-    The Hamiltonian is built once for the sweep.  With equal tunnelling it is
-    the flow Hamiltonian, solved one quasi-momentum block at a time; unequal
-    bonds break that symmetry, so the site Hamiltonian is diagonalized whole.
+    The flow Hamiltonian is built once for the sweep.  With equal tunnelling
+    it is solved one quasi-momentum block at a time; unequal bonds couple the
+    blocks, so it is diagonalized whole.
     """
     phis = np.asarray(list(phi_grid), dtype=float)
-    dim = (params.n + 1) * (params.n + 2) // 2
-    n_levels = max(1, min(int(n_levels), dim))
-    sweep = flow_sweep(params) if params.equal_j else site_sweep(params)
+    sweep = flow_sweep(params)
+    n_levels = max(1, min(int(n_levels), sweep.basis.dimension))
     levels = [_lowest(sweep.at(phi), n_levels).energies for phi in phis]
     return SpectrumTable(
         phis=phis, n_levels=n_levels, energies=np.array(levels), params=params

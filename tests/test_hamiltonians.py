@@ -209,14 +209,15 @@ def test_conjugation_matches_analytic_flow_form(n, phi):
     [{"u": 0.3}, {"u0": 0.3, "u1": 0.08, "dipolar": True}, {"u0": 0.0, "u1": -0.2, "dipolar": True}],
 )
 def test_flow_sweep_is_the_conjugated_site_hamiltonian(n, interaction):
-    params = ModelParams(n=n, j=0.9, **interaction)
-    sweep = flow_sweep(params)
-    for phi in (0.0, 1.7, math.pi):
-        op = sweep.at(phi)
-        assert op.matrix.dtype == np.float64
-        assert op.params == params.with_phi(phi)
-        conjugated = flow_hamiltonian_by_conjugation(params.with_phi(phi))
-        np.testing.assert_allclose(op.matrix, conjugated.matrix, atol=1e-12)
+    for bonds in (0.9, (1.0, 0.8, 1.2), (0.3, 1.7, 0.8)):
+        params = ModelParams(n=n, j=bonds, **interaction)
+        sweep = flow_sweep(params)
+        for phi in (0.0, 1.7, math.pi):
+            op = sweep.at(phi)
+            assert op.matrix.dtype == (np.float64 if params.equal_j else np.complex128)
+            assert op.params == params.with_phi(phi)
+            conjugated = flow_hamiltonian_by_conjugation(params.with_phi(phi))
+            np.testing.assert_allclose(op.matrix, conjugated.matrix, atol=1e-12)
 
 
 def test_flow_sweep_matches_the_analytic_contact_form():

@@ -108,7 +108,7 @@ def test_sweep_is_deterministic_across_thread_counts():
             if p.equal_j:
                 point = sector_eigensolve(flow_sweep(p).at(phi), n_levels=4)
             else:
-                point = eigensolve(build_site_hamiltonian(p), n_levels=4)
+                point = eigensolve(flow_sweep(p).at(phi), n_levels=4)
             np.testing.assert_array_equal(row, point.energies)
 
 
