@@ -283,11 +283,12 @@ def run_paths(opts: dict) -> str:
     targets = default_flow_targets(operator.basis)
     elimination = lowdin_coupling(operator)
     graph = build_coupling_graph(operator)
+    labels = [_occupation_label(occ) for occ in operator.basis.states]
     rows = []
     total = 0j
     paths = weighted_paths(graph, targets, elimination.lam, opts["max_order"])
     for index, (path, weight, factor) in enumerate(paths):
-        label = ">".join(_occupation_label(operator.basis.states[i]) for i in path)
+        label = ">".join([labels[i] for i in path])
         rows.append((index, len(path) - 2, label, weight.real, weight.imag))
         total += weight * factor
     normalised = total / path_normalisation(graph, targets, elimination.lam)

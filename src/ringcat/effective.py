@@ -13,6 +13,7 @@ perturbative sum over coupling paths through intermediate states.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
@@ -160,7 +161,8 @@ def lowdin_coupling(
 
     Raises a near-resonant-intermediate error if an eliminated level sits on
     top of the working energy, and a numerical-contract error if the fixed
-    point does not converge.
+    point does not converge; that error says so when the lowest eliminated
+    level lies below the seed, where the pair is not the low-energy subspace.
     """
     basis = operator.basis
     if basis.interpretation != "flow":
@@ -182,14 +184,17 @@ def lowdin_coupling(
     b = z.conj().T @ h_qp  # (dim Q, 2) in the eigenbasis of H_QQ
     scale = max(1.0, float(np.max(np.abs(operator.matrix))))
 
+    def state_of(i: int):
+        """The basis state that dominates eliminated level i."""
+        return basis.states[q_indices[int(np.argmax(np.abs(z[:, i])))]]
+
     def effective(lam: float) -> np.ndarray:
         gaps = lam - e_q
-        _check_resonance(
-            gaps, lam, scale, lambda i: basis.states[q_indices[int(np.argmax(np.abs(z[:, i])))]]
-        )
+        _check_resonance(gaps, lam, scale, state_of)
         return h_pp + b.conj().T @ (b / gaps[:, None])
 
-    lam = float(np.mean([h[t0, t0].real, h[t1, t1].real])) if seed_energy is None else float(seed_energy)
+    seed = float(np.mean([h[t0, t0].real, h[t1, t1].real])) if seed_energy is None else float(seed_energy)
+    lam = seed
     heff = effective(lam)
     for iteration in range(1, max_iter + 1):
         lam_next = float(np.linalg.eigvalsh(heff)[0])
@@ -197,6 +202,12 @@ def lowdin_coupling(
         if abs(lam_next - lam) < tol:
             return LowdinResult(v01=complex(heff[0, 1]), lam=lam_next, heff=heff, iterations=iteration)
         lam = lam_next
+    if e_q[0] < seed:
+        raise NumericalContractError(
+            f"eliminated state {state_of(0)} has energy {e_q[0]:.12g}, below the seed energy "
+            f"{seed:.12g} of the two targets: the pair is not the low-energy subspace, so the "
+            f"working-energy fixed point has no low-energy branch"
+        )
     raise NumericalContractError(
         f"working-energy fixed point did not converge within {max_iter} iterations"
     )
@@ -206,15 +217,43 @@ def lowdin_coupling(
 # Coupling graph and perturbative path sum
 # ---------------------------------------------------------------------------
 
+#: Paths are weighed, and path prefixes extended, in blocks of at most this many.
+_BLOCK = 256
+#: Entries of the loop matrices stacked into one batched determinant.
+_BLOCK_ENTRIES = 1 << 17
+#: ``simple_paths`` extends at most this many path prefixes before it gives up;
+#: ``paths --n 12 --max-order 11`` extends about 2.2e4.
+_MAX_PREFIXES = 5_000_000
+
 
 @dataclass
 class CouplingGraph:
-    """States, diagonal energies and off-diagonal couplings of a flow operator."""
+    """States, diagonal energies and off-diagonal couplings of a flow operator.
+
+    The couplings are also held as a dense matrix (``edge_value(i, j)`` at
+    [i, j], zero off the edges) and the neighbour lists as CSR arrays, which
+    the block enumeration and weighing of paths index into.
+    """
 
     basis: FockBasis | None
     diagonal: np.ndarray
     edges: dict[tuple[int, int], complex]  # keyed (i, j) with i < j
     adjacency: dict[int, tuple[int, ...]]
+    _coupling: np.ndarray = field(init=False, repr=False, compare=False)
+    _indptr: np.ndarray = field(init=False, repr=False, compare=False)
+    _indices: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        dim = len(self.diagonal)
+        self._coupling = np.zeros((dim, dim), dtype=complex)
+        if self.edges:
+            rows, cols = np.array(list(self.edges), dtype=np.intp).T
+            values = np.array(list(self.edges.values()), dtype=complex)
+            self._coupling[rows, cols] = values
+            self._coupling[cols, rows] = values.conj()
+        neighbours = [self.neighbors(i) for i in range(dim)]
+        self._indptr = np.cumsum([0] + [len(nbrs) for nbrs in neighbours])
+        self._indices = np.array([j for nbrs in neighbours for j in nbrs], dtype=np.intp)
 
     def describe_state(self, i: int):
         return self.basis.states[i] if self.basis is not None else i
@@ -238,30 +277,64 @@ class CouplingGraph:
                     stack.append(other)
         return seen
 
+    def _steps(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(owner, neighbour) pairs of every neighbour of each ``nodes[owner]``,
+        in order of ``nodes`` and then ascending."""
+        first = self._indptr[nodes]
+        degree = self._indptr[nodes + 1] - first
+        owner = np.repeat(np.arange(len(nodes)), degree)
+        within = np.arange(len(owner)) - np.repeat(np.cumsum(degree) - degree, degree)
+        return owner, self._indices[first[owner] + within]
+
+    def _hops_to(self, goal: int) -> np.ndarray:
+        """Fewest edges from each state to ``goal`` (inf where it cannot reach it)."""
+        hops = np.full(len(self.diagonal), np.inf)
+        hops[goal] = 0
+        frontier = np.array([goal], dtype=np.intp)
+        while frontier.size:
+            _, reached = self._steps(frontier)
+            level = hops[frontier[0]] + 1
+            frontier = np.unique(reached[np.isinf(hops[reached])])
+            hops[frontier] = level
+        return hops
+
     def simple_paths(self, start: int, goal: int, max_intermediates: int) -> Iterator[tuple[int, ...]]:
         """Yield simple paths start -> goal with at most ``max_intermediates``
-        states strictly between the endpoints, in deterministic order."""
+        states strictly between the endpoints, in lexicographic order (the
+        depth-first order over ascending neighbours).
 
-        path = [start]
-        on_path = {start}
-
-        def extend() -> Iterator[tuple[int, ...]]:
-            node = path[-1]
-            for other in self.neighbors(node):
-                if other == goal:
-                    yield tuple(path) + (goal,)
-                    continue
-                if other in on_path or other == start or len(path) - 1 >= max_intermediates:
-                    continue
-                path.append(other)
-                on_path.add(other)
-                yield from extend()
-                path.pop()
-                on_path.remove(other)
-
+        Prefixes are extended one step at a time, in blocks of at most
+        ``_BLOCK`` held on a stack, so memory stays bounded by depth times
+        block size.  A step is taken only if the goal stays within reach,
+        counted in hops, of the intermediates left.  Extending more than
+        ``_MAX_PREFIXES`` prefixes raises an unsupported-configuration error.
+        """
         if start == goal:
             return
-        yield from extend()
+        hops = self._hops_to(goal)
+        found: list[tuple[int, ...]] = []
+        stack = [np.array([[start]], dtype=np.intp)]
+        extended = 0
+        while stack:
+            prefixes = stack.pop()
+            extended += len(prefixes)
+            if extended > _MAX_PREFIXES:
+                raise UnsupportedConfigurationError(
+                    f"path enumeration exceeds {_MAX_PREFIXES} path prefixes; use a lower --max-order"
+                )
+            owner, step = self._steps(prefixes[:, -1])
+            at_goal = step == goal
+            if at_goal.any():
+                done = np.column_stack([prefixes[owner[at_goal]], step[at_goal]])
+                found += map(tuple, done.tolist())
+            # The new prefix holds len(prefix) intermediates, and the goal
+            # needs at least hops - 1 more.
+            keep = np.flatnonzero(~at_goal & (hops[step] <= max_intermediates - prefixes.shape[1] + 1))
+            keep = keep[(prefixes[owner[keep]] != step[keep, None]).all(axis=1)]
+            longer = np.column_stack([prefixes[owner[keep]], step[keep]])
+            stack += (longer[i : i + _BLOCK] for i in range(0, len(longer), _BLOCK))
+        found.sort()
+        yield from found
 
 
 def build_coupling_graph(
@@ -276,21 +349,87 @@ def build_coupling_graph(
         h, basis = operator.matrix, operator.basis
     else:
         h, basis = _hermitian(operator), None
-    dim = h.shape[0]
-    edges: dict[tuple[int, int], complex] = {}
-    adjacency: dict[int, list[int]] = {i: [] for i in range(dim)}
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            if abs(h[i, j]) > tol:
-                edges[(i, j)] = complex(h[i, j])
-                adjacency[i].append(j)
-                adjacency[j].append(i)
+    upper = np.triu(np.abs(h) > tol, k=1)
+    rows, cols = np.nonzero(upper)
+    linked = upper | upper.T
     return CouplingGraph(
         basis=basis,
         diagonal=np.real(np.diag(h)).copy(),
-        edges=edges,
-        adjacency={i: tuple(sorted(nbrs)) for i, nbrs in adjacency.items()},
+        edges=dict(zip(zip(rows.tolist(), cols.tolist()), h[rows, cols].astype(complex).tolist())),
+        adjacency={i: tuple(np.flatnonzero(row).tolist()) for i, row in enumerate(linked)},
     )
+
+
+# Python's complex arithmetic written out on real and imaginary parts, so that
+# the batched weights and loop matrices below equal, bit for bit, what the
+# same products and quotients of Python complex numbers give.
+
+
+def _product(re, im, other_re, other_im):
+    return re * other_re - im * other_im, re * other_im + im * other_re
+
+
+def _quotient(re, im, divisor):
+    # For a real nonzero divisor; the signed zero ``ratio`` sets the signs of zero parts.
+    ratio = 0.0 / divisor
+    return (re + im * ratio) / divisor, (im - re * ratio) / divisor
+
+
+def _complex(re, im) -> np.ndarray:
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _bare_weights(graph: CouplingGraph, gaps: np.ndarray, paths: np.ndarray) -> np.ndarray:
+    """V_{0i} V_{i.} ... V_{p1} / [(lam - e_i) ... (lam - e_p)] for each row of
+    ``paths`` (equal-length paths): the edges multiplied in path order, then
+    the gap of each intermediate divided out in path order."""
+    re, im = np.ones(len(paths)), np.zeros(len(paths))
+    for a, b in zip(paths.T[:-1], paths.T[1:]):
+        edge = graph._coupling[a, b]
+        re, im = _product(re, im, edge.real, edge.imag)
+    for node in paths.T[1:-1]:
+        re, im = _quotient(re, im, gaps[node])
+    return _complex(re, im)
+
+
+def _loop_matrix(graph: CouplingGraph, gaps: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """(lam - H) / (lam - e_col) over ``nodes``: 1 on the diagonal,
+    -V_ij / (lam - e_j) on each edge, 0 elsewhere.  The loop matrix of a
+    subset of ``nodes`` is the submatrix on that subset."""
+    v = graph._coupling[np.ix_(nodes, nodes)]
+    m = np.zeros(v.shape, dtype=complex)
+    row, col = np.nonzero(v)
+    edge = v[row, col]
+    m[row, col] = _complex(*_quotient(-edge.real, -edge.imag, gaps[nodes[col]]))
+    np.fill_diagonal(m, 1.0)
+    return m
+
+
+def _loop_factors(loop: np.ndarray, eliminated: np.ndarray, intermediates: np.ndarray) -> np.ndarray:
+    """``_complement_factor`` of the eliminated states off each path, for
+    paths with ``intermediates`` rows of equal length, where ``loop`` is the
+    loop matrix of all of ``eliminated``: one batched determinant per block
+    of its submatrices."""
+    off_path = (eliminated[None, :, None] != intermediates[:, None, :]).all(axis=2)
+    size = len(eliminated) - intermediates.shape[1]
+    factors = np.ones(len(intermediates), dtype=complex)
+    if size == 0:
+        return factors
+    kept = np.broadcast_to(np.arange(len(eliminated)), off_path.shape)[off_path].reshape(-1, size)
+    block = max(1, _BLOCK_ENTRIES // size**2)
+    for lo in range(0, len(kept), block):
+        rows = kept[lo : lo + block]
+        factors[lo : lo + block] = np.linalg.det(loop[rows[:, :, None], rows[:, None, :]])
+    return factors
+
+
+def _check_levels(graph: CouplingGraph, nodes: np.ndarray, gaps: np.ndarray, lam: float) -> None:
+    """Raise on the state of ``nodes`` whose level is nearest to, and
+    near-resonant with, lam; ``gaps`` holds lam - e for every state."""
+    scale = max(1.0, float(np.max(np.abs(graph.diagonal))))
+    _check_resonance(gaps[nodes], lam, scale, lambda i: graph.describe_state(int(nodes[i])))
 
 
 def _complement_factor(graph: CouplingGraph, nodes: Sequence[int], lam: float) -> complex:
@@ -302,26 +441,23 @@ def _complement_factor(graph: CouplingGraph, nodes: Sequence[int], lam: float) -
     """
     if len(nodes) == 0:
         return 1.0 + 0j
-    nodes = list(nodes)
-    gaps = lam - graph.diagonal[nodes]
-    scale = max(1.0, float(np.max(np.abs(graph.diagonal))))
-    _check_resonance(gaps, lam, scale, lambda i: graph.describe_state(nodes[i]))
-    m = np.zeros((len(nodes), len(nodes)), dtype=complex)
-    pos = {node: idx for idx, node in enumerate(nodes)}
-    for idx, node in enumerate(nodes):
-        m[idx, idx] = 1.0  # (lam - e_i) / (lam - e_i)
-        for other in graph.neighbors(node):
-            if other in pos:
-                m[idx, pos[other]] = -graph.edge_value(node, other) / gaps[pos[other]]
-    return complex(np.linalg.det(m))
+    nodes = np.asarray(nodes, dtype=np.intp)
+    gaps = lam - graph.diagonal
+    _check_levels(graph, nodes, gaps, lam)
+    return complex(np.linalg.det(_loop_matrix(graph, gaps, nodes)))
 
 
 def weighted_paths(
     graph: CouplingGraph, targets: tuple[int, int], lam: float, max_order: int
 ) -> Iterator[tuple[tuple[int, ...], complex, complex]]:
-    """Yield (path, bare weight, loop factor) for each term of ``path_coupling``.
+    """Yield (path, bare weight, loop factor) for each term of ``path_coupling``,
+    in the order of ``CouplingGraph.simple_paths``.
 
     The bare weight is the path's contribution without the loop factor.
+    Each path's intermediates and the eliminated states off it together make
+    up the whole eliminated component, so when a path exists that component
+    is checked for near-resonant levels once.  The paths are weighed in
+    blocks, those of each order together.
     """
     t0, t1 = targets
     if t0 == t1:
@@ -329,18 +465,24 @@ def weighted_paths(
     component = graph.connected_component(t0)
     if t1 not in component:
         return
-    eliminated = component - {t0, t1}
-    scale = max(1.0, float(np.max(np.abs(graph.diagonal))))
-    for path in graph.simple_paths(t0, t1, max_intermediates=max_order):
-        intermediates = list(path[1:-1])
-        gaps = lam - graph.diagonal[intermediates]
-        _check_resonance(gaps, lam, scale, lambda i: graph.describe_state(intermediates[i]))
-        weight = 1.0 + 0j
-        for a, b in zip(path, path[1:]):
-            weight *= graph.edge_value(a, b)
-        for gap in gaps:
-            weight /= gap
-        yield path, weight, _complement_factor(graph, sorted(eliminated - set(path)), lam)
+    eliminated = np.array(sorted(component - {t0, t1}), dtype=np.intp)
+    gaps = lam - graph.diagonal
+    paths = graph.simple_paths(t0, t1, max_intermediates=max_order)
+    block = list(itertools.islice(paths, _BLOCK))
+    if block:
+        _check_levels(graph, eliminated, gaps, lam)
+        loop = _loop_matrix(graph, gaps, eliminated)
+    while block:
+        lengths = np.array([len(path) for path in block])
+        weights = np.empty(len(block), dtype=complex)
+        factors = np.empty(len(block), dtype=complex)
+        for length in np.unique(lengths):
+            rows = np.flatnonzero(lengths == length)
+            nodes = np.array([block[i] for i in rows], dtype=np.intp)
+            weights[rows] = _bare_weights(graph, gaps, nodes)
+            factors[rows] = _loop_factors(loop, eliminated, nodes[:, 1:-1])
+        yield from zip(block, weights.tolist(), factors.tolist())
+        block = list(itertools.islice(paths, _BLOCK))
 
 
 def path_coupling(

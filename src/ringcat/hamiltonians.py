@@ -97,15 +97,22 @@ class ModelParams:
 
 
 def _hermitian(matrix, atol: float = 1e-12) -> np.ndarray:
-    """(H + H^dagger) / 2 of a square ``matrix`` with max |H - H^dagger| <= ``atol``."""
+    """(H + H^dagger) / 2 of a square ``matrix`` with max |H - H^dagger| <= ``atol``.
+
+    An exactly Hermitian ``matrix`` of float or complex dtype is returned as
+    it is, not copied.
+    """
     m = np.asarray(matrix)
     m = m.astype(complex if np.iscomplexobj(m) else float, copy=False)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NumericalContractError(f"operator matrix must be square, got shape {m.shape}")
-    deviation = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
+    adjoint = m.conj().T
+    if np.array_equal(m, adjoint):
+        return m
+    deviation = np.max(np.abs(m - adjoint))
     if deviation > atol:
         raise NumericalContractError(f"operator is not hermitian: max |H - H^dagger| = {deviation:.3e}")
-    return 0.5 * (m + m.conj().T)
+    return 0.5 * (m + adjoint)
 
 
 @dataclass
@@ -114,8 +121,10 @@ class HermitianOperator:
 
     Hermiticity is verified entrywise at construction (tolerance
     ``hermitian_atol``) and the matrix is then symmetrised exactly so that
-    downstream solvers see H == H^dagger to machine precision.  A real matrix
-    is kept real, so that it is solved as a real symmetric one.
+    downstream solvers see H == H^dagger to machine precision; a float or
+    complex matrix that is already exactly Hermitian is kept, not copied, so
+    it must not be changed afterwards.  A real matrix is kept real, so that it
+    is solved as a real symmetric one.
     """
 
     matrix: np.ndarray

@@ -8,7 +8,7 @@ import subprocess
 import pytest
 
 from ringcat import NumericalContractError
-from ringcat import cli
+from ringcat import cli, effective
 
 
 def run_cli(args):
@@ -136,6 +136,22 @@ def test_paths_summary_disconnected(tmp_path, capsys):
     assert run_cli(["paths", "--n", "4", "--out", str(out)]) == 0
     assert "0 connecting path(s)" in capsys.readouterr().out
     assert len(out.read_text().splitlines()) == 2  # comment + header only
+
+
+def test_paths_enumeration_cap_is_a_config_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(effective, "_MAX_PREFIXES", 100)
+    assert run_cli(["paths", "--n", "9", "--max-order", "9", "--out", str(tmp_path / "p9.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "exceeds 100 path prefixes" in err and "--max-order" in err
+
+
+def test_paths_without_a_low_energy_branch_names_the_lower_state(tmp_path, capsys):
+    # At 10% bond asymmetry an eliminated level lies below both targets.
+    assert run_cli(["paths", "--n", "6", "--j", "1,0.9,1.1", "--out", str(tmp_path / "p6.csv")]) == 3
+    err = capsys.readouterr().err
+    assert "numerical contract" in err
+    assert "(3, 3, 0) has energy -5.2777" in err and "seed energy -5 " in err
+    assert "not the low-energy subspace" in err
 
 
 def test_loop_csv(tmp_path):

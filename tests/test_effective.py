@@ -30,6 +30,8 @@ from ringcat import (
     path_normalisation,
     two_level_predict,
 )
+from ringcat import effective as effective_module
+from ringcat.effective import _check_resonance, weighted_paths
 
 N3_PARAMS = ModelParams(n=3, j=1.0, u=0.1)
 
@@ -366,3 +368,162 @@ def test_detuning_slope_at_crossing(n):
     h = 1e-6
     slope = (epsilon_of_phi(params, math.pi + h) - epsilon_of_phi(params, math.pi - h)) / (2 * h)
     assert slope == pytest.approx(n * params.j1 / math.sqrt(3.0), rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# Block enumeration and weighing of paths against the one-path-at-a-time code
+# ---------------------------------------------------------------------------
+
+
+def reference_simple_paths(graph, start, goal, max_intermediates):
+    """Recursive depth-first enumeration over ascending neighbours."""
+    path = [start]
+    on_path = {start}
+
+    def extend():
+        node = path[-1]
+        for other in graph.neighbors(node):
+            if other == goal:
+                yield tuple(path) + (goal,)
+                continue
+            if other in on_path or other == start or len(path) - 1 >= max_intermediates:
+                continue
+            path.append(other)
+            on_path.add(other)
+            yield from extend()
+            path.pop()
+            on_path.remove(other)
+
+    if start == goal:
+        return []
+    return list(extend())
+
+
+def reference_complement_factor(graph, nodes, lam):
+    """det(lam - H) / prod(lam - e) over ``nodes``, one matrix built entry by entry."""
+    if len(nodes) == 0:
+        return 1.0 + 0j
+    gaps = lam - graph.diagonal[nodes]
+    scale = max(1.0, float(np.max(np.abs(graph.diagonal))))
+    _check_resonance(gaps, lam, scale, lambda i: graph.describe_state(nodes[i]))
+    m = np.zeros((len(nodes), len(nodes)), dtype=complex)
+    pos = {node: idx for idx, node in enumerate(nodes)}
+    for idx, node in enumerate(nodes):
+        m[idx, idx] = 1.0
+        for other in graph.neighbors(node):
+            if other in pos:
+                m[idx, pos[other]] = -graph.edge_value(node, other) / gaps[pos[other]]
+    return complex(np.linalg.det(m))
+
+
+def reference_weighted_paths(graph, targets, lam, max_order):
+    """(path, bare weight, loop factor) one path at a time, each path checked
+    for near-resonant intermediates and loop states of its own."""
+    t0, t1 = targets
+    component = graph.connected_component(t0)
+    if t1 not in component:
+        return []
+    eliminated = component - {t0, t1}
+    scale = max(1.0, float(np.max(np.abs(graph.diagonal))))
+    out = []
+    for path in reference_simple_paths(graph, t0, t1, max_order):
+        intermediates = list(path[1:-1])
+        gaps = lam - graph.diagonal[intermediates]
+        _check_resonance(gaps, lam, scale, lambda i: graph.describe_state(intermediates[i]))
+        weight = 1.0 + 0j
+        for a, b in zip(path, path[1:]):
+            weight *= graph.edge_value(a, b)
+        for gap in gaps:
+            weight /= gap
+        out.append((path, weight, reference_complement_factor(graph, sorted(eliminated - set(path)), lam)))
+    return out
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except NearResonantIntermediateError as exc:
+        return ("resonance", str(exc), exc.occupation)
+
+
+@st.composite
+def sparse_hermitian_problems(draw):
+    dim = draw(st.integers(2, 9))
+    real = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = rng.normal(size=(dim, dim))
+    if not real:
+        v = v + 1j * rng.normal(size=(dim, dim))
+    v *= rng.random((dim, dim)) < draw(st.floats(0.1, 0.9))
+    h = np.triu(v, 1)
+    h = h + h.conj().T
+    np.fill_diagonal(h, 3.0 * rng.normal(size=dim))
+    t0, t1 = draw(st.lists(st.integers(0, dim - 1), min_size=2, max_size=2, unique=True))
+    # A working energy either generic or exactly on one level, which is near
+    # resonant when that level is eliminated.
+    on_level = draw(st.none() | st.integers(0, dim - 1))
+    lam = float(h[on_level, on_level].real) if on_level is not None else draw(st.floats(-8.0, 8.0))
+    return h, (t0, t1), lam, draw(st.integers(0, dim)), real
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(problem=sparse_hermitian_problems())
+def test_block_paths_equal_the_one_path_at_a_time_reference(problem):
+    h, targets, lam, max_order, real = problem
+    graph = build_coupling_graph(h)
+    assert list(graph.simple_paths(*targets, max_order)) == reference_simple_paths(graph, *targets, max_order)
+    got = _outcome(lambda: list(weighted_paths(graph, targets, lam, max_order)))
+    expected = _outcome(lambda: reference_weighted_paths(graph, targets, lam, max_order))
+    if isinstance(expected, tuple):
+        assert got == expected
+        return
+    assert [path for path, _, _ in got] == [path for path, _, _ in expected]
+    for (_, weight, factor), (_, ref_weight, ref_factor) in zip(got, expected):
+        if real:
+            # repr tells the signs of zero parts apart, which the CSV prints.
+            assert repr(weight) == repr(ref_weight) and factor == ref_factor
+        else:
+            assert abs(weight - ref_weight) <= 1e-14 * abs(ref_weight)
+            assert abs(factor - ref_factor) <= 1e-14 * abs(ref_factor)
+
+
+def test_flow_paths_equal_the_reference_with_state_names_in_resonance_errors():
+    op = build_flow_hamiltonian(ModelParams(n=6, u=0.1, phi=math.pi))
+    graph = build_coupling_graph(op)
+    targets = default_flow_targets(op.basis)
+    lam = lowdin_coupling(op).lam
+    assert list(weighted_paths(graph, targets, lam, 8)) == reference_weighted_paths(graph, targets, lam, 8)
+    for path in reference_simple_paths(graph, *targets, 8)[:3]:
+        # One level on the first path and one off it.
+        for state in (path[1], min(graph.connected_component(targets[0]) - set(path))):
+            on_level = float(graph.diagonal[state])
+            with pytest.raises(NearResonantIntermediateError) as excinfo:
+                list(weighted_paths(graph, targets, on_level, 8))
+            assert excinfo.value.occupation == op.basis.states[state]
+            assert _outcome(lambda: reference_weighted_paths(graph, targets, on_level, 8))[2] == (
+                excinfo.value.occupation
+            )
+
+
+def test_no_paths_and_equal_targets():
+    # Two components, {0, 1} and {2, 3}: no path between them, whatever the order.
+    h = np.array([[0.0, 0.4, 0.0, 0.0], [0.4, 1.0, 0.0, 0.0], [0.0, 0.0, 2.0, 0.3], [0.0, 0.0, 0.3, 3.0]])
+    graph = build_coupling_graph(h)
+    assert list(graph.simple_paths(0, 3, 4)) == []
+    assert list(weighted_paths(graph, (0, 3), 1e-15, 4)) == []  # no path, so no resonance check
+    assert path_coupling(graph, (0, 3), 0.5, max_order=4) == 0j
+    assert list(graph.simple_paths(1, 1, 4)) == []
+    with pytest.raises(UnsupportedConfigurationError):
+        list(weighted_paths(graph, (1, 1), 0.5, 4))
+
+
+def test_path_enumeration_cap(monkeypatch):
+    op = build_flow_hamiltonian(ModelParams(n=9, u=0.1, phi=math.pi))
+    graph = build_coupling_graph(op)
+    targets = default_flow_targets(op.basis)
+    assert len(list(graph.simple_paths(*targets, 9))) == 573
+    monkeypatch.setattr(effective_module, "_MAX_PREFIXES", 100)
+    with pytest.raises(UnsupportedConfigurationError, match="exceeds 100 path prefixes.*--max-order"):
+        list(graph.simple_paths(*targets, 9))
+    with pytest.raises(UnsupportedConfigurationError):
+        path_coupling(graph, targets, -9.0, max_order=9)

@@ -23,6 +23,7 @@ from ringcat import (
     quasimomentum_sector,
     site_sweep,
 )
+from ringcat.hamiltonians import _hermitian
 
 BONDS = ((0, 1), (1, 2), (2, 0))
 
@@ -58,6 +59,33 @@ def test_operator_rejects_non_hermitian_and_wrong_shape():
         HermitianOperator(matrix=np.zeros((2, 3)), basis=basis)
     with pytest.raises(NumericalContractError):
         HermitianOperator(matrix=np.zeros((4, 4)), basis=basis)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        np.array([[1.0, -0.5, 0.0], [-0.5, 2.0, 0.25], [0.0, 0.25, -3.0]]),
+        np.array([[1.0, 0.5 - 0.2j, 0.0], [0.5 + 0.2j, 2.0, -1j], [0.0, 1j, -3.0]]),
+    ],
+)
+def test_exactly_hermitian_matrix_is_returned_as_it_is(matrix):
+    out = _hermitian(matrix)
+    assert out is matrix
+    np.testing.assert_array_equal(out, 0.5 * (matrix + matrix.conj().T))
+
+
+def test_nearly_hermitian_matrix_is_symmetrised_and_others_rejected():
+    m = np.array([[1.0, 0.5 + 1e-14j], [0.5, 2.0]])
+    out = _hermitian(m)
+    assert out is not m
+    np.testing.assert_array_equal(out, out.conj().T)
+    np.testing.assert_array_equal(out, 0.5 * (m + m.conj().T))
+    nan = np.array([[np.nan, 0.0], [0.0, 1.0]])
+    assert _hermitian(nan) is not nan  # NaN is never equal to itself: the tolerance path
+    with pytest.raises(NumericalContractError, match="not hermitian"):
+        _hermitian(np.array([[1.0, 0.5 + 1e-9j], [0.5, 2.0]]))
+    with pytest.raises(NumericalContractError, match="square"):
+        _hermitian(np.zeros((2, 3)))
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])
