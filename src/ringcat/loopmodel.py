@@ -6,9 +6,9 @@ has plane-wave levels
     E_k(phi) = C (k - phi/2pi)^2,    C = (hbar^2 / 2m) (2pi / L)^2,
 
 with integer winding number k.  A delta barrier of strength b at x0 couples
-the plane waves and opens gaps at the crossings; a delta interaction between
-atoms in product flow states contributes V per same-flow pair and 2V per
-distinct-flow pair.
+the plane waves and opens gaps at the crossings, wherever x0 is; a delta
+interaction between atoms in product flow states contributes V per same-flow
+pair and 2V per distinct-flow pair.
 """
 
 from __future__ import annotations
@@ -78,29 +78,55 @@ def loop_spectrum_with_barrier(
 ) -> np.ndarray:
     """Single-particle levels with a delta barrier, in the plane-wave basis.
 
-    The basis is k = -k_max .. k_max; the matrix has the kinetic energies on
-    the diagonal and barrier elements (b/L) e^{i (k' - k) 2pi x0 / L} off it.
+    The basis is k = -k_max .. k_max; the levels are the roots of the barrier's
+    secular equation (``_barrier_levels``) and do not depend on its position.
     Returns the lowest ``n_levels`` energies (all of them by default).
+    """
+    return _barrier_levels(params, np.array([phi], dtype=float), k_max, n_levels)[0]
+
+
+def _barrier_levels(params: LoopParams, phis: np.ndarray, k_max: int, n_levels: int | None) -> np.ndarray:
+    """Lowest ``n_levels`` barrier levels at each phase of ``phis``, one row per phase.
+
+    In the gauge u -> 1 the barrier (b/L)(u u^+ - I), u_k = e^{-2 pi i k x0/L}, is rank one: each
+    level solves 1 + (b/L) sum_k 1/(a_k - E) = 0 with a_k = C (k - phi/2pi)^2 - b/L (Golub, SIAM
+    Rev. 15, 318 (1973)).  The sorted a_k interlace the levels; each is bisected in its own bracket
+    until the midpoint equals an end, so coincident a_k give their deflated level exactly.
     """
     if k_max < 1:
         raise UnsupportedConfigurationError(f"k_max must be >= 1, got {k_max}")
     dim = 2 * k_max + 1
-    if n_levels is None:
-        n_levels = dim
+    n_levels = dim if n_levels is None else n_levels
     if not 1 <= n_levels <= dim:
         raise UnsupportedConfigurationError(
             f"n_levels must be in [1, {dim}] for k_max={k_max}, got {n_levels}"
         )
+    rho = params.barrier / params.length
     ks = np.arange(-k_max, k_max + 1)
-    h = np.zeros((dim, dim), dtype=complex)
-    np.fill_diagonal(h, params.c_energy * (ks - phi / (2.0 * math.pi)) ** 2)
-    if params.barrier != 0.0:
-        coupling = params.barrier / params.length
-        phase = np.exp(1j * 2.0 * math.pi * params.x0 / params.length * (ks[None, :] - ks[:, None]))
-        off = coupling * phase
-        np.fill_diagonal(off, 0.0)
-        h = h + off
-    return np.linalg.eigvalsh(h)[:n_levels]
+    levels = np.empty((len(phis), n_levels))
+    step = max(1, dim // n_levels)  # at most dim brackets, so each temporary is at most dim x dim
+    for start in range(0, len(phis), step):
+        shifts = ks - phis[start : start + step, None] / (2.0 * math.pi)
+        a = np.sort(params.c_energy * shifts**2 - rho, axis=1)
+        if rho == 0.0:
+            levels[start : start + step] = a[:, :n_levels]
+            continue
+        # b > 0: a_i <= E_i <= a_{i+1}, the top level below a_top + (b/L) dim; b < 0 mirrors it.
+        edge = a[:, -1:] + rho * dim if rho > 0 else a[:, :1] + rho * dim
+        ends = np.hstack([a, edge] if rho > 0 else [edge, a])
+        lo, hi = ends[:, :n_levels].flatten(), ends[:, 1 : n_levels + 1].flatten()  # copies: they overlap
+        todo = np.arange(lo.size)
+        while todo.size:
+            mid = 0.5 * (lo[todo] + hi[todo])
+            inside = (mid != lo[todo]) & (mid != hi[todo])
+            todo, mid = todo[inside], mid[inside]
+            with np.errstate(over="ignore", invalid="ignore"):  # a pole closer than 1/DBL_MAX dominates
+                secular = 1.0 + rho * np.sum(1.0 / (a[todo // n_levels] - mid[:, None]), axis=1)
+            above = (secular < 0.0) == (rho > 0.0)  # the root lies above the midpoint
+            lo[todo[above]] = mid[above]
+            hi[todo[~above]] = mid[~above]
+        levels[start : start + step] = (0.5 * (lo + hi)).reshape(-1, n_levels)
+    return levels
 
 
 def delta_interaction_expectation(occupations: Sequence[int], v: float) -> float:
@@ -207,13 +233,12 @@ def loop_sweep(
     k_max: int = 12,
     n_levels: int = 4,
 ) -> LoopTable:
-    """Sweep the barrier-split loop spectrum over phase twists."""
+    """Sweep the barrier-split loop spectrum over phase twists in one secular solve."""
     phis = np.asarray(list(phi_grid), dtype=float)
     n_levels = max(1, min(int(n_levels), 2 * k_max + 1))
-    levels = [loop_spectrum_with_barrier(params, phi, k_max=k_max, n_levels=n_levels) for phi in phis]
     return LoopTable(
         phis=phis,
         n_levels=n_levels,
-        energies_over_c=np.array(levels) / params.c_energy,
+        energies_over_c=_barrier_levels(params, phis, k_max, n_levels) / params.c_energy,
         params=params,
     )

@@ -51,11 +51,20 @@ def eigensolve(operator: HermitianOperator | np.ndarray, n_levels: int | None = 
 
 
 def _checked_eigh(matrix: np.ndarray, n_levels: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """``eigh`` of an exactly Hermitian matrix, with its residual and
-    orthonormality verified, truncated to the lowest ``n_levels`` pairs."""
+    """``eigh`` of an exactly Hermitian matrix, truncated to the lowest ``n_levels``
+    pairs.  Residual and orthonormality are checked on the returned pairs; the sum
+    rules sum e = tr H and sum e^2 = |H|_F^2 check every level, discarded ones too."""
     energies, vectors = np.linalg.eigh(matrix)
-
     scale = max(float(np.max(np.abs(energies))), 1e-300)
+    frobenius = np.vdot(matrix, matrix).real
+    trace_defect = abs(np.sum(energies) - np.trace(matrix).real) / max(np.sum(np.abs(energies)), 1e-300)
+    square_defect = abs(np.sum(energies**2) - frobenius) / max(frobenius, 1e-300)
+    if max(trace_defect, square_defect) > RESIDUAL_RTOL:
+        raise NumericalContractError(f"eigenvalue sum rules broken: defects {trace_defect:.3e}, {square_defect:.3e}")
+    if n_levels is not None:
+        n_levels = min(int(n_levels), len(energies))
+        energies = energies[:n_levels]
+        vectors = vectors[:, :n_levels]
     residual = np.max(np.abs(matrix @ vectors - vectors * energies))
     if residual > RESIDUAL_RTOL * scale:
         raise NumericalContractError(f"eigenpair residual {residual:.3e} exceeds {RESIDUAL_RTOL} * |H|")
@@ -63,11 +72,6 @@ def _checked_eigh(matrix: np.ndarray, n_levels: int | None) -> tuple[np.ndarray,
     ortho = np.max(np.abs(gram - np.eye(gram.shape[0])))
     if ortho > ORTHONORMALITY_ATOL:
         raise NumericalContractError(f"eigenvector orthonormality defect {ortho:.3e}")
-
-    if n_levels is not None:
-        n_levels = min(int(n_levels), len(energies))
-        energies = energies[:n_levels]
-        vectors = vectors[:, :n_levels]
     return energies, vectors
 
 

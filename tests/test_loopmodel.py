@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ringcat import (
     LoopParams,
@@ -232,3 +235,88 @@ def test_analytic_coupling_decreases_with_fixed_successive_ratio():
     for i, n in enumerate(range(3, 8)):
         expected = (n + 1) / (n - 1) / (2.0 * math.pi)
         assert values[i + 1] / values[i] == pytest.approx(expected, rel=1e-12)
+
+
+def dense_barrier_spectrum(params: LoopParams, phi: float, k_max: int) -> np.ndarray:
+    """Reference: every eigenvalue of the dense plane-wave matrix, with the
+    kinetic energies on the diagonal and (b/L) e^{i (k' - k) 2pi x0 / L} off it."""
+    ks = np.arange(-k_max, k_max + 1)
+    h = np.diag(params.c_energy * (ks - phi / (2.0 * math.pi)) ** 2).astype(complex)
+    off = (params.barrier / params.length) * np.exp(
+        1j * 2.0 * math.pi * params.x0 / params.length * (ks[None, :] - ks[:, None])
+    )
+    np.fill_diagonal(off, 0.0)
+    return np.linalg.eigvalsh(h + off)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    length=st.floats(0.2, 5.0),
+    barrier=st.one_of(
+        st.just(0.0), st.floats(-1e-3, 1e-3), st.floats(-20.0, 20.0), st.sampled_from([1e-12, -1e-12])
+    ),
+    x0_fraction=st.floats(0.0, 1.0),
+    k_max=st.integers(1, 20),
+    level_fraction=st.floats(0.0, 1.0),
+    phi=st.one_of(st.sampled_from([0.0, math.pi, 2.0 * math.pi]), st.floats(-3 * math.pi, 3 * math.pi)),
+)
+@example(length=1.0, barrier=0.1, x0_fraction=0.5, k_max=20, level_fraction=1.0, phi=0.0)
+@example(length=1.0, barrier=-0.1, x0_fraction=0.3, k_max=20, level_fraction=1.0, phi=math.pi)
+@example(length=1.0, barrier=1e-3, x0_fraction=0.0, k_max=20, level_fraction=1.0, phi=2.0 * math.pi)
+def test_secular_levels_match_dense_matrix(length, barrier, x0_fraction, k_max, level_fraction, phi):
+    params = LoopParams(length=length, barrier=barrier, barrier_position=x0_fraction * length)
+    dim = 2 * k_max + 1
+    n_levels = 1 + int(level_fraction * (dim - 1))
+    got = loop_spectrum_with_barrier(params, phi, k_max=k_max, n_levels=n_levels)
+    expected = dense_barrier_spectrum(params, phi, k_max)[:n_levels]
+    tol = 1e-13 * (params.c_energy * (k_max + 1) ** 2 + abs(barrier) / length * dim)
+    assert got.shape == (n_levels,)
+    assert np.all(np.diff(got) >= 0.0)
+    np.testing.assert_allclose(got, expected, rtol=0, atol=tol)
+
+
+def _mp_secular_levels(params: LoopParams, phi: float, k_max: int, n_levels: int) -> list:
+    """Lowest roots of 1 + rho sum_k 1/(a_k - E) = 0 for rho > 0, bisected in
+    40-digit arithmetic from the float inputs."""
+    with mpmath.workdps(40):
+        rho = mpmath.mpf(params.barrier) / mpmath.mpf(params.length)
+        shift = mpmath.mpf(phi) / (2 * mpmath.pi)
+        a = sorted(mpmath.mpf(params.c_energy) * (k - shift) ** 2 - rho for k in range(-k_max, k_max + 1))
+        levels = []
+        for i in range(n_levels):
+            lo, hi = a[i], a[i + 1]
+            for _ in range(80):
+                mid = (lo + hi) / 2
+                if 1 + rho * mpmath.fsum(1 / (ak - mid) for ak in a) < 0:
+                    lo = mid
+                else:
+                    hi = mid
+            levels.append((lo + hi) / 2)
+        return levels
+
+
+def test_barrier_levels_match_high_precision_secular_roots():
+    """At k_max = 128 the lowest levels sit within 1e-14 C of a 40-digit
+    solution; a dense solve is off by about eps |H| ~ 1e-12 C there."""
+    params = LoopParams(barrier=0.1)
+    c = params.c_energy
+    phis = np.linspace(0.0, 2.0 * math.pi, 81)
+    for phi in phis[[17, 33, 52]]:
+        got = loop_spectrum_with_barrier(params, phi, k_max=128, n_levels=4)
+        exact = _mp_secular_levels(params, float(phi), 128, 4)
+        errors = [abs(mpmath.mpf(float(g)) - e) for g, e in zip(got, exact)]
+        assert max(errors) < 1e-14 * c
+
+
+def test_spectrum_exactly_independent_of_barrier_position():
+    phis = np.linspace(0.0, 2.0 * math.pi, 17)
+    for b in (0.3, -0.3):
+        base = loop_sweep(LoopParams(barrier=b), phis, k_max=10, n_levels=21)
+        for x0 in (0.0, 0.17, 0.5, 1.0):
+            moved = loop_sweep(LoopParams(barrier=b, barrier_position=x0), phis, k_max=10, n_levels=21)
+            np.testing.assert_array_equal(moved.energies_over_c, base.energies_over_c)
+
+
+def test_sweep_rejects_an_empty_plane_wave_cutoff():
+    with pytest.raises(UnsupportedConfigurationError):
+        loop_sweep(LoopParams(barrier=0.1), [0.0, 1.0], k_max=0)

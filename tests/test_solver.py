@@ -163,3 +163,60 @@ def test_sector_solve_rejects_operators_that_couple_sectors():
         sector_eigensolve(op, n_levels=2)
     with pytest.raises(UnsupportedConfigurationError):
         sector_eigensolve(build_site_hamiltonian(ModelParams(n=3, u=0.1)), n_levels=2)
+
+
+def _random_hermitian(dim: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return m + m.conj().T
+
+
+_TRUE_EIGH = np.linalg.eigh
+
+
+def _patched_eigh(monkeypatch, corrupt):
+    """Make ``numpy.linalg.eigh`` return its true pairs after ``corrupt``."""
+
+    def eigh(matrix):
+        energies, vectors = _TRUE_EIGH(matrix)
+        corrupt(energies, vectors)
+        return energies, vectors
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+
+
+def test_sum_rules_reject_a_wrong_discarded_eigenvalue(monkeypatch):
+    matrix = _random_hermitian(8, 1)
+    top = np.linalg.eigvalsh(matrix)[-1]
+
+    def shift_top(energies, vectors):
+        energies[-1] += 1e-6 * abs(top)
+
+    _patched_eigh(monkeypatch, shift_top)
+    with pytest.raises(NumericalContractError, match="sum rules"):
+        eigensolve(matrix, n_levels=2)
+
+
+def test_returned_pairs_are_checked_and_discarded_vectors_are_not(monkeypatch):
+    matrix = _random_hermitian(8, 2)
+
+    def mix_returned(energies, vectors):
+        vectors[:, [0, 1]] = vectors[:, [0, 1]] @ np.array([[0.8, -0.6], [0.6, 0.8]])
+
+    def stretch_returned(energies, vectors):
+        vectors[:, 1] *= 1.01
+
+    def spoil_discarded(energies, vectors):
+        vectors[:, -1] = vectors[:, 0]
+
+    _patched_eigh(monkeypatch, mix_returned)
+    with pytest.raises(NumericalContractError, match="residual"):
+        eigensolve(matrix, n_levels=2)
+    _patched_eigh(monkeypatch, stretch_returned)
+    with pytest.raises(NumericalContractError, match="orthonormality"):
+        eigensolve(matrix, n_levels=2)
+    _patched_eigh(monkeypatch, spoil_discarded)
+    result = eigensolve(matrix, n_levels=2)
+    np.testing.assert_allclose(result.energies, np.linalg.eigvalsh(matrix)[:2], atol=1e-12)
+    with pytest.raises(NumericalContractError):
+        eigensolve(matrix)
