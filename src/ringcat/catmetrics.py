@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .basis import FockBasis, embed_single_flow
+from .effective import effective_point
 from .errors import NumericalContractError
 from .hamiltonians import HermitianOperator, ModelParams, flow_sweep
 from .solver import _lowest
@@ -167,8 +168,6 @@ def catscan(params: ModelParams, dphi_grid: Sequence[float]) -> CatScanTable:
     analytic ratio column requires equal tunnelling; with unequal bonds it is
     reported as nan.
     """
-    from .effective import effective_point  # deferred to avoid an import cycle
-
     dphis = np.asarray(list(dphi_grid), dtype=float)
     sweep = flow_sweep(params)
     metrics, analytic = [], []

@@ -226,56 +226,49 @@ _BLOCK_ENTRIES = 1 << 17
 _MAX_PREFIXES = 5_000_000
 
 
+def _entries(matrix: np.ndarray) -> dict[tuple[int, int], complex]:
+    """The nonzero entries of ``matrix`` as Python numbers keyed (row, column)."""
+    rows, cols = np.nonzero(matrix)
+    return dict(zip(zip(rows.tolist(), cols.tolist()), matrix[rows, cols].tolist()))
+
+
 @dataclass
 class CouplingGraph:
     """States, diagonal energies and off-diagonal couplings of a flow operator.
 
-    The couplings are also held as a dense matrix (``edge_value(i, j)`` at
-    [i, j], zero off the edges) and the neighbour lists as CSR arrays, which
-    the block enumeration and weighing of paths index into.
+    ``coupling`` is the only store of the edges: the matrix element at [i, j]
+    on each edge, with the conjugate of the upper triangle below it, and zero
+    elsewhere.  The neighbour lists are CSR arrays derived from it, which the
+    block enumeration of paths indexes into; ``edges``, ``edge_value``,
+    ``neighbors`` and ``connected_component`` are views.
     """
 
     basis: FockBasis | None
     diagonal: np.ndarray
-    edges: dict[tuple[int, int], complex]  # keyed (i, j) with i < j
-    adjacency: dict[int, tuple[int, ...]]
-    _coupling: np.ndarray = field(init=False, repr=False, compare=False)
+    coupling: np.ndarray
     _indptr: np.ndarray = field(init=False, repr=False, compare=False)
     _indices: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        dim = len(self.diagonal)
-        self._coupling = np.zeros((dim, dim), dtype=complex)
-        if self.edges:
-            rows, cols = np.array(list(self.edges), dtype=np.intp).T
-            values = np.array(list(self.edges.values()), dtype=complex)
-            self._coupling[rows, cols] = values
-            self._coupling[cols, rows] = values.conj()
-        neighbours = [self.neighbors(i) for i in range(dim)]
-        self._indptr = np.cumsum([0] + [len(nbrs) for nbrs in neighbours])
-        self._indices = np.array([j for nbrs in neighbours for j in nbrs], dtype=np.intp)
+        rows, self._indices = np.nonzero(self.coupling)
+        self._indptr = np.searchsorted(rows, np.arange(len(self.diagonal) + 1))
+
+    @property
+    def edges(self) -> dict[tuple[int, int], complex]:
+        """The couplings keyed (i, j) with i < j."""
+        return _entries(np.triu(self.coupling, k=1))
 
     def describe_state(self, i: int):
         return self.basis.states[i] if self.basis is not None else i
 
     def edge_value(self, i: int, j: int) -> complex:
-        if i < j:
-            return self.edges[(i, j)]
-        return self.edges[(j, i)].conjugate()
+        return self.coupling[i, j].item()
 
     def neighbors(self, i: int) -> tuple[int, ...]:
-        return self.adjacency.get(i, ())
+        return tuple(self._indices[self._indptr[i] : self._indptr[i + 1]].tolist())
 
     def connected_component(self, start: int) -> set[int]:
-        seen = {start}
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            for other in self.neighbors(node):
-                if other not in seen:
-                    seen.add(other)
-                    stack.append(other)
-        return seen
+        return set(np.flatnonzero(np.isfinite(self._hops_to(start))).tolist())
 
     def _steps(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(owner, neighbour) pairs of every neighbour of each ``nodes[owner]``,
@@ -349,69 +342,30 @@ def build_coupling_graph(
         h, basis = operator.matrix, operator.basis
     else:
         h, basis = _hermitian(operator), None
-    upper = np.triu(np.abs(h) > tol, k=1)
-    rows, cols = np.nonzero(upper)
-    linked = upper | upper.T
-    return CouplingGraph(
-        basis=basis,
-        diagonal=np.real(np.diag(h)).copy(),
-        edges=dict(zip(zip(rows.tolist(), cols.tolist()), h[rows, cols].astype(complex).tolist())),
-        adjacency={i: tuple(np.flatnonzero(row).tolist()) for i, row in enumerate(linked)},
-    )
-
-
-# Python's complex arithmetic written out on real and imaginary parts, so that
-# the batched weights and loop matrices below equal, bit for bit, what the
-# same products and quotients of Python complex numbers give.
-
-
-def _product(re, im, other_re, other_im):
-    return re * other_re - im * other_im, re * other_im + im * other_re
-
-
-def _quotient(re, im, divisor):
-    # For a real nonzero divisor; the signed zero ``ratio`` sets the signs of zero parts.
-    ratio = 0.0 / divisor
-    return (re + im * ratio) / divisor, (im - re * ratio) / divisor
-
-
-def _complex(re, im) -> np.ndarray:
-    out = np.empty(np.shape(re), dtype=complex)
-    out.real, out.imag = re, im
-    return out
-
-
-def _bare_weights(graph: CouplingGraph, gaps: np.ndarray, paths: np.ndarray) -> np.ndarray:
-    """V_{0i} V_{i.} ... V_{p1} / [(lam - e_i) ... (lam - e_p)] for each row of
-    ``paths`` (equal-length paths): the edges multiplied in path order, then
-    the gap of each intermediate divided out in path order."""
-    re, im = np.ones(len(paths)), np.zeros(len(paths))
-    for a, b in zip(paths.T[:-1], paths.T[1:]):
-        edge = graph._coupling[a, b]
-        re, im = _product(re, im, edge.real, edge.imag)
-    for node in paths.T[1:-1]:
-        re, im = _quotient(re, im, gaps[node])
-    return _complex(re, im)
+    rows, cols = np.nonzero(np.triu(np.abs(h) > tol, k=1))
+    values = h[rows, cols].astype(complex)
+    coupling = np.zeros(h.shape, dtype=complex)
+    coupling[rows, cols] = values
+    coupling[cols, rows] = values.conj()
+    return CouplingGraph(basis=basis, diagonal=np.real(np.diag(h)).copy(), coupling=coupling)
 
 
 def _loop_matrix(graph: CouplingGraph, gaps: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """(lam - H) / (lam - e_col) over ``nodes``: 1 on the diagonal,
     -V_ij / (lam - e_j) on each edge, 0 elsewhere.  The loop matrix of a
     subset of ``nodes`` is the submatrix on that subset."""
-    v = graph._coupling[np.ix_(nodes, nodes)]
-    m = np.zeros(v.shape, dtype=complex)
+    v = graph.coupling[np.ix_(nodes, nodes)]
+    m = np.eye(len(nodes), dtype=complex)
     row, col = np.nonzero(v)
-    edge = v[row, col]
-    m[row, col] = _complex(*_quotient(-edge.real, -edge.imag, gaps[nodes[col]]))
-    np.fill_diagonal(m, 1.0)
+    m[row, col] = [-edge / gap for edge, gap in zip(v[row, col].tolist(), gaps[nodes[col]].tolist())]
     return m
 
 
 def _loop_factors(loop: np.ndarray, eliminated: np.ndarray, intermediates: np.ndarray) -> np.ndarray:
-    """``_complement_factor`` of the eliminated states off each path, for
-    paths with ``intermediates`` rows of equal length, where ``loop`` is the
-    loop matrix of all of ``eliminated``: one batched determinant per block
-    of its submatrices."""
+    """Loop determinants of the eliminated states off each path, for paths
+    with ``intermediates`` rows of equal length, where ``loop`` is the loop
+    matrix of all of ``eliminated``: one batched determinant per block of its
+    submatrices."""
     off_path = (eliminated[None, :, None] != intermediates[:, None, :]).all(axis=2)
     size = len(eliminated) - intermediates.shape[1]
     factors = np.ones(len(intermediates), dtype=complex)
@@ -432,19 +386,15 @@ def _check_levels(graph: CouplingGraph, nodes: np.ndarray, gaps: np.ndarray, lam
     _check_resonance(gaps[nodes], lam, scale, lambda i: graph.describe_state(int(nodes[i])))
 
 
-def _complement_factor(graph: CouplingGraph, nodes: Sequence[int], lam: float) -> complex:
-    """det(lam - H) over ``nodes``, normalised by prod(lam - diagonal).
-
-    This is the correction from closed loops among eliminated states that lie
-    off the path: it equals 1 when those states are mutually uncoupled, and
-    contributes terms like -V_ij V_ji / ((lam - e_i)(lam - e_j)) otherwise.
-    """
-    if len(nodes) == 0:
-        return 1.0 + 0j
-    nodes = np.asarray(nodes, dtype=np.intp)
-    gaps = lam - graph.diagonal
-    _check_levels(graph, nodes, gaps, lam)
-    return complex(np.linalg.det(_loop_matrix(graph, gaps, nodes)))
+def _eliminated(graph: CouplingGraph, targets: tuple[int, int]) -> np.ndarray | None:
+    """The states connected to the targets, without the targets, ascending;
+    None when no path joins the targets."""
+    t0, t1 = targets
+    hops = graph._hops_to(t0)
+    if np.isinf(hops[t1]):
+        return None
+    hops[[t0, t1]] = np.inf
+    return np.flatnonzero(np.isfinite(hops))
 
 
 def weighted_paths(
@@ -453,35 +403,43 @@ def weighted_paths(
     """Yield (path, bare weight, loop factor) for each term of ``path_coupling``,
     in the order of ``CouplingGraph.simple_paths``.
 
-    The bare weight is the path's contribution without the loop factor.
-    Each path's intermediates and the eliminated states off it together make
-    up the whole eliminated component, so when a path exists that component
-    is checked for near-resonant levels once.  The paths are weighed in
-    blocks, those of each order together.
+    The bare weight is the path's contribution without the loop factor: its
+    edges multiplied in path order, then the gap of each intermediate divided
+    out in path order, in Python complex arithmetic.  Each path's
+    intermediates and the eliminated states off it together make up the whole
+    eliminated component, so when a path exists that component is checked for
+    near-resonant levels once.  The loop factors are weighed in blocks, those
+    of each order together.
     """
     t0, t1 = targets
     if t0 == t1:
         raise UnsupportedConfigurationError("path coupling needs two distinct targets")
-    component = graph.connected_component(t0)
-    if t1 not in component:
+    eliminated = _eliminated(graph, targets)
+    if eliminated is None:
         return
-    eliminated = np.array(sorted(component - {t0, t1}), dtype=np.intp)
     gaps = lam - graph.diagonal
     paths = graph.simple_paths(t0, t1, max_intermediates=max_order)
     block = list(itertools.islice(paths, _BLOCK))
     if block:
         _check_levels(graph, eliminated, gaps, lam)
         loop = _loop_matrix(graph, gaps, eliminated)
+        edge, gap = _entries(graph.coupling), gaps.tolist()
     while block:
+        weights = []
+        for path in block:
+            weight = 1.0 + 0j
+            for a, b in zip(path, path[1:]):
+                weight *= edge[a, b]
+            for node in path[1:-1]:
+                weight /= gap[node]
+            weights.append(weight)
         lengths = np.array([len(path) for path in block])
-        weights = np.empty(len(block), dtype=complex)
         factors = np.empty(len(block), dtype=complex)
         for length in np.unique(lengths):
             rows = np.flatnonzero(lengths == length)
             nodes = np.array([block[i] for i in rows], dtype=np.intp)
-            weights[rows] = _bare_weights(graph, gaps, nodes)
             factors[rows] = _loop_factors(loop, eliminated, nodes[:, 1:-1])
-        yield from zip(block, weights.tolist(), factors.tolist())
+        yield from zip(block, weights, factors.tolist())
         block = list(itertools.islice(paths, _BLOCK))
 
 
@@ -511,17 +469,19 @@ def path_coupling(
 
 
 def path_normalisation(graph: CouplingGraph, targets: tuple[int, int], lam: float) -> complex:
-    """Loop determinant of the eliminated states connected to the targets.
+    """Loop determinant of the eliminated states connected to the targets:
+    det(lam - H) over them, normalised by prod(lam - diagonal).
 
     Summed to all orders, ``path_coupling`` equals the elimination coupling
     times this factor (Loewdin partitioning written out path by path), so
     dividing by it normalises the path sum.
     """
-    t0, t1 = targets
-    component = graph.connected_component(t0)
-    if t1 not in component:
+    eliminated = _eliminated(graph, targets)
+    if eliminated is None or len(eliminated) == 0:
         return 1.0 + 0j
-    return _complement_factor(graph, sorted(component - {t0, t1}), lam)
+    gaps = lam - graph.diagonal
+    _check_levels(graph, eliminated, gaps, lam)
+    return complex(np.linalg.det(_loop_matrix(graph, gaps, eliminated)))
 
 
 # ---------------------------------------------------------------------------

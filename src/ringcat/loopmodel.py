@@ -235,7 +235,6 @@ def loop_sweep(
 ) -> LoopTable:
     """Sweep the barrier-split loop spectrum over phase twists in one secular solve."""
     phis = np.asarray(list(phi_grid), dtype=float)
-    n_levels = max(1, min(int(n_levels), 2 * k_max + 1))
     return LoopTable(
         phis=phis,
         n_levels=n_levels,

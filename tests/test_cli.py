@@ -104,6 +104,7 @@ def test_descending_grid_rejected(capsys):
         (["spectrum", "--levels", "0", "--phi", "0"], "'levels'"),
         (["loop", "--kmax", "0", "--phi", "0"], "k_max"),
         (["paths", "--max-order", "-1"], "'max_order'"),
+        (["loop", "--kmax", "2", "--levels", "9", "--phi", "0"], "n_levels must be in [1, 5] for k_max=2, got 9"),
     ],
 )
 def test_range_validation(args, pattern, capsys):

@@ -487,6 +487,43 @@ def test_block_paths_equal_the_one_path_at_a_time_reference(problem):
             assert abs(factor - ref_factor) <= 1e-14 * abs(ref_factor)
 
 
+def reference_component(graph, start):
+    """States reachable from ``start``, by a breadth-first search over Python sets."""
+    seen, frontier = {start}, {start}
+    while frontier:
+        frontier = {other for node in frontier for other in graph.neighbors(node)} - seen
+        seen |= frontier
+    return seen
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(problem=sparse_hermitian_problems())
+def test_graph_views_and_normalisation_equal_the_set_reference(problem):
+    h, (t0, t1), lam, _, real = problem
+    graph = build_coupling_graph(h)
+    dim = len(h)
+    expected_edges = {
+        (i, j): complex(h[i, j]) for i in range(dim) for j in range(i + 1, dim) if abs(h[i, j]) > 1e-14
+    }
+    assert {k: repr(v) for k, v in graph.edges.items()} == {k: repr(v) for k, v in expected_edges.items()}
+    for i in range(dim):
+        assert graph.neighbors(i) == tuple(j for j in range(dim) if (min(i, j), max(i, j)) in expected_edges)
+        assert graph.connected_component(i) == reference_component(graph, i)
+        for j in range(i + 1, dim):
+            assert graph.edge_value(i, j) == expected_edges.get((i, j), 0)
+            if (i, j) in expected_edges:
+                assert repr(graph.edge_value(j, i)) == repr(graph.edge_value(i, j).conjugate())
+    component = reference_component(graph, t0)
+    got = _outcome(lambda: path_normalisation(graph, (t0, t1), lam))
+    expected = _outcome(
+        lambda: reference_complement_factor(graph, sorted(component - {t0, t1}), lam) if t1 in component else 1.0 + 0j
+    )
+    if isinstance(expected, tuple) or real:
+        assert got == expected
+    else:
+        assert abs(got - expected) <= 1e-14 * abs(expected)
+
+
 def test_flow_paths_equal_the_reference_with_state_names_in_resonance_errors():
     op = build_flow_hamiltonian(ModelParams(n=6, u=0.1, phi=math.pi))
     graph = build_coupling_graph(op)

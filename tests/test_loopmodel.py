@@ -81,6 +81,15 @@ def test_spectrum_argument_validation():
         loop_spectrum_with_barrier(p, 0.0, k_max=2, n_levels=9)
 
 
+@pytest.mark.parametrize("n_levels", [0, 6, 9])
+def test_sweep_rejects_level_counts_outside_the_basis(n_levels):
+    """The sweep validates n_levels like the single-phase spectrum; it does not
+    clamp it to the 2 k_max + 1 plane waves."""
+    message = rf"n_levels must be in \[1, 5\] for k_max=2, got {n_levels}"
+    with pytest.raises(UnsupportedConfigurationError, match=message):
+        loop_sweep(LoopParams(), [0.0, math.pi], k_max=2, n_levels=n_levels)
+
+
 def test_barrier_gap_at_crossing_matches_weak_barrier_estimate():
     """At phi = pi the k = 0, 1 levels anticross with splitting ~ 2 b / L."""
     p0 = LoopParams()
