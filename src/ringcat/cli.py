@@ -8,8 +8,10 @@ Subcommands::
     paths      coupling paths between |N,0,0> and |0,N,0>
     loop       continuum loop levels with a delta barrier
 
-Options may also be given in a flat ``key = value`` config file (see
-``--config``); command-line flags override file entries.  Exit codes:
+Each subcommand takes only the options it reads (``COMMANDS``), plus
+``--out`` and ``--config``; any other flag is an argparse error.  A flat
+``key = value`` config file may set the same options (a key the subcommand
+does not read is a config error); flags override file entries.  Exit codes:
 0 success, 2 configuration error, 3 numerical-contract failure.
 """
 
@@ -44,11 +46,37 @@ DEFAULT_PHI_GRID = f"0:{TWO_PI!r}:81"
 DEFAULT_DPHI_GRID = "-0.4:0.4:81"
 DEFAULT_U_OVER_J = 0.1
 
-_GRID_KEYS = ("phi", "dphi")
-_FLOAT_KEYS = ("u", "u0", "u1", "u_over_j", "length", "barrier", "barrier_pos")
-_INT_KEYS = ("n", "levels", "kmax", "max_order")
-_STR_KEYS = ("j", "out")
-_ALL_KEYS = set(_GRID_KEYS) | set(_FLOAT_KEYS) | set(_INT_KEYS) | set(_STR_KEYS)
+#: Every option once: its type and help.  The flag is ``--`` plus the key
+#: with '_' spelled '-'; the config-file key is the key itself.
+OPTIONS: dict[str, tuple[type, str]] = {
+    "n": (int, "number of atoms (default 3)"),
+    "u": (float, "contact interaction strength U"),
+    "u0": (float, "dipolar on-site strength U0 (enables the dipolar interaction)"),
+    "u1": (float, "dipolar pair-exchange strength U1 (enables the dipolar interaction)"),
+    "u_over_j": (float, f"set U as a multiple of J1 (default {DEFAULT_U_OVER_J})"),
+    "j": (str, "tunnelling J or J1,J2,J3 (default 1)"),
+    "phi": (str, "phase grid start:stop:count, or one value"),
+    "dphi": (str, "offset-from-pi grid start:stop:count, or one value"),
+    "levels": (int, "number of levels to emit"),
+    "max_order": (int, "maximum number of intermediate states per path (default 6)"),
+    "length": (float, "loop circumference (default 1)"),
+    "barrier": (float, "delta-barrier strength (default 0.1)"),
+    "kmax": (int, "plane-wave cutoff (default 12)"),
+    "out": (str, "output CSV path (default <command>.csv)"),
+    "config": (str, "flat key = value config file"),
+}
+
+RING_OPTIONS = ("n", "u", "u0", "u1", "u_over_j", "j")
+
+#: Each subcommand: its help, its default grid and the options it reads
+#: besides ``out`` and ``config``.
+COMMANDS: dict[str, tuple[str, str, tuple[str, ...]]] = {
+    "spectrum": ("sweep the lowest ring levels over phase twists", DEFAULT_PHI_GRID, RING_OPTIONS + ("phi", "levels")),
+    "catscan": ("cat metrics of the exact ground state near the crossing", DEFAULT_DPHI_GRID, RING_OPTIONS + ("dphi",)),
+    "effective": ("two-level detuning/coupling report near the crossing", DEFAULT_DPHI_GRID, RING_OPTIONS + ("dphi",)),
+    "paths": ("coupling paths between the zero-flow and one-flow states", repr(math.pi), RING_OPTIONS + ("phi", "max_order")),
+    "loop": ("continuum loop levels with a delta barrier", DEFAULT_PHI_GRID, ("phi", "levels", "length", "barrier", "kmax")),
+}
 
 
 def parse_grid(text: str, key: str) -> np.ndarray:
@@ -83,9 +111,10 @@ def parse_tunnelling(text: str) -> tuple[float, float, float]:
     raise ConfigError(f"expected one or three tunnelling strengths, got {text!r}")
 
 
-def load_config_file(path: str) -> dict[str, str]:
-    """Read a flat ``key = value`` file; '#' starts a comment."""
-    values: dict[str, str] = {}
+def load_config_file(path: str, command: str) -> dict[str, object]:
+    """Read a flat ``key = value`` file of ``command``'s options; '#' starts a comment."""
+    keys = COMMANDS[command][2] + ("out",)
+    values: dict[str, object] = {}
     try:
         with open(path) as fh:
             lines = fh.readlines()
@@ -100,26 +129,15 @@ def load_config_file(path: str) -> dict[str, str]:
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
         value = value.strip()
-        if key not in _ALL_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key not in keys:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} is not an option of '{command}'")
         if not value:
             raise ConfigError(f"{path}:{lineno}: empty value for key {key!r}")
-        values[key] = value
+        try:
+            values[key] = OPTIONS[key][0](value)
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: invalid value for {key!r}: {value!r}") from None
     return values
-
-
-def _coerce(key: str, value) -> object:
-    """Coerce a raw config-file string to the key's type."""
-    if not isinstance(value, str):
-        return value
-    try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-    except ValueError:
-        raise ConfigError(f"invalid value for '{key}': {value!r}") from None
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -128,102 +146,58 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cat states of superfluid flow in a phase-twisted three-site ring.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--n", type=int, default=None, help="number of atoms (default 3)")
-        p.add_argument("--u", type=float, default=None, help="contact interaction strength U")
-        p.add_argument("--u0", type=float, default=None, help="dipolar on-site strength U0 (enables the dipolar interaction)")
-        p.add_argument("--u1", type=float, default=None, help="dipolar pair-exchange strength U1 (enables the dipolar interaction)")
-        p.add_argument("--u-over-j", dest="u_over_j", type=float, default=None,
-                       help=f"set U as a multiple of J1 (default {DEFAULT_U_OVER_J})")
-        p.add_argument("--j", type=str, default=None, help="tunnelling J or J1,J2,J3 (default 1)")
-        p.add_argument("--phi", type=str, default=None, help="phase grid start:stop:count, or one value")
-        p.add_argument("--dphi", type=str, default=None, help="offset-from-pi grid start:stop:count, or one value")
-        p.add_argument("--levels", type=int, default=None, help="number of levels to emit")
-        p.add_argument("--out", type=str, default=None, help="output CSV path (default <command>.csv)")
-        p.add_argument("--config", type=str, default=None, help="flat key = value config file")
-
-    for name, description in (
-        ("spectrum", "sweep the lowest ring levels over phase twists"),
-        ("catscan", "cat metrics of the exact ground state near the crossing"),
-        ("effective", "two-level detuning/coupling report near the crossing"),
-        ("paths", "coupling paths between the zero-flow and one-flow states"),
-        ("loop", "continuum loop levels with a delta barrier"),
-    ):
+    for name, (description, _, keys) in COMMANDS.items():
         p = sub.add_parser(name, help=description)
-        add_common(p)
-        if name == "paths":
-            p.add_argument("--max-order", dest="max_order", type=int, default=None,
-                           help="maximum number of intermediate states per path (default 6)")
-        if name == "loop":
-            p.add_argument("--length", type=float, default=None, help="loop circumference (default 1)")
-            p.add_argument("--barrier", type=float, default=None, help="delta-barrier strength (default 0.1)")
-            p.add_argument("--barrier-pos", dest="barrier_pos", type=float, default=None,
-                           help="barrier position on the loop (default length/2)")
-            p.add_argument("--kmax", type=int, default=None, help="plane-wave cutoff (default 12)")
+        for key in keys + ("out", "config"):
+            kind, text = OPTIONS[key]
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=kind, help=text)
     return parser
 
 
 def resolve_options(args: argparse.Namespace) -> dict:
     """Merge defaults, config file and flags (flags win) into typed options."""
-    file_values = load_config_file(args.config) if args.config else {}
-    merged: dict[str, object] = {}
-    for key in _ALL_KEYS:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            merged[key] = flag_value
-        elif key in file_values:
-            merged[key] = _coerce(key, file_values[key])
-
     command = args.command
+    _, default_grid, keys = COMMANDS[command]
+    merged = load_config_file(args.config, command) if args.config else {}
+    merged.update((key, getattr(args, key)) for key in keys + ("out",) if getattr(args, key) is not None)
     opts: dict[str, object] = {"command": command}
 
-    if "u" in merged and "u_over_j" in merged:
-        raise ConfigError("'u' and 'u_over_j' are mutually exclusive; give one of them")
-    j = parse_tunnelling(str(merged.get("j", "1")))
-    n = int(merged.get("n", 3))
-    if n < 1:
-        raise ConfigError(f"'n' must be >= 1, got {n}")
-    dipolar = "u0" in merged or "u1" in merged
-    if "u" in merged:
-        u = float(merged["u"])
-    else:
-        u = float(merged.get("u_over_j", DEFAULT_U_OVER_J)) * j[0]
-    opts.update(
-        n=n,
-        j=j,
-        u=u,
-        u0=float(merged.get("u0", 0.0)),
-        u1=float(merged.get("u1", 0.0)),
-        dipolar=dipolar,
-    )
+    if "n" in keys:
+        if "u" in merged and "u_over_j" in merged:
+            raise ConfigError("'u' and 'u_over_j' are mutually exclusive; give one of them")
+        j = parse_tunnelling(merged.get("j", "1"))
+        n = merged.get("n", 3)
+        if n < 1:
+            raise ConfigError(f"'n' must be >= 1, got {n}")
+        opts.update(
+            n=n,
+            j=j,
+            u=merged["u"] if "u" in merged else merged.get("u_over_j", DEFAULT_U_OVER_J) * j[0],
+            u0=merged.get("u0", 0.0),
+            u1=merged.get("u1", 0.0),
+            dipolar="u0" in merged or "u1" in merged,
+        )
 
-    default_grid = DEFAULT_DPHI_GRID if command in ("catscan", "effective") else DEFAULT_PHI_GRID
-    if command in ("catscan", "effective"):
-        grid_key = "dphi"
-        grid_text = str(merged.get("dphi", default_grid))
-    elif command == "paths":
-        grid_key = "phi"
-        grid_text = str(merged.get("phi", repr(math.pi)))
-    else:
-        grid_key = "phi"
-        grid_text = str(merged.get("phi", default_grid))
+    grid_key = "dphi" if "dphi" in keys else "phi"
     opts["grid_key"] = grid_key
-    opts["grid_text"] = grid_text
-    opts["grid"] = parse_grid(grid_text, grid_key)
+    opts["grid_text"] = merged.get(grid_key, default_grid)
+    opts["grid"] = parse_grid(opts["grid_text"], grid_key)
 
-    levels_default = 4 if command == "loop" else 6
-    opts["levels"] = int(merged.get("levels", levels_default))
-    if opts["levels"] < 1:
-        raise ConfigError(f"'levels' must be >= 1, got {opts['levels']}")
-    opts["out"] = str(merged.get("out", f"{command}.csv"))
-    opts["max_order"] = int(merged.get("max_order", 6))
-    if opts["max_order"] < 0:
-        raise ConfigError(f"'max_order' must be >= 0, got {opts['max_order']}")
-    opts["length"] = float(merged.get("length", 1.0))
-    opts["barrier"] = float(merged.get("barrier", 0.1))
-    opts["barrier_pos"] = float(merged["barrier_pos"]) if "barrier_pos" in merged else None
-    opts["kmax"] = int(merged.get("kmax", 12))
+    if "levels" in keys:
+        opts["levels"] = merged.get("levels", 4 if command == "loop" else 6)
+        if opts["levels"] < 1:
+            raise ConfigError(f"'levels' must be >= 1, got {opts['levels']}")
+    if "max_order" in keys:
+        opts["max_order"] = merged.get("max_order", 6)
+        if opts["max_order"] < 0:
+            raise ConfigError(f"'max_order' must be >= 0, got {opts['max_order']}")
+    if "kmax" in keys:
+        opts.update(
+            length=merged.get("length", 1.0),
+            barrier=merged.get("barrier", 0.1),
+            kmax=merged.get("kmax", 12),
+        )
+    opts["out"] = merged.get("out", f"{command}.csv")
     return opts
 
 
@@ -252,7 +226,6 @@ def config_comment(opts: dict) -> str:
         parts += [
             f"length={format_float(opts['length'])}",
             f"barrier={format_float(opts['barrier'])}",
-            f"barrier_pos={'length/2' if opts['barrier_pos'] is None else format_float(opts['barrier_pos'])}",
             f"kmax={opts['kmax']}",
         ]
     else:
@@ -265,10 +238,7 @@ def config_comment(opts: dict) -> str:
             f"dipolar={opts['dipolar']}",
         ]
     parts.append(f"{opts['grid_key']}={opts['grid_text']}")
-    if opts["command"] in ("spectrum", "loop"):
-        parts.append(f"levels={opts['levels']}")
-    if opts["command"] == "paths":
-        parts.append(f"max_order={opts['max_order']}")
+    parts += [f"{key}={opts[key]}" for key in ("levels", "max_order") if key in opts]
     parts.append(f"out={opts['out']}")
     return " ".join(parts)
 
@@ -307,30 +277,22 @@ def run_paths(opts: dict) -> str:
 
 
 def run(opts: dict) -> str:
-    command = opts["command"]
-    if command == "spectrum":
-        table = spectrum_sweep(model_params(opts), opts["grid"], n_levels=opts["levels"])
-        table.to_csv(opts["out"], comment=config_comment(opts))
-        return f"wrote {opts['out']} ({len(opts['grid'])} phases x {table.n_levels} levels)"
-    if command == "catscan":
-        table = catscan(model_params(opts), opts["grid"])
-        table.to_csv(opts["out"], comment=config_comment(opts))
-        return f"wrote {opts['out']} ({len(opts['grid'])} offsets)"
-    if command == "effective":
-        table = effective_report(model_params(opts), opts["grid"])
-        table.to_csv(opts["out"], comment=config_comment(opts))
-        return f"wrote {opts['out']} ({len(opts['grid'])} offsets)"
+    command, out, grid = opts["command"], opts["out"], opts["grid"]
     if command == "paths":
-        message = run_paths(opts)
-        return f"wrote {opts['out']}; {message}"
-    if command == "loop":
-        loop_params = LoopParams(
-            length=opts["length"], barrier=opts["barrier"], barrier_position=opts["barrier_pos"]
-        )
-        table = loop_sweep(loop_params, opts["grid"], k_max=opts["kmax"], n_levels=opts["levels"])
-        table.to_csv(opts["out"], comment=config_comment(opts))
-        return f"wrote {opts['out']} ({len(opts['grid'])} phases x {table.n_levels} levels)"
-    raise ConfigError(f"unknown command {command!r}")
+        return f"wrote {out}; {run_paths(opts)}"
+    if command == "spectrum":
+        table = spectrum_sweep(model_params(opts), grid, n_levels=opts["levels"])
+    elif command == "catscan":
+        table = catscan(model_params(opts), grid)
+    elif command == "effective":
+        table = effective_report(model_params(opts), grid)
+    else:
+        loop_params = LoopParams(length=opts["length"], barrier=opts["barrier"])
+        table = loop_sweep(loop_params, grid, k_max=opts["kmax"], n_levels=opts["levels"])
+    table.to_csv(out, comment=config_comment(opts))
+    if "levels" in opts:
+        return f"wrote {out} ({len(grid)} phases x {table.n_levels} levels)"
+    return f"wrote {out} ({len(grid)} offsets)"
 
 
 def _normalise_argv(tokens: list[str]) -> list[str]:

@@ -232,7 +232,7 @@ def _entries(matrix: np.ndarray) -> dict[tuple[int, int], complex]:
     return dict(zip(zip(rows.tolist(), cols.tolist()), matrix[rows, cols].tolist()))
 
 
-@dataclass
+@dataclass(eq=False)
 class CouplingGraph:
     """States, diagonal energies and off-diagonal couplings of a flow operator.
 
@@ -246,8 +246,8 @@ class CouplingGraph:
     basis: FockBasis | None
     diagonal: np.ndarray
     coupling: np.ndarray
-    _indptr: np.ndarray = field(init=False, repr=False, compare=False)
-    _indices: np.ndarray = field(init=False, repr=False, compare=False)
+    _indptr: np.ndarray = field(init=False, repr=False)
+    _indices: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         rows, self._indices = np.nonzero(self.coupling)

@@ -154,7 +154,9 @@ def spectrum_sweep(
     """
     phis = np.asarray(list(phi_grid), dtype=float)
     sweep = flow_sweep(params)
-    n_levels = max(1, min(int(n_levels), sweep.basis.dimension))
+    dim = sweep.basis.dimension
+    if not 1 <= n_levels <= dim:
+        raise UnsupportedConfigurationError(f"n_levels must be in [1, {dim}] for n={params.n}, got {n_levels}")
     levels = [_lowest(sweep.at(phi), n_levels).energies for phi in phis]
     return SpectrumTable(
         phis=phis, n_levels=n_levels, energies=np.array(levels), params=params

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import re
+import shlex
 import shutil
 import subprocess
+from pathlib import Path
 
 import pytest
 
@@ -11,8 +14,29 @@ from ringcat import NumericalContractError
 from ringcat import cli, effective
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+RING_FLAGS = {"--n", "--u", "--u0", "--u1", "--u-over-j", "--j"}
+
+#: The flags each subcommand lists in its --help, --help included.
+HELP_FLAGS = {
+    name: flags | {"--out", "--config", "--help"}
+    for name, flags in (
+        ("spectrum", RING_FLAGS | {"--phi", "--levels"}),
+        ("catscan", RING_FLAGS | {"--dphi"}),
+        ("effective", RING_FLAGS | {"--dphi"}),
+        ("paths", RING_FLAGS | {"--phi", "--max-order"}),
+        ("loop", {"--phi", "--levels", "--length", "--barrier", "--kmax"}),
+    )
+}
+
+
 def run_cli(args):
     return cli.main(args)
+
+
+def listed_flags(help_text: str) -> set[str]:
+    return set(re.findall(r"--[a-z][a-z0-9-]*", help_text))
 
 
 def test_spectrum_writes_csv(tmp_path):
@@ -105,6 +129,7 @@ def test_descending_grid_rejected(capsys):
         (["loop", "--kmax", "0", "--phi", "0"], "k_max"),
         (["paths", "--max-order", "-1"], "'max_order'"),
         (["loop", "--kmax", "2", "--levels", "9", "--phi", "0"], "n_levels must be in [1, 5] for k_max=2, got 9"),
+        (["spectrum", "--n", "2", "--levels", "9", "--phi", "0"], "n_levels must be in [1, 6] for n=2, got 9"),
     ],
 )
 def test_range_validation(args, pattern, capsys):
@@ -206,3 +231,64 @@ def test_console_script_is_installed():
     assert proc.returncode == 0
     for name in ("spectrum", "catscan", "effective", "paths", "loop"):
         assert name in proc.stdout
+    for name, flags in HELP_FLAGS.items():
+        proc = subprocess.run([exe, name, "--help"], capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert listed_flags(proc.stdout) == flags
+
+
+@pytest.mark.parametrize("command", sorted(HELP_FLAGS))
+def test_help_lists_exactly_the_options_read(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, "--help"])
+    assert exc.value.code == 0
+    assert listed_flags(capsys.readouterr().out) == HELP_FLAGS[command]
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("spectrum", "--dphi"),
+        ("catscan", "--phi"),
+        ("catscan", "--levels"),
+        ("effective", "--phi"),
+        ("effective", "--levels"),
+        ("paths", "--dphi"),
+        ("paths", "--levels"),
+        ("loop", "--n"),
+        ("loop", "--u"),
+        ("loop", "--u0"),
+        ("loop", "--u1"),
+        ("loop", "--u-over-j"),
+        ("loop", "--j"),
+        ("loop", "--dphi"),
+        ("loop", "--barrier-pos"),
+    ],
+)
+def test_flag_the_subcommand_does_not_read_exits_2(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, flag, "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_config_file_key_of_another_subcommand(tmp_path, capsys):
+    cfg = tmp_path / "other.cfg"
+    cfg.write_text("dphi = 0\n")
+    assert run_cli(["spectrum", "--config", str(cfg), "--phi", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "'dphi'" in err and "'spectrum'" in err
+
+
+def readme_blocks(language: str) -> list[str]:
+    return re.findall(rf"```{language}\n(.*?)```", README.read_text(), re.S)
+
+
+def test_readme_examples_run(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (ini,) = readme_blocks("ini")
+    (tmp_path / "ring.cfg").write_text(ini)
+    commands = [line for block in readme_blocks("sh") for line in block.splitlines() if line.startswith("ringcat ")]
+    assert len(commands) >= 6
+    for line in commands:
+        assert run_cli(shlex.split(line, comments=True)[1:]) == 0, line

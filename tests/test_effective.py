@@ -206,6 +206,13 @@ def test_coupling_graph_structure():
     assert list(graph.simple_paths(0, 1, max_intermediates=0)) == []
 
 
+def test_coupling_graph_equality_is_identity():
+    h = build_flow_hamiltonian(ModelParams(n=3, u=0.1, phi=math.pi))
+    graph = build_coupling_graph(h)
+    assert graph == graph
+    assert graph != build_coupling_graph(h)  # compares without inspecting the arrays
+
+
 def test_coupling_graph_rejects_non_hermitian_matrix():
     with pytest.raises(NumericalContractError):
         build_coupling_graph(np.array([[0.0, 1.0], [0.5, 0.0]]))
