@@ -23,7 +23,6 @@ import numpy as np
 from .basis import FockBasis, quasimomentum_labels
 from .errors import (
     NearResonantIntermediateError,
-    NumericalContractError,
     UnsupportedConfigurationError,
 )
 from .hamiltonians import HermitianOperator, ModelParams, _hermitian, flow_sweep
@@ -106,7 +105,7 @@ def two_level_predict(e0: float, eps: float, v01: complex, lam: float | None = N
 
 
 # ---------------------------------------------------------------------------
-# Exact elimination (partitioning with a self-consistent working energy)
+# Exact elimination (partitioning at the ground level of the target block)
 # ---------------------------------------------------------------------------
 
 
@@ -116,8 +115,7 @@ class LowdinResult:
 
     v01: complex
     lam: float
-    heff: np.ndarray  # the converged 2x2 effective matrix
-    iterations: int
+    heff: np.ndarray  # the 2x2 effective matrix at lam
 
 
 def default_flow_targets(basis: FockBasis) -> tuple[int, int]:
@@ -145,72 +143,42 @@ def _elimination_space(operator: HermitianOperator, targets: tuple[int, int]) ->
     return np.flatnonzero(keep)
 
 
-def lowdin_coupling(
-    operator: HermitianOperator,
-    targets: tuple[int, int] | None = None,
-    seed_energy: float | None = None,
-    tol: float = 1e-12,
-    max_iter: int = 100,
-) -> LowdinResult:
+def lowdin_coupling(operator: HermitianOperator, targets: tuple[int, int] | None = None) -> LowdinResult:
     """Exact effective coupling between two flow states.
 
-    Builds H_eff(lam) = H_PP + H_PQ (lam - H_QQ)^{-1} H_QP over the target
-    pair P and iterates lam to self-consistency with the resulting ground
-    energy (|delta lam| < tol, at most ``max_iter`` steps).  The seed is the
-    mean target diagonal, which at phi = pi is the shared crossing energy.
+    The working energy lam is the lowest level of the block made of the target
+    pair P and the eliminated states Q, and
 
-    Raises a near-resonant-intermediate error if an eliminated level sits on
-    top of the working energy, and a numerical-contract error if the fixed
-    point does not converge; that error says so when the lowest eliminated
-    level lies below the seed, where the pair is not the low-energy subspace.
+        H_eff = H_PP - H_PQ (H_QQ - lam)^{-1} H_QP
+
+    has lam as its lowest eigenvalue (Loewdin partitioning).  By Cauchy
+    interlacing every level of H_QQ lies at or above lam, so H_QQ - lam is
+    positive semidefinite; a Cholesky factorisation of H_QQ shifted by
+    lam + RESONANCE_RTOL * scale fails exactly when an eliminated level lies
+    within that margin of lam, which raises a near-resonant-intermediate error.
     """
     basis = operator.basis
     if basis.interpretation != "flow":
         raise UnsupportedConfigurationError("elimination expects a flow-basis operator")
     if targets is None:
         targets = default_flow_targets(basis)
-    t0, t1 = targets
     h = operator.matrix
-    q_indices = _elimination_space(operator, (t0, t1))
-
-    h_pp = np.array([[h[t0, t0], h[t0, t1]], [h[t1, t0], h[t1, t1]]], dtype=complex)
-    if len(q_indices) == 0:
-        lam = float(np.linalg.eigvalsh(h_pp)[0])
-        return LowdinResult(v01=complex(h_pp[0, 1]), lam=lam, heff=h_pp, iterations=0)
-
-    h_qq = h[np.ix_(q_indices, q_indices)]
-    h_qp = h[np.ix_(q_indices, [t0, t1])]
-    e_q, z = np.linalg.eigh(h_qq)
-    b = z.conj().T @ h_qp  # (dim Q, 2) in the eigenbasis of H_QQ
-    scale = max(1.0, float(np.max(np.abs(operator.matrix))))
-
-    def state_of(i: int):
-        """The basis state that dominates eliminated level i."""
-        return basis.states[q_indices[int(np.argmax(np.abs(z[:, i])))]]
-
-    def effective(lam: float) -> np.ndarray:
-        gaps = lam - e_q
-        _check_resonance(gaps, lam, scale, state_of)
-        return h_pp + b.conj().T @ (b / gaps[:, None])
-
-    seed = float(np.mean([h[t0, t0].real, h[t1, t1].real])) if seed_energy is None else float(seed_energy)
-    lam = seed
-    heff = effective(lam)
-    for iteration in range(1, max_iter + 1):
-        lam_next = float(np.linalg.eigvalsh(heff)[0])
-        heff = effective(lam_next)
-        if abs(lam_next - lam) < tol:
-            return LowdinResult(v01=complex(heff[0, 1]), lam=lam_next, heff=heff, iterations=iteration)
-        lam = lam_next
-    if e_q[0] < seed:
-        raise NumericalContractError(
-            f"eliminated state {state_of(0)} has energy {e_q[0]:.12g}, below the seed energy "
-            f"{seed:.12g} of the two targets: the pair is not the low-energy subspace, so the "
-            f"working-energy fixed point has no low-energy branch"
-        )
-    raise NumericalContractError(
-        f"working-energy fixed point did not converge within {max_iter} iterations"
-    )
+    margin = RESONANCE_RTOL * max(1.0, float(np.max(np.abs(h))))
+    block = np.concatenate([targets, _elimination_space(operator, targets)])
+    h_block = h[np.ix_(block, block)]
+    lam = float(np.linalg.eigvalsh(h_block)[0])
+    h_pp, h_qq, h_qp = h_block[:2, :2], h_block[2:, 2:], h_block[2:, :2]
+    diagonal = np.einsum("ii->i", h_qq)  # a writable view: shift in place
+    diagonal -= lam + margin
+    try:
+        np.linalg.cholesky(h_qq)
+    except np.linalg.LinAlgError:
+        raise NearResonantIntermediateError(
+            f"an eliminated level lies within {margin:.3e} of the working energy {lam:.12g}"
+        ) from None
+    diagonal += margin
+    heff = h_pp - h_qp.conj().T @ np.linalg.solve(h_qq, h_qp)
+    return LowdinResult(v01=complex(heff[0, 1]), lam=lam, heff=heff)
 
 
 # ---------------------------------------------------------------------------

@@ -171,13 +171,12 @@ def test_paths_enumeration_cap_is_a_config_error(tmp_path, monkeypatch, capsys):
     assert "config error" in err and "exceeds 100 path prefixes" in err and "--max-order" in err
 
 
-def test_paths_without_a_low_energy_branch_names_the_lower_state(tmp_path, capsys):
-    # At 10% bond asymmetry an eliminated level lies below both targets.
-    assert run_cli(["paths", "--n", "6", "--j", "1,0.9,1.1", "--out", str(tmp_path / "p6.csv")]) == 3
-    err = capsys.readouterr().err
-    assert "numerical contract" in err
-    assert "(3, 3, 0) has energy -5.2777" in err and "seed energy -5 " in err
-    assert "not the low-energy subspace" in err
+def test_paths_with_unequal_bonds_reduces(tmp_path, capsys):
+    # At 10% bond asymmetry an eliminated level lies below both targets; the
+    # working energy is still the ground level of the reduced block.
+    assert run_cli(["paths", "--n", "6", "--j", "1,0.9,1.1", "--out", str(tmp_path / "p6.csv")]) == 0
+    out = capsys.readouterr().out
+    assert "at working energy -5.3849034774" in out
 
 
 def test_loop_csv(tmp_path):
