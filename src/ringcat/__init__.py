@@ -72,7 +72,7 @@ from .loopmodel import (
     loop_sweep,
     single_flow_energy,
 )
-from .solver import EigenResult, SpectrumTable, eigensolve, sector_eigensolve, spectrum_sweep
+from .solver import EigenResult, SpectrumTable, eigensolve, spectrum_sweep
 
 __version__ = "0.1.0"
 
@@ -128,7 +128,6 @@ __all__ = [
     "path_normalisation",
     "quasimomentum_labels",
     "quasimomentum_sector",
-    "sector_eigensolve",
     "site_sweep",
     "single_flow_energy",
     "spectrum_sweep",

@@ -19,7 +19,7 @@ from .basis import FockBasis, embed_single_flow
 from .effective import effective_point
 from .errors import NumericalContractError
 from .hamiltonians import HermitianOperator, ModelParams, flow_sweep
-from .solver import _lowest
+from .solver import eigensolve
 from .util import write_csv
 
 #: Offsets smaller than this are treated as sitting exactly on the crossing,
@@ -152,8 +152,8 @@ def ground_cat_metrics(
     """
     if operator is None:
         operator = flow_sweep(params).at(math.pi + dphi)
-    result = _lowest(operator, n_levels=2)
-    if abs(dphi) <= CROSSING_DPHI_ATOL and result.vectors.shape[1] >= 2:
+    result = eigensolve(operator, n_levels=2)
+    if abs(dphi) <= CROSSING_DPHI_ATOL:
         state = crossing_pair_state(result.vectors[:, :2], operator.basis)
     else:
         state = result.ground_vector

@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .basis import FockBasis, quasimomentum_labels
+from .basis import FockBasis
 from .errors import (
     NearResonantIntermediateError,
     UnsupportedConfigurationError,
@@ -125,22 +125,13 @@ def default_flow_targets(basis: FockBasis) -> tuple[int, int]:
 
 
 def _elimination_space(operator: HermitianOperator, targets: tuple[int, int]) -> np.ndarray:
-    """Indices eliminated by the reduction.
-
-    With equal tunnelling the quasi-momentum sectors decouple exactly, so when
-    both targets live in one sector only that sector's other states matter;
-    otherwise every non-target state is kept.
-    """
-    basis = operator.basis
+    """Indices eliminated by the reduction: the rest of the block of
+    ``operator.sectors`` that holds both targets, or of the whole basis when
+    no block does."""
     t0, t1 = targets
-    keep = np.ones(basis.dimension, dtype=bool)
-    params = operator.params
-    if params is not None and params.equal_j:
-        labels = quasimomentum_labels(basis)
-        if labels[t0] == labels[t1]:
-            keep = labels == labels[t0]
-    keep[[t0, t1]] = False
-    return np.flatnonzero(keep)
+    shared = [s for s in operator.sectors if t0 in s and t1 in s]
+    block = shared[0] if shared else np.arange(operator.dimension)
+    return block[(block != t0) & (block != t1)]
 
 
 def lowdin_coupling(operator: HermitianOperator, targets: tuple[int, int] | None = None) -> LowdinResult:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import _UNIT, FockBasis, _ladder, enumerate_fock, mode_transform_matrix
+from .basis import _UNIT, FockBasis, _ladder, enumerate_fock, mode_transform_matrix, quasimomentum_labels
 from .errors import NumericalContractError, UnsupportedConfigurationError
 
 _SQRT3 = math.sqrt(3.0)
@@ -142,6 +142,19 @@ class HermitianOperator:
     @property
     def dimension(self) -> int:
         return self.matrix.shape[0]
+
+    @property
+    def sectors(self) -> tuple[np.ndarray, ...]:
+        """Index sets of the basis that the operator does not couple, each ascending.
+
+        A flow operator with equal tunnelling conserves the quasi-momentum
+        k = (n_beta + 2 n_gamma) mod 3, which gives its sectors k = 0, 1, 2;
+        any other operator is one block, the whole basis.
+        """
+        if self.basis.interpretation != "flow" or self.params is None or not self.params.equal_j:
+            return (np.arange(self.dimension),)
+        labels = quasimomentum_labels(self.basis)
+        return tuple(np.flatnonzero(labels == k) for k in range(3))
 
 
 #: For each flow mode, the other two modes.

@@ -35,9 +35,12 @@ class LoopParams:
     v_interaction: float = 0.0
 
     def __post_init__(self):
-        for name in ("length", "hbar", "mass"):
-            if not getattr(self, name) > 0:
-                raise UnsupportedConfigurationError(f"{name} must be positive, got {getattr(self, name)!r}")
+        for name in ("length", "hbar", "mass", "barrier", "v_interaction"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise UnsupportedConfigurationError(f"{name} must be finite, got {value!r}")
+            if name in ("length", "hbar", "mass") and not value > 0:
+                raise UnsupportedConfigurationError(f"{name} must be positive, got {value!r}")
         if self.barrier_position is not None and not (0 <= self.barrier_position <= self.length):
             raise UnsupportedConfigurationError(
                 f"barrier position must lie on the loop [0, {self.length}], got {self.barrier_position!r}"
@@ -95,6 +98,9 @@ def _barrier_levels(params: LoopParams, phis: np.ndarray, k_max: int, n_levels: 
     """
     if k_max < 1:
         raise UnsupportedConfigurationError(f"k_max must be >= 1, got {k_max}")
+    bad = phis[~np.isfinite(phis)]
+    if bad.size:
+        raise UnsupportedConfigurationError(f"phase twists must be finite, got {bad[0]}")
     dim = 2 * k_max + 1
     n_levels = dim if n_levels is None else n_levels
     if not 1 <= n_levels <= dim:

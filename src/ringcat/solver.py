@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .basis import FockBasis, quasimomentum_labels
+from .basis import FockBasis
 from .errors import NumericalContractError, UnsupportedConfigurationError
 from .hamiltonians import HermitianOperator, ModelParams, _hermitian, flow_sweep
 from .util import write_csv
@@ -36,22 +36,46 @@ class EigenResult:
 
 
 def eigensolve(operator: HermitianOperator | np.ndarray, n_levels: int | None = None) -> EigenResult:
-    """Full dense Hermitian diagonalization, optionally truncated to ``n_levels``.
+    """Dense Hermitian diagonalization, truncated to the lowest ``n_levels`` (all by default).
 
-    Raises a numerical-contract error for non-Hermitian input, and verifies
-    the residual and orthonormality guarantees on the returned pairs.  Real
-    symmetric input is solved in real arithmetic and gives real vectors.
+    An operator is solved one block of ``operator.sectors`` at a time, after
+    checking that it does not couple them; the levels of the blocks are
+    merged in the order (energy, block, index within the block) and embedded
+    in the full basis.  Raises a numerical-contract error for non-Hermitian
+    input, and verifies the residual and orthonormality guarantees on the
+    returned pairs.  Real symmetric input is solved in real arithmetic and
+    gives real vectors.
     """
     if isinstance(operator, HermitianOperator):
-        matrix, basis, params = operator.matrix, operator.basis, operator.params
+        matrix, basis, params, sectors = operator.matrix, operator.basis, operator.params, operator.sectors
     else:
-        matrix, basis, params = _hermitian(operator), None, None
-    energies, vectors = _checked_eigh(matrix, n_levels)
+        matrix, basis, params, sectors = _hermitian(operator), None, None, None
+    dim = matrix.shape[0]
+    n_levels = dim if n_levels is None else n_levels
+    if not 1 <= n_levels <= dim:
+        raise UnsupportedConfigurationError(f"n_levels must be in [1, {dim}], got {n_levels}")
+    if sectors is None or len(sectors) == 1:
+        energies, vectors = _checked_eigh(matrix, n_levels)
+        return EigenResult(energies=energies, vectors=vectors, basis=basis, params=params)
+
+    block_of = np.empty(dim, dtype=np.intp)
+    for b, members in enumerate(sectors):
+        block_of[members] = b
+    leak = np.max(np.abs(matrix[block_of[:, None] != block_of[None, :]]), initial=0.0)
+    if leak > operator.hermitian_atol:
+        raise NumericalContractError(f"operator couples its sectors: max |H_kk'| = {leak:.3e}")
+    solved = [_checked_eigh(matrix[np.ix_(members, members)], n_levels) for members in sectors]
+    levels = sorted((float(e), b, i) for b, (energies, _) in enumerate(solved) for i, e in enumerate(energies))
+    chosen = levels[:n_levels]
+    vectors = np.zeros((dim, n_levels), dtype=matrix.dtype)
+    for column, (_, b, i) in enumerate(chosen):
+        vectors[sectors[b], column] = solved[b][1][:, i]
+    energies = np.array([e for e, _, _ in chosen])
     return EigenResult(energies=energies, vectors=vectors, basis=basis, params=params)
 
 
-def _checked_eigh(matrix: np.ndarray, n_levels: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """``eigh`` of an exactly Hermitian matrix, truncated to the lowest ``n_levels``
+def _checked_eigh(matrix: np.ndarray, n_levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """``eigh`` of an exactly Hermitian matrix, truncated to at most the lowest ``n_levels``
     pairs.  Residual and orthonormality are checked on the returned pairs; the sum
     rules sum e = tr H and sum e^2 = |H|_F^2 check every level, discarded ones too."""
     energies, vectors = np.linalg.eigh(matrix)
@@ -61,10 +85,7 @@ def _checked_eigh(matrix: np.ndarray, n_levels: int | None) -> tuple[np.ndarray,
     square_defect = abs(np.sum(energies**2) - frobenius) / max(frobenius, 1e-300)
     if max(trace_defect, square_defect) > RESIDUAL_RTOL:
         raise NumericalContractError(f"eigenvalue sum rules broken: defects {trace_defect:.3e}, {square_defect:.3e}")
-    if n_levels is not None:
-        n_levels = min(int(n_levels), len(energies))
-        energies = energies[:n_levels]
-        vectors = vectors[:, :n_levels]
+    energies, vectors = energies[:n_levels], vectors[:, :n_levels]
     residual = np.max(np.abs(matrix @ vectors - vectors * energies))
     if residual > RESIDUAL_RTOL * scale:
         raise NumericalContractError(f"eigenpair residual {residual:.3e} exceeds {RESIDUAL_RTOL} * |H|")
@@ -73,54 +94,6 @@ def _checked_eigh(matrix: np.ndarray, n_levels: int | None) -> tuple[np.ndarray,
     if ortho > ORTHONORMALITY_ATOL:
         raise NumericalContractError(f"eigenvector orthonormality defect {ortho:.3e}")
     return energies, vectors
-
-
-def sector_eigensolve(operator: HermitianOperator, n_levels: int) -> EigenResult:
-    """Lowest ``n_levels`` of a flow-basis operator that conserves quasi-momentum.
-
-    With equal tunnelling the flow Hamiltonian is block-diagonal in the label
-    k = (n_beta + 2 n_gamma) mod 3.  Each block gets the residual and
-    orthonormality checks of ``eigensolve``; the lowest levels over the
-    blocks are merged in the order (energy, k, index within the block) and
-    embedded in the full flow basis.  Raises a numerical-contract error if
-    the operator couples blocks.
-    """
-    basis = operator.basis
-    if basis.interpretation != "flow":
-        raise UnsupportedConfigurationError("the sector solve expects a flow-basis operator")
-    h = operator.matrix
-    labels = quasimomentum_labels(basis)
-    leak = np.max(np.abs(h[labels[:, None] != labels[None, :]]), initial=0.0)
-    if leak > operator.hermitian_atol:
-        raise NumericalContractError(f"operator couples quasi-momentum sectors: max |H_kk'| = {leak:.3e}")
-
-    n_levels = max(1, min(int(n_levels), basis.dimension))
-    blocks = {}
-    candidates = []
-    for k in range(3):
-        members = np.flatnonzero(labels == k)
-        if members.size == 0:
-            continue
-        energies, vectors = _checked_eigh(h[np.ix_(members, members)], n_levels)
-        blocks[k] = (members, vectors)
-        candidates += [(float(e), k, i) for i, e in enumerate(energies)]
-    chosen = sorted(candidates)[:n_levels]
-
-    vectors = np.zeros((basis.dimension, n_levels), dtype=h.dtype)
-    for column, (_, k, i) in enumerate(chosen):
-        members, block_vectors = blocks[k]
-        vectors[members, column] = block_vectors[:, i]
-    energies = np.array([e for e, _, _ in chosen])
-    return EigenResult(energies=energies, vectors=vectors, basis=basis, params=operator.params)
-
-
-def _lowest(operator: HermitianOperator, n_levels: int) -> EigenResult:
-    """Lowest levels: by quasi-momentum block for a flow operator with equal
-    tunnelling, by one dense solve otherwise."""
-    params = operator.params
-    if operator.basis.interpretation == "flow" and params is not None and params.equal_j:
-        return sector_eigensolve(operator, n_levels)
-    return eigensolve(operator, n_levels=n_levels)
 
 
 @dataclass
@@ -157,7 +130,7 @@ def spectrum_sweep(
     dim = sweep.basis.dimension
     if not 1 <= n_levels <= dim:
         raise UnsupportedConfigurationError(f"n_levels must be in [1, {dim}] for n={params.n}, got {n_levels}")
-    levels = [_lowest(sweep.at(phi), n_levels).energies for phi in phis]
+    levels = [eigensolve(sweep.at(phi), n_levels).energies for phi in phis]
     return SpectrumTable(
         phis=phis, n_levels=n_levels, energies=np.array(levels), params=params
     )

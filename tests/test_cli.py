@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import os
 import re
 import shlex
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -189,6 +191,25 @@ def test_loop_csv(tmp_path):
     assert len(lines) == 2 + 5 * 2
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--phi", "nan"), ("--barrier", "nan"), ("--barrier", "inf"), ("--phi", "inf"), ("--length", "inf")]
+)
+def test_loop_rejects_non_finite_inputs_without_hanging(flag, value, tmp_path):
+    """Each run is a child process with a timeout: a NaN bracket would keep
+    the bisection from ending, and infinities would write rows of inf or nan."""
+    out = tmp_path / "loop.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "ringcat.cli", "loop", flag, value, "--kmax", "4", "--out", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])},
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "must be finite" in proc.stderr
+    assert not out.exists()
+
+
 def test_thread_count_does_not_change_output(tmp_path):
     """Each CSV row of a scan equals the row of a one-point run at that
     offset, for equal and unequal bonds."""
@@ -291,3 +312,10 @@ def test_readme_examples_run(tmp_path, monkeypatch):
     assert len(commands) >= 6
     for line in commands:
         assert run_cli(shlex.split(line, comments=True)[1:]) == 0, line
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (block,) = readme_blocks("python")
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out

@@ -299,3 +299,25 @@ def test_unequal_tunnelling_couples_quasimomentum_sectors():
         if quasimomentum_sector(occupations[i]) != quasimomentum_sector(occupations[j])
     )
     assert cross > 1e-2
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_sectors_are_quasimomentum_blocks_only_for_equal_bond_flow_operators(n):
+    equal, unequal = ModelParams(n=n, u=0.1), ModelParams(n=n, j=(1.0, 0.8, 1.2), u=0.1)
+    flow = flow_sweep(equal).at(0.7)
+    dim = flow.dimension
+    whole = [
+        build_site_hamiltonian(equal),
+        flow_sweep(unequal).at(0.7),
+        HermitianOperator(flow.matrix, flow.basis),
+    ]
+    for op in whole:
+        (block,) = op.sectors
+        np.testing.assert_array_equal(block, np.arange(dim))
+
+    blocks = flow.sectors
+    assert len(blocks) == 3
+    np.testing.assert_array_equal(np.sort(np.concatenate(blocks)), np.arange(dim))
+    for k, block in enumerate(blocks):
+        assert np.all(np.diff(block) > 0)
+        assert [quasimomentum_sector(flow.basis.states[i]) for i in block] == [k] * len(block)

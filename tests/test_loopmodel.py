@@ -329,3 +329,18 @@ def test_spectrum_exactly_independent_of_barrier_position():
 def test_sweep_rejects_an_empty_plane_wave_cutoff():
     with pytest.raises(UnsupportedConfigurationError):
         loop_sweep(LoopParams(barrier=0.1), [0.0, 1.0], k_max=0)
+
+
+@pytest.mark.parametrize("name", ["length", "hbar", "mass", "barrier", "v_interaction"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_params_reject_non_finite_values(name, value):
+    with pytest.raises(UnsupportedConfigurationError, match=f"{name} must be finite"):
+        LoopParams(**{name: value})
+
+
+@pytest.mark.parametrize("phi", [math.inf, -math.inf])
+def test_levels_reject_non_finite_phases(phi):
+    # NaN phases are tested in a child process with a timeout (test_cli.py):
+    # a bisection on NaN brackets would never end and would hang the suite here.
+    with pytest.raises(UnsupportedConfigurationError, match="phase twists must be finite"):
+        loop_sweep(LoopParams(barrier=0.1), [0.0, phi], k_max=4)

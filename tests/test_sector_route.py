@@ -1,7 +1,7 @@
 """Differential test: the flow route against the dense site oracle.
 
 Ground states and spectra come from the flow Hamiltonian (``flow_sweep``),
-solved by quasi-momentum block (``sector_eigensolve``) with equal tunnelling
+solved by ``eigensolve`` one quasi-momentum block at a time with equal tunnelling
 and whole with unequal bonds.  The oracle is a dense solve of the whole site
 Hamiltonian, ``eigensolve(build_site_hamiltonian)``.
 """

@@ -18,7 +18,6 @@ from ringcat import (
     flow_hamiltonian_by_conjugation,
     flow_sweep,
     quasimomentum_labels,
-    sector_eigensolve,
     spectrum_sweep,
 )
 
@@ -104,11 +103,7 @@ def test_sweep_is_deterministic_across_thread_counts():
     ):
         table = spectrum_sweep(params, phis, n_levels=4)
         for phi, row in zip(phis, table.energies):
-            p = params.with_phi(phi)
-            if p.equal_j:
-                point = sector_eigensolve(flow_sweep(p).at(phi), n_levels=4)
-            else:
-                point = eigensolve(flow_sweep(p).at(phi), n_levels=4)
+            point = eigensolve(flow_sweep(params.with_phi(phi)).at(phi), n_levels=4)
             np.testing.assert_array_equal(row, point.energies)
 
 
@@ -138,7 +133,7 @@ def test_minimum_gap_sits_at_the_crossing_phase():
 
 def test_sector_solve_embeds_block_vectors_in_the_flow_basis():
     op = flow_sweep(ModelParams(n=6, u=0.3)).at(2.0)
-    result = sector_eigensolve(op, n_levels=4)
+    result = eigensolve(op, n_levels=4)
     assert result.vectors.dtype == np.float64
     assert result.basis is op.basis
     np.testing.assert_allclose(result.energies, np.linalg.eigvalsh(op.matrix)[:4], atol=1e-12)
@@ -150,19 +145,32 @@ def test_sector_solve_embeds_block_vectors_in_the_flow_basis():
 
 def test_sector_solve_breaks_ties_by_sector_then_block_index():
     basis = enumerate_fock(2, "flow")
-    op = HermitianOperator(np.zeros((basis.dimension, basis.dimension)), basis)
-    result = sector_eigensolve(op, n_levels=3)
+    op = HermitianOperator(np.zeros((basis.dimension, basis.dimension)), basis, ModelParams(n=2))
+    result = eigensolve(op, n_levels=3)
     np.testing.assert_array_equal(result.energies, 0.0)
     picked = [basis.states[int(np.argmax(np.abs(v)))] for v in result.vectors.T]
     assert picked == [(2, 0, 0), (0, 1, 1), (1, 1, 0)]  # k = 0, 0, 1
 
 
 def test_sector_solve_rejects_operators_that_couple_sectors():
-    op = flow_hamiltonian_by_conjugation(ModelParams(n=3, j=(1.0, 0.8, 1.2), u=0.1, phi=0.4))
-    with pytest.raises(NumericalContractError):
-        sector_eigensolve(op, n_levels=2)
-    with pytest.raises(UnsupportedConfigurationError):
-        sector_eigensolve(build_site_hamiltonian(ModelParams(n=3, u=0.1)), n_levels=2)
+    """An operator declared to conserve quasi-momentum (equal bonds) whose
+    matrix couples the sectors fails the leak scan."""
+    unequal = flow_hamiltonian_by_conjugation(ModelParams(n=3, j=(1.0, 0.8, 1.2), u=0.1, phi=0.4))
+    op = HermitianOperator(unequal.matrix, unequal.basis, ModelParams(n=3, u=0.1, phi=0.4))
+    assert len(op.sectors) == 3
+    with pytest.raises(NumericalContractError, match="couples its sectors"):
+        eigensolve(op, n_levels=2)
+
+
+def test_eigensolve_rejects_level_counts_outside_one_to_the_dimension():
+    """A bare matrix and an operator solved by sector share one contract."""
+    op = flow_sweep(ModelParams(n=3, u=0.1)).at(1.0)
+    assert len(op.sectors) == 3
+    for operator, dim in ((np.diag([3.0, -1.0, 2.0, 0.5]), 4), (op, op.dimension)):
+        for n_levels in (0, -1, dim + 1):
+            with pytest.raises(UnsupportedConfigurationError, match=rf"n_levels must be in \[1, {dim}\], got {n_levels}"):
+                eigensolve(operator, n_levels=n_levels)
+        assert eigensolve(operator, n_levels=dim).energies.size == dim
 
 
 def _random_hermitian(dim: int, seed: int) -> np.ndarray:
