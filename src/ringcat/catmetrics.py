@@ -16,14 +16,14 @@ from typing import Sequence
 import numpy as np
 
 from .basis import FockBasis, embed_single_flow
-from .effective import effective_point
+from .effective import default_flow_targets, effective_point
 from .errors import NumericalContractError
 from .hamiltonians import HermitianOperator, ModelParams, flow_sweep
 from .solver import eigensolve
 from .util import write_csv
 
 #: Offsets smaller than this are treated as sitting exactly on the crossing,
-#: where the two lowest levels are quasi-degenerate.
+#: where the two lowest levels are split only by 2|v01|.
 CROSSING_DPHI_ATOL = 1e-12
 
 
@@ -45,10 +45,9 @@ def _pair_projections(states: np.ndarray, basis: FockBasis) -> np.ndarray:
     In the flow basis they are the two entries themselves; in the site basis
     they are projections onto the embedded flow states.
     """
-    n = basis.n
     if basis.interpretation == "flow":
-        return states[[basis.index((n, 0, 0)), basis.index((0, n, 0))]]
-    pair = np.vstack([embed_single_flow(n, 0), embed_single_flow(n, 1)])
+        return states[list(default_flow_targets(basis))]
+    pair = np.vstack([embed_single_flow(basis.n, 0), embed_single_flow(basis.n, 1)])
     return pair.conj() @ states
 
 
@@ -93,12 +92,15 @@ def cat_amplitudes(state: Sequence[complex], basis: FockBasis) -> CatMetrics:
 
 
 def crossing_pair_state(vectors: np.ndarray, basis: FockBasis) -> np.ndarray:
-    """Combination of two quasi-degenerate vectors maximising the cat weight.
+    """Combination of two vectors maximising the cat weight |a0|^2 + |a1|^2.
 
-    On the crossing the solver may return an arbitrary basis of the lowest
-    two-dimensional subspace; the metrics are evaluated on the combination
-    that maximises |a0|^2 + |a1|^2, i.e. the top eigenvector of the 2x2 Gram
-    matrix of the projections onto the cat pair.
+    It is the top eigenvector of the 2x2 Gram matrix of the projections onto
+    the cat pair.  On the crossing the two lowest levels are distinct
+    eigenstates split by 2|v01|.  For the contact interaction with equal
+    bonds, swapping the two flow modes is then a symmetry, each level has
+    a1 = +-a0 and the Gram matrix is diagonal, so the combination is the
+    level with the larger pair weight: at N = 3, 6, 9 and U/J = 0.1 that is
+    the first excited level, not the ground one.
     """
     a = _pair_projections(vectors, basis)  # (2, n_vectors)
     gram = a.conj().T @ a
@@ -148,7 +150,9 @@ def ground_cat_metrics(
 
     The state is the ground state of ``operator`` if given and of the flow
     Hamiltonian at pi + dphi otherwise; with equal tunnelling it comes from
-    the quasi-momentum blocks of the flow Hamiltonian.
+    the quasi-momentum blocks of the flow Hamiltonian.  For |dphi| <=
+    ``CROSSING_DPHI_ATOL`` it is ``crossing_pair_state`` of the two lowest
+    levels, which may be the first excited level.
     """
     if operator is None:
         operator = flow_sweep(params).at(math.pi + dphi)

@@ -1,15 +1,9 @@
 """Command-line interface: CSV sweeps of the ring and loop models.
 
-Subcommands::
-
-    spectrum   lowest ring levels over a grid of phase twists
-    catscan    cat metrics of the exact ground state near the crossing
-    effective  two-level machinery (detuning, coupling, predicted levels)
-    paths      coupling paths between |N,0,0> and |0,N,0>
-    loop       continuum loop levels with a delta barrier
-
-Each subcommand takes only the options it reads (``COMMANDS``), plus
-``--out`` and ``--config``; any other flag is an argparse error.  A flat
+``OPTIONS`` decides each option's type, default, help and least value once.
+``COMMANDS`` lists the subcommands (spectrum, catscan, effective, paths,
+loop), the options each reads besides ``--out`` and ``--config``, and the
+defaults each sets differently; any other flag is an argparse error.  A flat
 ``key = value`` config file may set the same options (a key the subcommand
 does not read is a config error); flags override file entries.  Exit codes:
 0 success, 2 configuration error, 3 numerical-contract failure.
@@ -20,7 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,63 +31,85 @@ from .hamiltonians import ModelParams, flow_sweep
 from .catmetrics import catscan
 from .loopmodel import LoopParams, loop_sweep
 from .solver import spectrum_sweep
-from .util import format_float, write_csv
+from .util import format_value, write_csv
 
-TWO_PI = 2.0 * math.pi
 
-#: Per-command defaults for the phase grids and level counts.
-DEFAULT_PHI_GRID = f"0:{TWO_PI!r}:81"
-DEFAULT_DPHI_GRID = "-0.4:0.4:81"
-DEFAULT_U_OVER_J = 0.1
+class Option(NamedTuple):
+    """An option's type, default (None when it has none, or when
+    ``resolve_options`` works it out), help and least allowed value."""
 
-#: Every option once: its type and help.  The flag is ``--`` plus the key
-#: with '_' spelled '-'; the config-file key is the key itself.
-OPTIONS: dict[str, tuple[type, str]] = {
-    "n": (int, "number of atoms (default 3)"),
-    "u": (float, "contact interaction strength U"),
-    "u0": (float, "dipolar on-site strength U0 (enables the dipolar interaction)"),
-    "u1": (float, "dipolar pair-exchange strength U1 (enables the dipolar interaction)"),
-    "u_over_j": (float, f"set U as a multiple of J1 (default {DEFAULT_U_OVER_J})"),
-    "j": (str, "tunnelling J or J1,J2,J3 (default 1)"),
-    "phi": (str, "phase grid start:stop:count, or one value"),
-    "dphi": (str, "offset-from-pi grid start:stop:count, or one value"),
-    "levels": (int, "number of levels to emit"),
-    "max_order": (int, "maximum number of intermediate states per path (default 6)"),
-    "length": (float, "loop circumference (default 1)"),
-    "barrier": (float, "delta-barrier strength (default 0.1)"),
-    "kmax": (int, "plane-wave cutoff (default 12)"),
-    "out": (str, "output CSV path (default <command>.csv)"),
-    "config": (str, "flat key = value config file"),
+    kind: type
+    default: object
+    help: str
+    minimum: int | None = None
+
+
+#: Every option once.  The flag is ``--`` plus the key with '_' spelled '-';
+#: the config-file key is the key itself.
+OPTIONS: dict[str, Option] = {
+    "n": Option(int, 3, "number of atoms", minimum=1),
+    "u": Option(float, None, "contact interaction strength U; without it U = u_over_j * J1"),
+    "u0": Option(float, 0.0, "dipolar on-site strength U0; giving it enables the dipolar interaction"),
+    "u1": Option(float, 0.0, "dipolar pair-exchange strength U1; giving it enables the dipolar interaction"),
+    "u_over_j": Option(float, 0.1, "set U as a multiple of J1"),
+    "j": Option(str, "1", "tunnelling J or J1,J2,J3"),
+    "phi": Option(str, f"0:{2.0 * math.pi!r}:81", "phase grid start:stop:count, or one value"),
+    "dphi": Option(str, "-0.4:0.4:81", "offset-from-pi grid start:stop:count, or one value"),
+    "levels": Option(int, 6, "number of levels to emit", minimum=1),
+    "max_order": Option(int, 6, "maximum number of intermediate states per path", minimum=0),
+    "length": Option(float, 1.0, "loop circumference"),
+    "barrier": Option(float, 0.1, "delta-barrier strength"),
+    "kmax": Option(int, 12, "plane-wave cutoff"),
+    "out": Option(str, None, "output CSV path"),
+    "config": Option(str, None, "flat key = value config file"),
 }
 
 RING_OPTIONS = ("n", "u", "u0", "u1", "u_over_j", "j")
 
-#: Each subcommand: its help, its default grid and the options it reads
-#: besides ``out`` and ``config``.
-COMMANDS: dict[str, tuple[str, str, tuple[str, ...]]] = {
-    "spectrum": ("sweep the lowest ring levels over phase twists", DEFAULT_PHI_GRID, RING_OPTIONS + ("phi", "levels")),
-    "catscan": ("cat metrics of the exact ground state near the crossing", DEFAULT_DPHI_GRID, RING_OPTIONS + ("dphi",)),
-    "effective": ("two-level detuning/coupling report near the crossing", DEFAULT_DPHI_GRID, RING_OPTIONS + ("dphi",)),
-    "paths": ("coupling paths between the zero-flow and one-flow states", repr(math.pi), RING_OPTIONS + ("phi", "max_order")),
-    "loop": ("continuum loop levels with a delta barrier", DEFAULT_PHI_GRID, ("phi", "levels", "length", "barrier", "kmax")),
+#: Each subcommand: its help, the options it reads besides ``out`` and
+#: ``config``, and the defaults it sets differently from ``OPTIONS``.
+COMMANDS: dict[str, tuple[str, tuple[str, ...], dict[str, object]]] = {
+    "spectrum": ("sweep the lowest ring levels over phase twists", RING_OPTIONS + ("phi", "levels"), {}),
+    "catscan": ("cat metrics of the exact ground state near the crossing", RING_OPTIONS + ("dphi",), {}),
+    "effective": ("two-level detuning/coupling report near the crossing", RING_OPTIONS + ("dphi",), {}),
+    "paths": ("coupling paths between the zero-flow and one-flow states", RING_OPTIONS + ("phi", "max_order"), {"phi": repr(math.pi)}),
+    "loop": ("continuum loop levels with a delta barrier", ("phi", "levels", "length", "barrier", "kmax"), {"levels": 4}),
 }
+
+#: The keys of a resolved config, in the order its CSV comment lists them.
+RECORDED = ("command", "n", "j", "u", "u0", "u1", "dipolar", "length", "barrier", "kmax",
+            "phi", "dphi", "levels", "max_order", "out")
+
+
+def command_defaults(command: str) -> dict[str, object]:
+    """Each option of ``command`` at its default; ``out`` defaults to ``<command>.csv``."""
+    _, keys, own = COMMANDS[command]
+    return {**{key: OPTIONS[key].default for key in keys}, "out": f"{command}.csv", **own}
+
+
+def _text(value) -> str:
+    """A recorded value as the CSV comment and the help spell it."""
+    return ",".join(map(format_value, value)) if isinstance(value, tuple) else format_value(value)
 
 
 def parse_grid(text: str, key: str) -> np.ndarray:
     """Parse ``start:stop:count`` (inclusive linspace) or a single number."""
     try:
-        if ":" in text:
-            parts = text.split(":")
-            if len(parts) != 3:
-                raise ValueError("expected start:stop:count")
-            start, stop = float(parts[0]), float(parts[1])
-            count = int(parts[2])
-            if count < 1:
-                raise ValueError("count must be >= 1")
-            if start > stop:
-                raise ValueError("start must not exceed stop")
-            return np.linspace(start, stop, count)
-        return np.array([float(text)])
+        parts = text.split(":")
+        if len(parts) not in (1, 3):
+            raise ValueError("expected start:stop:count")
+        values = [float(v) for v in parts[:2]]
+        if not all(map(math.isfinite, values + [values[-1] - values[0]])):
+            raise ValueError("start, stop, stop - start and a single value must be finite")
+        if len(parts) == 1:
+            return np.array(values)
+        start, stop = values
+        count = int(parts[2])
+        if count < 1:
+            raise ValueError("count must be >= 1")
+        if start > stop:
+            raise ValueError("start must not exceed stop")
+        return np.linspace(start, stop, count)
     except ValueError as exc:
         raise ConfigError(f"invalid grid for '{key}': {text!r} ({exc})") from None
 
@@ -113,7 +129,7 @@ def parse_tunnelling(text: str) -> tuple[float, float, float]:
 
 def load_config_file(path: str, command: str) -> dict[str, object]:
     """Read a flat ``key = value`` file of ``command``'s options; '#' starts a comment."""
-    keys = COMMANDS[command][2] + ("out",)
+    keys = COMMANDS[command][1] + ("out",)
     values: dict[str, object] = {}
     try:
         with open(path) as fh:
@@ -134,7 +150,7 @@ def load_config_file(path: str, command: str) -> dict[str, object]:
         if not value:
             raise ConfigError(f"{path}:{lineno}: empty value for key {key!r}")
         try:
-            values[key] = OPTIONS[key][0](value)
+            values[key] = OPTIONS[key].kind(value)
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: invalid value for {key!r}: {value!r}") from None
     return values
@@ -146,70 +162,48 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cat states of superfluid flow in a phase-twisted three-site ring.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (description, _, keys) in COMMANDS.items():
+    for name, (description, keys, _) in COMMANDS.items():
         p = sub.add_parser(name, help=description)
+        defaults = command_defaults(name)
         for key in keys + ("out", "config"):
-            kind, text = OPTIONS[key]
-            p.add_argument("--" + key.replace("_", "-"), dest=key, type=kind, help=text)
+            option, default = OPTIONS[key], defaults.get(key)
+            text = option.help if default is None else f"{option.help} (default {_text(default)})"
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=option.kind, help=text)
     return parser
 
 
 def resolve_options(args: argparse.Namespace) -> dict:
-    """Merge defaults, config file and flags (flags win) into typed options."""
+    """Merge ``command_defaults``, the config file and the flags (each overriding
+    the one before), check least values, derive U and dipolar, parse the grid."""
     command = args.command
-    _, default_grid, keys = COMMANDS[command]
-    merged = load_config_file(args.config, command) if args.config else {}
-    merged.update((key, getattr(args, key)) for key in keys + ("out",) if getattr(args, key) is not None)
-    opts: dict[str, object] = {"command": command}
-
-    if "n" in keys:
-        if "u" in merged and "u_over_j" in merged:
-            raise ConfigError("'u' and 'u_over_j' are mutually exclusive; give one of them")
-        j = parse_tunnelling(merged.get("j", "1"))
-        n = merged.get("n", 3)
-        if n < 1:
-            raise ConfigError(f"'n' must be >= 1, got {n}")
-        opts.update(
-            n=n,
-            j=j,
-            u=merged["u"] if "u" in merged else merged.get("u_over_j", DEFAULT_U_OVER_J) * j[0],
-            u0=merged.get("u0", 0.0),
-            u1=merged.get("u1", 0.0),
-            dipolar="u0" in merged or "u1" in merged,
-        )
-
-    grid_key = "dphi" if "dphi" in keys else "phi"
-    opts["grid_key"] = grid_key
-    opts["grid_text"] = merged.get(grid_key, default_grid)
-    opts["grid"] = parse_grid(opts["grid_text"], grid_key)
-
-    if "levels" in keys:
-        opts["levels"] = merged.get("levels", 4 if command == "loop" else 6)
-        if opts["levels"] < 1:
-            raise ConfigError(f"'levels' must be >= 1, got {opts['levels']}")
-    if "max_order" in keys:
-        opts["max_order"] = merged.get("max_order", 6)
-        if opts["max_order"] < 0:
-            raise ConfigError(f"'max_order' must be >= 0, got {opts['max_order']}")
-    if "kmax" in keys:
-        opts.update(
-            length=merged.get("length", 1.0),
-            barrier=merged.get("barrier", 0.1),
-            kmax=merged.get("kmax", 12),
-        )
-    opts["out"] = merged.get("out", f"{command}.csv")
+    keys = COMMANDS[command][1]
+    given = load_config_file(args.config, command) if args.config else {}
+    given.update((key, getattr(args, key)) for key in keys + ("out",) if getattr(args, key) is not None)
+    if "u" in given and "u_over_j" in given:
+        raise ConfigError("'u' and 'u_over_j' are mutually exclusive; give one of them")
+    opts = {"command": command, **command_defaults(command), **given}
+    for key in keys:
+        minimum = OPTIONS[key].minimum
+        if minimum is not None and opts[key] < minimum:
+            raise ConfigError(f"'{key}' must be >= {minimum}, got {opts[key]}")
+    if "j" in opts:
+        opts["j"] = parse_tunnelling(opts["j"])
+        if opts["u"] is None:
+            opts["u"] = opts["u_over_j"] * opts["j"][0]
+        opts["dipolar"] = "u0" in given or "u1" in given
+    grid_key = "dphi" if "dphi" in opts else "phi"
+    opts["grid"] = parse_grid(opts[grid_key], grid_key)
     return opts
 
 
 def model_params(opts: dict) -> ModelParams:
-    phi0 = float(opts["grid"][0]) if opts["grid_key"] == "phi" else math.pi
     return ModelParams(
         n=opts["n"],
         j=opts["j"],
         u=opts["u"],
         u0=opts["u0"],
         u1=opts["u1"],
-        phi=phi0,
+        phi=float(opts["grid"][0]) if "phi" in opts else math.pi,
         dipolar=opts["dipolar"],
     )
 
@@ -221,30 +215,7 @@ def config_comment(opts: dict) -> str:
     configs produce identical files: each command builds its operator once
     per run and solves one phase point after another.
     """
-    parts = [f"command={opts['command']}"]
-    if opts["command"] == "loop":
-        parts += [
-            f"length={format_float(opts['length'])}",
-            f"barrier={format_float(opts['barrier'])}",
-            f"kmax={opts['kmax']}",
-        ]
-    else:
-        parts += [
-            f"n={opts['n']}",
-            "j=" + ",".join(format_float(v) for v in opts["j"]),
-            f"u={format_float(opts['u'])}",
-            f"u0={format_float(opts['u0'])}",
-            f"u1={format_float(opts['u1'])}",
-            f"dipolar={opts['dipolar']}",
-        ]
-    parts.append(f"{opts['grid_key']}={opts['grid_text']}")
-    parts += [f"{key}={opts[key]}" for key in ("levels", "max_order") if key in opts]
-    parts.append(f"out={opts['out']}")
-    return " ".join(parts)
-
-
-def _occupation_label(occ) -> str:
-    return "-".join(str(v) for v in occ)
+    return " ".join(f"{key}={_text(opts[key])}" for key in RECORDED if key in opts)
 
 
 def run_paths(opts: dict) -> str:
@@ -253,7 +224,7 @@ def run_paths(opts: dict) -> str:
     targets = default_flow_targets(operator.basis)
     elimination = lowdin_coupling(operator)
     graph = build_coupling_graph(operator)
-    labels = [_occupation_label(occ) for occ in operator.basis.states]
+    labels = ["-".join(map(str, occ)) for occ in operator.basis.states]
     rows = []
     total = 0j
     paths = weighted_paths(graph, targets, elimination.lam, opts["max_order"])
@@ -298,14 +269,11 @@ def run(opts: dict) -> str:
 def _normalise_argv(tokens: list[str]) -> list[str]:
     """Join grid flags with their values so ``--dphi -0.4:0.4:81`` parses."""
     out: list[str] = []
-    i = 0
-    while i < len(tokens):
-        if tokens[i] in ("--phi", "--dphi") and i + 1 < len(tokens):
-            out.append(f"{tokens[i]}={tokens[i + 1]}")
-            i += 2
+    for token in tokens:
+        if out and out[-1] in ("--phi", "--dphi"):
+            out[-1] += "=" + token
         else:
-            out.append(tokens[i])
-            i += 1
+            out.append(token)
     return out
 
 

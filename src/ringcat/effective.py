@@ -25,7 +25,7 @@ from .errors import (
     NearResonantIntermediateError,
     UnsupportedConfigurationError,
 )
-from .hamiltonians import HermitianOperator, ModelParams, _hermitian, flow_sweep
+from .hamiltonians import HermitianOperator, ModelParams, _flow_interaction_coefficients, _hermitian, flow_sweep
 from .util import write_csv
 
 #: An eliminated state closer to the working energy than this (relative to the
@@ -487,11 +487,13 @@ def effective_point(
 
     The coupling and the centre energy E0 come from exact elimination at the
     working phase, in ``operator`` (the flow Hamiltonian at pi + dphi) when it
-    is given and in a newly built one otherwise; the detuning uses the
-    analytic eps(phi), so equal tunnelling is required.
+    is given and in a newly built one otherwise.  The detuning is eps(phi),
+    which needs equal tunnelling, plus half the self-energy gap of the
+    targets, (c_0 - c_1) N (N - 1), which is zero for the contact interaction.
     """
     phi = math.pi + dphi
-    eps = epsilon_of_phi(params, phi)
+    c_self = _flow_interaction_coefficients(params)[0]
+    eps = epsilon_of_phi(params, phi) + (c_self[0] - c_self[1]) * params.n * (params.n - 1) / 2.0
     if operator is None:
         operator = flow_sweep(params).at(phi)
     result = lowdin_coupling(operator)

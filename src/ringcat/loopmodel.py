@@ -41,6 +41,12 @@ class LoopParams:
                 raise UnsupportedConfigurationError(f"{name} must be finite, got {value!r}")
             if name in ("length", "hbar", "mass") and not value > 0:
                 raise UnsupportedConfigurationError(f"{name} must be positive, got {value!r}")
+        try:
+            c = self.c_energy
+        except OverflowError:
+            c = math.inf
+        if not (math.isfinite(c) and c > 0):
+            raise UnsupportedConfigurationError(f"C = (hbar^2/2m)(2pi/L)^2 must be finite and positive, got {c!r}")
         if self.barrier_position is not None and not (0 <= self.barrier_position <= self.length):
             raise UnsupportedConfigurationError(
                 f"barrier position must lie on the loop [0, {self.length}], got {self.barrier_position!r}"
@@ -113,12 +119,17 @@ def _barrier_levels(params: LoopParams, phis: np.ndarray, k_max: int, n_levels: 
     step = max(1, dim // n_levels)  # at most dim brackets, so each temporary is at most dim x dim
     for start in range(0, len(phis), step):
         shifts = ks - phis[start : start + step, None] / (2.0 * math.pi)
-        a = np.sort(params.c_energy * shifts**2 - rho, axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = np.sort(params.c_energy * shifts**2 - rho, axis=1)
+            # b > 0: a_i <= E_i <= a_{i+1}, the top level below a_top + (b/L) dim; b < 0 mirrors it.
+            edge = a[:, -1:] + rho * dim if rho > 0 else a[:, :1] + rho * dim
+        if not (np.isfinite(a).all() and np.isfinite(edge).all()):
+            raise UnsupportedConfigurationError(
+                "the brackets a_k = C (k - phi/2pi)^2 - b/L and a_k + (b/L)(2 k_max + 1) must be finite"
+            )
         if rho == 0.0:
             levels[start : start + step] = a[:, :n_levels]
             continue
-        # b > 0: a_i <= E_i <= a_{i+1}, the top level below a_top + (b/L) dim; b < 0 mirrors it.
-        edge = a[:, -1:] + rho * dim if rho > 0 else a[:, :1] + rho * dim
         ends = np.hstack([a, edge] if rho > 0 else [edge, a])
         lo, hi = ends[:, :n_levels].flatten(), ends[:, 1 : n_levels + 1].flatten()  # copies: they overlap
         todo = np.arange(lo.size)

@@ -14,8 +14,10 @@ from ringcat import (
     catscan,
     crossing_pair_state,
     effective_point,
+    eigensolve,
     embed_single_flow,
     enumerate_fock,
+    flow_sweep,
     ground_cat_metrics,
     mode_transform_matrix,
 )
@@ -141,6 +143,19 @@ def test_ground_metrics_on_crossing_are_balanced():
     m = ground_cat_metrics(N3_PARAMS, 0.0)
     np.testing.assert_allclose(m.ratio, 1.0, atol=1e-8)
     assert m.captured_norm > 1.0 - 1e-9
+
+
+def test_crossing_row_reports_the_first_excited_level():
+    """On the crossing the row reports the level with the larger pair weight,
+    which for contact N = 6 is the second level: its captured norm, 0.98995,
+    is above the ground level's 0.98181."""
+    params = ModelParams(n=6, j=1.0, u=0.1)
+    row = catscan(params, [0.0]).metrics[0]
+    operator = flow_sweep(params).at(math.pi)
+    vectors = eigensolve(operator, n_levels=2).vectors
+    ground, excited = (cat_amplitudes(vectors[:, i], operator.basis).captured_norm for i in (0, 1))
+    np.testing.assert_allclose(row.captured_norm, excited, atol=1e-9)
+    assert ground < excited - 1e-3
 
 
 def test_ground_metrics_frozen_off_crossing():

@@ -118,6 +118,19 @@ def test_invalid_grid_spec(capsys):
     assert "phi" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", sorted(HELP_FLAGS))
+def test_non_finite_grid_is_a_config_error(command, tmp_path, capsys):
+    """An inf or nan start, stop or single value, or a span that overflows,
+    exits 2 and names the grid."""
+    key = "dphi" if "--dphi" in HELP_FLAGS[command] else "phi"
+    out = tmp_path / "grid.csv"
+    for value in ("inf", "-inf", "nan", "-inf:0:3", "0:inf:3", "nan:0:3", "-1e308:1e308:3"):
+        assert run_cli([command, "--" + key, value, "--out", str(out)]) == 2, value
+        err = capsys.readouterr().err
+        assert f"invalid grid for '{key}'" in err and "must be finite" in err
+    assert not out.exists()
+
+
 def test_descending_grid_rejected(capsys):
     assert run_cli(["spectrum", "--phi", "2:1:5"]) == 2
     assert "start" in capsys.readouterr().err
@@ -192,14 +205,27 @@ def test_loop_csv(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "flag, value", [("--phi", "nan"), ("--barrier", "nan"), ("--barrier", "inf"), ("--phi", "inf"), ("--length", "inf")]
+    "flags",
+    [
+        ("--phi", "nan"),
+        ("--barrier", "nan"),
+        ("--barrier", "inf"),
+        ("--phi", "inf"),
+        ("--length", "inf"),
+        # finite inputs whose kinetic unit C or brackets a_k overflow
+        ("--length", "1e-200"),
+        ("--length", "1e200"),
+        ("--phi", "1e300"),
+        ("--barrier", "1e308", "--length", "1e-10"),
+    ],
+    ids="-".join,
 )
-def test_loop_rejects_non_finite_inputs_without_hanging(flag, value, tmp_path):
+def test_loop_rejects_non_finite_inputs_without_hanging(flags, tmp_path):
     """Each run is a child process with a timeout: a NaN bracket would keep
     the bisection from ending, and infinities would write rows of inf or nan."""
     out = tmp_path / "loop.csv"
     proc = subprocess.run(
-        [sys.executable, "-m", "ringcat.cli", "loop", flag, value, "--kmax", "4", "--out", str(out)],
+        [sys.executable, "-m", "ringcat.cli", "loop", *flags, "--kmax", "4", "--out", str(out)],
         capture_output=True,
         text=True,
         timeout=60,

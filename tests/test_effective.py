@@ -382,6 +382,26 @@ def test_dipolar_report_solves_the_exact_flow_operator():
     np.testing.assert_allclose(report.v01_abs[0], abs(v01), rtol=1e-12)
 
 
+def test_detuning_holds_half_the_self_energy_gap_of_the_targets():
+    """The dipolar detuning adds (c_0 - c_1) N (N - 1) / 2 = U1 N (N - 1) / 2
+    to eps(phi), which puts E_minus next to the exact ground energy (-5.6815 at
+    dphi = 0.05); the contact row, whose gap is zero, keeps its values."""
+    dphi = 0.05
+    dipolar = effective_report(ModelParams(n=6, j=1.0, u0=0.1, u1=0.05, dipolar=True), [dphi])
+    contact = effective_report(ModelParams(n=6, j=1.0, u=0.1), [dphi])
+    np.testing.assert_allclose(
+        next(dipolar.rows()),
+        (dphi, 0.9240303761579068, 0.0012909636174508064, 0.0006985500806067759, -5.740990250780409, -3.892927694859117),
+        rtol=1e-10,
+    )
+    np.testing.assert_allclose(
+        next(contact.rows()),
+        (dphi, 0.17403037615790673, 0.0014864150037194352, 0.0042704840635682875, -5.2098030903894825, -4.8617296426504994),
+        rtol=1e-10,
+    )
+    assert dipolar.eps[0] - contact.eps[0] == pytest.approx(0.05 * 6 * 5 / 2, abs=1e-15)
+
+
 @pytest.mark.parametrize("n", [3, 6])
 def test_predicted_ground_energy_tracks_exact_near_crossing(n):
     """The two-level lower branch stays within 5% of the exact gap of the
