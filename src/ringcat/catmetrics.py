@@ -92,15 +92,15 @@ def cat_amplitudes(state: Sequence[complex], basis: FockBasis) -> CatMetrics:
 
 
 def crossing_pair_state(vectors: np.ndarray, basis: FockBasis) -> np.ndarray:
-    """Combination of two vectors maximising the cat weight |a0|^2 + |a1|^2.
+    """Combination of the columns of ``vectors`` maximising the cat weight |a0|^2 + |a1|^2.
 
-    It is the top eigenvector of the 2x2 Gram matrix of the projections onto
-    the cat pair.  On the crossing the two lowest levels are distinct
-    eigenstates split by 2|v01|.  For the contact interaction with equal
-    bonds, swapping the two flow modes is then a symmetry, each level has
-    a1 = +-a0 and the Gram matrix is diagonal, so the combination is the
-    level with the larger pair weight: at N = 3, 6, 9 and U/J = 0.1 that is
-    the first excited level, not the ground one.
+    It is the top eigenvector of the Gram matrix of the projections onto the
+    cat pair; a single column comes back equal in value.  On the crossing the
+    two lowest levels are distinct eigenstates split by 2|v01|.  For the
+    contact interaction with equal bonds, swapping the two flow modes is then
+    a symmetry, each level has a1 = +-a0 and the Gram matrix is diagonal, so
+    the combination is the level with the larger pair weight: at N = 3, 6, 9
+    and U/J = 0.1 that is the first excited level, not the ground one.
     """
     a = _pair_projections(vectors, basis)  # (2, n_vectors)
     gram = a.conj().T @ a
@@ -117,22 +117,20 @@ class CatScanTable:
     dphis: np.ndarray
     metrics: list[CatMetrics]
     ratio_analytic: np.ndarray
-    params: ModelParams
 
     def rows(self):
-        for i in range(len(self.dphis)):
-            m = self.metrics[i]
+        for dphi, m, analytic in zip(self.dphis.tolist(), self.metrics, self.ratio_analytic.tolist()):
             yield (
                 self.n,
                 self.u_over_j,
-                float(self.dphis[i]),
+                dphi,
                 m.a0.real,
                 m.a0.imag,
                 m.a1.real,
                 m.a1.imag,
                 m.ratio,
                 m.captured_norm,
-                float(self.ratio_analytic[i]),
+                analytic,
             )
 
     def to_csv(self, path, comment: str | None = None) -> None:
@@ -149,19 +147,18 @@ def ground_cat_metrics(
     """Cat metrics of the exact ground state at phase twist pi + dphi.
 
     The state is the ground state of ``operator`` if given and of the flow
-    Hamiltonian at pi + dphi otherwise; with equal tunnelling it comes from
-    the quasi-momentum blocks of the flow Hamiltonian.  For |dphi| <=
+    Hamiltonian at pi + dphi otherwise; with equal tunnelling only its
+    quasi-momentum block is solved, as ``eigensolve`` skips the blocks that a
+    Cholesky factorisation proves hold no requested level.  For |dphi| <=
     ``CROSSING_DPHI_ATOL`` it is ``crossing_pair_state`` of the two lowest
-    levels, which may be the first excited level.
+    levels, which may be the first excited level.  A ground state outside the
+    pair's quasi-momentum sector (dipolar N = 6, dphi = -0.2) gives a0 = a1 = 0,
+    while ``catscan``'s ratio_analytic describes the pair's own block.
     """
     if operator is None:
         operator = flow_sweep(params).at(math.pi + dphi)
-    result = eigensolve(operator, n_levels=2)
-    if abs(dphi) <= CROSSING_DPHI_ATOL:
-        state = crossing_pair_state(result.vectors[:, :2], operator.basis)
-    else:
-        state = result.ground_vector
-    return cat_amplitudes(state, operator.basis)
+    result = eigensolve(operator, n_levels=2 if abs(dphi) <= CROSSING_DPHI_ATOL else 1)
+    return cat_amplitudes(crossing_pair_state(result.vectors, operator.basis), operator.basis)
 
 
 def catscan(params: ModelParams, dphi_grid: Sequence[float]) -> CatScanTable:
@@ -183,13 +180,11 @@ def catscan(params: ModelParams, dphi_grid: Sequence[float]) -> CatScanTable:
             if params.equal_j
             else math.nan
         )
-    j1 = params.j1
     reference_u = params.u0 if params.dipolar else params.u
     return CatScanTable(
         n=params.n,
-        u_over_j=(reference_u / j1) if j1 != 0 else math.nan,
+        u_over_j=(reference_u / params.j1) if params.j1 != 0 else math.nan,
         dphis=dphis,
         metrics=metrics,
         ratio_analytic=np.array(analytic),
-        params=params,
     )

@@ -25,7 +25,7 @@ from .errors import (
     NearResonantIntermediateError,
     UnsupportedConfigurationError,
 )
-from .hamiltonians import HermitianOperator, ModelParams, _flow_interaction_coefficients, _hermitian, flow_sweep
+from .hamiltonians import HermitianOperator, ModelParams, _flow_interaction_coefficients, _hermitian, _positive_definite, flow_sweep
 from .util import write_csv
 
 #: An eliminated state closer to the working energy than this (relative to the
@@ -161,12 +161,10 @@ def lowdin_coupling(operator: HermitianOperator, targets: tuple[int, int] | None
     h_pp, h_qq, h_qp = h_block[:2, :2], h_block[2:, 2:], h_block[2:, :2]
     diagonal = np.einsum("ii->i", h_qq)  # a writable view: shift in place
     diagonal -= lam + margin
-    try:
-        np.linalg.cholesky(h_qq)
-    except np.linalg.LinAlgError:
+    if not _positive_definite(h_qq):
         raise NearResonantIntermediateError(
             f"an eliminated level lies within {margin:.3e} of the working energy {lam:.12g}"
-        ) from None
+        )
     diagonal += margin
     heff = h_pp - h_qp.conj().T @ np.linalg.solve(h_qq, h_qp)
     return LowdinResult(v01=complex(heff[0, 1]), lam=lam, heff=heff)
@@ -458,18 +456,10 @@ class EffectiveTable:
     ratio_analytic: np.ndarray
     e_minus: np.ndarray
     e_plus: np.ndarray
-    params: ModelParams
 
     def rows(self):
-        for i in range(len(self.dphis)):
-            yield (
-                float(self.dphis[i]),
-                float(self.eps[i]),
-                float(self.v01_abs[i]),
-                float(self.ratio_analytic[i]),
-                float(self.e_minus[i]),
-                float(self.e_plus[i]),
-            )
+        columns = (self.dphis, self.eps, self.v01_abs, self.ratio_analytic, self.e_minus, self.e_plus)
+        return zip(*(column.tolist() for column in columns))
 
     def to_csv(self, path, comment: str | None = None) -> None:
         write_csv(
@@ -517,5 +507,4 @@ def effective_report(params: ModelParams, dphi_grid: Sequence[float]) -> Effecti
         ratio_analytic=np.array([abs(m.predicted_ratio) for m in models]),
         e_minus=np.array([m.predicted_energies[0] for m in models]),
         e_plus=np.array([m.predicted_energies[1] for m in models]),
-        params=params,
     )

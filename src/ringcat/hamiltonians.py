@@ -115,6 +115,16 @@ def _hermitian(matrix, atol: float = 1e-12) -> np.ndarray:
     return 0.5 * (m + adjoint)
 
 
+def _positive_definite(matrix: np.ndarray) -> bool:
+    """Whether a Cholesky factorisation of the Hermitian ``matrix`` succeeds,
+    which proves it positive definite up to rounding of order n eps |H|."""
+    try:
+        np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 @dataclass
 class HermitianOperator:
     """A dense Hermitian matrix together with its basis and parameters.

@@ -233,7 +233,6 @@ class LoopTable:
     phis: np.ndarray
     n_levels: int
     energies_over_c: np.ndarray
-    params: LoopParams
 
     def rows(self):
         for i, phi in enumerate(self.phis):
@@ -247,8 +246,8 @@ class LoopTable:
 def loop_sweep(
     params: LoopParams,
     phi_grid: Sequence[float],
-    k_max: int = 12,
-    n_levels: int = 4,
+    k_max: int,
+    n_levels: int,
 ) -> LoopTable:
     """Sweep the barrier-split loop spectrum over phase twists in one secular solve."""
     phis = np.asarray(list(phi_grid), dtype=float)
@@ -256,5 +255,4 @@ def loop_sweep(
         phis=phis,
         n_levels=n_levels,
         energies_over_c=_barrier_levels(params, phis, k_max, n_levels) / params.c_energy,
-        params=params,
     )

@@ -9,7 +9,7 @@ import numpy as np
 
 from .basis import FockBasis
 from .errors import NumericalContractError, UnsupportedConfigurationError
-from .hamiltonians import HermitianOperator, ModelParams, _hermitian, flow_sweep
+from .hamiltonians import HermitianOperator, ModelParams, _hermitian, _positive_definite, flow_sweep
 from .util import write_csv
 
 #: Relative tolerances on the eigensolver's own output, checked on every call.
@@ -41,10 +41,14 @@ def eigensolve(operator: HermitianOperator | np.ndarray, n_levels: int | None = 
     An operator is solved one block of ``operator.sectors`` at a time, after
     checking that it does not couple them; the levels of the blocks are
     merged in the order (energy, block, index within the block) and embedded
-    in the full basis.  Raises a numerical-contract error for non-Hermitian
-    input, and verifies the residual and orthonormality guarantees on the
-    returned pairs.  Real symmetric input is solved in real arithmetic and
-    gives real vectors.
+    in the full basis.  Blocks are visited from the smallest diagonal entry
+    up; once ``n_levels`` levels are held, a block whose diagonal lies above
+    the cut (that level plus ``RESIDUAL_RTOL`` times the Frobenius norm) is
+    skipped if a Cholesky factorisation of it minus the cut succeeds, which
+    proves it holds no requested level.  Raises a numerical-contract error
+    for non-Hermitian input, and verifies the residual and orthonormality
+    guarantees on the returned pairs.  Real symmetric input is solved in
+    real arithmetic and gives real vectors.
     """
     if isinstance(operator, HermitianOperator):
         matrix, basis, params, sectors = operator.matrix, operator.basis, operator.params, operator.sectors
@@ -64,13 +68,24 @@ def eigensolve(operator: HermitianOperator | np.ndarray, n_levels: int | None = 
     leak = np.max(np.abs(matrix[block_of[:, None] != block_of[None, :]]), initial=0.0)
     if leak > operator.hermitian_atol:
         raise NumericalContractError(f"operator couples its sectors: max |H_kk'| = {leak:.3e}")
-    solved = [_checked_eigh(matrix[np.ix_(members, members)], n_levels) for members in sectors]
-    levels = sorted((float(e), b, i) for b, (energies, _) in enumerate(solved) for i, e in enumerate(energies))
-    chosen = levels[:n_levels]
+    margin = RESIDUAL_RTOL * float(np.sqrt(np.vdot(matrix, matrix).real))
+    diagonal = np.diagonal(matrix).real
+    lowest = [np.min(diagonal[members], initial=np.inf) for members in sectors]
+    solved, levels = {}, []
+    for b in sorted(range(len(sectors)), key=lowest.__getitem__):
+        block = matrix[np.ix_(sectors[b], sectors[b])]
+        cut = levels[n_levels - 1][0] + margin if len(levels) >= n_levels else np.inf
+        if lowest[b] > cut:
+            shifted = block.copy()
+            shifted.flat[:: len(block) + 1] -= cut
+            if _positive_definite(shifted):
+                continue
+        solved[b] = _checked_eigh(block, n_levels)
+        levels = sorted(levels + [(float(e), b, i) for i, e in enumerate(solved[b][0])])[:n_levels]
     vectors = np.zeros((dim, n_levels), dtype=matrix.dtype)
-    for column, (_, b, i) in enumerate(chosen):
+    for column, (_, b, i) in enumerate(levels):
         vectors[sectors[b], column] = solved[b][1][:, i]
-    energies = np.array([e for e, _, _ in chosen])
+    energies = np.array([e for e, _, _ in levels])
     return EigenResult(energies=energies, vectors=vectors, basis=basis, params=params)
 
 
@@ -103,7 +118,6 @@ class SpectrumTable:
     phis: np.ndarray
     n_levels: int
     energies: np.ndarray  # shape (len(phis), n_levels)
-    params: ModelParams
 
     def rows(self):
         for i, phi in enumerate(self.phis):
@@ -117,7 +131,7 @@ class SpectrumTable:
 def spectrum_sweep(
     params: ModelParams,
     phi_grid: Sequence[float],
-    n_levels: int = 6,
+    n_levels: int,
 ) -> SpectrumTable:
     """Lowest levels of the ring Hamiltonian at each phase of ``phi_grid``.
 
@@ -131,6 +145,4 @@ def spectrum_sweep(
     if not 1 <= n_levels <= dim:
         raise UnsupportedConfigurationError(f"n_levels must be in [1, {dim}] for n={params.n}, got {n_levels}")
     levels = [eigensolve(sweep.at(phi), n_levels).energies for phi in phis]
-    return SpectrumTable(
-        phis=phis, n_levels=n_levels, energies=np.array(levels), params=params
-    )
+    return SpectrumTable(phis=phis, n_levels=n_levels, energies=np.array(levels))

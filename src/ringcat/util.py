@@ -5,13 +5,9 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 
-def format_float(x: float) -> str:
-    """Render a float with 15 significant digits (nan/inf spelled out)."""
-    return f"{x:.15g}"
-
-
 def format_value(x) -> str:
-    return format_float(x) if isinstance(x, float) else str(x)
+    """Render a float with 15 significant digits (nan/inf spelled out), anything else by ``str``."""
+    return f"{x:.15g}" if isinstance(x, float) else str(x)
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence], comment: str | None = None) -> None:

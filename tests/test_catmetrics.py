@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from ringcat import cli
 from ringcat import (
     ModelParams,
     NumericalContractError,
@@ -243,3 +244,46 @@ def test_ratio_strictly_decreasing_in_detuning():
         for d in np.linspace(0.0, 0.3, 13)
     ]
     assert all(a > b for a, b in zip(ratios, ratios[1:]))
+
+
+def _recorded_eigh_sizes(monkeypatch) -> list[int]:
+    """Record the size of every matrix larger than 2 x 2 handed to
+    ``numpy.linalg.eigh``; the 1 x 1 and 2 x 2 ones are pair Gram matrices."""
+    sizes: list[int] = []
+    true_eigh = np.linalg.eigh
+
+    def eigh(matrix):
+        if matrix.shape[0] > 2:
+            sizes.append(matrix.shape[0])
+        return true_eigh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    return sizes
+
+
+def test_catscan_solves_one_quasi_momentum_block_per_point(monkeypatch):
+    """N = 12 has 91 flow states in blocks of 31, 30 and 30.  Both members of
+    the pair lie in the 31-state block k = 0, which holds the ground level
+    off the crossing and both lowest levels on it; the other two blocks are
+    proven to hold no requested level and are skipped."""
+    sizes = _recorded_eigh_sizes(monkeypatch)
+    catscan(ModelParams(n=12, u=0.1), [-0.3, -0.1, -0.02, 0.0, 0.02, 0.1, 0.3])
+    assert sizes == [31] * 7
+
+
+def test_dipolar_row_whose_ground_state_lies_outside_the_pair_sector(tmp_path, monkeypatch):
+    """Dipolar N = 6 at dphi = -0.2: the exact ground state (-5.0400) lies in
+    block k = 2, below the lowest level of the pair's block k = 0 (-5.0144).
+    The row then has no pair weight, while ratio_analytic describes the
+    pair's own block.  The solve visits k = 1 first (smallest diagonal), skips
+    k = 0 by its Cholesky factorisation, and solves k = 2, whose factorisation
+    fails."""
+    out = tmp_path / "catscan.csv"
+    sizes = _recorded_eigh_sizes(monkeypatch)
+    assert cli.main(["catscan", "--n", "6", "--u0", "0.1", "--u1", "0.05", "--dphi=-0.2", "--out", str(out)]) == 0
+    assert sizes == [9, 9]
+    header, row = out.read_text().splitlines()[1:]
+    values = dict(zip(header.split(","), row.split(",")))
+    assert [float(values[key]) for key in ("a0_re", "a0_im", "a1_re", "a1_im", "captured_norm")] == [0.0] * 5
+    assert math.isnan(float(values["ratio"]))
+    np.testing.assert_allclose(float(values["ratio_analytic"]), 0.48706, rtol=1e-4)

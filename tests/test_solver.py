@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringcat import (
     HermitianOperator,
@@ -20,6 +22,7 @@ from ringcat import (
     quasimomentum_labels,
     spectrum_sweep,
 )
+from ringcat.solver import _checked_eigh
 
 
 def test_eigensolve_known_two_level_matrix():
@@ -228,3 +231,81 @@ def test_returned_pairs_are_checked_and_discarded_vectors_are_not(monkeypatch):
     np.testing.assert_allclose(result.energies, np.linalg.eigvalsh(matrix)[:2], atol=1e-12)
     with pytest.raises(NumericalContractError):
         eigensolve(matrix)
+
+
+def _every_block_solved(op: HermitianOperator, n_levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reference for the sector route without the skip: every block of
+    ``op.sectors`` goes through ``_checked_eigh``, and the levels are merged by
+    (energy, block, index within the block)."""
+    solved = [_checked_eigh(op.matrix[np.ix_(members, members)], n_levels) for members in op.sectors]
+    levels = sorted((float(e), b, i) for b, (energies, _) in enumerate(solved) for i, e in enumerate(energies))
+    vectors = np.zeros((op.dimension, n_levels), dtype=op.matrix.dtype)
+    for column, (_, b, i) in enumerate(levels[:n_levels]):
+        vectors[op.sectors[b], column] = solved[b][1][:, i]
+    return np.array([e for e, _, _ in levels[:n_levels]]), vectors
+
+
+equal_bond_params = st.one_of(
+    st.builds(
+        lambda n, j, u: ModelParams(n=n, j=j, u=u),
+        st.integers(1, 12),
+        st.floats(0.5, 1.5),
+        st.floats(0.0, 2.0),
+    ),
+    st.builds(
+        lambda n, j, u0, u1: ModelParams(n=n, j=j, u0=u0, u1=u1, dipolar=True),
+        st.integers(1, 12),
+        st.floats(0.5, 1.5),
+        st.floats(0.0, 1.0),
+        st.floats(-0.5, 0.5),
+    ),
+)
+phases = st.one_of(
+    st.sampled_from([0.0, math.pi, math.pi - 0.2, math.pi + 1e-12]),
+    st.floats(-2.0 * math.pi, 4.0 * math.pi),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(params=equal_bond_params, phi=phases, data=st.data())
+def test_skipped_blocks_leave_levels_and_vectors_unchanged(params, phi, data):
+    """Skipping the blocks that provably hold no requested level returns
+    exactly what solving every block returns, bit for bit."""
+    op = flow_sweep(params).at(phi)
+    assert len(op.sectors) == 3
+    n_levels = data.draw(st.integers(1, op.dimension), label="n_levels")
+    result = eigensolve(op, n_levels=n_levels)
+    energies, vectors = _every_block_solved(op, n_levels)
+    np.testing.assert_array_equal(result.energies, energies)
+    np.testing.assert_array_equal(result.vectors, vectors)
+
+
+def _solved_block_sizes(monkeypatch) -> list[int]:
+    """Record the size of every matrix handed to ``numpy.linalg.eigh``."""
+    sizes: list[int] = []
+
+    def eigh(matrix):
+        sizes.append(matrix.shape[0])
+        return _TRUE_EIGH(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    return sizes
+
+
+def test_block_whose_diagonal_lies_above_the_cut_is_solved_if_it_holds_a_lower_level(monkeypatch):
+    """The diagonal alone does not prove a block empty: the k = 1 block has
+    diagonal 1 but the level -1, below the ground level 0 of the k = 0 block
+    visited first.  Its Cholesky factorisation fails, so it is solved; the
+    k = 2 block, diagonal 4 and levels 3.5 and 4.5, is proven empty and skipped."""
+    basis = enumerate_fock(2, "flow")
+    k0, k1, k2 = (np.flatnonzero(quasimomentum_labels(basis) == k) for k in range(3))
+    matrix = np.zeros((basis.dimension, basis.dimension))
+    matrix[np.ix_(k0, k0)] = [[0.0, 0.0], [0.0, 5.0]]
+    matrix[np.ix_(k1, k1)] = [[1.0, 2.0], [2.0, 1.0]]
+    matrix[np.ix_(k2, k2)] = [[4.0, 0.5], [0.5, 4.0]]
+    op = HermitianOperator(matrix, basis, ModelParams(n=2))
+    sizes = _solved_block_sizes(monkeypatch)
+    result = eigensolve(op, n_levels=1)
+    np.testing.assert_allclose(result.energies, [-1.0], atol=1e-14)
+    assert np.all(result.vectors[k0] == 0) and np.all(result.vectors[k2] == 0)
+    assert sizes == [2, 2]
