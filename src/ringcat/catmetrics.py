@@ -16,10 +16,10 @@ from typing import Sequence
 import numpy as np
 
 from .basis import FockBasis, embed_single_flow
-from .effective import default_flow_targets, effective_point
-from .errors import NumericalContractError
-from .hamiltonians import HermitianOperator, ModelParams, flow_sweep
-from .solver import eigensolve
+from .effective import LowdinResult, default_flow_targets, effective_point, lowdin_coupling
+from .errors import NearResonantIntermediateError, NumericalContractError
+from .hamiltonians import HermitianOperator, ModelParams, _levels_above, flow_sweep
+from .solver import RESIDUAL_RTOL, eigensolve
 from .util import write_csv
 
 #: Offsets smaller than this are treated as sitting exactly on the crossing,
@@ -77,10 +77,7 @@ def cat_amplitudes(state: Sequence[complex], basis: FockBasis) -> CatMetrics:
         a0 = complex(a0.real, 0.0) if abs(a0) > 0.0 else a0
 
     diverged = abs(a1) == 0.0
-    if diverged:
-        ratio = math.inf if abs(a0) > 0.0 else math.nan
-    else:
-        ratio = abs(a0) / abs(a1)
+    ratio = (math.inf if abs(a0) > 0.0 else math.nan) if diverged else abs(a0) / abs(a1)
     return CatMetrics(
         a0=a0,
         a1=a1,
@@ -95,13 +92,13 @@ def crossing_pair_state(vectors: np.ndarray, basis: FockBasis) -> np.ndarray:
     """Combination of the columns of ``vectors`` maximising the cat weight |a0|^2 + |a1|^2.
 
     It is the top eigenvector of the Gram matrix of the projections onto the
-    cat pair; a single column comes back equal in value.  On the crossing the
-    two lowest levels are distinct eigenstates split by 2|v01|.  For the
-    contact interaction with equal bonds, swapping the two flow modes is then
-    a symmetry, each level has a1 = +-a0 and the Gram matrix is diagonal, so
-    the combination is the level with the larger pair weight: at N = 3, 6, 9
-    and U/J = 0.1 that is the first excited level, not the ground one.
+    cat pair; a single column comes back as it is.  On the crossing the two
+    lowest levels are split by 2|v01|; for the contact interaction with equal
+    bonds each has a1 = +-a0, so the combination is the level with the larger
+    pair weight: at N = 3, 6, 9 and U/J = 0.1 the first excited level.
     """
+    if vectors.shape[1] == 1:
+        return vectors[:, 0]
     a = _pair_projections(vectors, basis)  # (2, n_vectors)
     gram = a.conj().T @ a
     eigvals, eigvecs = np.linalg.eigh(gram)
@@ -120,66 +117,86 @@ class CatScanTable:
 
     def rows(self):
         for dphi, m, analytic in zip(self.dphis.tolist(), self.metrics, self.ratio_analytic.tolist()):
-            yield (
-                self.n,
-                self.u_over_j,
-                dphi,
-                m.a0.real,
-                m.a0.imag,
-                m.a1.real,
-                m.a1.imag,
-                m.ratio,
-                m.captured_norm,
-                analytic,
-            )
+            yield (self.n, self.u_over_j, dphi, m.a0.real, m.a0.imag, m.a1.real, m.a1.imag,
+                   m.ratio, m.captured_norm, analytic)
 
     def to_csv(self, path, comment: str | None = None) -> None:
-        header = (
-            "N", "u_over_j", "dphi", "a0_re", "a0_im", "a1_re", "a1_im",
-            "ratio", "captured_norm", "ratio_analytic",
-        )
+        header = ("N", "u_over_j", "dphi", "a0_re", "a0_im", "a1_re", "a1_im",
+                  "ratio", "captured_norm", "ratio_analytic")
         write_csv(path, header, self.rows(), comment=comment)
 
 
+def _eliminated_ground_state(operator: HermitianOperator, elimination: LowdinResult | None) -> np.ndarray | None:
+    """Ground state of a flow ``operator`` from the elimination onto the cat pair:
+    c_P is the lowest eigenvector of H_eff(lam), on the branch that does not
+    cancel, and c_Q = -x c_P.  None unless the pair shares a block of the
+    sectors, r > 0, the state passes the eigensolver's residual bound and
+    ``_levels_above`` proves every other block free of levels up to its cut."""
+    (t0, t1), sectors, h = default_flow_targets(operator.basis), operator.sectors, operator.matrix
+    home = next(k for k, members in enumerate(sectors) if t0 in members)
+    if operator.basis.interpretation != "flow" or t1 not in sectors[home]:
+        return None
+    try:
+        elimination = lowdin_coupling(operator) if elimination is None else elimination
+    except NearResonantIntermediateError:
+        return None
+    lam, ((a, v), (_, b)) = elimination.lam, elimination.heff
+    eps = 0.5 * float(np.real(a - b))
+    r = math.hypot(eps, abs(v))
+    if r == 0.0:
+        return None
+    c_p = np.array([-v, eps + r] if eps >= 0.0 else [r - eps, -np.conj(v)])
+    state = np.zeros(operator.dimension, dtype=np.result_type(c_p, elimination.x))
+    state[elimination.indices] = np.concatenate([c_p, -elimination.x @ c_p])
+    state /= np.linalg.norm(state)
+    scale = max(abs(lam), float(np.max(np.abs(np.diagonal(h)[elimination.indices]))))
+    cut = lam + RESIDUAL_RTOL * float(np.sqrt(np.vdot(h, h).real))
+    proven = np.max(np.abs(h @ state - lam * state)) <= RESIDUAL_RTOL * scale and all(
+        _levels_above(h[np.ix_(m, m)], cut) for k, m in enumerate(sectors) if k != home
+    )
+    return state if proven else None
+
+
 def ground_cat_metrics(
-    params: ModelParams, dphi: float, operator: HermitianOperator | None = None
+    params: ModelParams, dphi: float, operator: HermitianOperator | None = None, elimination: LowdinResult | None = None
 ) -> CatMetrics:
     """Cat metrics of the exact ground state at phase twist pi + dphi.
 
     The state is the ground state of ``operator`` if given and of the flow
-    Hamiltonian at pi + dphi otherwise; with equal tunnelling only its
-    quasi-momentum block is solved, as ``eigensolve`` skips the blocks that a
-    Cholesky factorisation proves hold no requested level.  For |dphi| <=
-    ``CROSSING_DPHI_ATOL`` it is ``crossing_pair_state`` of the two lowest
-    levels, which may be the first excited level.  A ground state outside the
-    pair's quasi-momentum sector (dipolar N = 6, dphi = -0.2) gives a0 = a1 = 0,
-    while ``catscan``'s ratio_analytic describes the pair's own block.
+    Hamiltonian at pi + dphi otherwise.  Off the crossing it comes from
+    ``elimination`` (or ``lowdin_coupling`` of the operator) wherever
+    ``_eliminated_ground_state`` proves it.  Else ``eigensolve`` solves the
+    blocks that can hold a requested level; for |dphi| <= ``CROSSING_DPHI_ATOL``
+    the state is ``crossing_pair_state`` of the two lowest levels, which may be
+    the first excited level.  A ground state outside the pair's quasi-momentum
+    sector (dipolar N = 6, dphi = -0.2) gives a0 = a1 = 0.
     """
     if operator is None:
         operator = flow_sweep(params).at(math.pi + dphi)
-    result = eigensolve(operator, n_levels=2 if abs(dphi) <= CROSSING_DPHI_ATOL else 1)
-    return cat_amplitudes(crossing_pair_state(result.vectors, operator.basis), operator.basis)
+    crossing = abs(dphi) <= CROSSING_DPHI_ATOL
+    state = None if crossing else _eliminated_ground_state(operator, elimination)
+    if state is None:
+        state = crossing_pair_state(eigensolve(operator, n_levels=2 if crossing else 1).vectors, operator.basis)
+    return cat_amplitudes(state, operator.basis)
 
 
 def catscan(params: ModelParams, dphi_grid: Sequence[float]) -> CatScanTable:
     """Scan the exact cat metrics and the two-level prediction over offsets.
 
-    The flow Hamiltonian is built once for the whole scan, and each offset's
-    operator serves both the ground state and the two-level prediction.  The
-    analytic ratio column requires equal tunnelling; with unequal bonds it is
-    reported as nan.
+    The flow Hamiltonian is built once for the whole scan.  With equal
+    tunnelling each offset's operator is eliminated once, for both the ground
+    state and the two-level prediction; with unequal bonds the analytic ratio,
+    which needs equal tunnelling, is nan.
     """
     dphis = np.asarray(list(dphi_grid), dtype=float)
     sweep = flow_sweep(params)
     metrics, analytic = [], []
     for dphi in dphis:
         operator = sweep.at(math.pi + dphi)
-        metrics.append(ground_cat_metrics(params, dphi, operator=operator))
-        analytic.append(
-            abs(effective_point(params, dphi, operator=operator).predicted_ratio)
-            if params.equal_j
-            else math.nan
-        )
+        elimination = lowdin_coupling(operator) if params.equal_j else None
+        metrics.append(ground_cat_metrics(params, dphi, operator, elimination))
+        model = effective_point(params, dphi, elimination=elimination) if elimination else None
+        analytic.append(abs(model.predicted_ratio) if model else math.nan)
     reference_u = params.u0 if params.dipolar else params.u
     return CatScanTable(
         n=params.n,

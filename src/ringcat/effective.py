@@ -25,7 +25,7 @@ from .errors import (
     NearResonantIntermediateError,
     UnsupportedConfigurationError,
 )
-from .hamiltonians import HermitianOperator, ModelParams, _flow_interaction_coefficients, _hermitian, _positive_definite, flow_sweep
+from .hamiltonians import HermitianOperator, ModelParams, _flow_interaction_coefficients, _hermitian, _levels_above, flow_sweep
 from .util import write_csv
 
 #: An eliminated state closer to the working energy than this (relative to the
@@ -116,6 +116,8 @@ class LowdinResult:
     v01: complex
     lam: float
     heff: np.ndarray  # the 2x2 effective matrix at lam
+    indices: np.ndarray  # the targets P, then the eliminated states Q
+    x: np.ndarray  # (H_QQ - lam)^{-1} H_QP: an eigenvector at lam has c_Q = -x c_P
 
 
 def default_flow_targets(basis: FockBasis) -> tuple[int, int]:
@@ -143,10 +145,10 @@ def lowdin_coupling(operator: HermitianOperator, targets: tuple[int, int] | None
         H_eff = H_PP - H_PQ (H_QQ - lam)^{-1} H_QP
 
     has lam as its lowest eigenvalue (Loewdin partitioning).  By Cauchy
-    interlacing every level of H_QQ lies at or above lam, so H_QQ - lam is
-    positive semidefinite; a Cholesky factorisation of H_QQ shifted by
-    lam + RESONANCE_RTOL * scale fails exactly when an eliminated level lies
-    within that margin of lam, which raises a near-resonant-intermediate error.
+    interlacing every level of H_QQ lies at or above lam; unless
+    ``_levels_above`` proves them above lam + RESONANCE_RTOL * scale, a
+    near-resonant-intermediate error is raised.  The result keeps the solve
+    x = (H_QQ - lam)^{-1} H_QP, which gives the eigenvector at lam.
     """
     basis = operator.basis
     if basis.interpretation != "flow":
@@ -159,15 +161,14 @@ def lowdin_coupling(operator: HermitianOperator, targets: tuple[int, int] | None
     h_block = h[np.ix_(block, block)]
     lam = float(np.linalg.eigvalsh(h_block)[0])
     h_pp, h_qq, h_qp = h_block[:2, :2], h_block[2:, 2:], h_block[2:, :2]
-    diagonal = np.einsum("ii->i", h_qq)  # a writable view: shift in place
-    diagonal -= lam + margin
-    if not _positive_definite(h_qq):
+    if not _levels_above(h_qq, lam + margin):
         raise NearResonantIntermediateError(
             f"an eliminated level lies within {margin:.3e} of the working energy {lam:.12g}"
         )
-    diagonal += margin
-    heff = h_pp - h_qp.conj().T @ np.linalg.solve(h_qq, h_qp)
-    return LowdinResult(v01=complex(heff[0, 1]), lam=lam, heff=heff)
+    np.fill_diagonal(h_qq, np.diagonal(h_qq) - (lam + margin) + margin)
+    x = np.linalg.solve(h_qq, h_qp)
+    heff = h_pp - h_qp.conj().T @ x
+    return LowdinResult(v01=complex(heff[0, 1]), lam=lam, heff=heff, indices=block, x=x)
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +288,7 @@ class CouplingGraph:
         yield from found
 
 
-def build_coupling_graph(
-    operator: HermitianOperator | np.ndarray, tol: float = 1e-14
-) -> CouplingGraph:
+def build_coupling_graph(operator: HermitianOperator | np.ndarray, tol: float = 1e-14) -> CouplingGraph:
     """Graph of states joined by matrix elements larger than ``tol``.
 
     Accepts a flow-basis operator or any dense Hermitian matrix (useful for
@@ -400,12 +399,7 @@ def weighted_paths(
         block = list(itertools.islice(paths, _BLOCK))
 
 
-def path_coupling(
-    graph: CouplingGraph,
-    targets: tuple[int, int],
-    lam: float,
-    max_order: int,
-) -> complex:
+def path_coupling(graph: CouplingGraph, targets: tuple[int, int], lam: float, max_order: int) -> complex:
     """Perturbative coupling as a sum over simple paths between the targets.
 
     Each path with intermediates (i, ..., p) contributes
@@ -419,10 +413,7 @@ def path_coupling(
     Summed to all orders this reproduces the exact elimination coupling up to
     overall resolvent normalisation.
     """
-    total = 0j
-    for _, weight, factor in weighted_paths(graph, targets, lam, max_order):
-        total += weight * factor
-    return total
+    return sum((weight * factor for _, weight, factor in weighted_paths(graph, targets, lam, max_order)), 0j)
 
 
 def path_normalisation(graph: CouplingGraph, targets: tuple[int, int], lam: float) -> complex:
@@ -462,33 +453,29 @@ class EffectiveTable:
         return zip(*(column.tolist() for column in columns))
 
     def to_csv(self, path, comment: str | None = None) -> None:
-        write_csv(
-            path,
-            ("dphi", "eps", "v01_abs", "ratio_analytic", "E_minus", "E_plus"),
-            self.rows(),
-            comment=comment,
-        )
+        header = ("dphi", "eps", "v01_abs", "ratio_analytic", "E_minus", "E_plus")
+        write_csv(path, header, self.rows(), comment=comment)
 
 
 def effective_point(
-    params: ModelParams, dphi: float, operator: HermitianOperator | None = None
+    params: ModelParams, dphi: float, operator: HermitianOperator | None = None, elimination: LowdinResult | None = None
 ) -> TwoLevelModel:
     """Two-level prediction at phase twist pi + dphi.
 
-    The coupling and the centre energy E0 come from exact elimination at the
-    working phase, in ``operator`` (the flow Hamiltonian at pi + dphi) when it
-    is given and in a newly built one otherwise.  The detuning is eps(phi),
+    The coupling and the centre energy E0 come from ``elimination`` when it is
+    given, and otherwise from exact elimination at the working phase, in
+    ``operator`` (the flow Hamiltonian at pi + dphi) when it is given and in a
+    newly built one otherwise.  The detuning is eps(phi),
     which needs equal tunnelling, plus half the self-energy gap of the
     targets, (c_0 - c_1) N (N - 1), which is zero for the contact interaction.
     """
     phi = math.pi + dphi
     c_self = _flow_interaction_coefficients(params)[0]
     eps = epsilon_of_phi(params, phi) + (c_self[0] - c_self[1]) * params.n * (params.n - 1) / 2.0
-    if operator is None:
-        operator = flow_sweep(params).at(phi)
-    result = lowdin_coupling(operator)
-    e0 = 0.5 * float(np.real(result.heff[0, 0] + result.heff[1, 1]))
-    return two_level_predict(e0, eps, result.v01, lam=result.lam)
+    if elimination is None:
+        elimination = lowdin_coupling(flow_sweep(params).at(phi) if operator is None else operator)
+    e0 = 0.5 * float(np.real(elimination.heff[0, 0] + elimination.heff[1, 1]))
+    return two_level_predict(e0, eps, elimination.v01, lam=elimination.lam)
 
 
 def effective_report(params: ModelParams, dphi_grid: Sequence[float]) -> EffectiveTable:

@@ -66,12 +66,10 @@ class ModelParams:
     dipolar: bool = False
 
     def __post_init__(self):
-        if isinstance(self.j, (int, float)):
-            object.__setattr__(self, "j", (float(self.j),) * 3)
-        else:
-            if len(self.j) != 3:
-                raise UnsupportedConfigurationError(f"need 3 tunnelling strengths, got {self.j!r}")
-            object.__setattr__(self, "j", tuple(float(v) for v in self.j))
+        j = (self.j,) * 3 if isinstance(self.j, (int, float)) else tuple(self.j)
+        if len(j) != 3:
+            raise UnsupportedConfigurationError(f"need 3 tunnelling strengths, got {self.j!r}")
+        object.__setattr__(self, "j", tuple(float(v) for v in j))
         if self.n < 1:
             raise UnsupportedConfigurationError(f"particle number must be >= 1, got {self.n}")
         for name in ("u", "u0", "u1", "phi"):
@@ -115,11 +113,16 @@ def _hermitian(matrix, atol: float = 1e-12) -> np.ndarray:
     return 0.5 * (m + adjoint)
 
 
-def _positive_definite(matrix: np.ndarray) -> bool:
-    """Whether a Cholesky factorisation of the Hermitian ``matrix`` succeeds,
-    which proves it positive definite up to rounding of order n eps |H|."""
+def _levels_above(matrix: np.ndarray, cut: float) -> bool:
+    """Whether the Hermitian ``matrix`` provably has no level at or below ``cut``:
+    its diagonal lies above the cut and a Cholesky factorisation of matrix - cut
+    succeeds, which proves it up to rounding of order n eps |H|."""
+    if np.min(np.diagonal(matrix).real, initial=np.inf) <= cut:
+        return False
+    shifted = matrix.copy()
+    shifted.flat[:: len(matrix) + 1] -= cut
     try:
-        np.linalg.cholesky(matrix)
+        np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         return False
     return True

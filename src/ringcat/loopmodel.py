@@ -235,9 +235,8 @@ class LoopTable:
     energies_over_c: np.ndarray
 
     def rows(self):
-        for i, phi in enumerate(self.phis):
-            for level in range(self.n_levels):
-                yield (float(phi), level, float(self.energies_over_c[i, level]))
+        for phi, energies in zip(self.phis.tolist(), self.energies_over_c.tolist()):
+            yield from ((phi, level, energy) for level, energy in enumerate(energies))
 
     def to_csv(self, path, comment: str | None = None) -> None:
         write_csv(path, ("phi", "level", "energy_over_C"), self.rows(), comment=comment)

@@ -9,7 +9,7 @@ import numpy as np
 
 from .basis import FockBasis
 from .errors import NumericalContractError, UnsupportedConfigurationError
-from .hamiltonians import HermitianOperator, ModelParams, _hermitian, _positive_definite, flow_sweep
+from .hamiltonians import HermitianOperator, ModelParams, _hermitian, _levels_above, flow_sweep
 from .util import write_csv
 
 #: Relative tolerances on the eigensolver's own output, checked on every call.
@@ -42,13 +42,12 @@ def eigensolve(operator: HermitianOperator | np.ndarray, n_levels: int | None = 
     checking that it does not couple them; the levels of the blocks are
     merged in the order (energy, block, index within the block) and embedded
     in the full basis.  Blocks are visited from the smallest diagonal entry
-    up; once ``n_levels`` levels are held, a block whose diagonal lies above
-    the cut (that level plus ``RESIDUAL_RTOL`` times the Frobenius norm) is
-    skipped if a Cholesky factorisation of it minus the cut succeeds, which
-    proves it holds no requested level.  Raises a numerical-contract error
-    for non-Hermitian input, and verifies the residual and orthonormality
-    guarantees on the returned pairs.  Real symmetric input is solved in
-    real arithmetic and gives real vectors.
+    up; once ``n_levels`` levels are held, a block is skipped when
+    ``_levels_above`` proves it free of levels up to the cut, that level plus
+    ``RESIDUAL_RTOL`` times the Frobenius norm.  Raises a numerical-contract
+    error for non-Hermitian input, and verifies the residual and
+    orthonormality guarantees on the returned pairs.  Real symmetric input is
+    solved in real arithmetic and gives real vectors.
     """
     if isinstance(operator, HermitianOperator):
         matrix, basis, params, sectors = operator.matrix, operator.basis, operator.params, operator.sectors
@@ -69,17 +68,12 @@ def eigensolve(operator: HermitianOperator | np.ndarray, n_levels: int | None = 
     if leak > operator.hermitian_atol:
         raise NumericalContractError(f"operator couples its sectors: max |H_kk'| = {leak:.3e}")
     margin = RESIDUAL_RTOL * float(np.sqrt(np.vdot(matrix, matrix).real))
-    diagonal = np.diagonal(matrix).real
-    lowest = [np.min(diagonal[members], initial=np.inf) for members in sectors]
+    lowest = [np.min(np.diagonal(matrix).real[members], initial=np.inf) for members in sectors]
     solved, levels = {}, []
     for b in sorted(range(len(sectors)), key=lowest.__getitem__):
         block = matrix[np.ix_(sectors[b], sectors[b])]
-        cut = levels[n_levels - 1][0] + margin if len(levels) >= n_levels else np.inf
-        if lowest[b] > cut:
-            shifted = block.copy()
-            shifted.flat[:: len(block) + 1] -= cut
-            if _positive_definite(shifted):
-                continue
+        if len(levels) >= n_levels and _levels_above(block, levels[n_levels - 1][0] + margin):
+            continue
         solved[b] = _checked_eigh(block, n_levels)
         levels = sorted(levels + [(float(e), b, i) for i, e in enumerate(solved[b][0])])[:n_levels]
     vectors = np.zeros((dim, n_levels), dtype=matrix.dtype)
@@ -120,9 +114,8 @@ class SpectrumTable:
     energies: np.ndarray  # shape (len(phis), n_levels)
 
     def rows(self):
-        for i, phi in enumerate(self.phis):
-            for level in range(self.n_levels):
-                yield (float(phi), level, float(self.energies[i, level]))
+        for phi, energies in zip(self.phis.tolist(), self.energies.tolist()):
+            yield from ((phi, level, energy) for level, energy in enumerate(energies))
 
     def to_csv(self, path, comment: str | None = None) -> None:
         write_csv(path, ("phi", "level", "energy"), self.rows(), comment=comment)

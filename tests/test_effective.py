@@ -162,6 +162,23 @@ def test_elimination_requires_flow_basis():
         lowdin_coupling(build_site_hamiltonian(N3_PARAMS.with_phi(math.pi)))
 
 
+@pytest.mark.parametrize(
+    "params, dphi", [(ModelParams(n=12, u=0.1), 0.05), (ModelParams(n=5, j=(1.0, 0.9, 1.1), u=0.1), -0.1)]
+)
+def test_elimination_keeps_the_solve_that_completes_an_eigenvector(params, dphi):
+    """c_P, the lowest eigenvector of H_eff(lam), and c_Q = -x c_P placed on
+    ``indices`` (the targets first) make an eigenvector of the operator at lam."""
+    op = flow_sweep(params).at(math.pi + dphi)
+    result = lowdin_coupling(op)
+    assert tuple(result.indices[:2].tolist()) == default_flow_targets(op.basis)
+    energies, vectors = np.linalg.eigh(result.heff)
+    np.testing.assert_allclose(energies[0], result.lam, atol=1e-12)
+    state = np.zeros(op.dimension, dtype=complex)
+    state[result.indices] = np.concatenate([vectors[:, 0], -result.x @ vectors[:, 0]])
+    state /= np.linalg.norm(state)
+    np.testing.assert_allclose(op.matrix @ state, result.lam * state, atol=1e-12)
+
+
 def _n3_operator_with_decoupled_level(offset):
     """The N = 3 flow Hamiltonian at pi with (1, 1, 1) decoupled and put
     ``offset`` above the lowest level of the targets and the other states."""

@@ -22,6 +22,7 @@ from ringcat import (
     quasimomentum_labels,
     spectrum_sweep,
 )
+from ringcat.hamiltonians import _levels_above
 from ringcat.solver import _checked_eigh
 
 
@@ -309,3 +310,15 @@ def test_block_whose_diagonal_lies_above_the_cut_is_solved_if_it_holds_a_lower_l
     np.testing.assert_allclose(result.energies, [-1.0], atol=1e-14)
     assert np.all(result.vectors[k0] == 0) and np.all(result.vectors[k2] == 0)
     assert sizes == [2, 2]
+
+
+def test_levels_above_needs_the_diagonal_and_the_factorisation():
+    """``_levels_above`` proves that no level lies at or below the cut: a level
+    on the cut, or below it under a diagonal above it, is not proven away."""
+    matrix = np.array([[1.0, 0.0], [0.0, 2.0]])
+    assert _levels_above(matrix, 0.5)
+    assert not _levels_above(matrix, 1.0)
+    coupled = np.array([[1.0, 2.0], [2.0, 1.0]])  # levels -1 and 3, diagonal 1
+    assert not _levels_above(coupled, 0.0)
+    assert _levels_above(coupled, -1.5)
+    assert _levels_above(np.array([[1.0, 0.5j], [-0.5j, 1.0]]), 0.25)
