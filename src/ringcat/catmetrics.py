@@ -8,7 +8,6 @@ and the weight |a0|^2 + |a1|^2 captured by the pair.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -16,8 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from .basis import FockBasis, embed_single_flow
-from .effective import LowdinResult, default_flow_targets, effective_point, lowdin_coupling
-from .errors import NearResonantIntermediateError, NumericalContractError
+from .effective import LowdinResult, branch_vector, default_flow_targets, effective_point, lowdin_coupling
+from .errors import NearResonantIntermediateError, NumericalContractError, UnsupportedConfigurationError
 from .hamiltonians import HermitianOperator, ModelParams, _levels_above, flow_sweep
 from .solver import RESIDUAL_RTOL, eigensolve
 from .util import write_csv
@@ -71,9 +70,9 @@ def cat_amplitudes(state: Sequence[complex], basis: FockBasis) -> CatMetrics:
     a0, a1 = (complex(a) for a in _pair_projections(vec, basis))
     reference = a0 if abs(a0) > 0.0 else a1
     if abs(reference) > 0.0:
-        rotation = cmath.exp(-1j * cmath.phase(reference))
-        a0 *= rotation
-        a1 *= rotation
+        # Adding 0j makes the zero parts of a real state's amplitudes +0.0.
+        rotation = reference.conjugate() / abs(reference)
+        a0, a1 = a0 * rotation + 0j, a1 * rotation + 0j
         a0 = complex(a0.real, 0.0) if abs(a0) > 0.0 else a0
 
     diverged = abs(a1) == 0.0
@@ -128,31 +127,28 @@ class CatScanTable:
 
 def _eliminated_ground_state(operator: HermitianOperator, elimination: LowdinResult | None) -> np.ndarray | None:
     """Ground state of a flow ``operator`` from the elimination onto the cat pair:
-    c_P is the lowest eigenvector of H_eff(lam), on the branch that does not
-    cancel, and c_Q = -x c_P.  None unless the pair shares a block of the
-    sectors, r > 0, the state passes the eigensolver's residual bound and
-    ``_levels_above`` proves every other block free of levels up to its cut."""
-    (t0, t1), sectors, h = default_flow_targets(operator.basis), operator.sectors, operator.matrix
-    home = next(k for k, members in enumerate(sectors) if t0 in members)
-    if operator.basis.interpretation != "flow" or t1 not in sectors[home]:
-        return None
+    c_P = ``branch_vector`` of H_eff(lam) on its lowest branch and c_Q = -x c_P.
+    None unless r > 0, the state passes the eigensolver's residual bound and
+    ``_levels_above`` proves every block that holds no target free of levels up to its
+    cut; None for a site operator too, which the elimination does not take."""
     try:
         elimination = lowdin_coupling(operator) if elimination is None else elimination
-    except NearResonantIntermediateError:
+    except (NearResonantIntermediateError, UnsupportedConfigurationError):
         return None
-    lam, ((a, v), (_, b)) = elimination.lam, elimination.heff
+    h, lam, ((a, v), (_, b)) = operator.matrix, elimination.lam, elimination.heff
     eps = 0.5 * float(np.real(a - b))
     r = math.hypot(eps, abs(v))
     if r == 0.0:
         return None
-    c_p = np.array([-v, eps + r] if eps >= 0.0 else [r - eps, -np.conj(v)])
+    # Scaling by a power of two keeps the norm finite and changes no bit of the normalised state.
+    c_p = branch_vector(eps, v, r) * math.ldexp(1.0, -math.frexp(r)[1])
     state = np.zeros(operator.dimension, dtype=np.result_type(c_p, elimination.x))
     state[elimination.indices] = np.concatenate([c_p, -elimination.x @ c_p])
     state /= np.linalg.norm(state)
     scale = max(abs(lam), float(np.max(np.abs(np.diagonal(h)[elimination.indices]))))
     cut = lam + RESIDUAL_RTOL * float(np.sqrt(np.vdot(h, h).real))
     proven = np.max(np.abs(h @ state - lam * state)) <= RESIDUAL_RTOL * scale and all(
-        _levels_above(h[np.ix_(m, m)], cut) for k, m in enumerate(sectors) if k != home
+        _levels_above(h[np.ix_(m, m)], cut) for m in operator.sectors if not np.isin(elimination.indices[:2], m).any()
     )
     return state if proven else None
 
@@ -168,8 +164,8 @@ def ground_cat_metrics(
     ``_eliminated_ground_state`` proves it.  Else ``eigensolve`` solves the
     blocks that can hold a requested level; for |dphi| <= ``CROSSING_DPHI_ATOL``
     the state is ``crossing_pair_state`` of the two lowest levels, which may be
-    the first excited level.  A ground state outside the pair's quasi-momentum
-    sector (dipolar N = 6, dphi = -0.2) gives a0 = a1 = 0.
+    the first excited level.  A ground state outside the blocks that hold the
+    pair (dipolar N = 6, dphi = -0.2) gives a0 = a1 = 0.
     """
     if operator is None:
         operator = flow_sweep(params).at(math.pi + dphi)

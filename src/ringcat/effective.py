@@ -13,6 +13,7 @@ perturbative sum over coupling paths through intermediate states.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -21,10 +22,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .basis import FockBasis
-from .errors import (
-    NearResonantIntermediateError,
-    UnsupportedConfigurationError,
-)
+from .errors import NearResonantIntermediateError, NumericalContractError, UnsupportedConfigurationError
 from .hamiltonians import HermitianOperator, ModelParams, _flow_interaction_coefficients, _hermitian, _levels_above, flow_sweep
 from .util import write_csv
 
@@ -60,20 +58,30 @@ def epsilon_of_phi(params: ModelParams, phi: float) -> float:
     return jn - 2.0 * jn * math.cos(phi / 3.0)
 
 
+def branch_vector(eps: float, v01, signed_r: float) -> np.ndarray:
+    """Unnormalised eigenvector (c0, c1), in the dtype of ``v01``, of
+    [[eps, v01], [conj(v01), -eps]] at -signed_r: (eps - signed_r, conj(v01))
+    where exactly one of eps and signed_r is negative, so that eps + signed_r
+    may cancel, else (-v01, eps + signed_r).  Neither form squares |v01|."""
+    cancels = (eps < 0.0) != (signed_r < 0.0)
+    pair = (eps - signed_r, np.conj(v01)) if cancels else (-v01, eps + signed_r)
+    return np.array(pair, dtype=np.result_type(v01))
+
+
 @dataclass
 class TwoLevelModel:
     """Prediction of the effective 2x2 anti-crossing model.
 
     ``predicted_energies`` is (E0 - r, E0 + r) with r = sqrt(eps^2 + |v01|^2);
     ``predicted_ratio`` is the signed ground-state amplitude ratio a0/a1 of
-    the zero-flow and clockwise-flow components, -v01 / (eps + r); the
-    excited branch uses the opposite sign of r.
+    the zero-flow and clockwise-flow components, c0 / c1 of
+    ``branch_vector(eps, v01, r)`` (inf where c1 = 0, nan where r = 0); the
+    excited branch uses -r.
     """
 
     e0: float
     eps: float
     v01: complex
-    lam: float | None = None
     degenerate: bool = field(init=False, default=False)
     predicted_energies: tuple[float, float] = field(init=False, default=(0.0, 0.0))
     predicted_ratio: complex = field(init=False, default=0j)
@@ -87,25 +95,17 @@ class TwoLevelModel:
         self.predicted_ratio_excited = self._branch_ratio(-r)
 
     def _branch_ratio(self, signed_r: float) -> complex:
-        if self.degenerate:
-            return complex(float("nan"), float("nan"))
-        if self.eps * signed_r < 0.0 and self.v01 != 0:
-            # eps + signed_r cancels (to exactly 0 when |v01| << |eps|); use
-            # (eps + r)(eps - r) = -|v01|^2 instead.
-            return self.v01 * (self.eps - signed_r) / abs(self.v01) ** 2
-        den = self.eps + signed_r
-        if den == 0.0:
-            return complex(float("inf"))
-        return -self.v01 / den
+        c0, c1 = branch_vector(self.eps, self.v01, signed_r).tolist()
+        return c0 / c1 if c1 else complex(math.inf if c0 else math.nan)
 
 
-def two_level_predict(e0: float, eps: float, v01: complex, lam: float | None = None) -> TwoLevelModel:
+def two_level_predict(e0: float, eps: float, v01: complex) -> TwoLevelModel:
     """Evaluate the 2x2 model for a given detuning and coupling."""
-    return TwoLevelModel(e0=float(e0), eps=float(eps), v01=complex(v01), lam=lam)
+    return TwoLevelModel(e0=float(e0), eps=float(eps), v01=complex(v01))
 
 
 # ---------------------------------------------------------------------------
-# Exact elimination (partitioning at the ground level of the target block)
+# Exact elimination (partitioning at the ground level of the target blocks)
 # ---------------------------------------------------------------------------
 
 
@@ -127,20 +127,19 @@ def default_flow_targets(basis: FockBasis) -> tuple[int, int]:
 
 
 def _elimination_space(operator: HermitianOperator, targets: tuple[int, int]) -> np.ndarray:
-    """Indices eliminated by the reduction: the rest of the block of
-    ``operator.sectors`` that holds both targets, or of the whole basis when
-    no block does."""
+    """Indices eliminated by the reduction: the rest of the blocks of
+    ``operator.sectors`` that hold a target, block by block."""
     t0, t1 = targets
-    shared = [s for s in operator.sectors if t0 in s and t1 in s]
-    block = shared[0] if shared else np.arange(operator.dimension)
-    return block[(block != t0) & (block != t1)]
+    held = np.concatenate([s for s in operator.sectors if t0 in s or t1 in s])
+    return held[(held != t0) & (held != t1)]
 
 
 def lowdin_coupling(operator: HermitianOperator, targets: tuple[int, int] | None = None) -> LowdinResult:
     """Exact effective coupling between two flow states.
 
-    The working energy lam is the lowest level of the block made of the target
-    pair P and the eliminated states Q, and
+    The working energy lam is the lowest level of the blocks of
+    ``operator.sectors`` that hold a target, the target pair P and the
+    eliminated states Q, and
 
         H_eff = H_PP - H_PQ (H_QQ - lam)^{-1} H_QP
 
@@ -182,6 +181,8 @@ _BLOCK_ENTRIES = 1 << 17
 #: ``simple_paths`` extends at most this many path prefixes before it gives up;
 #: ``paths --n 12 --max-order 11`` extends about 2.2e4.
 _MAX_PREFIXES = 5_000_000
+#: Matrix elements no larger than this in magnitude join no states of the graph.
+EDGE_ATOL = 1e-14
 
 
 def _entries(matrix: np.ndarray) -> dict[tuple[int, int], complex]:
@@ -288,8 +289,8 @@ class CouplingGraph:
         yield from found
 
 
-def build_coupling_graph(operator: HermitianOperator | np.ndarray, tol: float = 1e-14) -> CouplingGraph:
-    """Graph of states joined by matrix elements larger than ``tol``.
+def build_coupling_graph(operator: HermitianOperator | np.ndarray) -> CouplingGraph:
+    """Graph of states joined by matrix elements larger than ``EDGE_ATOL``.
 
     Accepts a flow-basis operator or any dense Hermitian matrix (useful for
     explicit few-state models).
@@ -298,7 +299,7 @@ def build_coupling_graph(operator: HermitianOperator | np.ndarray, tol: float = 
         h, basis = operator.matrix, operator.basis
     else:
         h, basis = _hermitian(operator), None
-    rows, cols = np.nonzero(np.triu(np.abs(h) > tol, k=1))
+    rows, cols = np.nonzero(np.triu(np.abs(h) > EDGE_ATOL, k=1))
     values = h[rows, cols].astype(complex)
     coupling = np.zeros(h.shape, dtype=complex)
     coupling[rows, cols] = values
@@ -388,6 +389,8 @@ def weighted_paths(
                 weight *= edge[a, b]
             for node in path[1:-1]:
                 weight /= gap[node]
+            if not cmath.isfinite(weight):
+                raise NumericalContractError(f"the weight of path {tuple(map(graph.describe_state, path))} overflows")
             weights.append(weight)
         lengths = np.array([len(path) for path in block])
         factors = np.empty(len(block), dtype=complex)
@@ -457,15 +460,12 @@ class EffectiveTable:
         write_csv(path, header, self.rows(), comment=comment)
 
 
-def effective_point(
-    params: ModelParams, dphi: float, operator: HermitianOperator | None = None, elimination: LowdinResult | None = None
-) -> TwoLevelModel:
+def effective_point(params: ModelParams, dphi: float, elimination: LowdinResult | None = None) -> TwoLevelModel:
     """Two-level prediction at phase twist pi + dphi.
 
     The coupling and the centre energy E0 come from ``elimination`` when it is
-    given, and otherwise from exact elimination at the working phase, in
-    ``operator`` (the flow Hamiltonian at pi + dphi) when it is given and in a
-    newly built one otherwise.  The detuning is eps(phi),
+    given, and otherwise from exact elimination in a newly built flow
+    Hamiltonian at pi + dphi.  The detuning is eps(phi),
     which needs equal tunnelling, plus half the self-energy gap of the
     targets, (c_0 - c_1) N (N - 1), which is zero for the contact interaction.
     """
@@ -473,9 +473,9 @@ def effective_point(
     c_self = _flow_interaction_coefficients(params)[0]
     eps = epsilon_of_phi(params, phi) + (c_self[0] - c_self[1]) * params.n * (params.n - 1) / 2.0
     if elimination is None:
-        elimination = lowdin_coupling(flow_sweep(params).at(phi) if operator is None else operator)
+        elimination = lowdin_coupling(flow_sweep(params).at(phi))
     e0 = 0.5 * float(np.real(elimination.heff[0, 0] + elimination.heff[1, 1]))
-    return two_level_predict(e0, eps, elimination.v01, lam=elimination.lam)
+    return two_level_predict(e0, eps, elimination.v01)
 
 
 def effective_report(params: ModelParams, dphi_grid: Sequence[float]) -> EffectiveTable:
@@ -486,7 +486,7 @@ def effective_report(params: ModelParams, dphi_grid: Sequence[float]) -> Effecti
     """
     dphis = np.asarray(list(dphi_grid), dtype=float)
     sweep = flow_sweep(params)
-    models = [effective_point(params, d, operator=sweep.at(math.pi + d)) for d in dphis]
+    models = [effective_point(params, d, lowdin_coupling(sweep.at(math.pi + d))) for d in dphis]
     return EffectiveTable(
         dphis=dphis,
         eps=np.array([m.eps for m in models]),

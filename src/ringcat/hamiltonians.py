@@ -95,15 +95,15 @@ class ModelParams:
 
 
 def _hermitian(matrix, atol: float = 1e-12) -> np.ndarray:
-    """(H + H^dagger) / 2 of a square ``matrix`` with max |H - H^dagger| <= ``atol``.
+    """(H + H^dagger) / 2 of a square, finite ``matrix`` with max |H - H^dagger| <= ``atol``.
 
     An exactly Hermitian ``matrix`` of float or complex dtype is returned as
     it is, not copied.
     """
     m = np.asarray(matrix)
     m = m.astype(complex if np.iscomplexobj(m) else float, copy=False)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NumericalContractError(f"operator matrix must be square, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not np.isfinite(m).all():
+        raise NumericalContractError(f"operator matrix must be square and finite, got shape {m.shape}")
     adjoint = m.conj().T
     if np.array_equal(m, adjoint):
         return m

@@ -85,22 +85,24 @@ def eigensolve(operator: HermitianOperator | np.ndarray, n_levels: int | None = 
 
 def _checked_eigh(matrix: np.ndarray, n_levels: int) -> tuple[np.ndarray, np.ndarray]:
     """``eigh`` of an exactly Hermitian matrix, truncated to at most the lowest ``n_levels``
-    pairs.  Residual and orthonormality are checked on the returned pairs; the sum
-    rules sum e = tr H and sum e^2 = |H|_F^2 check every level, discarded ones too."""
+    pairs.  Residual and orthonormality are checked on the returned pairs, every level by the
+    sum rules sum e = tr H and sum e^2 = |H|_F^2 in units of max |H|; a nan defect fails."""
     energies, vectors = np.linalg.eigh(matrix)
     scale = max(float(np.max(np.abs(energies))), 1e-300)
-    frobenius = np.vdot(matrix, matrix).real
-    trace_defect = abs(np.sum(energies) - np.trace(matrix).real) / max(np.sum(np.abs(energies)), 1e-300)
-    square_defect = abs(np.sum(energies**2) - frobenius) / max(frobenius, 1e-300)
-    if max(trace_defect, square_defect) > RESIDUAL_RTOL:
+    unit = float(np.max(np.abs(matrix))) or 1.0
+    scaled, reduced = energies / unit, matrix / unit
+    frobenius = np.vdot(reduced, reduced).real
+    trace_defect = abs(np.sum(scaled) - np.trace(reduced).real) / max(np.sum(np.abs(scaled)), 1e-300)
+    square_defect = abs(np.sum(scaled**2) - frobenius) / max(frobenius, 1e-300)
+    if not (trace_defect <= RESIDUAL_RTOL and square_defect <= RESIDUAL_RTOL):
         raise NumericalContractError(f"eigenvalue sum rules broken: defects {trace_defect:.3e}, {square_defect:.3e}")
     energies, vectors = energies[:n_levels], vectors[:, :n_levels]
     residual = np.max(np.abs(matrix @ vectors - vectors * energies))
-    if residual > RESIDUAL_RTOL * scale:
+    if not residual <= RESIDUAL_RTOL * scale:
         raise NumericalContractError(f"eigenpair residual {residual:.3e} exceeds {RESIDUAL_RTOL} * |H|")
     gram = vectors.conj().T @ vectors
     ortho = np.max(np.abs(gram - np.eye(gram.shape[0])))
-    if ortho > ORTHONORMALITY_ATOL:
+    if not ortho <= ORTHONORMALITY_ATOL:
         raise NumericalContractError(f"eigenvector orthonormality defect {ortho:.3e}")
     return energies, vectors
 

@@ -103,6 +103,17 @@ def test_metrics_are_global_phase_and_scale_invariant():
     assert base.a0.imag == 0.0 and base.a0.real > 0.0
 
 
+@pytest.mark.parametrize("a1_sign", [1.0, -1.0])
+def test_real_state_and_its_negative_give_the_same_metrics(a1_sign):
+    """A real state's a1 is real: a1_im is +0.0 whatever the sign of the vector."""
+    basis = enumerate_fock(6, "flow")
+    state = np.random.default_rng(5).uniform(0.1, 1.0, basis.dimension)
+    state[basis.index((0, 6, 0))] *= a1_sign
+    plus, minus = cat_amplitudes(state, basis), cat_amplitudes(-state, basis)
+    assert repr(plus) == repr(minus)
+    assert plus.a1.imag == 0.0 and not np.signbit(plus.a1.imag)
+
+
 def test_zero_state_rejected():
     basis = enumerate_fock(2)
     with pytest.raises(NumericalContractError):

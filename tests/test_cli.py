@@ -269,6 +269,37 @@ def test_numerical_contract_error_maps_to_exit_3(monkeypatch, capsys):
     assert "numerical contract" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, code",
+    [
+        # the kinetic diagonal overflows to inf
+        ("catscan --n 3 --j 1e308", 3),
+        ("spectrum --n 3 --j 1e308", 3),
+        # |v01| ~ 1e200: the two-level branch must not square it
+        ("catscan --n 3 --u 1e200", 0),
+        ("effective --n 3 --u 1e200", 0),
+        # a path weight, the product of two couplings ~ 1e300, overflows
+        ("paths --n 3 --u 1e300", 3),
+    ],
+)
+def test_overflowing_ring_inputs_end_in_a_contract_error_or_finite_rows(command, code, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert run_cli([*command.split(), "--out", str(out)]) == code
+    if code == 3:
+        assert "numerical contract violation" in capsys.readouterr().err
+    else:
+        assert "nan" not in out.read_text()
+
+
+@pytest.mark.parametrize(
+    "command", ["catscan --n 7 --u0 0.1 --u1 0.05", "effective --n 5 --u0 0.1 --u1 0.05", "effective --n 5 --u -0.3"]
+)
+def test_split_pairs_whose_third_block_holds_the_ground_level_reduce(command, tmp_path):
+    """The pair sits in two quasi-momentum blocks and, at some offsets, the
+    third block holds the ground level; the elimination leaves that block out."""
+    assert run_cli([*command.split(), "--out", str(tmp_path / "out.csv")]) == 0
+
+
 def test_console_script_is_installed():
     exe = shutil.which("ringcat")
     if exe is None:

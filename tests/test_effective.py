@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ringcat import (
@@ -32,7 +32,7 @@ from ringcat import (
     two_level_predict,
 )
 from ringcat import effective as effective_module
-from ringcat.effective import _check_resonance, weighted_paths
+from ringcat.effective import _check_resonance, branch_vector, weighted_paths
 
 N3_PARAMS = ModelParams(n=3, j=1.0, u=0.1)
 
@@ -107,6 +107,36 @@ def test_branch_ratios_are_reciprocal_in_magnitude(eps, log_ratio, angle):
     model = two_level_predict(0.0, eps, v01)
     product = abs(model.predicted_ratio * model.predicted_ratio_excited)
     assert product == pytest.approx(1.0, rel=1e-12)
+
+
+#: Zero, or a normal float up to 1e200.
+magnitude = st.one_of(st.just(0.0), st.floats(1e-300, 1e200))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    eps=st.builds(math.copysign, magnitude, st.sampled_from([1.0, -1.0])),
+    v_abs=magnitude,
+    angle=st.floats(-math.pi, math.pi),
+    real=st.booleans(),
+    branch=st.sampled_from([1.0, -1.0]),
+)
+@example(eps=-0.3, v_abs=0.0, angle=0.0, real=True, branch=1.0)
+@example(eps=0.3, v_abs=0.0, angle=0.0, real=False, branch=-1.0)
+@example(eps=0.0, v_abs=0.2, angle=2.0, real=False, branch=1.0)
+@example(eps=0.0, v_abs=1e200, angle=-1.0, real=True, branch=-1.0)
+def test_branch_vector_is_the_eigenvector_of_the_2x2_eigh(eps, v_abs, angle, real, branch):
+    """branch_vector(eps, v01, +-r) spans the eigenvector of [[eps, v01],
+    [conj(v01), -eps]] at -+r, in v01's dtype, with |v01| up to 1e200."""
+    v01 = math.copysign(v_abs, angle) if real else v_abs * complex(math.cos(angle), math.sin(angle))
+    r = math.hypot(eps, v_abs)
+    assume(r > 0.0)
+    c = branch_vector(eps, v01, branch * r)
+    assert c.dtype == (np.float64 if real else np.complex128)
+    _, vectors = np.linalg.eigh(np.array([[eps, v01], [np.conj(v01), -eps]]))
+    c = c / np.max(np.abs(c))
+    overlap = abs(np.vdot(vectors[:, 0 if branch > 0 else 1], c)) / np.linalg.norm(c)
+    assert overlap == pytest.approx(1.0, abs=1e-12)
 
 
 def test_two_level_degenerate_flagged():
@@ -225,6 +255,18 @@ def test_working_energy_is_the_block_ground_level_and_lowest_of_heff(n, dphi, di
     norm = np.linalg.norm(op.matrix, 2)
     assert abs(result.lam - np.linalg.eigvalsh(op.matrix[np.ix_(block, block)])[0]) <= 1e-12 * norm
     assert abs(np.linalg.eigvalsh(result.heff)[0] - result.lam) <= 1e-12 * norm
+
+
+def test_split_pair_is_eliminated_on_the_two_blocks_that_hold_it():
+    """Contact N = 7: the targets sit in blocks k = 0 and k = 1, whose other
+    22 states are eliminated; block k = 2 is not, and v01 vanishes exactly."""
+    op = flow_sweep(ModelParams(n=7, u=0.1)).at(math.pi + 0.1)
+    targets = default_flow_targets(op.basis)
+    space = effective_module._elimination_space(op, targets)
+    held = np.concatenate([s for s in op.sectors if np.isin(targets, s).any()])
+    assert (len(space), op.dimension) == (22, 36)
+    assert sorted(space.tolist()) == sorted(set(held.tolist()) - set(targets))
+    assert lowdin_coupling(op).v01 == 0
 
 
 @pytest.mark.parametrize("dphi, lam, v01_abs", [(-0.2, -5.014443082, 0.0907), (-0.15, -5.032196703, 0.0476)])

@@ -72,12 +72,19 @@ def test_elimination_route_matches_the_dense_route(params, dphi):
 
 @pytest.mark.parametrize(
     "params",
-    [ModelParams(n=24, u=0.01), ModelParams(n=12, u0=0.1, u1=-0.05, dipolar=True), ModelParams(n=8, j=(1.0, 0.9, 1.1), u=0.1)],
+    [
+        ModelParams(n=24, u=0.01),
+        ModelParams(n=12, u0=0.1, u1=-0.05, dipolar=True),
+        ModelParams(n=8, j=(1.0, 0.9, 1.1), u=0.1),
+        ModelParams(n=7, u=0.1),
+        ModelParams(n=35, u=0.1),
+    ],
 )
 @pytest.mark.parametrize("dphi", [-0.3, -1e-6, 1e-9, 0.05])
 def test_pair_block_ground_states_come_from_the_elimination(params, dphi):
-    """Equal-bond contact and dipolar operators whose pair shares a block, and
-    unequal bonds (one block), take their state from the elimination."""
+    """Equal-bond contact and dipolar operators whose pair shares a block or
+    is split over two (N = 7, 35), and unequal bonds (one block), take their
+    state from the elimination."""
     operator = flow_sweep(params).at(math.pi + dphi)
     state = _eliminated_ground_state(operator, lowdin_coupling(operator))
     assert state is not None
@@ -96,8 +103,9 @@ def test_unequal_bond_scan_off_the_crossing_calls_no_dense_eigh(monkeypatch):
 @pytest.mark.parametrize(
     "params, dphis",
     [
-        # Contact N = 7: the pair sits in blocks k = 0 and k = 1.
-        (ModelParams(n=7, u=0.1), np.linspace(-0.4, 0.4, 81)),
+        # Dipolar N = 7 for dphi in [-0.29, -0.22]: the pair sits in blocks
+        # k = 0 and k = 1, and the ground level in block k = 2.
+        (ModelParams(n=7, u0=0.1, u1=0.05, dipolar=True), np.linspace(-0.29, -0.22, 8)),
         # Dipolar N = 6 at dphi = -0.2: the ground level lies in block k = 2,
         # below the pair's block, which the proof of the other blocks catches.
         (ModelParams(n=6, u0=0.1, u1=0.05, dipolar=True), [-0.2]),
@@ -124,3 +132,28 @@ def test_a_state_failing_the_residual_bound_falls_back(monkeypatch):
     assert _eliminated_ground_state(operator, None) is None
     vectors = eigensolve(operator, n_levels=1).vectors
     assert ground_cat_metrics(params, dphi, operator=operator) == cat_amplitudes(vectors[:, 0], operator.basis)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        ModelParams(n=7, u0=0.1, u1=0.05, dipolar=True),
+        ModelParams(n=5, u0=0.1, u1=0.05, dipolar=True),
+        ModelParams(n=5, u=-0.3),
+    ],
+)
+def test_split_pair_scans_match_the_dense_route(params):
+    """Pairs split over two blocks, over the CLI's default grid, including
+    offsets where the block holding neither target holds the ground level."""
+    dphis = np.linspace(-0.4, 0.4, 81)
+    table = catscan(params, dphis)
+    sweep = flow_sweep(params)
+    for dphi, fast in zip(dphis, table.metrics):
+        operator = sweep.at(math.pi + dphi)
+        if abs(dphi) <= CROSSING_DPHI_ATOL:
+            continue
+        dense, gap = _dense(operator)
+        atol = TOL + CONDITIONING_FACTOR * np.finfo(float).eps * np.linalg.norm(operator.matrix, 2) / gap
+        np.testing.assert_allclose(fast.captured_norm, dense.captured_norm, rtol=TOL, atol=TOL)
+        np.testing.assert_allclose(abs(fast.a0), abs(dense.a0), rtol=TOL, atol=atol)
+        np.testing.assert_allclose(abs(fast.a1), abs(dense.a1), rtol=TOL, atol=atol)

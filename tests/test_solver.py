@@ -209,6 +209,46 @@ def test_sum_rules_reject_a_wrong_discarded_eigenvalue(monkeypatch):
         eigensolve(matrix, n_levels=2)
 
 
+def test_sum_rules_are_taken_in_units_of_the_largest_entry(monkeypatch):
+    """At |H| ~ 1e300, e^2 overflows; the rules still pass on true levels and
+    still catch two wrong discarded ones that keep the trace."""
+    matrix = _random_hermitian(8, 4)
+    matrix *= 1e300 / np.max(np.abs(matrix))
+    np.testing.assert_allclose(eigensolve(matrix).energies, np.linalg.eigvalsh(matrix), rtol=1e-12)
+    top = np.linalg.eigvalsh(matrix)[-1]
+
+    def spread_top_two(energies, vectors):
+        energies[-1] += 1e-3 * abs(top)
+        energies[-2] -= 1e-3 * abs(top)
+
+    _patched_eigh(monkeypatch, spread_top_two)
+    with pytest.raises(NumericalContractError, match="sum rules"):
+        eigensolve(matrix, n_levels=2)
+
+
+def test_a_nan_defect_fails_the_checks(monkeypatch):
+    matrix = _random_hermitian(8, 3)
+
+    def nan_discarded_level(energies, vectors):
+        energies[-1] = np.nan
+
+    def nan_returned_vector(energies, vectors):
+        vectors[0, 0] = np.nan
+
+    _patched_eigh(monkeypatch, nan_discarded_level)
+    with pytest.raises(NumericalContractError, match="sum rules"):
+        eigensolve(matrix, n_levels=2)
+    _patched_eigh(monkeypatch, nan_returned_vector)
+    with pytest.raises(NumericalContractError, match="residual"):
+        eigensolve(matrix, n_levels=2)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_eigensolve_rejects_non_finite_entries(bad):
+    with pytest.raises(NumericalContractError, match="finite"):
+        eigensolve(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
 def test_returned_pairs_are_checked_and_discarded_vectors_are_not(monkeypatch):
     matrix = _random_hermitian(8, 2)
 
