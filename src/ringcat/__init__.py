@@ -16,7 +16,6 @@ from .basis import (
     mode_transform_matrix,
     quasimomentum_labels,
     quasimomentum_sector,
-    state_index,
 )
 from .catmetrics import (
     CatMetrics,
@@ -131,6 +130,5 @@ __all__ = [
     "site_sweep",
     "single_flow_energy",
     "spectrum_sweep",
-    "state_index",
     "two_level_predict",
 ]

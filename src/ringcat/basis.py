@@ -130,11 +130,6 @@ def enumerate_fock(n: int, interpretation: str = "site") -> FockBasis:
     return FockBasis(n=n, interpretation=interpretation, states=states)
 
 
-def state_index(basis: FockBasis, occupation: Sequence[int]) -> int:
-    """Index of ``occupation`` in ``basis`` (round-trips with ``basis.states``)."""
-    return basis.index(occupation)
-
-
 def quasimomentum_sector(occupation: Sequence[int]) -> int:
     """Total quasi-momentum label k = (n_beta + 2 n_gamma) mod 3 of a flow triple.
 

@@ -135,7 +135,7 @@ def _eliminated_ground_state(operator: HermitianOperator, elimination: LowdinRes
         elimination = lowdin_coupling(operator) if elimination is None else elimination
     except (NearResonantIntermediateError, UnsupportedConfigurationError):
         return None
-    h, lam, ((a, v), (_, b)) = operator.matrix, elimination.lam, elimination.heff
+    lam, ((a, v), (_, b)) = elimination.lam, elimination.heff
     eps = 0.5 * float(np.real(a - b))
     r = math.hypot(eps, abs(v))
     if r == 0.0:
@@ -145,11 +145,12 @@ def _eliminated_ground_state(operator: HermitianOperator, elimination: LowdinRes
     state = np.zeros(operator.dimension, dtype=np.result_type(c_p, elimination.x))
     state[elimination.indices] = np.concatenate([c_p, -elimination.x @ c_p])
     state /= np.linalg.norm(state)
-    scale = max(abs(lam), float(np.max(np.abs(np.diagonal(h)[elimination.indices]))))
-    cut = lam + RESIDUAL_RTOL * float(np.sqrt(np.vdot(h, h).real))
-    proven = np.max(np.abs(h @ state - lam * state)) <= RESIDUAL_RTOL * scale and all(
-        _levels_above(h[np.ix_(m, m)], cut) for m in operator.sectors if not np.isin(elimination.indices[:2], m).any()
-    )
+    t0, t1 = elimination.indices[:2]
+    blocks = [(m, h, t0 in m or t1 in m) for m, h in zip(operator.sectors, operator.blocks)]
+    scale = max(abs(lam), *(float(np.max(np.abs(np.diagonal(h)))) for _, h, held in blocks if held))
+    residual = max(float(np.max(np.abs(h @ state[m] - lam * state[m]))) for m, h, held in blocks if held)
+    cut = lam + RESIDUAL_RTOL * operator.frobenius
+    proven = residual <= RESIDUAL_RTOL * scale and all(_levels_above(h, cut) for _, h, held in blocks if not held)
     return state if proven else None
 
 

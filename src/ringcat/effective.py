@@ -23,7 +23,9 @@ import numpy as np
 
 from .basis import FockBasis
 from .errors import NearResonantIntermediateError, NumericalContractError, UnsupportedConfigurationError
-from .hamiltonians import HermitianOperator, ModelParams, _flow_interaction_coefficients, _hermitian, _levels_above, flow_sweep
+from .hamiltonians import (
+    HermitianOperator, ModelParams, _dense_zeros, _flow_interaction_coefficients, _hermitian, _levels_above, flow_sweep
+)
 from .util import write_csv
 
 #: An eliminated state closer to the working energy than this (relative to the
@@ -126,20 +128,13 @@ def default_flow_targets(basis: FockBasis) -> tuple[int, int]:
     return basis.index((n, 0, 0)), basis.index((0, n, 0))
 
 
-def _elimination_space(operator: HermitianOperator, targets: tuple[int, int]) -> np.ndarray:
-    """Indices eliminated by the reduction: the rest of the blocks of
-    ``operator.sectors`` that hold a target, block by block."""
-    t0, t1 = targets
-    held = np.concatenate([s for s in operator.sectors if t0 in s or t1 in s])
-    return held[(held != t0) & (held != t1)]
-
-
 def lowdin_coupling(operator: HermitianOperator, targets: tuple[int, int] | None = None) -> LowdinResult:
     """Exact effective coupling between two flow states.
 
-    The working energy lam is the lowest level of the blocks of
-    ``operator.sectors`` that hold a target, the target pair P and the
-    eliminated states Q, and
+    The working energy lam is the lowest level of the blocks of the operator
+    that hold a target: the target pair P and the eliminated states Q, the
+    rest of those blocks, block by block.  The matrix on P and Q is built from
+    those blocks alone, and
 
         H_eff = H_PP - H_PQ (H_QQ - lam)^{-1} H_QP
 
@@ -149,15 +144,18 @@ def lowdin_coupling(operator: HermitianOperator, targets: tuple[int, int] | None
     near-resonant-intermediate error is raised.  The result keeps the solve
     x = (H_QQ - lam)^{-1} H_QP, which gives the eigenvector at lam.
     """
-    basis = operator.basis
-    if basis.interpretation != "flow":
+    if operator.basis.interpretation != "flow":
         raise UnsupportedConfigurationError("elimination expects a flow-basis operator")
-    if targets is None:
-        targets = default_flow_targets(basis)
-    h = operator.matrix
-    margin = RESONANCE_RTOL * max(1.0, float(np.max(np.abs(h))))
-    block = np.concatenate([targets, _elimination_space(operator, targets)])
-    h_block = h[np.ix_(block, block)]
+    t0, t1 = targets = default_flow_targets(operator.basis) if targets is None else targets
+    margin = RESONANCE_RTOL * max(1.0, operator.scale)
+    held = [(members, h) for members, h in zip(operator.sectors, operator.blocks) if t0 in members or t1 in members]
+    space = np.concatenate([members for members, _ in held])
+    block = np.concatenate([targets, space[(space != t0) & (space != t1)]])
+    where = np.empty(operator.dimension, np.intp)
+    where[block] = np.arange(len(block))
+    h_block = _dense_zeros(len(block), np.result_type(*operator.blocks))
+    for members, h in held:
+        h_block[np.ix_(where[members], where[members])] = h
     lam = float(np.linalg.eigvalsh(h_block)[0])
     h_pp, h_qq, h_qp = h_block[:2, :2], h_block[2:, 2:], h_block[2:, :2]
     if not _levels_above(h_qq, lam + margin):
@@ -198,8 +196,7 @@ class CouplingGraph:
     ``coupling`` is the only store of the edges: the matrix element at [i, j]
     on each edge, with the conjugate of the upper triangle below it, and zero
     elsewhere.  The neighbour lists are CSR arrays derived from it, which the
-    block enumeration of paths indexes into; ``edges``, ``edge_value``,
-    ``neighbors`` and ``connected_component`` are views.
+    block enumeration of paths indexes into.
     """
 
     basis: FockBasis | None
@@ -212,22 +209,11 @@ class CouplingGraph:
         rows, self._indices = np.nonzero(self.coupling)
         self._indptr = np.searchsorted(rows, np.arange(len(self.diagonal) + 1))
 
-    @property
-    def edges(self) -> dict[tuple[int, int], complex]:
-        """The couplings keyed (i, j) with i < j."""
-        return _entries(np.triu(self.coupling, k=1))
-
     def describe_state(self, i: int):
         return self.basis.states[i] if self.basis is not None else i
 
     def edge_value(self, i: int, j: int) -> complex:
         return self.coupling[i, j].item()
-
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        return tuple(self._indices[self._indptr[i] : self._indptr[i + 1]].tolist())
-
-    def connected_component(self, start: int) -> set[int]:
-        return set(np.flatnonzero(np.isfinite(self._hops_to(start))).tolist())
 
     def _steps(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(owner, neighbour) pairs of every neighbour of each ``nodes[owner]``,

@@ -35,6 +35,7 @@ phase-independent part H_0 built once and A the hopping.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -128,46 +129,72 @@ def _levels_above(matrix: np.ndarray, cut: float) -> bool:
     return True
 
 
-@dataclass
-class HermitianOperator:
-    """A dense Hermitian matrix together with its basis and parameters.
+#: Most entries of any dense matrix an operator holds or assembles (a sector block, a site or
+#: unequal-bond operator, ``HermitianOperator.matrix``): 512 MiB real, 1 GiB complex.
+MAX_DENSE_ENTRIES = 1 << 26
 
-    Hermiticity is verified entrywise at construction (tolerance
-    ``hermitian_atol``) and the matrix is then symmetrised exactly so that
-    downstream solvers see H == H^dagger to machine precision; a float or
-    complex matrix that is already exactly Hermitian is kept, not copied, so
-    it must not be changed afterwards.  A real matrix is kept real, so that it
-    is solved as a real symmetric one.
+
+def _dense_zeros(side: int, dtype=float) -> np.ndarray:
+    """A zero ``side`` x ``side`` matrix; above ``MAX_DENSE_ENTRIES`` a configuration error, before allocating."""
+    if side * side > MAX_DENSE_ENTRIES:
+        raise UnsupportedConfigurationError(f"a dense {side} x {side} matrix exceeds {MAX_DENSE_ENTRIES} entries")
+    return np.zeros((side, side), dtype)
+
+
+def _sectors(basis: FockBasis, params: ModelParams | None) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """(labels, sectors): each state's sector, its quasi-momentum in a flow basis with
+    equal tunnelling and else 0, and the states of each sector, ascending."""
+    equal_flow = basis.interpretation == "flow" and params is not None and params.equal_j
+    labels = quasimomentum_labels(basis) if equal_flow else np.zeros(basis.dimension, np.intp)
+    return labels, tuple(np.flatnonzero(labels == k) for k in range(3 if equal_flow else 1))
+
+
+class HermitianOperator:
+    """A Hermitian operator on ``basis``, held as ``blocks[b]`` on ``sectors[b]``.
+
+    The sectors, each ascending, are the quasi-momentum sectors k = 0, 1, 2 of
+    a flow operator with equal tunnelling and else the whole basis.  ``matrix``
+    is the whole dense matrix, split into blocks after checking that it does
+    not couple the sectors, or the blocks of the given ``sectors``.  Each block
+    is checked finite and Hermitian to ``hermitian_atol`` and symmetrised
+    exactly; one already exactly Hermitian is kept, not copied, so it must not
+    be changed afterwards, and a real one stays real.  The ``matrix`` property
+    assembles the dense matrix on demand.
     """
 
-    matrix: np.ndarray
-    basis: FockBasis
-    params: ModelParams | None = None
-    hermitian_atol: float = 1e-12
-
-    def __post_init__(self):
-        self.matrix = _hermitian(self.matrix, self.hermitian_atol)
-        if self.dimension != self.basis.dimension:
-            raise NumericalContractError(
-                f"matrix dimension {self.dimension} does not match basis dimension {self.basis.dimension}"
-            )
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
+    def __init__(self, matrix, basis: FockBasis, params: ModelParams | None = None,
+                 hermitian_atol: float = 1e-12, sectors: tuple[np.ndarray, ...] | None = None):
+        self.basis, self.params, self.dimension = basis, params, basis.dimension
+        if sectors is None:
+            (labels, sectors), matrix = _sectors(basis, params), np.asarray(matrix)
+            if matrix.shape != (basis.dimension,) * 2:
+                raise NumericalContractError(f"matrix of shape {matrix.shape} does not fit {basis.dimension} states")
+            leak = np.max(np.abs(matrix[labels[:, None] != labels]), initial=0.0)
+            if not leak <= hermitian_atol:
+                raise NumericalContractError(f"operator couples its sectors: max |H_kk'| = {leak:.3e}")
+            matrix = [matrix[np.ix_(m, m)] for m in sectors] if len(sectors) > 1 else [matrix]
+        self.sectors, self.blocks = sectors, tuple(_hermitian(block, hermitian_atol) for block in matrix)
 
     @property
-    def sectors(self) -> tuple[np.ndarray, ...]:
-        """Index sets of the basis that the operator does not couple, each ascending.
+    def matrix(self) -> np.ndarray:
+        """The dense matrix; a one-block operator returns its block, any other assembles it."""
+        if len(self.blocks) == 1:
+            return self.blocks[0]
+        h = _dense_zeros(self.dimension, np.result_type(*self.blocks))
+        for members, block in zip(self.sectors, self.blocks):
+            h[np.ix_(members, members)] = block
+        return h
 
-        A flow operator with equal tunnelling conserves the quasi-momentum
-        k = (n_beta + 2 n_gamma) mod 3, which gives its sectors k = 0, 1, 2;
-        any other operator is one block, the whole basis.
-        """
-        if self.basis.interpretation != "flow" or self.params is None or not self.params.equal_j:
-            return (np.arange(self.dimension),)
-        labels = quasimomentum_labels(self.basis)
-        return tuple(np.flatnonzero(labels == k) for k in range(3))
+    @functools.cached_property
+    def scale(self) -> float:
+        """max |H_ij| over the blocks."""
+        return max(float(np.max(np.abs(block), initial=0.0)) for block in self.blocks)
+
+    @functools.cached_property
+    def frobenius(self) -> float:
+        """|H|_F, taken in units of ``scale`` so that it overflows only where it is out of range."""
+        unit = self.scale or 1.0
+        return unit * math.hypot(*(np.linalg.norm(block / unit) for block in self.blocks))
 
 
 #: For each flow mode, the other two modes.
@@ -216,11 +243,15 @@ def _printed_dipolar_coefficients(params: ModelParams) -> tuple[tuple[float, ...
 _BONDS = ((0, 1), (1, 2), (2, 0))
 
 
-def _add_exchange(h: np.ndarray, occ: np.ndarray, create, annihilate, coefficient: float) -> None:
-    """h += coefficient * (term + h.c.) for a real, phase-independent ladder term."""
+def _add_exchange(base, sectors, occ: np.ndarray, create, annihilate, coefficient: float) -> None:
+    """base += coefficient * (term + h.c.) for a real, phase-independent ladder term
+    that joins no two sectors, where block ``base[b]`` holds ``sectors[b]``."""
     targets, sources, amplitudes = _ladder(occ, create, annihilate)
-    h[targets, sources] += coefficient * amplitudes
-    h[sources, targets] += coefficient * amplitudes
+    for members, h in zip(sectors, base):
+        inside = np.isin(sources, members)
+        rows, cols = np.searchsorted(members, targets[inside]), np.searchsorted(members, sources[inside])
+        h[rows, cols] += coefficient * amplitudes[inside]
+        h[cols, rows] += coefficient * amplitudes[inside]
 
 
 def _hopping(occ: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -241,17 +272,21 @@ def _hopping(occ: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
 class PhaseSweep:
     """Ring Hamiltonian over a sweep of phase twists, built once.
 
-    H(phi) = base + e^{i phi/3} A + h.c., where ``base`` is the real
-    phase-independent part and A is the hopping, held as triplets:
+    H(phi) = H_0 + e^{i phi/3} A + h.c.  The real phase-independent part H_0
+    is held as ``base``, one dense block per sector of ``sectors`` (see
+    ``HermitianOperator``); A is the hopping, held as triplets:
     A[rows, cols] = values.  In the flow basis A has the diagonal
     -J sum_k n_k e^{-2 pi i k/3}, with J the mean bond, so that A + h.c. is
     the kinetic diagonal in cos(phi/3) and sin(phi/3).  With equal tunnelling
-    that diagonal is all of A and H(phi) stays real.
+    that diagonal is all of A: H(phi) stays real and conserves quasi-momentum,
+    and ``at`` copies each block and adds its diagonal, building no matrix of
+    the whole basis.  Otherwise there is one sector, the whole basis.
     """
 
     params: ModelParams
     basis: FockBasis
-    base: np.ndarray
+    sectors: tuple[np.ndarray, ...]
+    base: tuple[np.ndarray, ...]
     rows: np.ndarray
     cols: np.ndarray
     values: np.ndarray
@@ -260,31 +295,33 @@ class PhaseSweep:
         """The Hamiltonian at phase twist ``phi``."""
         c, s = math.cos(phi / 3.0), math.sin(phi / 3.0)
         if np.array_equal(self.rows, self.cols):
-            h = self.base.copy()
-            h[self.rows, self.rows] += 2.0 * (c * self.values.real - s * self.values.imag)
+            diagonal = np.zeros(self.basis.dimension)
+            diagonal[self.rows] = 2.0 * (c * self.values.real - s * self.values.imag)
+            blocks = tuple(block.copy() for block in self.base)
+            for members, h in zip(self.sectors, blocks):
+                h.flat[:: len(h) + 1] += diagonal[members]
         else:
             hop = complex(c, s) * self.values
-            h = self.base.astype(complex)
+            (h,) = blocks = (self.base[0].astype(complex),)
             h[self.rows, self.cols] += hop
             h[self.cols, self.rows] += hop.conj()
-        return HermitianOperator(h, self.basis, self.params.with_phi(phi))
+        return HermitianOperator(blocks, self.basis, self.params.with_phi(phi), sectors=self.sectors)
 
 
 def site_sweep(params: ModelParams) -> PhaseSweep:
     """Site Hamiltonian of ``params`` at any phase, with every term built once."""
     basis = enumerate_fock(params.n, "site")
     occ = basis.occupations
-    base = np.zeros((basis.dimension, basis.dimension))
+    sectors, base = (np.arange(basis.dimension),), (_dense_zeros(basis.dimension),)
     onsite = params.u0 if params.dipolar else params.u
-    base[np.diag_indices_from(base)] = onsite * (occ * (occ - 1)).sum(axis=1)
+    base[0][np.diag_indices_from(base[0])] = onsite * (occ * (occ - 1)).sum(axis=1)
     if params.dipolar:
         for p, q in _BONDS:
-            _add_exchange(base, occ, 2 * _UNIT[p], 2 * _UNIT[q], params.u1)
+            _add_exchange(base, sectors, occ, 2 * _UNIT[p], 2 * _UNIT[q], params.u1)
     bonds = np.zeros((3, 3), dtype=complex)
     for (p, q), j_pq in zip(_BONDS, params.j):
         bonds[p, q] = -j_pq
-    rows, cols, values = _hopping(occ, bonds)
-    return PhaseSweep(params=params, basis=basis, base=base, rows=rows, cols=cols, values=values)
+    return PhaseSweep(params, basis, sectors, base, *_hopping(occ, bonds))
 
 
 def build_site_hamiltonian(params: ModelParams) -> HermitianOperator:
@@ -293,17 +330,6 @@ def build_site_hamiltonian(params: ModelParams) -> HermitianOperator:
 
 
 def _flow_sweep(params: ModelParams, coefficients: tuple[tuple[float, ...], ...]) -> PhaseSweep:
-    basis = enumerate_fock(params.n, "flow")
-    occ = basis.occupations
-    base = np.zeros((basis.dimension, basis.dimension))
-    diagonal = np.zeros(basis.dimension)
-    c_self, c_dens, c_exch = coefficients
-    # Each exchange term annihilates two quanta of one mode and creates one in
-    # each of the other two; total quasi-momentum is conserved mod 3.
-    for m, (o1, o2) in enumerate(_OTHER_MODES):
-        diagonal += c_self[m] * occ[:, m] * (occ[:, m] - 1) + c_dens[m] * occ[:, o1] * occ[:, o2]
-        _add_exchange(base, occ, _UNIT[o1] + _UNIT[o2], 2 * _UNIT[m], c_exch[m])
-    base[np.diag_indices_from(base)] = diagonal
     # The bonds in the flow modes, t_kk' = -e^{-2 pi i k'/3} Jhat_{k-k'} / 3 with
     # Jhat_m = sum_j J_j e^{2 pi i j m/3}.  The diagonal (Jhat_0 / 3 is the mean
     # bond) is written below with exact integer combinations, and Jhat_1 so
@@ -311,6 +337,22 @@ def _flow_sweep(params: ModelParams, coefficients: tuple[tuple[float, ...], ...]
     j1, j2, j3 = params.j
     mean = j1 + ((j2 - j1) + (j3 - j1)) / 3.0
     jhat1 = complex(j1 - 0.5 * (j2 + j3), 0.5 * _SQRT3 * (j2 - j3))
+    # Every kinetic and hopping term below stays within 4 N (|mean| + |Jhat_1|).
+    if not math.isfinite(4.0 * params.n * (abs(mean) + abs(jhat1))):
+        raise NumericalContractError(f"the bonds {params.j} overflow in the flow modes at N = {params.n}")
+    basis = enumerate_fock(params.n, "flow")
+    occ = basis.occupations
+    _, sectors = _sectors(basis, params)
+    base = tuple(_dense_zeros(len(members)) for members in sectors)
+    diagonal = np.zeros(basis.dimension)
+    c_self, c_dens, c_exch = coefficients
+    # Each exchange term annihilates two quanta of one mode and creates one in
+    # each of the other two; total quasi-momentum is conserved mod 3.
+    for m, (o1, o2) in enumerate(_OTHER_MODES):
+        diagonal += c_self[m] * occ[:, m] * (occ[:, m] - 1) + c_dens[m] * occ[:, o1] * occ[:, o2]
+        _add_exchange(base, sectors, occ, _UNIT[o1] + _UNIT[o2], 2 * _UNIT[m], c_exch[m])
+    for members, h in zip(sectors, base):
+        h[np.diag_indices_from(h)] = diagonal[members]
     jhat = (0.0, jhat1, jhat1.conjugate())
     twiddles = np.exp(-2j * np.pi * np.arange(3) / 3)
     flow_bonds = np.array([[-twiddles[q] * jhat[(p - q) % 3] / 3 for q in range(3)] for p in range(3)])
@@ -318,14 +360,8 @@ def _flow_sweep(params: ModelParams, coefficients: tuple[tuple[float, ...], ...]
     kinetic_cos = -mean * (2 * occ[:, 0] - occ[:, 1] - occ[:, 2])
     kinetic_sin = -_SQRT3 * mean * (occ[:, 1] - occ[:, 2])
     states = np.arange(basis.dimension)
-    return PhaseSweep(
-        params=params,
-        basis=basis,
-        base=base,
-        rows=np.concatenate([states, rows]),
-        cols=np.concatenate([states, cols]),
-        values=np.concatenate([0.5 * (kinetic_cos - 1j * kinetic_sin), values]),
-    )
+    values = np.concatenate([0.5 * (kinetic_cos - 1j * kinetic_sin), values])
+    return PhaseSweep(params, basis, sectors, base, np.concatenate([states, rows]), np.concatenate([states, cols]), values)
 
 
 def flow_sweep(params: ModelParams) -> PhaseSweep:

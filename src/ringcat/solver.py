@@ -26,57 +26,39 @@ class EigenResult:
     basis: FockBasis | None = None
     params: ModelParams | None = None
 
-    @property
-    def ground_energy(self) -> float:
-        return float(self.energies[0])
-
-    @property
-    def ground_vector(self) -> np.ndarray:
-        return self.vectors[:, 0]
-
 
 def eigensolve(operator: HermitianOperator | np.ndarray, n_levels: int | None = None) -> EigenResult:
     """Dense Hermitian diagonalization, truncated to the lowest ``n_levels`` (all by default).
 
-    An operator is solved one block of ``operator.sectors`` at a time, after
-    checking that it does not couple them; the levels of the blocks are
-    merged in the order (energy, block, index within the block) and embedded
-    in the full basis.  Blocks are visited from the smallest diagonal entry
-    up; once ``n_levels`` levels are held, a block is skipped when
-    ``_levels_above`` proves it free of levels up to the cut, that level plus
-    ``RESIDUAL_RTOL`` times the Frobenius norm.  Raises a numerical-contract
-    error for non-Hermitian input, and verifies the residual and
-    orthonormality guarantees on the returned pairs.  Real symmetric input is
-    solved in real arithmetic and gives real vectors.
+    An operator is solved one of its ``blocks`` at a time, a bare matrix as
+    one block; the levels are merged in the order (energy, block, index
+    within the block) and embedded in the full basis.  Blocks are visited
+    from the smallest diagonal entry up; once ``n_levels`` levels are held, a
+    block is skipped when ``_levels_above`` proves it free of levels up to the
+    cut, that level plus ``RESIDUAL_RTOL`` times the operator's ``frobenius``
+    norm.  Raises a numerical-contract error for non-Hermitian input, and
+    verifies the residual and orthonormality guarantees on the returned
+    pairs.  Real symmetric input is solved in real arithmetic and gives real
+    vectors.
     """
     if isinstance(operator, HermitianOperator):
-        matrix, basis, params, sectors = operator.matrix, operator.basis, operator.params, operator.sectors
+        blocks, sectors, basis, params = operator.blocks, operator.sectors, operator.basis, operator.params
     else:
-        matrix, basis, params, sectors = _hermitian(operator), None, None, None
-    dim = matrix.shape[0]
+        blocks, basis, params = (_hermitian(operator),), None, None
+        sectors = (np.arange(len(blocks[0])),)
+    dim = sum(map(len, sectors))
     n_levels = dim if n_levels is None else n_levels
     if not 1 <= n_levels <= dim:
         raise UnsupportedConfigurationError(f"n_levels must be in [1, {dim}], got {n_levels}")
-    if sectors is None or len(sectors) == 1:
-        energies, vectors = _checked_eigh(matrix, n_levels)
-        return EigenResult(energies=energies, vectors=vectors, basis=basis, params=params)
-
-    block_of = np.empty(dim, dtype=np.intp)
-    for b, members in enumerate(sectors):
-        block_of[members] = b
-    leak = np.max(np.abs(matrix[block_of[:, None] != block_of[None, :]]), initial=0.0)
-    if leak > operator.hermitian_atol:
-        raise NumericalContractError(f"operator couples its sectors: max |H_kk'| = {leak:.3e}")
-    margin = RESIDUAL_RTOL * float(np.sqrt(np.vdot(matrix, matrix).real))
-    lowest = [np.min(np.diagonal(matrix).real[members], initial=np.inf) for members in sectors]
+    lowest = [np.min(np.diagonal(block).real, initial=np.inf) for block in blocks]
     solved, levels = {}, []
-    for b in sorted(range(len(sectors)), key=lowest.__getitem__):
-        block = matrix[np.ix_(sectors[b], sectors[b])]
-        if len(levels) >= n_levels and _levels_above(block, levels[n_levels - 1][0] + margin):
+    for b in sorted(range(len(blocks)), key=lowest.__getitem__):
+        # Only a later block is skipped, so a bare matrix is never asked for its norm.
+        if len(levels) == n_levels and _levels_above(blocks[b], levels[-1][0] + RESIDUAL_RTOL * operator.frobenius):
             continue
-        solved[b] = _checked_eigh(block, n_levels)
+        solved[b] = _checked_eigh(blocks[b], n_levels)
         levels = sorted(levels + [(float(e), b, i) for i, e in enumerate(solved[b][0])])[:n_levels]
-    vectors = np.zeros((dim, n_levels), dtype=matrix.dtype)
+    vectors = np.zeros((dim, n_levels), dtype=np.result_type(*blocks))
     for column, (_, b, i) in enumerate(levels):
         vectors[sectors[b], column] = solved[b][1][:, i]
     energies = np.array([e for e, _, _ in levels])

@@ -14,7 +14,6 @@ from ringcat import (
     enumerate_fock,
     mode_transform_matrix,
     quasimomentum_sector,
-    state_index,
 )
 
 
@@ -35,7 +34,7 @@ def test_index_round_trip(n):
     basis = enumerate_fock(n)
     for i, occ in enumerate(basis.states):
         assert basis.index(occ) == i
-        assert state_index(basis, list(occ)) == i
+        assert basis.index(list(occ)) == i
 
 
 def test_index_rejects_bad_occupations():

@@ -8,6 +8,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -289,6 +290,16 @@ def test_overflowing_ring_inputs_end_in_a_contract_error_or_finite_rows(command,
         assert "numerical contract violation" in capsys.readouterr().err
     else:
         assert "nan" not in out.read_text()
+
+
+@pytest.mark.parametrize("command", ["catscan", "spectrum"])
+def test_overflowing_bonds_exit_3_before_any_arithmetic_warns(command, tmp_path, capsys):
+    """The flow-mode bond terms are checked finite before they are used, so
+    no numpy warning, raised here as an error, comes before the exit."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli([command, "--n", "3", "--j", "1e308", "--out", str(tmp_path / "out.csv")]) == 3
+    assert "the bonds (1e+308, 1e+308, 1e+308) overflow in the flow modes" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

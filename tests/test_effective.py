@@ -166,7 +166,7 @@ def test_elimination_frozen_coupling_n3():
 def test_elimination_working_energy_is_exact_ground_energy(n, u):
     params = ModelParams(n=n, j=1.0, u=u, phi=math.pi)
     result = lowdin_coupling(build_flow_hamiltonian(params))
-    exact = eigensolve(build_site_hamiltonian(params)).ground_energy
+    exact = eigensolve(build_site_hamiltonian(params)).energies[0]
     np.testing.assert_allclose(result.lam, exact, atol=1e-9)
 
 
@@ -250,10 +250,10 @@ def test_working_energy_is_the_block_ground_level_and_lowest_of_heff(n, dphi, di
         params = ModelParams(n=n, u=u, phi=math.pi + dphi)
     op = flow_sweep(params).at(params.phi)
     targets = default_flow_targets(op.basis)
-    block = [*targets, *effective_module._elimination_space(op, targets)]
+    held = np.concatenate([s for s in op.sectors if np.isin(targets, s).any()])
     result = lowdin_coupling(op)
     norm = np.linalg.norm(op.matrix, 2)
-    assert abs(result.lam - np.linalg.eigvalsh(op.matrix[np.ix_(block, block)])[0]) <= 1e-12 * norm
+    assert abs(result.lam - np.linalg.eigvalsh(op.matrix[np.ix_(held, held)])[0]) <= 1e-12 * norm
     assert abs(np.linalg.eigvalsh(result.heff)[0] - result.lam) <= 1e-12 * norm
 
 
@@ -262,11 +262,13 @@ def test_split_pair_is_eliminated_on_the_two_blocks_that_hold_it():
     22 states are eliminated; block k = 2 is not, and v01 vanishes exactly."""
     op = flow_sweep(ModelParams(n=7, u=0.1)).at(math.pi + 0.1)
     targets = default_flow_targets(op.basis)
-    space = effective_module._elimination_space(op, targets)
+    result = lowdin_coupling(op)
+    space = result.indices[2:]
     held = np.concatenate([s for s in op.sectors if np.isin(targets, s).any()])
+    assert result.indices[:2].tolist() == list(targets)
     assert (len(space), op.dimension) == (22, 36)
     assert sorted(space.tolist()) == sorted(set(held.tolist()) - set(targets))
-    assert lowdin_coupling(op).v01 == 0
+    assert result.v01 == 0
 
 
 @pytest.mark.parametrize("dphi, lam, v01_abs", [(-0.2, -5.014443082, 0.0907), (-0.15, -5.032196703, 0.0476)])
@@ -290,11 +292,11 @@ def test_coupling_graph_structure():
         ]
     )
     graph = build_coupling_graph(h)
-    assert set(graph.edges) == {(0, 2), (1, 2), (2, 3)}
-    assert graph.neighbors(2) == (0, 1, 3)
+    assert set(effective_module._entries(np.triu(graph.coupling, k=1))) == {(0, 2), (1, 2), (2, 3)}
+    assert _csr_row(graph, 2) == (0, 1, 3)
     assert graph.edge_value(0, 2) == 0.5 + 0.1j
     assert graph.edge_value(2, 0) == 0.5 - 0.1j
-    assert graph.connected_component(0) == {0, 1, 2, 3}
+    assert _reachable(graph, 0) == {0, 1, 2, 3}
     paths = list(graph.simple_paths(0, 1, max_intermediates=2))
     assert paths == [(0, 2, 1)]
     assert list(graph.simple_paths(0, 1, max_intermediates=0)) == []
@@ -378,7 +380,7 @@ def test_normalised_all_orders_path_sum_equals_elimination_coupling(params):
     targets = default_flow_targets(op.basis)
     elimination = lowdin_coupling(op)
     graph = build_coupling_graph(op)
-    all_orders = len(graph.connected_component(targets[0]))
+    all_orders = len(reference_component(graph, targets[0]))
     total = path_coupling(graph, targets, elimination.lam, max_order=all_orders)
     normalised = total / path_normalisation(graph, targets, elimination.lam)
     assert abs(normalised - elimination.v01) <= 1e-12 * abs(elimination.v01)
@@ -499,6 +501,21 @@ def test_detuning_slope_at_crossing(n):
 # ---------------------------------------------------------------------------
 
 
+def neighbors(graph, i):
+    """The states joined to ``i`` by an edge, ascending, read from ``graph.coupling``."""
+    return tuple(np.flatnonzero(graph.coupling[i]).tolist())
+
+
+def _csr_row(graph, i):
+    """The neighbour list of ``i`` that the block enumeration of paths indexes into."""
+    return tuple(graph._indices[graph._indptr[i] : graph._indptr[i + 1]].tolist())
+
+
+def _reachable(graph, start):
+    """The states ``CouplingGraph._hops_to`` finds a finite hop count for."""
+    return set(np.flatnonzero(np.isfinite(graph._hops_to(start))).tolist())
+
+
 def reference_simple_paths(graph, start, goal, max_intermediates):
     """Recursive depth-first enumeration over ascending neighbours."""
     path = [start]
@@ -506,7 +523,7 @@ def reference_simple_paths(graph, start, goal, max_intermediates):
 
     def extend():
         node = path[-1]
-        for other in graph.neighbors(node):
+        for other in neighbors(graph, node):
             if other == goal:
                 yield tuple(path) + (goal,)
                 continue
@@ -534,7 +551,7 @@ def reference_complement_factor(graph, nodes, lam):
     pos = {node: idx for idx, node in enumerate(nodes)}
     for idx, node in enumerate(nodes):
         m[idx, idx] = 1.0
-        for other in graph.neighbors(node):
+        for other in neighbors(graph, node):
             if other in pos:
                 m[idx, pos[other]] = -graph.edge_value(node, other) / gaps[pos[other]]
     return complex(np.linalg.det(m))
@@ -544,7 +561,7 @@ def reference_weighted_paths(graph, targets, lam, max_order):
     """(path, bare weight, loop factor) one path at a time, each path checked
     for near-resonant intermediates and loop states of its own."""
     t0, t1 = targets
-    component = graph.connected_component(t0)
+    component = reference_component(graph, t0)
     if t1 not in component:
         return []
     eliminated = component - {t0, t1}
@@ -615,7 +632,7 @@ def reference_component(graph, start):
     """States reachable from ``start``, by a breadth-first search over Python sets."""
     seen, frontier = {start}, {start}
     while frontier:
-        frontier = {other for node in frontier for other in graph.neighbors(node)} - seen
+        frontier = {other for node in frontier for other in neighbors(graph, node)} - seen
         seen |= frontier
     return seen
 
@@ -629,10 +646,11 @@ def test_graph_views_and_normalisation_equal_the_set_reference(problem):
     expected_edges = {
         (i, j): complex(h[i, j]) for i in range(dim) for j in range(i + 1, dim) if abs(h[i, j]) > 1e-14
     }
-    assert {k: repr(v) for k, v in graph.edges.items()} == {k: repr(v) for k, v in expected_edges.items()}
+    edges = effective_module._entries(np.triu(graph.coupling, k=1))
+    assert {k: repr(v) for k, v in edges.items()} == {k: repr(v) for k, v in expected_edges.items()}
     for i in range(dim):
-        assert graph.neighbors(i) == tuple(j for j in range(dim) if (min(i, j), max(i, j)) in expected_edges)
-        assert graph.connected_component(i) == reference_component(graph, i)
+        assert _csr_row(graph, i) == tuple(j for j in range(dim) if (min(i, j), max(i, j)) in expected_edges)
+        assert _reachable(graph, i) == reference_component(graph, i)
         for j in range(i + 1, dim):
             assert graph.edge_value(i, j) == expected_edges.get((i, j), 0)
             if (i, j) in expected_edges:
@@ -656,7 +674,7 @@ def test_flow_paths_equal_the_reference_with_state_names_in_resonance_errors():
     assert list(weighted_paths(graph, targets, lam, 8)) == reference_weighted_paths(graph, targets, lam, 8)
     for path in reference_simple_paths(graph, *targets, 8)[:3]:
         # One level on the first path and one off it.
-        for state in (path[1], min(graph.connected_component(targets[0]) - set(path))):
+        for state in (path[1], min(reference_component(graph, targets[0]) - set(path))):
             on_level = float(graph.diagonal[state])
             with pytest.raises(NearResonantIntermediateError) as excinfo:
                 list(weighted_paths(graph, targets, on_level, 8))

@@ -157,3 +157,17 @@ def test_split_pair_scans_match_the_dense_route(params):
         np.testing.assert_allclose(fast.captured_norm, dense.captured_norm, rtol=TOL, atol=TOL)
         np.testing.assert_allclose(abs(fast.a0), abs(dense.a0), rtol=TOL, atol=atol)
         np.testing.assert_allclose(abs(fast.a1), abs(dense.a1), rtol=TOL, atol=atol)
+
+
+def test_the_proof_holds_where_the_squared_norm_overflows():
+    """At U = 1e200 the squared Frobenius norm overflows; taken in units of
+    the largest entry it does not, so the state is proven, and the row is the
+    dense route's."""
+    params, dphi = ModelParams(n=3, u=1e200), 0.05
+    operator = flow_sweep(params).at(math.pi + dphi)
+    assert np.isinf(np.vdot(operator.matrix, operator.matrix))
+    assert _eliminated_ground_state(operator, None) is not None
+    fast = ground_cat_metrics(params, dphi, operator=operator)
+    dense, _ = _dense(operator)
+    for got, want in ((fast.captured_norm, dense.captured_norm), (abs(fast.a0), abs(dense.a0)), (abs(fast.a1), abs(dense.a1))):
+        assert got == pytest.approx(want, rel=1e-12)

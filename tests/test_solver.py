@@ -59,7 +59,7 @@ def test_eigensolve_ground_state_satisfies_eigen_equation():
     result = eigensolve(op)
     assert result.basis is op.basis
     assert result.params is params
-    residual = op.matrix @ result.ground_vector - result.ground_energy * result.ground_vector
+    residual = op.matrix @ result.vectors[:, 0] - result.energies[0] * result.vectors[:, 0]
     assert np.linalg.norm(residual) < 1e-10
     # eigenvectors orthonormal
     gram = result.vectors.conj().T @ result.vectors
@@ -70,7 +70,7 @@ def test_ground_energy_frozen_value():
     """Pinned end-to-end number for the default-style configuration."""
     op = build_site_hamiltonian(ModelParams(n=3, j=1.0, u=0.1, phi=0.0))
     result = eigensolve(op)
-    np.testing.assert_allclose(result.ground_energy, -5.80430220001277, rtol=1e-13)
+    np.testing.assert_allclose(result.energies[0], -5.80430220001277, rtol=1e-13)
 
 
 def test_sweep_shape_and_consistency():
@@ -157,13 +157,14 @@ def test_sector_solve_breaks_ties_by_sector_then_block_index():
 
 
 def test_sector_solve_rejects_operators_that_couple_sectors():
-    """An operator declared to conserve quasi-momentum (equal bonds) whose
-    matrix couples the sectors fails the leak scan."""
+    """A matrix declared to conserve quasi-momentum (equal bonds) that couples
+    the sectors is rejected when the operator is made, before it is split
+    into its three blocks."""
     unequal = flow_hamiltonian_by_conjugation(ModelParams(n=3, j=(1.0, 0.8, 1.2), u=0.1, phi=0.4))
-    op = HermitianOperator(unequal.matrix, unequal.basis, ModelParams(n=3, u=0.1, phi=0.4))
-    assert len(op.sectors) == 3
+    equal = ModelParams(n=3, u=0.1, phi=0.4)
+    assert len(HermitianOperator(np.diag(np.diagonal(unequal.matrix)), unequal.basis, equal).sectors) == 3
     with pytest.raises(NumericalContractError, match="couples its sectors"):
-        eigensolve(op, n_levels=2)
+        HermitianOperator(unequal.matrix, unequal.basis, equal)
 
 
 def test_eigensolve_rejects_level_counts_outside_one_to_the_dimension():
