@@ -182,15 +182,18 @@ def catscan(params: ModelParams, dphi_grid: Sequence[float]) -> CatScanTable:
 
     The flow Hamiltonian is built once for the whole scan.  With equal
     tunnelling each offset's operator is eliminated once, for both the ground
-    state and the two-level prediction; with unequal bonds the analytic ratio,
-    which needs equal tunnelling, is nan.
+    state and the two-level prediction; with unequal bonds, or where the
+    elimination meets a near-resonant level, the analytic ratio is nan.
     """
     dphis = np.asarray(list(dphi_grid), dtype=float)
     sweep = flow_sweep(params)
     metrics, analytic = [], []
     for dphi in dphis:
         operator = sweep.at(math.pi + dphi)
-        elimination = lowdin_coupling(operator) if params.equal_j else None
+        try:
+            elimination = lowdin_coupling(operator) if params.equal_j else None
+        except NearResonantIntermediateError:
+            elimination = None
         metrics.append(ground_cat_metrics(params, dphi, operator, elimination))
         model = effective_point(params, dphi, elimination=elimination) if elimination else None
         analytic.append(abs(model.predicted_ratio) if model else math.nan)

@@ -172,7 +172,7 @@ def lowdin_coupling(operator: HermitianOperator, targets: tuple[int, int] | None
 # Coupling graph and perturbative path sum
 # ---------------------------------------------------------------------------
 
-#: Paths are weighed, and path prefixes extended, in blocks of at most this many.
+#: Paths are weighed in blocks of at most this many.
 _BLOCK = 256
 #: Entries of the loop matrices stacked into one batched determinant.
 _BLOCK_ENTRIES = 1 << 17
@@ -195,19 +195,17 @@ class CouplingGraph:
 
     ``coupling`` is the only store of the edges: the matrix element at [i, j]
     on each edge, with the conjugate of the upper triangle below it, and zero
-    elsewhere.  The neighbour lists are CSR arrays derived from it, which the
-    block enumeration of paths indexes into.
+    elsewhere.  The ascending neighbour list of each state is derived from it
+    once, and the path walks follow those lists.
     """
 
     basis: FockBasis | None
     diagonal: np.ndarray
     coupling: np.ndarray
-    _indptr: np.ndarray = field(init=False, repr=False)
-    _indices: np.ndarray = field(init=False, repr=False)
+    _neighbours: list[list[int]] = field(init=False, repr=False)
 
     def __post_init__(self):
-        rows, self._indices = np.nonzero(self.coupling)
-        self._indptr = np.searchsorted(rows, np.arange(len(self.diagonal) + 1))
+        self._neighbours = [np.flatnonzero(row).tolist() for row in self.coupling]
 
     def describe_state(self, i: int):
         return self.basis.states[i] if self.basis is not None else i
@@ -215,25 +213,16 @@ class CouplingGraph:
     def edge_value(self, i: int, j: int) -> complex:
         return self.coupling[i, j].item()
 
-    def _steps(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(owner, neighbour) pairs of every neighbour of each ``nodes[owner]``,
-        in order of ``nodes`` and then ascending."""
-        first = self._indptr[nodes]
-        degree = self._indptr[nodes + 1] - first
-        owner = np.repeat(np.arange(len(nodes)), degree)
-        within = np.arange(len(owner)) - np.repeat(np.cumsum(degree) - degree, degree)
-        return owner, self._indices[first[owner] + within]
-
-    def _hops_to(self, goal: int) -> np.ndarray:
+    def _hops_to(self, goal: int) -> list[float]:
         """Fewest edges from each state to ``goal`` (inf where it cannot reach it)."""
-        hops = np.full(len(self.diagonal), np.inf)
+        hops = [math.inf] * len(self._neighbours)
         hops[goal] = 0
-        frontier = np.array([goal], dtype=np.intp)
-        while frontier.size:
-            _, reached = self._steps(frontier)
-            level = hops[frontier[0]] + 1
-            frontier = np.unique(reached[np.isinf(hops[reached])])
-            hops[frontier] = level
+        reached = [goal]
+        for i in reached:  # reached grows behind the loop: a breadth-first walk
+            for j in self._neighbours[i]:
+                if hops[j] == math.inf:
+                    hops[j] = hops[i] + 1
+                    reached.append(j)
         return hops
 
     def simple_paths(self, start: int, goal: int, max_intermediates: int) -> Iterator[tuple[int, ...]]:
@@ -241,38 +230,34 @@ class CouplingGraph:
         states strictly between the endpoints, in lexicographic order (the
         depth-first order over ascending neighbours).
 
-        Prefixes are extended one step at a time, in blocks of at most
-        ``_BLOCK`` held on a stack, so memory stays bounded by depth times
-        block size.  A step is taken only if the goal stays within reach,
-        counted in hops, of the intermediates left.  Extending more than
-        ``_MAX_PREFIXES`` prefixes raises an unsupported-configuration error.
+        The walk keeps its own stack of one neighbour iterator per state on
+        the path, not the call stack, and yields each path as it reaches the
+        goal.  A step is taken only if the goal stays within reach, counted in
+        hops, of the intermediates left.  Extending more than
+        ``_MAX_PREFIXES`` path prefixes raises an unsupported-configuration error.
         """
         if start == goal:
             return
         hops = self._hops_to(goal)
-        found: list[tuple[int, ...]] = []
-        stack = [np.array([[start]], dtype=np.intp)]
-        extended = 0
-        while stack:
-            prefixes = stack.pop()
-            extended += len(prefixes)
-            if extended > _MAX_PREFIXES:
-                raise UnsupportedConfigurationError(
-                    f"path enumeration exceeds {_MAX_PREFIXES} path prefixes; use a lower --max-order"
-                )
-            owner, step = self._steps(prefixes[:, -1])
-            at_goal = step == goal
-            if at_goal.any():
-                done = np.column_stack([prefixes[owner[at_goal]], step[at_goal]])
-                found += map(tuple, done.tolist())
-            # The new prefix holds len(prefix) intermediates, and the goal
-            # needs at least hops - 1 more.
-            keep = np.flatnonzero(~at_goal & (hops[step] <= max_intermediates - prefixes.shape[1] + 1))
-            keep = keep[(prefixes[owner[keep]] != step[keep, None]).all(axis=1)]
-            longer = np.column_stack([prefixes[owner[keep]], step[keep]])
-            stack += (longer[i : i + _BLOCK] for i in range(0, len(longer), _BLOCK))
-        found.sort()
-        yield from found
+        path, walks, extended = [start], [iter(self._neighbours[start])], 1
+        while walks:
+            for step in walks[-1]:
+                if step == goal:
+                    yield (*path, goal)
+                # The longer prefix holds len(path) intermediates, and the
+                # goal needs at least hops - 1 more.
+                elif hops[step] <= max_intermediates - len(path) + 1 and step not in path:
+                    extended += 1
+                    if extended > _MAX_PREFIXES:
+                        raise UnsupportedConfigurationError(
+                            f"path enumeration exceeds {_MAX_PREFIXES} path prefixes; use a lower --max-order"
+                        )
+                    path.append(step)
+                    walks.append(iter(self._neighbours[step]))
+                    break
+            else:
+                walks.pop()
+                path.pop()
 
 
 def build_coupling_graph(operator: HermitianOperator | np.ndarray) -> CouplingGraph:
@@ -334,9 +319,9 @@ def _eliminated(graph: CouplingGraph, targets: tuple[int, int]) -> np.ndarray | 
     None when no path joins the targets."""
     t0, t1 = targets
     hops = graph._hops_to(t0)
-    if np.isinf(hops[t1]):
+    if hops[t1] == math.inf:
         return None
-    hops[[t0, t1]] = np.inf
+    hops[t0] = hops[t1] = math.inf
     return np.flatnonzero(np.isfinite(hops))
 
 

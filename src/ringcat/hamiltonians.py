@@ -103,8 +103,11 @@ def _hermitian(matrix, atol: float = 1e-12) -> np.ndarray:
     """
     m = np.asarray(matrix)
     m = m.astype(complex if np.iscomplexobj(m) else float, copy=False)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or not np.isfinite(m).all():
-        raise NumericalContractError(f"operator matrix must be square and finite, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise NumericalContractError(f"operator matrix must be square, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        i, j = np.argwhere(~np.isfinite(m))[0].tolist()
+        raise NumericalContractError(f"operator matrix has the non-finite entry {m[i, j]} at [{i}, {j}]")
     adjoint = m.conj().T
     if np.array_equal(m, adjoint):
         return m
@@ -337,9 +340,12 @@ def _flow_sweep(params: ModelParams, coefficients: tuple[tuple[float, ...], ...]
     j1, j2, j3 = params.j
     mean = j1 + ((j2 - j1) + (j3 - j1)) / 3.0
     jhat1 = complex(j1 - 0.5 * (j2 + j3), 0.5 * _SQRT3 * (j2 - j3))
-    # Every kinetic and hopping term below stays within 4 N (|mean| + |Jhat_1|).
+    # Every kinetic and hopping term below stays within 4 N (|mean| + |Jhat_1|),
+    # and every interaction term within N^2 times its coefficient.
     if not math.isfinite(4.0 * params.n * (abs(mean) + abs(jhat1))):
         raise NumericalContractError(f"the bonds {params.j} overflow in the flow modes at N = {params.n}")
+    if not math.isfinite(params.n**2 * max(abs(c) for row in coefficients for c in row)):
+        raise NumericalContractError(f"the interaction terms overflow in the flow modes at N = {params.n}")
     basis = enumerate_fock(params.n, "flow")
     occ = basis.occupations
     _, sectors = _sectors(basis, params)

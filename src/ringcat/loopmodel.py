@@ -31,7 +31,6 @@ class LoopParams:
     hbar: float = 1.0
     mass: float = 1.0
     barrier: float = 0.0
-    barrier_position: float | None = None  # defaults to length / 2
     v_interaction: float = 0.0
 
     def __post_init__(self):
@@ -47,19 +46,11 @@ class LoopParams:
             c = math.inf
         if not (math.isfinite(c) and c > 0):
             raise UnsupportedConfigurationError(f"C = (hbar^2/2m)(2pi/L)^2 must be finite and positive, got {c!r}")
-        if self.barrier_position is not None and not (0 <= self.barrier_position <= self.length):
-            raise UnsupportedConfigurationError(
-                f"barrier position must lie on the loop [0, {self.length}], got {self.barrier_position!r}"
-            )
 
     @property
     def c_energy(self) -> float:
         """Kinetic energy unit C = (hbar^2 / 2m) (2pi / L)^2."""
         return (self.hbar**2 / (2.0 * self.mass)) * (2.0 * math.pi / self.length) ** 2
-
-    @property
-    def x0(self) -> float:
-        return self.length / 2.0 if self.barrier_position is None else self.barrier_position
 
 
 def loop_single_energy(params: LoopParams, k: int, phi: float) -> float:

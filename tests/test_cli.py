@@ -14,7 +14,9 @@ from pathlib import Path
 import pytest
 
 from ringcat import NumericalContractError
-from ringcat import cli, effective
+from ringcat import catmetrics, cli, effective
+from ringcat.catmetrics import ground_cat_metrics
+from ringcat.hamiltonians import ModelParams
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -76,6 +78,26 @@ def test_catscan_accepts_negative_grid_start(tmp_path):
     out = tmp_path / "c.csv"
     assert run_cli(["catscan", "--n", "2", "--dphi", "-0.1:0.1:3", "--out", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 2 + 3
+
+
+def test_near_resonant_equal_bond_catscan_point_takes_the_dense_route(tmp_path, monkeypatch):
+    """At N = 3, U = 0 and dphi = 6.5 an eliminated level meets the working
+    energy: that point is solved densely with a nan analytic ratio, as with
+    unequal bonds, and the point at dphi = 0.1 is eliminated once."""
+    eliminated, lowdin_coupling = [], catmetrics.lowdin_coupling
+
+    def counted(operator):
+        eliminated.append(lowdin_coupling(operator))
+        return eliminated[-1]
+
+    monkeypatch.setattr(catmetrics, "lowdin_coupling", counted)
+    out = tmp_path / "c.csv"
+    assert run_cli(["catscan", "--n", "3", "--u", "0", "--dphi", "0.1:6.5:2", "--out", str(out)]) == 0
+    off, resonant = (row.split(",") for row in out.read_text().splitlines()[2:])
+    assert off[-1] != "nan" and len(eliminated) == 1
+    metrics = ground_cat_metrics(ModelParams(n=3, u=0.0), 6.5)
+    assert metrics.a0 == metrics.a1 == 0
+    assert resonant[2:] == ["6.5", "0", "0", "0", "0", "nan", "0", "nan"]
 
 
 def test_effective_with_unequal_tunnelling_is_a_config_error(capsys):
@@ -292,14 +314,24 @@ def test_overflowing_ring_inputs_end_in_a_contract_error_or_finite_rows(command,
         assert "nan" not in out.read_text()
 
 
-@pytest.mark.parametrize("command", ["catscan", "spectrum"])
-def test_overflowing_bonds_exit_3_before_any_arithmetic_warns(command, tmp_path, capsys):
-    """The flow-mode bond terms are checked finite before they are used, so
-    no numpy warning, raised here as an error, comes before the exit."""
+@pytest.mark.parametrize(
+    "command, flags, terms",
+    [
+        ("catscan", "--j 1e308", "bonds (1e+308, 1e+308, 1e+308)"),
+        ("spectrum", "--j 1e308", "bonds (1e+308, 1e+308, 1e+308)"),
+        ("catscan", "--u 1e308", "interaction terms"),
+        ("spectrum", "--u0 1e308 --u1 1e308", "interaction terms"),
+    ],
+    ids=["catscan", "spectrum", "catscan-u", "spectrum-u0-u1"],
+)
+def test_overflowing_bonds_exit_3_before_any_arithmetic_warns(command, flags, terms, tmp_path, capsys):
+    """The flow-mode bond and interaction terms are checked finite before
+    they are used, so no numpy warning, raised here as an error, comes
+    before the exit."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert run_cli([command, "--n", "3", "--j", "1e308", "--out", str(tmp_path / "out.csv")]) == 3
-    assert "the bonds (1e+308, 1e+308, 1e+308) overflow in the flow modes" in capsys.readouterr().err
+        assert run_cli([command, "--n", "3", *flags.split(), "--out", str(tmp_path / "out.csv")]) == 3
+    assert f"the {terms} overflow in the flow modes at N = 3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

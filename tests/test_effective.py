@@ -507,8 +507,8 @@ def neighbors(graph, i):
 
 
 def _csr_row(graph, i):
-    """The neighbour list of ``i`` that the block enumeration of paths indexes into."""
-    return tuple(graph._indices[graph._indptr[i] : graph._indptr[i + 1]].tolist())
+    """The neighbour list of ``i`` that the path walk follows."""
+    return tuple(graph._neighbours[i])
 
 
 def _reachable(graph, start):
@@ -706,3 +706,29 @@ def test_path_enumeration_cap(monkeypatch):
         list(graph.simple_paths(*targets, 9))
     with pytest.raises(UnsupportedConfigurationError):
         path_coupling(graph, targets, -9.0, max_order=9)
+
+
+def test_paths_are_yielded_as_the_walk_reaches_them(monkeypatch):
+    """The order-11 walk at N = 12 extends 22,323 path prefixes: a cap of
+    22,322 stops it, and under a cap of 1000 the first path still comes out
+    before the walk gives up."""
+    op = build_flow_hamiltonian(ModelParams(n=12, u=0.1, phi=math.pi))
+    graph, targets = build_coupling_graph(op), default_flow_targets(op.basis)
+    monkeypatch.setattr(effective_module, "_MAX_PREFIXES", 22_323)
+    assert len(list(graph.simple_paths(*targets, 11))) == 7706
+    for cap in (22_322, 1000):
+        monkeypatch.setattr(effective_module, "_MAX_PREFIXES", cap)
+        paths = graph.simple_paths(*targets, 11)
+        assert next(paths) == (0, 4, 6, 12, 9, 19, 24, 16, 21, 37, 45, 67, 78)
+        with pytest.raises(UnsupportedConfigurationError, match=f"exceeds {cap} path prefixes"):
+            list(paths)
+
+
+def test_a_path_longer_than_the_recursion_limit_is_found():
+    """The walk keeps its own stack, so the one path of a 2000-state chain,
+    deeper than Python's default recursion limit, comes out whole."""
+    size = 2000
+    h = np.diag(np.arange(size, dtype=float)) + 0.5 * (np.eye(size, k=1) + np.eye(size, k=-1))
+    graph = build_coupling_graph(h)
+    assert list(graph.simple_paths(0, size - 1, max_intermediates=2000)) == [tuple(range(size))]
+    assert list(graph.simple_paths(0, size - 1, max_intermediates=size - 3)) == []

@@ -28,12 +28,8 @@ def test_params_validation_and_derived_quantities():
         LoopParams(length=0.0)
     with pytest.raises(UnsupportedConfigurationError):
         LoopParams(mass=-1.0)
-    with pytest.raises(UnsupportedConfigurationError):
-        LoopParams(length=1.0, barrier_position=1.5)
     p = LoopParams(length=2.0, hbar=2.0, mass=0.5)
     np.testing.assert_allclose(p.c_energy, (4.0 / 1.0) * math.pi**2, rtol=1e-14)
-    assert p.x0 == 1.0
-    assert LoopParams(length=2.0, barrier_position=0.3).x0 == 0.3
 
 
 @pytest.mark.parametrize(
@@ -104,15 +100,6 @@ def test_barrier_gap_at_crossing_matches_weak_barrier_estimate():
     assert all(err < 0.02 for err in relative_errors)
     # the estimate is first order in b, so its error grows with b
     assert relative_errors[0] < relative_errors[1] < relative_errors[2]
-
-
-def test_spectrum_independent_of_barrier_position():
-    b = 0.3
-    base = loop_spectrum_with_barrier(LoopParams(barrier=b), 1.2, k_max=8)
-    moved = loop_spectrum_with_barrier(
-        LoopParams(barrier=b, barrier_position=0.17), 1.2, k_max=8
-    )
-    np.testing.assert_allclose(moved, base, atol=1e-10)
 
 
 @pytest.mark.parametrize(
@@ -246,13 +233,14 @@ def test_analytic_coupling_decreases_with_fixed_successive_ratio():
         assert values[i + 1] / values[i] == pytest.approx(expected, rel=1e-12)
 
 
-def dense_barrier_spectrum(params: LoopParams, phi: float, k_max: int) -> np.ndarray:
-    """Reference: every eigenvalue of the dense plane-wave matrix, with the
-    kinetic energies on the diagonal and (b/L) e^{i (k' - k) 2pi x0 / L} off it."""
+def dense_barrier_spectrum(params: LoopParams, phi: float, k_max: int, x0: float) -> np.ndarray:
+    """Reference: every eigenvalue of the dense plane-wave matrix of a barrier
+    at ``x0``, with the kinetic energies on the diagonal and
+    (b/L) e^{i (k' - k) 2pi x0 / L} off it."""
     ks = np.arange(-k_max, k_max + 1)
     h = np.diag(params.c_energy * (ks - phi / (2.0 * math.pi)) ** 2).astype(complex)
     off = (params.barrier / params.length) * np.exp(
-        1j * 2.0 * math.pi * params.x0 / params.length * (ks[None, :] - ks[:, None])
+        1j * 2.0 * math.pi * x0 / params.length * (ks[None, :] - ks[:, None])
     )
     np.fill_diagonal(off, 0.0)
     return np.linalg.eigvalsh(h + off)
@@ -273,11 +261,13 @@ def dense_barrier_spectrum(params: LoopParams, phi: float, k_max: int) -> np.nda
 @example(length=1.0, barrier=-0.1, x0_fraction=0.3, k_max=20, level_fraction=1.0, phi=math.pi)
 @example(length=1.0, barrier=1e-3, x0_fraction=0.0, k_max=20, level_fraction=1.0, phi=2.0 * math.pi)
 def test_secular_levels_match_dense_matrix(length, barrier, x0_fraction, k_max, level_fraction, phi):
-    params = LoopParams(length=length, barrier=barrier, barrier_position=x0_fraction * length)
+    """The secular roots, which do not depend on where the barrier sits, are
+    the levels of the dense matrix with the barrier anywhere on the loop."""
+    params = LoopParams(length=length, barrier=barrier)
     dim = 2 * k_max + 1
     n_levels = 1 + int(level_fraction * (dim - 1))
     got = loop_spectrum_with_barrier(params, phi, k_max=k_max, n_levels=n_levels)
-    expected = dense_barrier_spectrum(params, phi, k_max)[:n_levels]
+    expected = dense_barrier_spectrum(params, phi, k_max, x0_fraction * length)[:n_levels]
     tol = 1e-13 * (params.c_energy * (k_max + 1) ** 2 + abs(barrier) / length * dim)
     assert got.shape == (n_levels,)
     assert np.all(np.diff(got) >= 0.0)
@@ -315,15 +305,6 @@ def test_barrier_levels_match_high_precision_secular_roots():
         exact = _mp_secular_levels(params, float(phi), 128, 4)
         errors = [abs(mpmath.mpf(float(g)) - e) for g, e in zip(got, exact)]
         assert max(errors) < 1e-14 * c
-
-
-def test_spectrum_exactly_independent_of_barrier_position():
-    phis = np.linspace(0.0, 2.0 * math.pi, 17)
-    for b in (0.3, -0.3):
-        base = loop_sweep(LoopParams(barrier=b), phis, k_max=10, n_levels=21)
-        for x0 in (0.0, 0.17, 0.5, 1.0):
-            moved = loop_sweep(LoopParams(barrier=b, barrier_position=x0), phis, k_max=10, n_levels=21)
-            np.testing.assert_array_equal(moved.energies_over_c, base.energies_over_c)
 
 
 def test_sweep_rejects_an_empty_plane_wave_cutoff():
