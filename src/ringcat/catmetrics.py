@@ -125,16 +125,11 @@ class CatScanTable:
         write_csv(path, header, self.rows(), comment=comment)
 
 
-def _eliminated_ground_state(operator: HermitianOperator, elimination: LowdinResult | None) -> np.ndarray | None:
-    """Ground state of a flow ``operator`` from the elimination onto the cat pair:
+def _eliminated_ground_state(operator: HermitianOperator, elimination: LowdinResult) -> np.ndarray | None:
+    """Ground state of a flow ``operator`` from its ``elimination`` onto the cat pair:
     c_P = ``branch_vector`` of H_eff(lam) on its lowest branch and c_Q = -x c_P.
     None unless r > 0, the state passes the eigensolver's residual bound and
-    ``_levels_above`` proves every block that holds no target free of levels up to its
-    cut; None for a site operator too, which the elimination does not take."""
-    try:
-        elimination = lowdin_coupling(operator) if elimination is None else elimination
-    except (NearResonantIntermediateError, UnsupportedConfigurationError):
-        return None
+    ``_levels_above`` proves every block that holds no target free of levels up to its cut."""
     lam, ((a, v), (_, b)) = elimination.lam, elimination.heff
     eps = 0.5 * float(np.real(a - b))
     r = math.hypot(eps, abs(v))
@@ -154,49 +149,53 @@ def _eliminated_ground_state(operator: HermitianOperator, elimination: LowdinRes
     return state if proven else None
 
 
-def ground_cat_metrics(
-    params: ModelParams, dphi: float, operator: HermitianOperator | None = None, elimination: LowdinResult | None = None
-) -> CatMetrics:
+def _ground_state(operator: HermitianOperator, dphi: float) -> tuple[np.ndarray, LowdinResult | None]:
+    """(state, elimination) at phase twist pi + dphi.  The elimination, tried once,
+    is None where ``lowdin_coupling`` meets a near-resonant level or the operator
+    is not a flow operator.  Off the crossing the state is ``_eliminated_ground_state``
+    wherever that proves it.  Else ``eigensolve`` solves the blocks that can hold
+    a requested level; for |dphi| <= ``CROSSING_DPHI_ATOL`` the state is
+    ``crossing_pair_state`` of the two lowest levels, maybe the first excited one."""
+    try:
+        elimination = lowdin_coupling(operator)
+    except (NearResonantIntermediateError, UnsupportedConfigurationError):
+        elimination = None
+    crossing = abs(dphi) <= CROSSING_DPHI_ATOL
+    state = None if crossing or elimination is None else _eliminated_ground_state(operator, elimination)
+    if state is None:
+        state = crossing_pair_state(eigensolve(operator, n_levels=2 if crossing else 1).vectors, operator.basis)
+    return state, elimination
+
+
+def ground_cat_metrics(params: ModelParams, dphi: float, operator: HermitianOperator | None = None) -> CatMetrics:
     """Cat metrics of the exact ground state at phase twist pi + dphi.
 
-    The state is the ground state of ``operator`` if given and of the flow
-    Hamiltonian at pi + dphi otherwise.  Off the crossing it comes from
-    ``elimination`` (or ``lowdin_coupling`` of the operator) wherever
-    ``_eliminated_ground_state`` proves it.  Else ``eigensolve`` solves the
-    blocks that can hold a requested level; for |dphi| <= ``CROSSING_DPHI_ATOL``
-    the state is ``crossing_pair_state`` of the two lowest levels, which may be
-    the first excited level.  A ground state outside the blocks that hold the
-    pair (dipolar N = 6, dphi = -0.2) gives a0 = a1 = 0.
+    The state is ``_ground_state`` of ``operator`` if given and of the flow
+    Hamiltonian at pi + dphi otherwise; on the crossing it is the one of the two
+    lowest levels with the larger pair weight.  A ground state outside the blocks
+    that hold the pair (dipolar N = 6, dphi = -0.2) gives a0 = a1 = 0.
     """
     if operator is None:
         operator = flow_sweep(params).at(math.pi + dphi)
-    crossing = abs(dphi) <= CROSSING_DPHI_ATOL
-    state = None if crossing else _eliminated_ground_state(operator, elimination)
-    if state is None:
-        state = crossing_pair_state(eigensolve(operator, n_levels=2 if crossing else 1).vectors, operator.basis)
-    return cat_amplitudes(state, operator.basis)
+    return cat_amplitudes(_ground_state(operator, dphi)[0], operator.basis)
 
 
 def catscan(params: ModelParams, dphi_grid: Sequence[float]) -> CatScanTable:
     """Scan the exact cat metrics and the two-level prediction over offsets.
 
-    The flow Hamiltonian is built once for the whole scan.  With equal
-    tunnelling each offset's operator is eliminated once, for both the ground
-    state and the two-level prediction; with unequal bonds, or where the
+    The flow Hamiltonian is built once for the whole scan, and each offset's
+    operator is eliminated once, by ``_ground_state``, for both the ground
+    state and the two-level prediction.  With unequal bonds, or where the
     elimination meets a near-resonant level, the analytic ratio is nan.
     """
     dphis = np.asarray(list(dphi_grid), dtype=float)
     sweep = flow_sweep(params)
     metrics, analytic = [], []
     for dphi in dphis:
-        operator = sweep.at(math.pi + dphi)
-        try:
-            elimination = lowdin_coupling(operator) if params.equal_j else None
-        except NearResonantIntermediateError:
-            elimination = None
-        metrics.append(ground_cat_metrics(params, dphi, operator, elimination))
-        model = effective_point(params, dphi, elimination=elimination) if elimination else None
-        analytic.append(abs(model.predicted_ratio) if model else math.nan)
+        state, elimination = _ground_state(sweep.at(math.pi + dphi), dphi)
+        metrics.append(cat_amplitudes(state, sweep.basis))
+        eliminated = params.equal_j and elimination is not None
+        analytic.append(abs(effective_point(params, dphi, elimination).predicted_ratio) if eliminated else math.nan)
     reference_u = params.u0 if params.dipolar else params.u
     return CatScanTable(
         n=params.n,

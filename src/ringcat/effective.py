@@ -128,7 +128,7 @@ def default_flow_targets(basis: FockBasis) -> tuple[int, int]:
     return basis.index((n, 0, 0)), basis.index((0, n, 0))
 
 
-def lowdin_coupling(operator: HermitianOperator, targets: tuple[int, int] | None = None) -> LowdinResult:
+def lowdin_coupling(operator: HermitianOperator) -> LowdinResult:
     """Exact effective coupling between two flow states.
 
     The working energy lam is the lowest level of the blocks of the operator
@@ -146,7 +146,7 @@ def lowdin_coupling(operator: HermitianOperator, targets: tuple[int, int] | None
     """
     if operator.basis.interpretation != "flow":
         raise UnsupportedConfigurationError("elimination expects a flow-basis operator")
-    t0, t1 = targets = default_flow_targets(operator.basis) if targets is None else targets
+    t0, t1 = targets = default_flow_targets(operator.basis)
     margin = RESONANCE_RTOL * max(1.0, operator.scale)
     held = [(members, h) for members, h in zip(operator.sectors, operator.blocks) if t0 in members or t1 in members]
     space = np.concatenate([members for members, _ in held])
@@ -183,43 +183,30 @@ _MAX_PREFIXES = 5_000_000
 EDGE_ATOL = 1e-14
 
 
-def _entries(matrix: np.ndarray) -> dict[tuple[int, int], complex]:
-    """The nonzero entries of ``matrix`` as Python numbers keyed (row, column)."""
-    rows, cols = np.nonzero(matrix)
-    return dict(zip(zip(rows.tolist(), cols.tolist()), matrix[rows, cols].tolist()))
-
-
 @dataclass(eq=False)
 class CouplingGraph:
     """States, diagonal energies and off-diagonal couplings of a flow operator.
 
-    ``coupling`` is the only store of the edges: the matrix element at [i, j]
-    on each edge, with the conjugate of the upper triangle below it, and zero
-    elsewhere.  The ascending neighbour list of each state is derived from it
-    once, and the path walks follow those lists.
+    ``edges`` is the only store of the edges: ``edges[i]`` maps each state j
+    joined to i, inserted in ascending j, to the matrix element at [i, j];
+    below the diagonal it holds the conjugate of the entry above.  The path
+    walks follow its keys.
     """
 
     basis: FockBasis | None
     diagonal: np.ndarray
-    coupling: np.ndarray
-    _neighbours: list[list[int]] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._neighbours = [np.flatnonzero(row).tolist() for row in self.coupling]
+    edges: list[dict[int, complex]]
 
     def describe_state(self, i: int):
         return self.basis.states[i] if self.basis is not None else i
 
-    def edge_value(self, i: int, j: int) -> complex:
-        return self.coupling[i, j].item()
-
     def _hops_to(self, goal: int) -> list[float]:
         """Fewest edges from each state to ``goal`` (inf where it cannot reach it)."""
-        hops = [math.inf] * len(self._neighbours)
+        hops = [math.inf] * len(self.edges)
         hops[goal] = 0
         reached = [goal]
         for i in reached:  # reached grows behind the loop: a breadth-first walk
-            for j in self._neighbours[i]:
+            for j in self.edges[i]:
                 if hops[j] == math.inf:
                     hops[j] = hops[i] + 1
                     reached.append(j)
@@ -239,7 +226,7 @@ class CouplingGraph:
         if start == goal:
             return
         hops = self._hops_to(goal)
-        path, walks, extended = [start], [iter(self._neighbours[start])], 1
+        path, walks, extended = [start], [iter(self.edges[start])], 1
         while walks:
             for step in walks[-1]:
                 if step == goal:
@@ -253,7 +240,7 @@ class CouplingGraph:
                             f"path enumeration exceeds {_MAX_PREFIXES} path prefixes; use a lower --max-order"
                         )
                     path.append(step)
-                    walks.append(iter(self._neighbours[step]))
+                    walks.append(iter(self.edges[step]))
                     break
             else:
                 walks.pop()
@@ -261,31 +248,37 @@ class CouplingGraph:
 
 
 def build_coupling_graph(operator: HermitianOperator | np.ndarray) -> CouplingGraph:
-    """Graph of states joined by matrix elements larger than ``EDGE_ATOL``.
-
-    Accepts a flow-basis operator or any dense Hermitian matrix (useful for
-    explicit few-state models).
-    """
+    """Graph of states joined by matrix elements larger than ``EDGE_ATOL``, read
+    block by block from a flow-basis operator, or from any dense Hermitian matrix
+    (useful for explicit few-state models) as one block on all of its states."""
     if isinstance(operator, HermitianOperator):
-        h, basis = operator.matrix, operator.basis
+        basis, held = operator.basis, list(zip(operator.sectors, operator.blocks))
     else:
-        h, basis = _hermitian(operator), None
-    rows, cols = np.nonzero(np.triu(np.abs(h) > EDGE_ATOL, k=1))
-    values = h[rows, cols].astype(complex)
-    coupling = np.zeros(h.shape, dtype=complex)
-    coupling[rows, cols] = values
-    coupling[cols, rows] = values.conj()
-    return CouplingGraph(basis=basis, diagonal=np.real(np.diag(h)).copy(), coupling=coupling)
+        h = _hermitian(operator)
+        basis, held = None, [(np.arange(len(h)), h)]
+    diagonal = np.empty(sum(len(members) for members, _ in held))
+    edges = [{} for _ in range(len(diagonal))]
+    for members, h in held:
+        diagonal[members] = np.real(np.diagonal(h))
+        joined = np.triu(np.abs(h) > EDGE_ATOL, k=1)
+        rows, cols = np.nonzero(joined | joined.T)  # row by row, each row's columns ascending
+        upper = h[np.minimum(rows, cols), np.maximum(rows, cols)].astype(complex)
+        values = np.where(rows < cols, upper, upper.conj())
+        for i, j, value in zip(members[rows].tolist(), members[cols].tolist(), values.tolist()):
+            edges[i][j] = value
+    return CouplingGraph(basis=basis, diagonal=diagonal, edges=edges)
 
 
 def _loop_matrix(graph: CouplingGraph, gaps: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """(lam - H) / (lam - e_col) over ``nodes``: 1 on the diagonal,
     -V_ij / (lam - e_j) on each edge, 0 elsewhere.  The loop matrix of a
     subset of ``nodes`` is the submatrix on that subset."""
-    v = graph.coupling[np.ix_(nodes, nodes)]
+    position, gap = {node: k for k, node in enumerate(nodes.tolist())}, gaps.tolist()
     m = np.eye(len(nodes), dtype=complex)
-    row, col = np.nonzero(v)
-    m[row, col] = [-edge / gap for edge, gap in zip(v[row, col].tolist(), gaps[nodes[col]].tolist())]
+    for row, node in enumerate(nodes.tolist()):
+        for j, edge in graph.edges[node].items():
+            if j in position:
+                m[row, position[j]] = -edge / gap[j]
     return m
 
 
@@ -351,13 +344,13 @@ def weighted_paths(
     if block:
         _check_levels(graph, eliminated, gaps, lam)
         loop = _loop_matrix(graph, gaps, eliminated)
-        edge, gap = _entries(graph.coupling), gaps.tolist()
+        edges, gap = graph.edges, gaps.tolist()
     while block:
         weights = []
         for path in block:
             weight = 1.0 + 0j
             for a, b in zip(path, path[1:]):
-                weight *= edge[a, b]
+                weight *= edges[a][b]
             for node in path[1:-1]:
                 weight /= gap[node]
             if not cmath.isfinite(weight):

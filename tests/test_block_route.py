@@ -73,6 +73,8 @@ def test_a_dense_matrix_is_split_into_the_same_blocks():
         "effective --n 5 --u -0.3",
         "spectrum --n 12 --levels 8",
         "spectrum --n 10 --u0 0.1 --u1 0.05",
+        "paths --n 12 --max-order 11",
+        "paths --n 9 --u0 0.1 --u1 0.05 --max-order 6",
     ],
 )
 def test_equal_bond_commands_build_no_matrix_of_the_whole_basis(command, tmp_path, monkeypatch):

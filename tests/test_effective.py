@@ -292,10 +292,10 @@ def test_coupling_graph_structure():
         ]
     )
     graph = build_coupling_graph(h)
-    assert set(effective_module._entries(np.triu(graph.coupling, k=1))) == {(0, 2), (1, 2), (2, 3)}
-    assert _csr_row(graph, 2) == (0, 1, 3)
-    assert graph.edge_value(0, 2) == 0.5 + 0.1j
-    assert graph.edge_value(2, 0) == 0.5 - 0.1j
+    assert {(i, j) for i, row in enumerate(graph.edges) for j in row if i < j} == {(0, 2), (1, 2), (2, 3)}
+    assert tuple(graph.edges[2]) == (0, 1, 3)
+    assert graph.edges[0][2] == 0.5 + 0.1j
+    assert graph.edges[2][0] == 0.5 - 0.1j
     assert _reachable(graph, 0) == {0, 1, 2, 3}
     paths = list(graph.simple_paths(0, 1, max_intermediates=2))
     assert paths == [(0, 2, 1)]
@@ -502,13 +502,8 @@ def test_detuning_slope_at_crossing(n):
 
 
 def neighbors(graph, i):
-    """The states joined to ``i`` by an edge, ascending, read from ``graph.coupling``."""
-    return tuple(np.flatnonzero(graph.coupling[i]).tolist())
-
-
-def _csr_row(graph, i):
-    """The neighbour list of ``i`` that the path walk follows."""
-    return tuple(graph._neighbours[i])
+    """The states joined to ``i`` by an edge, sorted, read from ``graph.edges``."""
+    return tuple(sorted(graph.edges[i]))
 
 
 def _reachable(graph, start):
@@ -553,7 +548,7 @@ def reference_complement_factor(graph, nodes, lam):
         m[idx, idx] = 1.0
         for other in neighbors(graph, node):
             if other in pos:
-                m[idx, pos[other]] = -graph.edge_value(node, other) / gaps[pos[other]]
+                m[idx, pos[other]] = -graph.edges[node][other] / gaps[pos[other]]
     return complex(np.linalg.det(m))
 
 
@@ -573,7 +568,7 @@ def reference_weighted_paths(graph, targets, lam, max_order):
         _check_resonance(gaps, lam, scale, lambda i: graph.describe_state(intermediates[i]))
         weight = 1.0 + 0j
         for a, b in zip(path, path[1:]):
-            weight *= graph.edge_value(a, b)
+            weight *= graph.edges[a][b]
         for gap in gaps:
             weight /= gap
         out.append((path, weight, reference_complement_factor(graph, sorted(eliminated - set(path)), lam)))
@@ -646,15 +641,16 @@ def test_graph_views_and_normalisation_equal_the_set_reference(problem):
     expected_edges = {
         (i, j): complex(h[i, j]) for i in range(dim) for j in range(i + 1, dim) if abs(h[i, j]) > 1e-14
     }
-    edges = effective_module._entries(np.triu(graph.coupling, k=1))
-    assert {k: repr(v) for k, v in edges.items()} == {k: repr(v) for k, v in expected_edges.items()}
+    upper = {(i, j): v for i, row in enumerate(graph.edges) for j, v in row.items() if i < j}
+    assert {k: repr(v) for k, v in upper.items()} == {k: repr(v) for k, v in expected_edges.items()}
+    assert len(graph.edges) == dim
     for i in range(dim):
-        assert _csr_row(graph, i) == tuple(j for j in range(dim) if (min(i, j), max(i, j)) in expected_edges)
+        # Inserted in ascending j, which is the order the path walk follows.
+        assert tuple(graph.edges[i]) == tuple(j for j in range(dim) if (min(i, j), max(i, j)) in expected_edges)
         assert _reachable(graph, i) == reference_component(graph, i)
-        for j in range(i + 1, dim):
-            assert graph.edge_value(i, j) == expected_edges.get((i, j), 0)
-            if (i, j) in expected_edges:
-                assert repr(graph.edge_value(j, i)) == repr(graph.edge_value(i, j).conjugate())
+        for j in range(i):
+            if (j, i) in expected_edges:
+                assert repr(graph.edges[i][j]) == repr(expected_edges[j, i].conjugate())
     component = reference_component(graph, t0)
     got = _outcome(lambda: path_normalisation(graph, (t0, t1), lam))
     expected = _outcome(
