@@ -24,28 +24,14 @@ import numpy as np
 from .basis import FockBasis
 from .errors import NearResonantIntermediateError, NumericalContractError, UnsupportedConfigurationError
 from .hamiltonians import (
-    HermitianOperator, ModelParams, _dense_zeros, _flow_interaction_coefficients, _hermitian, _levels_above, flow_sweep
+    HermitianOperator, ModelParams, _dense_zeros, _flow_interaction_coefficients, _levels_above, flow_sweep
 )
 from .util import write_csv
 
-#: An eliminated state closer to the working energy than this (relative to the
-#: operator scale) makes the resolvent ill-conditioned.
+#: An eliminated state within this many times the operator's scale (its largest entry,
+#: or its largest diagonal entry in the path sum) of the working energy makes the
+#: resolvent ill-conditioned.  The margin scales with H, as every result does.
 RESONANCE_RTOL = 1e-10
-
-
-def _check_resonance(gaps: np.ndarray, lam: float, scale: float, state_of) -> None:
-    """Raise on the eliminated level nearest to lam if its gap ``gaps[i]`` = lam - e_i
-    is below RESONANCE_RTOL * scale; ``state_of(i)`` names level i."""
-    if gaps.size == 0:
-        return
-    nearest = int(np.argmin(np.abs(gaps)))
-    if abs(gaps[nearest]) >= RESONANCE_RTOL * scale:
-        return
-    occ = state_of(nearest)
-    raise NearResonantIntermediateError(
-        f"eliminated state {occ} lies within {abs(gaps[nearest]):.3e} of the working energy {lam:.12g}",
-        occupation=occ if isinstance(occ, tuple) else None,
-    )
 
 
 def epsilon_of_phi(params: ModelParams, phi: float) -> float:
@@ -140,14 +126,14 @@ def lowdin_coupling(operator: HermitianOperator) -> LowdinResult:
 
     has lam as its lowest eigenvalue (Loewdin partitioning).  By Cauchy
     interlacing every level of H_QQ lies at or above lam; unless
-    ``_levels_above`` proves them above lam + RESONANCE_RTOL * scale, a
-    near-resonant-intermediate error is raised.  The result keeps the solve
-    x = (H_QQ - lam)^{-1} H_QP, which gives the eigenvector at lam.
+    ``_levels_above`` proves them above lam + RESONANCE_RTOL * ``scale`` (a zero
+    operator never passes), a near-resonant-intermediate error is raised.  The
+    result keeps the solve x = (H_QQ - lam)^{-1} H_QP, the eigenvector at lam.
     """
     if operator.basis.interpretation != "flow":
         raise UnsupportedConfigurationError("elimination expects a flow-basis operator")
     t0, t1 = targets = default_flow_targets(operator.basis)
-    margin = RESONANCE_RTOL * max(1.0, operator.scale)
+    margin = RESONANCE_RTOL * operator.scale
     held = [(members, h) for members, h in zip(operator.sectors, operator.blocks) if t0 in members or t1 in members]
     space = np.concatenate([members for members, _ in held])
     block = np.concatenate([targets, space[(space != t0) & (space != t1)]])
@@ -172,9 +158,8 @@ def lowdin_coupling(operator: HermitianOperator) -> LowdinResult:
 # Coupling graph and perturbative path sum
 # ---------------------------------------------------------------------------
 
-#: Paths are weighed in blocks of at most this many.
-_BLOCK = 256
-#: Entries of the loop matrices stacked into one batched determinant.
+#: Paths are weighed in blocks whose loop matrices, stacked for one batched
+#: determinant per path length, hold at most this many entries (and at least one path).
 _BLOCK_ENTRIES = 1 << 17
 #: ``simple_paths`` extends at most this many path prefixes before it gives up;
 #: ``paths --n 12 --max-order 11`` extends about 2.2e4.
@@ -248,25 +233,27 @@ class CouplingGraph:
 
 
 def build_coupling_graph(operator: HermitianOperator | np.ndarray) -> CouplingGraph:
-    """Graph of states joined by matrix elements larger than ``EDGE_ATOL``, read
-    block by block from a flow-basis operator, or from any dense Hermitian matrix
-    (useful for explicit few-state models) as one block on all of its states."""
-    if isinstance(operator, HermitianOperator):
-        basis, held = operator.basis, list(zip(operator.sectors, operator.blocks))
-    else:
-        h = _hermitian(operator)
-        basis, held = None, [(np.arange(len(h)), h)]
-    diagonal = np.empty(sum(len(members) for members, _ in held))
-    edges = [{} for _ in range(len(diagonal))]
-    for members, h in held:
+    """Graph of states joined by matrix elements larger than ``EDGE_ATOL``, read block
+    by block from an operator or a dense matrix, made a one-block ``HermitianOperator``.
+    ``diagonal`` comes from every block, the edges only from the blocks that hold a
+    ``default_flow_targets`` state (those ``lowdin_coupling`` eliminates on, which hold
+    every path between the targets); a matrix or a one-block operator is read whole."""
+    if not isinstance(operator, HermitianOperator):
+        operator = HermitianOperator(operator)
+    pair = default_flow_targets(operator.basis) if operator.basis is not None else ()
+    diagonal = np.empty(operator.dimension)
+    edges = [{} for _ in range(operator.dimension)]
+    for members, h in zip(operator.sectors, operator.blocks):
         diagonal[members] = np.real(np.diagonal(h))
+        if pair and not any(t in members for t in pair):
+            continue
         joined = np.triu(np.abs(h) > EDGE_ATOL, k=1)
         rows, cols = np.nonzero(joined | joined.T)  # row by row, each row's columns ascending
         upper = h[np.minimum(rows, cols), np.maximum(rows, cols)].astype(complex)
         values = np.where(rows < cols, upper, upper.conj())
         for i, j, value in zip(members[rows].tolist(), members[cols].tolist(), values.tolist()):
             edges[i][j] = value
-    return CouplingGraph(basis=basis, diagonal=diagonal, edges=edges)
+    return CouplingGraph(basis=operator.basis, diagonal=diagonal, edges=edges)
 
 
 def _loop_matrix(graph: CouplingGraph, gaps: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -285,26 +272,26 @@ def _loop_matrix(graph: CouplingGraph, gaps: np.ndarray, nodes: np.ndarray) -> n
 def _loop_factors(loop: np.ndarray, eliminated: np.ndarray, intermediates: np.ndarray) -> np.ndarray:
     """Loop determinants of the eliminated states off each path, for paths
     with ``intermediates`` rows of equal length, where ``loop`` is the loop
-    matrix of all of ``eliminated``: one batched determinant per block of its
-    submatrices."""
+    matrix of all of ``eliminated``: one batched determinant of its
+    submatrices, each of which is 1 when no state is off the path."""
     off_path = (eliminated[None, :, None] != intermediates[:, None, :]).all(axis=2)
     size = len(eliminated) - intermediates.shape[1]
-    factors = np.ones(len(intermediates), dtype=complex)
-    if size == 0:
-        return factors
-    kept = np.broadcast_to(np.arange(len(eliminated)), off_path.shape)[off_path].reshape(-1, size)
-    block = max(1, _BLOCK_ENTRIES // size**2)
-    for lo in range(0, len(kept), block):
-        rows = kept[lo : lo + block]
-        factors[lo : lo + block] = np.linalg.det(loop[rows[:, :, None], rows[:, None, :]])
-    return factors
+    kept = np.broadcast_to(np.arange(len(eliminated)), off_path.shape)[off_path].reshape(len(intermediates), size)
+    return np.linalg.det(loop[kept[:, :, None], kept[:, None, :]])
 
 
 def _check_levels(graph: CouplingGraph, nodes: np.ndarray, gaps: np.ndarray, lam: float) -> None:
-    """Raise on the state of ``nodes`` whose level is nearest to, and
-    near-resonant with, lam; ``gaps`` holds lam - e for every state."""
-    scale = max(1.0, float(np.max(np.abs(graph.diagonal))))
-    _check_resonance(gaps[nodes], lam, scale, lambda i: graph.describe_state(int(nodes[i])))
+    """Raise on the state of ``nodes`` whose level is nearest to lam if its gap
+    is at most RESONANCE_RTOL * max |diagonal|, so that a zero operator raises;
+    ``gaps`` holds lam - e for every state."""
+    gap, nearest = min(zip(np.abs(gaps[nodes]).tolist(), nodes.tolist()), default=(math.inf, None))
+    if gap > RESONANCE_RTOL * float(np.max(np.abs(graph.diagonal))):
+        return
+    occ = graph.describe_state(nearest)
+    raise NearResonantIntermediateError(
+        f"eliminated state {occ} lies within {gap:.3e} of the working energy {lam:.12g}",
+        occupation=occ if isinstance(occ, tuple) else None,
+    )
 
 
 def _eliminated(graph: CouplingGraph, targets: tuple[int, int]) -> np.ndarray | None:
@@ -329,8 +316,9 @@ def weighted_paths(
     out in path order, in Python complex arithmetic.  Each path's
     intermediates and the eliminated states off it together make up the whole
     eliminated component, so when a path exists that component is checked for
-    near-resonant levels once.  The loop factors are weighed in blocks, those
-    of each order together.
+    near-resonant levels once.  The loop factors are weighed in blocks of
+    paths, one batched determinant for those of each order, with at most
+    ``_BLOCK_ENTRIES`` entries in each.
     """
     t0, t1 = targets
     if t0 == t1:
@@ -340,7 +328,8 @@ def weighted_paths(
         return
     gaps = lam - graph.diagonal
     paths = graph.simple_paths(t0, t1, max_intermediates=max_order)
-    block = list(itertools.islice(paths, _BLOCK))
+    per_block = max(1, _BLOCK_ENTRIES // max(1, len(eliminated)) ** 2)
+    block = list(itertools.islice(paths, per_block))
     if block:
         _check_levels(graph, eliminated, gaps, lam)
         loop = _loop_matrix(graph, gaps, eliminated)
@@ -363,7 +352,7 @@ def weighted_paths(
             nodes = np.array([block[i] for i in rows], dtype=np.intp)
             factors[rows] = _loop_factors(loop, eliminated, nodes[:, 1:-1])
         yield from zip(block, weights, factors.tolist())
-        block = list(itertools.islice(paths, _BLOCK))
+        block = list(itertools.islice(paths, per_block))
 
 
 def path_coupling(graph: CouplingGraph, targets: tuple[int, int], lam: float, max_order: int) -> complex:

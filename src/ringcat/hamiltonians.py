@@ -153,22 +153,24 @@ def _sectors(basis: FockBasis, params: ModelParams | None) -> tuple[np.ndarray, 
 
 
 class HermitianOperator:
-    """A Hermitian operator on ``basis``, held as ``blocks[b]`` on ``sectors[b]``.
+    """A Hermitian operator, held as ``blocks[b]`` on ``sectors[b]``.
 
     The sectors, each ascending, are the quasi-momentum sectors k = 0, 1, 2 of
     a flow operator with equal tunnelling and else the whole basis.  ``matrix``
     is the whole dense matrix, split into blocks after checking that it does
-    not couple the sectors, or the blocks of the given ``sectors``.  Each block
-    is checked finite and Hermitian to ``hermitian_atol`` and symmetrised
-    exactly; one already exactly Hermitian is kept, not copied, so it must not
-    be changed afterwards, and a real one stays real.  The ``matrix`` property
-    assembles the dense matrix on demand.
+    not couple the sectors, or the blocks of the given ``sectors``.  Without a
+    ``basis`` it is one block on ``np.arange(n)`` (an explicit few-state
+    model), and ``basis`` and ``params`` stay None.  Each block is checked
+    finite and Hermitian to ``hermitian_atol`` and symmetrised exactly, here
+    and nowhere else; one already exactly Hermitian is kept, not copied, so it
+    must not be changed afterwards, and a real one stays real.  The ``matrix``
+    property assembles the dense matrix on demand.
     """
 
-    def __init__(self, matrix, basis: FockBasis, params: ModelParams | None = None,
+    def __init__(self, matrix, basis: FockBasis | None = None, params: ModelParams | None = None,
                  hermitian_atol: float = 1e-12, sectors: tuple[np.ndarray, ...] | None = None):
-        self.basis, self.params, self.dimension = basis, params, basis.dimension
-        if sectors is None:
+        self.basis, self.params = basis, params
+        if sectors is None and basis is not None:
             (labels, sectors), matrix = _sectors(basis, params), np.asarray(matrix)
             if matrix.shape != (basis.dimension,) * 2:
                 raise NumericalContractError(f"matrix of shape {matrix.shape} does not fit {basis.dimension} states")
@@ -176,7 +178,9 @@ class HermitianOperator:
             if not leak <= hermitian_atol:
                 raise NumericalContractError(f"operator couples its sectors: max |H_kk'| = {leak:.3e}")
             matrix = [matrix[np.ix_(m, m)] for m in sectors] if len(sectors) > 1 else [matrix]
-        self.sectors, self.blocks = sectors, tuple(_hermitian(block, hermitian_atol) for block in matrix)
+        self.blocks = tuple(_hermitian(block, hermitian_atol) for block in ([matrix] if sectors is None else matrix))
+        self.sectors = (np.arange(len(self.blocks[0])),) if sectors is None else sectors
+        self.dimension = sum(map(len, self.sectors))
 
     @property
     def matrix(self) -> np.ndarray:

@@ -9,7 +9,7 @@ import numpy as np
 
 from .basis import FockBasis
 from .errors import NumericalContractError, UnsupportedConfigurationError
-from .hamiltonians import HermitianOperator, ModelParams, _hermitian, _levels_above, flow_sweep
+from .hamiltonians import HermitianOperator, ModelParams, _levels_above, flow_sweep
 from .util import write_csv
 
 #: Relative tolerances on the eigensolver's own output, checked on every call.
@@ -30,30 +30,26 @@ class EigenResult:
 def eigensolve(operator: HermitianOperator | np.ndarray, n_levels: int | None = None) -> EigenResult:
     """Dense Hermitian diagonalization, truncated to the lowest ``n_levels`` (all by default).
 
-    An operator is solved one of its ``blocks`` at a time, a bare matrix as
-    one block; the levels are merged in the order (energy, block, index
-    within the block) and embedded in the full basis.  Blocks are visited
-    from the smallest diagonal entry up; once ``n_levels`` levels are held, a
-    block is skipped when ``_levels_above`` proves it free of levels up to the
-    cut, that level plus ``RESIDUAL_RTOL`` times the operator's ``frobenius``
-    norm.  Raises a numerical-contract error for non-Hermitian input, and
-    verifies the residual and orthonormality guarantees on the returned
-    pairs.  Real symmetric input is solved in real arithmetic and gives real
-    vectors.
+    An operator is solved one of its ``blocks`` at a time; a bare matrix is
+    made a one-block ``HermitianOperator`` first, which rejects non-Hermitian
+    input with a numerical-contract error.  The levels are merged in the
+    order (energy, block, index within the block) and embedded in the full
+    basis.  Blocks are visited from the smallest diagonal entry up; once
+    ``n_levels`` levels are held, a block is skipped when ``_levels_above``
+    proves it free of levels up to the cut, that level plus ``RESIDUAL_RTOL``
+    times the operator's ``frobenius`` norm.  The residual and orthonormality
+    guarantees are verified on the returned pairs.  Real symmetric input is
+    solved in real arithmetic and gives real vectors.
     """
-    if isinstance(operator, HermitianOperator):
-        blocks, sectors, basis, params = operator.blocks, operator.sectors, operator.basis, operator.params
-    else:
-        blocks, basis, params = (_hermitian(operator),), None, None
-        sectors = (np.arange(len(blocks[0])),)
-    dim = sum(map(len, sectors))
+    if not isinstance(operator, HermitianOperator):
+        operator = HermitianOperator(operator)
+    blocks, sectors, dim = operator.blocks, operator.sectors, operator.dimension
     n_levels = dim if n_levels is None else n_levels
     if not 1 <= n_levels <= dim:
         raise UnsupportedConfigurationError(f"n_levels must be in [1, {dim}], got {n_levels}")
     lowest = [np.min(np.diagonal(block).real, initial=np.inf) for block in blocks]
     solved, levels = {}, []
     for b in sorted(range(len(blocks)), key=lowest.__getitem__):
-        # Only a later block is skipped, so a bare matrix is never asked for its norm.
         if len(levels) == n_levels and _levels_above(blocks[b], levels[-1][0] + RESIDUAL_RTOL * operator.frobenius):
             continue
         solved[b] = _checked_eigh(blocks[b], n_levels)
@@ -62,7 +58,7 @@ def eigensolve(operator: HermitianOperator | np.ndarray, n_levels: int | None = 
     for column, (_, b, i) in enumerate(levels):
         vectors[sectors[b], column] = solved[b][1][:, i]
     energies = np.array([e for e, _, _ in levels])
-    return EigenResult(energies=energies, vectors=vectors, basis=basis, params=params)
+    return EigenResult(energies=energies, vectors=vectors, basis=operator.basis, params=operator.params)
 
 
 def _checked_eigh(matrix: np.ndarray, n_levels: int) -> tuple[np.ndarray, np.ndarray]:

@@ -32,7 +32,7 @@ from ringcat import (
     two_level_predict,
 )
 from ringcat import effective as effective_module
-from ringcat.effective import _check_resonance, branch_vector, weighted_paths
+from ringcat.effective import RESONANCE_RTOL, branch_vector, weighted_paths
 
 N3_PARAMS = ModelParams(n=3, j=1.0, u=0.1)
 
@@ -535,13 +535,26 @@ def reference_simple_paths(graph, start, goal, max_intermediates):
     return list(extend())
 
 
+def reference_resonance_check(graph, nodes, lam):
+    """Raise on the state of ``nodes`` nearest to lam when its gap is at most
+    RESONANCE_RTOL times the largest |diagonal| entry, naming that state."""
+    if len(nodes) == 0:
+        return
+    gap, state = min((abs(lam - graph.diagonal[node]), node) for node in nodes)
+    if gap <= RESONANCE_RTOL * max(abs(e) for e in graph.diagonal):
+        occ = graph.describe_state(state)
+        raise NearResonantIntermediateError(
+            f"eliminated state {occ} lies within {gap:.3e} of the working energy {lam:.12g}",
+            occupation=occ if isinstance(occ, tuple) else None,
+        )
+
+
 def reference_complement_factor(graph, nodes, lam):
     """det(lam - H) / prod(lam - e) over ``nodes``, one matrix built entry by entry."""
     if len(nodes) == 0:
         return 1.0 + 0j
     gaps = lam - graph.diagonal[nodes]
-    scale = max(1.0, float(np.max(np.abs(graph.diagonal))))
-    _check_resonance(gaps, lam, scale, lambda i: graph.describe_state(nodes[i]))
+    reference_resonance_check(graph, nodes, lam)
     m = np.zeros((len(nodes), len(nodes)), dtype=complex)
     pos = {node: idx for idx, node in enumerate(nodes)}
     for idx, node in enumerate(nodes):
@@ -560,12 +573,11 @@ def reference_weighted_paths(graph, targets, lam, max_order):
     if t1 not in component:
         return []
     eliminated = component - {t0, t1}
-    scale = max(1.0, float(np.max(np.abs(graph.diagonal))))
     out = []
     for path in reference_simple_paths(graph, t0, t1, max_order):
         intermediates = list(path[1:-1])
         gaps = lam - graph.diagonal[intermediates]
-        _check_resonance(gaps, lam, scale, lambda i: graph.describe_state(intermediates[i]))
+        reference_resonance_check(graph, intermediates, lam)
         weight = 1.0 + 0j
         for a, b in zip(path, path[1:]):
             weight *= graph.edges[a][b]
@@ -728,3 +740,60 @@ def test_a_path_longer_than_the_recursion_limit_is_found():
     graph = build_coupling_graph(h)
     assert list(graph.simple_paths(0, size - 1, max_intermediates=2000)) == [tuple(range(size))]
     assert list(graph.simple_paths(0, size - 1, max_intermediates=size - 3)) == []
+
+
+def test_flow_graph_holds_the_edges_of_the_pair_block_only():
+    """Contact N = 9 at pi: the edges join the states of the block that holds
+    both targets and no other, the diagonal covers every state, and the path
+    sum equals that on the graph of the whole matrix."""
+    op = flow_sweep(ModelParams(n=9, u=0.1)).at(math.pi)
+    targets = default_flow_targets(op.basis)
+    graph, whole = build_coupling_graph(op), build_coupling_graph(op.matrix)
+    (pair,) = [members for members in op.sectors if np.isin(targets, members).all()]
+    assert {i for i, row in enumerate(graph.edges) if row} == set(pair.tolist())
+    assert len({i for i, row in enumerate(whole.edges) if row}) > len(pair)
+    np.testing.assert_array_equal(graph.diagonal, whole.diagonal)
+    lam = lowdin_coupling(op).lam
+    assert list(weighted_paths(graph, targets, lam, 9)) == list(weighted_paths(whole, targets, lam, 9))
+    assert path_normalisation(graph, targets, lam) == path_normalisation(whole, targets, lam)
+
+
+def test_weighted_paths_do_not_depend_on_the_batch_bound(monkeypatch):
+    """One path per batch, and up to 453 paths of the 573 at N = 9 in one
+    batch, give the same paths, weights and loop factors bit for bit."""
+    op = flow_sweep(ModelParams(n=9, u=0.1)).at(math.pi)
+    graph, targets = build_coupling_graph(op), default_flow_targets(op.basis)
+    lam = lowdin_coupling(op).lam
+    runs = []
+    for entries in (1, 2**17):
+        monkeypatch.setattr(effective_module, "_BLOCK_ENTRIES", entries)
+        runs.append(list(weighted_paths(graph, targets, lam, 9)))
+    one, many = runs
+    assert len(one) == 573
+    assert [path for path, _, _ in one] == [path for path, _, _ in many]
+    assert [repr(weight) for _, weight, _ in one] == [repr(weight) for _, weight, _ in many]
+    assert [factor for _, _, factor in one] == [factor for _, _, factor in many]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    k=st.integers(-60, 60),
+    n=st.sampled_from([3, 6, 9]),
+    u=st.sampled_from([0.01, 0.1, 0.5]),
+    dphi=st.sampled_from([-0.3, 0.05]),
+)
+@example(k=-40, n=3, u=0.1, dphi=0.05)
+@example(k=60, n=9, u=0.5, dphi=-0.3)
+def test_scaling_the_hamiltonian_by_a_power_of_two_scales_the_reduction(k, n, u, dphi):
+    """H(sJ, sU) = s H(J, U): the energies scale by s and the ratios stay, at
+    every scale, including the scales far below 1 where a fixed margin used
+    to call a separated level near-resonant."""
+    s = 2.0**k
+    base, scaled = ModelParams(n=n, u=u), ModelParams(n=n, j=s, u=s * u)
+    ref, got = effective_report(base, [dphi]), effective_report(scaled, [dphi])
+    for column in ("eps", "v01_abs", "e_minus", "e_plus"):
+        np.testing.assert_allclose(getattr(got, column), s * getattr(ref, column), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(got.ratio_analytic, ref.ratio_analytic, rtol=1e-12, atol=0)
+    ref_scan, got_scan = catscan(base, [dphi]), catscan(scaled, [dphi])
+    np.testing.assert_allclose(got_scan.ratio_analytic, ref_scan.ratio_analytic, rtol=1e-12, atol=0)
+    assert got_scan.metrics[0].ratio == pytest.approx(ref_scan.metrics[0].ratio, rel=1e-10)

@@ -89,6 +89,37 @@ def test_nearly_hermitian_matrix_is_symmetrised_and_others_rejected():
         _hermitian(np.zeros((2, 3)))
 
 
+def test_operator_without_a_basis_is_one_symmetrised_block_on_its_states():
+    h = np.array([[1.0, 0.5 + 1e-14j, 0.0], [0.5, 2.0, -1j], [0.0, 1j, -3.0]])
+    op = HermitianOperator(h)
+    assert op.basis is None and op.params is None
+    assert op.dimension == 3 and len(op.blocks) == len(op.sectors) == 1
+    np.testing.assert_array_equal(op.sectors[0], np.arange(3))
+    np.testing.assert_array_equal(op.blocks[0], 0.5 * (h + h.conj().T))
+    np.testing.assert_array_equal(op.matrix, op.blocks[0])
+    real = np.array([[2.0, 1.0], [1.0, 2.0]])
+    assert HermitianOperator(real).blocks[0] is real
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        np.zeros((2, 3)),
+        np.zeros(3),
+        np.float64(1.0),
+        np.array([[0.0, 1.0], [np.nan, 1.0]]),
+        np.array([[0.0, np.inf], [1.0, 1.0]]),
+        np.array([[1.0, 0.5 + 1e-9j], [0.5, 2.0]]),
+    ],
+)
+def test_operator_without_a_basis_rejects_what_the_hermitian_check_rejects(bad):
+    with pytest.raises(NumericalContractError) as expected:
+        _hermitian(bad)
+    with pytest.raises(NumericalContractError) as got:
+        HermitianOperator(bad)
+    assert str(got.value) == str(expected.value)
+
+
 @pytest.mark.parametrize("n", [1, 2, 4])
 @pytest.mark.parametrize("phi", [0.0, 1.3, math.pi])
 @pytest.mark.parametrize(
