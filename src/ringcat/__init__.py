@@ -6,8 +6,6 @@ bases, extracts the effective two-level physics at the flow-state crossing
 amplitudes), and provides a continuum loop-with-barrier comparison model.
 """
 
-from __future__ import annotations
-
 from .basis import (
     FockBasis,
     Occupation,
@@ -74,61 +72,3 @@ from .loopmodel import (
 from .solver import EigenResult, SpectrumTable, eigensolve, spectrum_sweep
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CatMetrics",
-    "CatScanTable",
-    "ConfigError",
-    "CouplingGraph",
-    "EffectiveTable",
-    "EigenResult",
-    "FockBasis",
-    "HermitianOperator",
-    "InvalidModeError",
-    "InvalidOccupationError",
-    "LoopCouplingResult",
-    "LoopParams",
-    "LoopTable",
-    "LowdinResult",
-    "ModelParams",
-    "NearResonantIntermediateError",
-    "NumericalContractError",
-    "Occupation",
-    "PhaseSweep",
-    "RingcatError",
-    "SpectrumTable",
-    "TwoLevelModel",
-    "UnsupportedConfigurationError",
-    "applied_phase_velocity",
-    "build_coupling_graph",
-    "build_flow_hamiltonian",
-    "build_site_hamiltonian",
-    "cat_amplitudes",
-    "catscan",
-    "crossing_pair_state",
-    "default_flow_targets",
-    "delta_interaction_expectation",
-    "effective_point",
-    "effective_report",
-    "eigensolve",
-    "embed_single_flow",
-    "enumerate_fock",
-    "epsilon_of_phi",
-    "flow_hamiltonian_by_conjugation",
-    "flow_sweep",
-    "ground_cat_metrics",
-    "loop_coupling_v01",
-    "loop_single_energy",
-    "loop_spectrum_with_barrier",
-    "loop_sweep",
-    "lowdin_coupling",
-    "mode_transform_matrix",
-    "path_coupling",
-    "path_normalisation",
-    "quasimomentum_labels",
-    "quasimomentum_sector",
-    "site_sweep",
-    "single_flow_energy",
-    "spectrum_sweep",
-    "two_level_predict",
-]

@@ -11,8 +11,6 @@ Both interpretations share the same enumeration of occupation triples, so a
 single index convention serves site and flow operators alike.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence

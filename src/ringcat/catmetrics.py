@@ -6,8 +6,6 @@ report the two amplitudes a0 and a1, their magnitude ratio, relative phase,
 and the weight |a0|^2 + |a1|^2 captured by the pair.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -15,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .basis import FockBasis, embed_single_flow
-from .effective import LowdinResult, branch_vector, default_flow_targets, effective_point, lowdin_coupling
+from .effective import LowdinResult, _pair_blocks, branch_vector, default_flow_targets, effective_point, lowdin_coupling
 from .errors import NearResonantIntermediateError, NumericalContractError, UnsupportedConfigurationError
 from .hamiltonians import HermitianOperator, ModelParams, _levels_above, flow_sweep
 from .solver import RESIDUAL_RTOL, eigensolve
@@ -140,8 +138,7 @@ def _eliminated_ground_state(operator: HermitianOperator, elimination: LowdinRes
     state = np.zeros(operator.dimension, dtype=np.result_type(c_p, elimination.x))
     state[elimination.indices] = np.concatenate([c_p, -elimination.x @ c_p])
     state /= np.linalg.norm(state)
-    t0, t1 = elimination.indices[:2]
-    blocks = [(m, h, t0 in m or t1 in m) for m, h in zip(operator.sectors, operator.blocks)]
+    blocks = _pair_blocks(operator)
     scale = max(abs(lam), *(float(np.max(np.abs(np.diagonal(h)))) for _, h, held in blocks if held))
     residual = max(float(np.max(np.abs(h @ state[m] - lam * state[m]))) for m, h, held in blocks if held)
     cut = lam + RESIDUAL_RTOL * operator.frobenius

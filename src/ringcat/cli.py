@@ -9,8 +9,6 @@ does not read is a config error); flags override file entries.  Exit codes:
 0 success, 2 configuration error, 3 numerical-contract failure.
 """
 
-from __future__ import annotations
-
 import argparse
 import math
 import sys

@@ -11,8 +11,6 @@ v01 obtained either by exact elimination (resolvent / partitioning) or by a
 perturbative sum over coupling paths through intermediate states.
 """
 
-from __future__ import annotations
-
 import cmath
 import itertools
 import math
@@ -114,6 +112,14 @@ def default_flow_targets(basis: FockBasis) -> tuple[int, int]:
     return basis.index((n, 0, 0)), basis.index((0, n, 0))
 
 
+def _pair_blocks(operator: HermitianOperator) -> list[tuple[np.ndarray, np.ndarray, bool]]:
+    """(members, block, held) for each block of ``operator``, held when it holds a
+    ``default_flow_targets`` state: the blocks that the pair reduction reads.  Every block
+    of an operator without a basis is held."""
+    pair = default_flow_targets(operator.basis) if operator.basis is not None else ()
+    return [(m, h, not pair or any(t in m for t in pair)) for m, h in zip(operator.sectors, operator.blocks)]
+
+
 def lowdin_coupling(operator: HermitianOperator) -> LowdinResult:
     """Exact effective coupling between two flow states.
 
@@ -134,7 +140,7 @@ def lowdin_coupling(operator: HermitianOperator) -> LowdinResult:
         raise UnsupportedConfigurationError("elimination expects a flow-basis operator")
     t0, t1 = targets = default_flow_targets(operator.basis)
     margin = RESONANCE_RTOL * operator.scale
-    held = [(members, h) for members, h in zip(operator.sectors, operator.blocks) if t0 in members or t1 in members]
+    held = [(members, h) for members, h, held in _pair_blocks(operator) if held]
     space = np.concatenate([members for members, _ in held])
     block = np.concatenate([targets, space[(space != t0) & (space != t1)]])
     where = np.empty(operator.dimension, np.intp)
@@ -240,12 +246,11 @@ def build_coupling_graph(operator: HermitianOperator | np.ndarray) -> CouplingGr
     every path between the targets); a matrix or a one-block operator is read whole."""
     if not isinstance(operator, HermitianOperator):
         operator = HermitianOperator(operator)
-    pair = default_flow_targets(operator.basis) if operator.basis is not None else ()
     diagonal = np.empty(operator.dimension)
     edges = [{} for _ in range(operator.dimension)]
-    for members, h in zip(operator.sectors, operator.blocks):
+    for members, h, held in _pair_blocks(operator):
         diagonal[members] = np.real(np.diagonal(h))
-        if pair and not any(t in members for t in pair):
+        if not held:
             continue
         joined = np.triu(np.abs(h) > EDGE_ATOL, k=1)
         rows, cols = np.nonzero(joined | joined.T)  # row by row, each row's columns ascending

@@ -32,8 +32,6 @@ matrix in the site modes or in the flow modes.  Both are returned as a
 phase-independent part H_0 built once and A the hopping.
 """
 
-from __future__ import annotations
-
 import dataclasses
 import functools
 import math

@@ -11,8 +11,6 @@ interaction between atoms in product flow states contributes V per same-flow
 pair and 2V per distinct-flow pair.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass
 from typing import Sequence

@@ -1,7 +1,5 @@
 """Dense exact diagonalization and phase sweeps."""
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,7 +25,8 @@ class EigenResult:
     params: ModelParams | None = None
 
 
-def eigensolve(operator: HermitianOperator | np.ndarray, n_levels: int | None = None) -> EigenResult:
+def eigensolve(operator: HermitianOperator | np.ndarray, n_levels: int | None = None, *,
+               _values_only: bool = False) -> EigenResult:
     """Dense Hermitian diagonalization, truncated to the lowest ``n_levels`` (all by default).
 
     An operator is solved one of its ``blocks`` at a time; a bare matrix is
@@ -39,7 +38,8 @@ def eigensolve(operator: HermitianOperator | np.ndarray, n_levels: int | None = 
     proves it free of levels up to the cut, that level plus ``RESIDUAL_RTOL``
     times the operator's ``frobenius`` norm.  The residual and orthonormality
     guarantees are verified on the returned pairs.  Real symmetric input is
-    solved in real arithmetic and gives real vectors.
+    solved in real arithmetic and gives real vectors.  A caller that reads only
+    the energies passes ``_values_only`` to solve each block by ``_checked_levels``.
     """
     if not isinstance(operator, HermitianOperator):
         operator = HermitianOperator(operator)
@@ -52,7 +52,7 @@ def eigensolve(operator: HermitianOperator | np.ndarray, n_levels: int | None = 
     for b in sorted(range(len(blocks)), key=lowest.__getitem__):
         if len(levels) == n_levels and _levels_above(blocks[b], levels[-1][0] + RESIDUAL_RTOL * operator.frobenius):
             continue
-        solved[b] = _checked_eigh(blocks[b], n_levels)
+        solved[b] = (_checked_levels if _values_only else _checked_eigh)(blocks[b], n_levels)
         levels = sorted(levels + [(float(e), b, i) for i, e in enumerate(solved[b][0])])[:n_levels]
     vectors = np.zeros((dim, n_levels), dtype=np.result_type(*blocks))
     for column, (_, b, i) in enumerate(levels):
@@ -62,11 +62,34 @@ def eigensolve(operator: HermitianOperator | np.ndarray, n_levels: int | None = 
 
 
 def _checked_eigh(matrix: np.ndarray, n_levels: int) -> tuple[np.ndarray, np.ndarray]:
-    """``eigh`` of an exactly Hermitian matrix, truncated to at most the lowest ``n_levels``
-    pairs.  Residual and orthonormality are checked on the returned pairs, every level by the
-    sum rules sum e = tr H and sum e^2 = |H|_F^2 in units of max |H|; a nan defect fails."""
+    """``eigh`` of an exactly Hermitian matrix, truncated to at most the lowest ``n_levels`` pairs;
+    every level is checked by ``_sum_rule_scale``, the returned pairs by ``_checked_pairs``."""
     energies, vectors = np.linalg.eigh(matrix)
-    scale = max(float(np.max(np.abs(energies))), 1e-300)
+    return _checked_pairs(matrix, energies[:n_levels], vectors[:, :n_levels], _sum_rule_scale(matrix, energies))
+
+
+def _checked_levels(matrix: np.ndarray, n_levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_checked_eigh`` for a caller that reads only the energies.  Where 32 ``n_levels`` states
+    fit in the matrix (below that ``eigh`` is as fast), the levels come from ``eigvalsh`` and pass
+    the same sum rules; each returned level e is paired with one step of ``_inverse_iteration`` at
+    e - 1e-3 RESIDUAL_RTOL max |e|, so that an exact level of a diagonal block is no singular pivot,
+    and the pairs pass ``_checked_pairs``.  A singular pivot, a non-finite value or a failed pair
+    check solves the matrix by ``_checked_eigh`` instead."""
+    if 32 * n_levels > len(matrix):
+        return _checked_eigh(matrix, n_levels)
+    energies = np.linalg.eigvalsh(matrix)
+    scale, energies = _sum_rule_scale(matrix, energies), energies[:n_levels]
+    try:
+        with np.errstate(all="ignore"):
+            vectors = _inverse_iteration(matrix, energies - 1e-3 * RESIDUAL_RTOL * scale)
+            return _checked_pairs(matrix, energies, vectors, scale)
+    except (np.linalg.LinAlgError, NumericalContractError):
+        return _checked_eigh(matrix, n_levels)
+
+
+def _sum_rule_scale(matrix: np.ndarray, energies: np.ndarray) -> float:
+    """max |e| over all ``energies`` of ``matrix``, once they pass the sum rules sum e = tr H and
+    sum e^2 = |H|_F^2 in units of max |H|; a nan defect fails."""
     unit = float(np.max(np.abs(matrix))) or 1.0
     scaled, reduced = energies / unit, matrix / unit
     frobenius = np.vdot(reduced, reduced).real
@@ -74,15 +97,62 @@ def _checked_eigh(matrix: np.ndarray, n_levels: int) -> tuple[np.ndarray, np.nda
     square_defect = abs(np.sum(scaled**2) - frobenius) / max(frobenius, 1e-300)
     if not (trace_defect <= RESIDUAL_RTOL and square_defect <= RESIDUAL_RTOL):
         raise NumericalContractError(f"eigenvalue sum rules broken: defects {trace_defect:.3e}, {square_defect:.3e}")
-    energies, vectors = energies[:n_levels], vectors[:, :n_levels]
+    return max(float(np.max(np.abs(energies))), 1e-300)
+
+
+def _checked_pairs(matrix: np.ndarray, energies: np.ndarray, vectors: np.ndarray, scale: float) -> tuple:
+    """The pairs, once their residual is within RESIDUAL_RTOL ``scale`` and the vectors orthonormal."""
     residual = np.max(np.abs(matrix @ vectors - vectors * energies))
     if not residual <= RESIDUAL_RTOL * scale:
         raise NumericalContractError(f"eigenpair residual {residual:.3e} exceeds {RESIDUAL_RTOL} * |H|")
-    gram = vectors.conj().T @ vectors
-    ortho = np.max(np.abs(gram - np.eye(gram.shape[0])))
+    ortho = np.max(np.abs(vectors.conj().T @ vectors - np.eye(vectors.shape[1])))
     if not ortho <= ORTHONORMALITY_ATOL:
         raise NumericalContractError(f"eigenvector orthonormality defect {ortho:.3e}")
     return energies, vectors
+
+
+def _layers(matrix: np.ndarray) -> list[np.ndarray]:
+    """States in groups on which ``matrix`` is block tridiagonal: the states joined to no other,
+    one layer each, then the breadth-first layers of the nonzero pattern, each connected component
+    walked from its first state; consecutive layers are merged up to ceil(sqrt(n)) states."""
+    joined, width = matrix != 0, int(np.ceil(len(matrix) ** 0.5))
+    np.fill_diagonal(joined, False)
+    seen = ~joined.any(axis=0)
+    layers, groups = list(np.flatnonzero(seen)[:, None]), []
+    while not seen.all():
+        front = np.arange(len(matrix)) == np.argmin(seen)
+        while front.any():
+            seen |= front
+            layers.append(np.flatnonzero(front))
+            front = joined[front].any(axis=0) & ~seen
+    for layer in layers:
+        if groups and len(groups[-1]) + len(layer) <= width:
+            groups[-1] = np.concatenate([groups[-1], layer])
+        else:
+            groups.append(layer)
+    return groups
+
+
+def _inverse_iteration(matrix: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """One step of inverse iteration at each of ``shifts`` from fixed start vectors b, orthonormalised
+    by one QR.  Each (matrix - shift) y = b is solved by block elimination without pivoting over the
+    ``_layers``, batched over the shifts: with D_i, L_i, U_i the blocks of layer i, the pivot is
+    S_i = D_i - shift - L_i G_{i-1}, S_i [G_i | g_i] = [U_i | b_i - L_i g_{i-1}], y_i = g_i - G_i y_{i+1}."""
+    groups, eliminated = _layers(matrix), []
+    starts = np.cos(np.outer(np.arange(1.0, len(matrix) + 1), np.sqrt(np.arange(2.0, len(shifts) + 2))))
+    for previous, rows, following in zip([None] + groups, groups, groups[1:] + [groups[0][:0]]):
+        pivot = matrix[np.ix_(rows, rows)] - shifts[:, None, None] * np.eye(len(rows))
+        rhs = starts[rows].T[:, :, None]
+        if eliminated:
+            coupled = matrix[np.ix_(rows, previous)] @ eliminated[-1]
+            pivot, rhs = pivot - coupled[:, :, :-1], rhs - coupled[:, :, -1:]
+        upper = np.broadcast_to(matrix[np.ix_(rows, following)], (len(shifts), len(rows), len(following)))
+        eliminated.append(np.linalg.solve(pivot, np.concatenate([upper, rhs], 2)))
+    vectors, step = np.empty(starts.shape, np.result_type(matrix, starts)), np.zeros((len(shifts), 0, 1))
+    for rows, solved in zip(groups[::-1], eliminated[::-1]):
+        step = solved[:, :, -1:] - solved[:, :, :-1] @ step
+        vectors[rows] = step[:, :, 0].T
+    return np.linalg.qr(vectors / np.max(np.abs(vectors), axis=0))[0]
 
 
 @dataclass
@@ -110,12 +180,12 @@ def spectrum_sweep(
 
     The flow Hamiltonian is built once for the sweep.  With equal tunnelling
     it is solved one quasi-momentum block at a time; unequal bonds couple the
-    blocks, so it is diagonalized whole.
+    blocks, so it is diagonalized whole.  Only energies are asked for.
     """
     phis = np.asarray(list(phi_grid), dtype=float)
     sweep = flow_sweep(params)
     dim = sweep.basis.dimension
     if not 1 <= n_levels <= dim:
         raise UnsupportedConfigurationError(f"n_levels must be in [1, {dim}] for n={params.n}, got {n_levels}")
-    levels = [eigensolve(sweep.at(phi), n_levels).energies for phi in phis]
+    levels = [eigensolve(sweep.at(phi), n_levels, _values_only=True).energies for phi in phis]
     return SpectrumTable(phis=phis, n_levels=n_levels, energies=np.array(levels))

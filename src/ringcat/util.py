@@ -1,7 +1,5 @@
 """Small shared helpers: float formatting and CSV writing."""
 
-from __future__ import annotations
-
 from typing import Iterable, Sequence
 
 
