@@ -65,9 +65,7 @@ class FockBasis:
     def index(self, occupation: Sequence[int]) -> int:
         occ = _as_occupation(occupation)
         if sum(occ) != self.n:
-            raise InvalidOccupationError(
-                f"occupation {occ} has {sum(occ)} particles, basis holds {self.n}"
-            )
+            raise InvalidOccupationError(f"occupation {occ} has {sum(occ)} particles, basis holds {self.n}")
         return int(_ranks(np.array(occ)))
 
     def __iter__(self) -> Iterable[Occupation]:
@@ -120,11 +118,7 @@ def enumerate_fock(n: int, interpretation: str = "site") -> FockBasis:
         raise InvalidOccupationError(f"particle number must be non-negative, got {n}")
     if interpretation not in ("site", "flow"):
         raise InvalidOccupationError(f"interpretation must be 'site' or 'flow', got {interpretation!r}")
-    states = tuple(
-        (n1, n2, n - n1 - n2)
-        for n1 in range(n, -1, -1)
-        for n2 in range(n - n1, -1, -1)
-    )
+    states = tuple((n1, n2, n - n1 - n2) for n1 in range(n, -1, -1) for n2 in range(n - n1, -1, -1))
     return FockBasis(n=n, interpretation=interpretation, states=states)
 
 

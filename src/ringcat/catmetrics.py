@@ -13,11 +13,14 @@ from typing import Sequence
 import numpy as np
 
 from .basis import FockBasis, embed_single_flow
-from .effective import LowdinResult, _pair_blocks, branch_vector, default_flow_targets, effective_point, lowdin_coupling
+from .effective import (
+    LowdinResult, _PairElimination, _sweep_eliminations, branch_vector, default_flow_targets, effective_point,
+    lowdin_coupling,
+)
 from .errors import NearResonantIntermediateError, NumericalContractError, UnsupportedConfigurationError
-from .hamiltonians import HermitianOperator, ModelParams, _levels_above, flow_sweep
+from .hamiltonians import HermitianOperator, ModelParams, flow_sweep
 from .solver import RESIDUAL_RTOL, eigensolve
-from .util import write_csv
+from .util import Table
 
 #: Offsets smaller than this are treated as sitting exactly on the crossing,
 #: where the two lowest levels are split only by 2|v01|.
@@ -57,9 +60,7 @@ def cat_amplitudes(state: Sequence[complex], basis: FockBasis) -> CatMetrics:
     """
     vec = np.asarray(state, dtype=complex)
     if vec.shape != (basis.dimension,):
-        raise NumericalContractError(
-            f"state has shape {vec.shape}, basis dimension is {basis.dimension}"
-        )
+        raise NumericalContractError(f"state has shape {vec.shape}, basis dimension is {basis.dimension}")
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:
         raise NumericalContractError("cannot compute cat metrics of a zero state")
@@ -102,61 +103,57 @@ def crossing_pair_state(vectors: np.ndarray, basis: FockBasis) -> np.ndarray:
     return vectors @ eigvecs[:, -1]
 
 
-@dataclass
-class CatScanTable:
-    """Cat metrics of the exact ground state over a grid of offsets from pi."""
-
-    n: int
-    u_over_j: float
-    dphis: np.ndarray
-    metrics: list[CatMetrics]
-    ratio_analytic: np.ndarray
-
-    def rows(self):
-        for dphi, m, analytic in zip(self.dphis.tolist(), self.metrics, self.ratio_analytic.tolist()):
-            yield (self.n, self.u_over_j, dphi, m.a0.real, m.a0.imag, m.a1.real, m.a1.imag,
-                   m.ratio, m.captured_norm, analytic)
-
-    def to_csv(self, path, comment: str | None = None) -> None:
-        header = ("N", "u_over_j", "dphi", "a0_re", "a0_im", "a1_re", "a1_im",
-                  "ratio", "captured_norm", "ratio_analytic")
-        write_csv(path, header, self.rows(), comment=comment)
+def _eliminated_states(pair: _PairElimination, diagonals: np.ndarray, eliminations: list) -> list[np.ndarray | None]:
+    """Ground state of the operator with each row of ``diagonals`` as its diagonal, from
+    its elimination: c_P = ``branch_vector`` of H_eff(lam) on its lowest branch and
+    c_Q = -x c_P.  None unless r > 0, the state passes the eigensolver's residual bound
+    on the blocks that hold a target, and the kernel proves each other block free of
+    levels up to lam + RESIDUAL_RTOL |H|_F, in one batch per block."""
+    states, frobenius = [None] * len(eliminations), pair.scales(diagonals)[1]
+    for b, elimination in enumerate(eliminations):
+        if elimination is None:
+            continue
+        lam, ((a, v), (_, c)) = elimination.lam, elimination.heff
+        eps = 0.5 * float(np.real(a - c))
+        r = math.hypot(eps, abs(v))
+        if r == 0.0:
+            continue
+        # Scaling by a power of two keeps the norm finite and changes no bit of the normalised state.
+        c_p = branch_vector(eps, v, r) * math.ldexp(1.0, -math.frexp(r)[1])
+        state = np.zeros(len(pair.diagonal), dtype=np.result_type(c_p, elimination.x))
+        state[elimination.indices] = np.concatenate([c_p, -elimination.x @ c_p])
+        state /= np.linalg.norm(state)
+        local, d = state[pair.indices], diagonals[b, pair.indices]
+        residual = np.max(np.abs(pair.matrix @ local + (d - np.diagonal(pair.matrix) - lam) * local))
+        if residual <= RESIDUAL_RTOL * max(abs(lam), float(np.max(np.abs(d)))):
+            states[b] = state
+    tried = np.array([b for b, state in enumerate(states) if state is not None], np.intp)
+    cuts = np.array([eliminations[b].lam for b in tried]) + RESIDUAL_RTOL * frobenius[tried]
+    for members, layered in pair.others if len(tried) else ():
+        shifted = diagonals[np.ix_(tried, members)] - cuts[:, None]
+        for b, proven in zip(tried.tolist(), layered.solve(shifted, np.zeros((len(members), 0)), prove=True)[1]):
+            states[b] = states[b] if proven else None
+    return states
 
 
 def _eliminated_ground_state(operator: HermitianOperator, elimination: LowdinResult) -> np.ndarray | None:
-    """Ground state of a flow ``operator`` from its ``elimination`` onto the cat pair:
-    c_P = ``branch_vector`` of H_eff(lam) on its lowest branch and c_Q = -x c_P.
-    None unless r > 0, the state passes the eigensolver's residual bound and
-    ``_levels_above`` proves every block that holds no target free of levels up to its cut."""
-    lam, ((a, v), (_, b)) = elimination.lam, elimination.heff
-    eps = 0.5 * float(np.real(a - b))
-    r = math.hypot(eps, abs(v))
-    if r == 0.0:
-        return None
-    # Scaling by a power of two keeps the norm finite and changes no bit of the normalised state.
-    c_p = branch_vector(eps, v, r) * math.ldexp(1.0, -math.frexp(r)[1])
-    state = np.zeros(operator.dimension, dtype=np.result_type(c_p, elimination.x))
-    state[elimination.indices] = np.concatenate([c_p, -elimination.x @ c_p])
-    state /= np.linalg.norm(state)
-    blocks = _pair_blocks(operator)
-    scale = max(abs(lam), *(float(np.max(np.abs(np.diagonal(h)))) for _, h, held in blocks if held))
-    residual = max(float(np.max(np.abs(h @ state[m] - lam * state[m]))) for m, h, held in blocks if held)
-    cut = lam + RESIDUAL_RTOL * operator.frobenius
-    proven = residual <= RESIDUAL_RTOL * scale and all(_levels_above(h, cut) for _, h, held in blocks if not held)
-    return state if proven else None
+    """``_eliminated_states`` of one flow ``operator`` and its ``elimination``."""
+    pair = _PairElimination(operator)
+    return _eliminated_states(pair, pair.diagonal[None], [elimination])[0]
 
 
-def _ground_state(operator: HermitianOperator, dphi: float) -> tuple[np.ndarray, LowdinResult | None]:
-    """(state, elimination) at phase twist pi + dphi.  The elimination, tried once,
-    is None where ``lowdin_coupling`` meets a near-resonant level or the operator
-    is not a flow operator.  Off the crossing the state is ``_eliminated_ground_state``
-    wherever that proves it.  Else ``eigensolve`` solves the blocks that can hold
-    a requested level; for |dphi| <= ``CROSSING_DPHI_ATOL`` the state is
-    ``crossing_pair_state`` of the two lowest levels, maybe the first excited one."""
-    try:
-        elimination = lowdin_coupling(operator)
-    except (NearResonantIntermediateError, UnsupportedConfigurationError):
-        elimination = None
+def _ground_state(operator: HermitianOperator, dphi: float, elimination: LowdinResult | None = None) -> tuple:
+    """(state, elimination) at phase twist pi + dphi.  The elimination, ``lowdin_coupling``'s
+    unless given, is None where that meets a near-resonant level or the operator is not a
+    flow operator.  Off the crossing the state is ``_eliminated_ground_state`` wherever that
+    proves it.  Else ``eigensolve`` solves the blocks that can hold a requested level; for
+    |dphi| <= ``CROSSING_DPHI_ATOL`` the state is ``crossing_pair_state`` of the two lowest
+    levels, maybe the first excited one."""
+    if elimination is None:
+        try:
+            elimination = lowdin_coupling(operator)
+        except (NearResonantIntermediateError, UnsupportedConfigurationError):
+            pass
     crossing = abs(dphi) <= CROSSING_DPHI_ATOL
     state = None if crossing or elimination is None else _eliminated_ground_state(operator, elimination)
     if state is None:
@@ -177,27 +174,31 @@ def ground_cat_metrics(params: ModelParams, dphi: float, operator: HermitianOper
     return cat_amplitudes(_ground_state(operator, dphi)[0], operator.basis)
 
 
-def catscan(params: ModelParams, dphi_grid: Sequence[float]) -> CatScanTable:
+def catscan(params: ModelParams, dphi_grid: Sequence[float]) -> Table:
     """Scan the exact cat metrics and the two-level prediction over offsets.
 
-    The flow Hamiltonian is built once for the whole scan, and each offset's
-    operator is eliminated once, by ``_ground_state``, for both the ground
-    state and the two-level prediction.  With unequal bonds, or where the
-    elimination meets a near-resonant level, the analytic ratio is nan.
+    The flow Hamiltonian is built once.  With equal bonds all offsets are eliminated in
+    one batch (``_sweep_eliminations``) and, off the crossing, give their state by
+    ``_eliminated_states``, with no operator per offset.  The crossing, unequal bonds and
+    any offset whose state is not proven take ``_ground_state`` of that offset's operator.
+    With unequal bonds, or where the elimination meets a near-resonant level, the
+    analytic ratio is nan.
     """
     dphis = np.asarray(list(dphi_grid), dtype=float)
     sweep = flow_sweep(params)
+    pair, diagonals, eliminations = _sweep_eliminations(sweep, dphis)
+    states = [None] * len(dphis) if pair is None else _eliminated_states(pair, diagonals, eliminations)
+    del pair, diagonals  # the per-offset route below needs neither: free them before it allocates
     metrics, analytic = [], []
-    for dphi in dphis:
-        state, elimination = _ground_state(sweep.at(math.pi + dphi), dphi)
+    for dphi, state, elimination in zip(dphis.tolist(), states, eliminations):
+        if state is None or abs(dphi) <= CROSSING_DPHI_ATOL:
+            state, elimination = _ground_state(sweep.at(math.pi + dphi), dphi, elimination)
         metrics.append(cat_amplitudes(state, sweep.basis))
         eliminated = params.equal_j and elimination is not None
         analytic.append(abs(effective_point(params, dphi, elimination).predicted_ratio) if eliminated else math.nan)
-    reference_u = params.u0 if params.dipolar else params.u
-    return CatScanTable(
-        n=params.n,
-        u_over_j=(reference_u / params.j1) if params.j1 != 0 else math.nan,
-        dphis=dphis,
-        metrics=metrics,
-        ratio_analytic=np.array(analytic),
-    )
+    u_over_j = ((params.u0 if params.dipolar else params.u) / params.j1) if params.j1 != 0 else math.nan
+    header = ("N", "u_over_j", "dphi", "a0_re", "a0_im", "a1_re", "a1_im", "ratio", "captured_norm", "ratio_analytic")
+    rows = [(params.n, u_over_j, dphi, m.a0.real, m.a0.imag, m.a1.real, m.a1.imag, m.ratio, m.captured_norm, ratio)
+            for dphi, m, ratio in zip(dphis.tolist(), metrics, analytic)]
+    return Table(header, rows, n=params.n, u_over_j=u_over_j, dphis=dphis, metrics=metrics,
+                 ratio_analytic=np.array(analytic))

@@ -231,18 +231,11 @@ def run_paths(opts: dict) -> str:
         rows.append((index, len(path) - 2, label, weight.real, weight.imag))
         total += weight * factor
     normalised = total / path_normalisation(graph, targets, elimination.lam)
-    write_csv(
-        opts["out"],
-        ("path_index", "n_intermediates", "path", "weight_re", "weight_im"),
-        rows,
-        comment=config_comment(opts),
-    )
-    return (
-        f"{len(rows)} connecting path(s) up to order {opts['max_order']}; "
-        f"normalised path-sum coupling = {normalised:.9g} (raw sum {total:.9g}); "
-        f"elimination coupling = {elimination.v01:.9g} "
-        f"at working energy {elimination.lam:.12g}"
-    )
+    header = ("path_index", "n_intermediates", "path", "weight_re", "weight_im")
+    write_csv(opts["out"], header, rows, comment=config_comment(opts))
+    return (f"{len(rows)} connecting path(s) up to order {opts['max_order']}; normalised path-sum coupling = "
+            f"{normalised:.9g} (raw sum {total:.9g}); elimination coupling = {elimination.v01:.9g} "
+            f"at working energy {elimination.lam:.12g}")
 
 
 def run(opts: dict) -> str:

@@ -22,9 +22,10 @@ import numpy as np
 from .basis import FockBasis
 from .errors import NearResonantIntermediateError, NumericalContractError, UnsupportedConfigurationError
 from .hamiltonians import (
-    HermitianOperator, ModelParams, _dense_zeros, _flow_interaction_coefficients, _levels_above, flow_sweep
+    HermitianOperator, ModelParams, PhaseSweep, _dense_zeros, _flow_interaction_coefficients, flow_sweep
 )
-from .util import write_csv
+from .solver import _Layered
+from .util import Table
 
 #: An eliminated state within this many times the operator's scale (its largest entry,
 #: or its largest diagonal entry in the path sum) of the working energy makes the
@@ -48,10 +49,11 @@ def branch_vector(eps: float, v01, signed_r: float) -> np.ndarray:
     """Unnormalised eigenvector (c0, c1), in the dtype of ``v01``, of
     [[eps, v01], [conj(v01), -eps]] at -signed_r: (eps - signed_r, conj(v01))
     where exactly one of eps and signed_r is negative, so that eps + signed_r
-    may cancel, else (-v01, eps + signed_r).  Neither form squares |v01|."""
-    cancels = (eps < 0.0) != (signed_r < 0.0)
-    pair = (eps - signed_r, np.conj(v01)) if cancels else (-v01, eps + signed_r)
-    return np.array(pair, dtype=np.result_type(v01))
+    may cancel, else (-v01, eps + signed_r).  Neither form squares |v01|.  On
+    arrays it works elementwise, with the pair on the leading axis."""
+    cancels = np.less(eps, 0.0) != np.less(signed_r, 0.0)
+    pair = np.where(cancels, (eps - signed_r, np.conj(v01)), (-v01, eps + signed_r))
+    return pair.astype(np.result_type(v01))
 
 
 @dataclass
@@ -90,9 +92,7 @@ def two_level_predict(e0: float, eps: float, v01: complex) -> TwoLevelModel:
     return TwoLevelModel(e0=float(e0), eps=float(eps), v01=complex(v01))
 
 
-# ---------------------------------------------------------------------------
-# Exact elimination (partitioning at the ground level of the target blocks)
-# ---------------------------------------------------------------------------
+# --- Exact elimination (partitioning at the ground level of the target blocks) ---
 
 
 @dataclass
@@ -120,49 +120,125 @@ def _pair_blocks(operator: HermitianOperator) -> list[tuple[np.ndarray, np.ndarr
     return [(m, h, not pair or any(t in m for t in pair)) for m, h in zip(operator.sectors, operator.blocks)]
 
 
+#: Newton steps on the working energy before ``_PairElimination.eliminate`` takes it from ``eigvalsh``.
+_NEWTON_STEPS = 32
+
+
+class _PairElimination:
+    """A flow operator laid out once for the layered kernel (``solver._Layered``):
+    ``indices``, the targets P then the eliminated states Q (the rest of the blocks
+    that hold a target); the ``matrix`` on them, with H_QQ layered; each other block
+    layered; the diagonal; and the largest entry and Frobenius norm off it.  Made from
+    an equal-bond sweep's H_0 it serves every phase, which enters only the diagonal."""
+
+    def __init__(self, operator: HermitianOperator):
+        if operator.basis.interpretation != "flow":
+            raise UnsupportedConfigurationError("elimination expects a flow-basis operator")
+        t0, t1 = targets = default_flow_targets(operator.basis)
+        blocks = _pair_blocks(operator)
+        space = np.concatenate([members for members, _, held in blocks if held])
+        self.indices = np.concatenate([targets, space[(space != t0) & (space != t1)]])
+        where, self.diagonal, self.others = np.empty(operator.dimension, np.intp), np.empty(operator.dimension), []
+        where[self.indices] = np.arange(len(self.indices))
+        self.matrix = _dense_zeros(len(self.indices), np.result_type(*operator.blocks))
+        for members, h, held in blocks:
+            if held:
+                self.matrix[np.ix_(where[members], where[members])] = h
+            else:
+                self.others.append((members, _Layered(h)))
+            self.diagonal[members] = np.diagonal(h).real
+        self.qq = _Layered(self.matrix[2:, 2:])
+        self.off_scale = max(float(np.max(np.abs(np.triu(h, 1)), initial=0.0)) for h in operator.blocks)
+        uppers = (np.linalg.norm(np.triu(h, 1) / (self.off_scale or 1.0)) for h in operator.blocks)
+        self.off_norm = math.sqrt(2.0) * math.hypot(*uppers)
+
+    def scales(self, diagonals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(``scale``, ``frobenius``) of the operator with each row of ``diagonals`` as its diagonal."""
+        scale = np.maximum(self.off_scale, np.max(np.abs(diagonals), axis=1, initial=0.0))
+        unit = np.where(scale > 0.0, scale, 1.0)
+        off_diagonal = self.off_norm * self.off_scale / unit
+        return scale, unit * np.hypot(off_diagonal, np.linalg.norm(diagonals / unit[:, None], axis=1))
+
+    def _heff(self, d: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """H_eff = H_PP - H_PQ x for each row of ``d``, the diagonal on P and Q."""
+        h_pp = np.broadcast_to(self.matrix[:2, :2], (len(d), 2, 2)).copy()
+        h_pp[:, 0, 0], h_pp[:, 1, 1] = d[:, 0], d[:, 1]
+        return h_pp - self.matrix[2:, :2].conj().T @ x
+
+    def eliminate(self, diagonals: np.ndarray) -> list[LowdinResult | None]:
+        """``lowdin_coupling`` of the operator with each row of ``diagonals`` as its diagonal, batched
+        over the rows; None where H_QQ is not proven above lam + RESONANCE_RTOL * ``scale``.  lam is the
+        root of g(x) = lambda_min(H_eff(x)) - x, by Newton steps with g' = -1 - |X c_P|^2, X =
+        (H_QQ - x)^{-1} H_QP and c_P the unit lowest ``branch_vector`` of H_eff(x), from x0, the lower
+        level of H_PP (at or above lam by interlacing).  Once the kernel proves H_QQ - x0 positive
+        definite, g is concave and decreasing up to x0 and the steps descend onto lam, until one is at
+        most 4 eps ``scale``.  Where that proof fails or Newton does not converge, lam is the lowest
+        level of ``matrix`` by ``eigvalsh``.  One more kernel call gives x at lam and the resonance proof."""
+        d, scale = diagonals[:, self.indices], self.scales(diagonals)[0]
+        lam, todo = np.full(len(d), np.nan), np.arange(len(d))
+        x = 0.5 * (d[:, 0] + d[:, 1]) - np.hypot(0.5 * (d[:, 0] - d[:, 1]), abs(self.matrix[0, 1]))
+        with np.errstate(all="ignore"):
+            for step in range(_NEWTON_STEPS):
+                if not len(todo):
+                    break
+                y, proven = self.qq.solve(d[todo, 2:] - x[todo, None], self.matrix[2:, :2], prove=step == 0)
+                heff = self._heff(d[todo], y)
+                h00, h11, v = heff[:, 0, 0].real, heff[:, 1, 1].real, heff[:, 0, 1]
+                r = np.hypot(0.5 * (h00 - h11), np.abs(v))
+                c_p = branch_vector(0.5 * (h00 - h11), v, r)
+                slope = -1.0 - np.linalg.norm(y @ (c_p / np.linalg.norm(c_p, axis=0)).T[:, :, None], axis=(1, 2)) ** 2
+                # lambda_min = min(h00, h11) - |v|^2 / (r + |h00 - h11| / 2) does not cancel where |v| is small.
+                dx = (np.minimum(h00, h11) - np.abs(v) * (np.abs(v) / (r + 0.5 * np.abs(h00 - h11))) - x[todo]) / slope
+                x[todo] -= dx
+                done = proven & (dx <= 4.0 * np.finfo(float).eps * scale[todo])
+                lam[todo[done]] = x[todo[done]]
+                todo = todo[proven & ~done & np.isfinite(x[todo])]
+        for b in np.flatnonzero(np.isnan(lam)).tolist():  # the matrix on P and Q with the diagonal d[b]
+            lam[b] = np.linalg.eigvalsh(np.where(np.eye(len(self.matrix), dtype=bool), np.diag(d[b]), self.matrix))[0]
+        shifts = np.concatenate([lam, lam + RESONANCE_RTOL * scale])
+        y, proven = self.qq.solve(np.tile(d[:, 2:], (2, 1)) - shifts[:, None], self.matrix[2:, :2], prove=True)
+        heff = self._heff(d, y[: len(d)])
+        return [LowdinResult(v01=complex(heff[b, 0, 1]), lam=float(lam[b]), heff=heff[b], indices=self.indices, x=y[b])
+                if proven[len(d) + b] else None for b in range(len(d))]
+
+
 def lowdin_coupling(operator: HermitianOperator) -> LowdinResult:
     """Exact effective coupling between two flow states.
 
     The working energy lam is the lowest level of the blocks of the operator
-    that hold a target: the target pair P and the eliminated states Q, the
-    rest of those blocks, block by block.  The matrix on P and Q is built from
-    those blocks alone, and
+    that hold a target, the target pair P and the eliminated states Q, and
 
         H_eff = H_PP - H_PQ (H_QQ - lam)^{-1} H_QP
 
-    has lam as its lowest eigenvalue (Loewdin partitioning).  By Cauchy
-    interlacing every level of H_QQ lies at or above lam; unless
-    ``_levels_above`` proves them above lam + RESONANCE_RTOL * ``scale`` (a zero
-    operator never passes), a near-resonant-intermediate error is raised.  The
-    result keeps the solve x = (H_QQ - lam)^{-1} H_QP, the eigenvector at lam.
+    has lam as its lowest eigenvalue (Loewdin partitioning).  Every level of
+    H_QQ lies at or above lam (interlacing); unless it is proven above lam +
+    RESONANCE_RTOL * ``scale`` (a zero operator never passes), a near-resonant-
+    intermediate error is raised.  The result keeps x = (H_QQ - lam)^{-1} H_QP,
+    the eigenvector at lam.  It is ``_PairElimination.eliminate`` of one row.
     """
-    if operator.basis.interpretation != "flow":
-        raise UnsupportedConfigurationError("elimination expects a flow-basis operator")
-    t0, t1 = targets = default_flow_targets(operator.basis)
-    margin = RESONANCE_RTOL * operator.scale
-    held = [(members, h) for members, h, held in _pair_blocks(operator) if held]
-    space = np.concatenate([members for members, _ in held])
-    block = np.concatenate([targets, space[(space != t0) & (space != t1)]])
-    where = np.empty(operator.dimension, np.intp)
-    where[block] = np.arange(len(block))
-    h_block = _dense_zeros(len(block), np.result_type(*operator.blocks))
-    for members, h in held:
-        h_block[np.ix_(where[members], where[members])] = h
-    lam = float(np.linalg.eigvalsh(h_block)[0])
-    h_pp, h_qq, h_qp = h_block[:2, :2], h_block[2:, 2:], h_block[2:, :2]
-    if not _levels_above(h_qq, lam + margin):
-        raise NearResonantIntermediateError(
-            f"an eliminated level lies within {margin:.3e} of the working energy {lam:.12g}"
-        )
-    np.fill_diagonal(h_qq, np.diagonal(h_qq) - (lam + margin) + margin)
-    x = np.linalg.solve(h_qq, h_qp)
-    heff = h_pp - h_qp.conj().T @ x
-    return LowdinResult(v01=complex(heff[0, 1]), lam=lam, heff=heff, indices=block, x=x)
+    pair = _PairElimination(operator)
+    (result,) = pair.eliminate(pair.diagonal[None])
+    if result is None:
+        margin = RESONANCE_RTOL * operator.scale
+        raise NearResonantIntermediateError(f"an eliminated level lies within {margin:.3e} of the working energy")
+    return result
 
 
-# ---------------------------------------------------------------------------
-# Coupling graph and perturbative path sum
-# ---------------------------------------------------------------------------
+def _sweep_eliminations(sweep: PhaseSweep, dphis: np.ndarray) -> tuple:
+    """(pair, diagonals, eliminations) at the offsets ``dphis`` from pi: the ``_PairElimination``
+    of an equal-bond sweep's H_0, the diagonal of H(pi + dphi) at each offset and one batched
+    ``pair.eliminate``, equal bit for bit to ``lowdin_coupling`` of each offset's operator.
+    Unequal bonds give (None, None, a None per offset)."""
+    if not sweep.params.equal_j:
+        return None, None, [None] * len(dphis)
+    pair = _PairElimination(HermitianOperator(sweep.base, sweep.basis, sweep.params, sectors=sweep.sectors))
+    diagonals = np.tile(pair.diagonal, (len(dphis), 1))
+    for row, dphi in zip(diagonals, dphis.tolist()):
+        row += sweep._kinetic(math.pi + dphi)
+    return pair, diagonals, pair.eliminate(diagonals)
+
+
+# --- Coupling graph and perturbative path sum ---
 
 #: Paths are weighed in blocks whose loop matrices, stacked for one batched
 #: determinant per path length, hold at most this many entries (and at least one path).
@@ -204,16 +280,13 @@ class CouplingGraph:
         return hops
 
     def simple_paths(self, start: int, goal: int, max_intermediates: int) -> Iterator[tuple[int, ...]]:
-        """Yield simple paths start -> goal with at most ``max_intermediates``
-        states strictly between the endpoints, in lexicographic order (the
-        depth-first order over ascending neighbours).
-
-        The walk keeps its own stack of one neighbour iterator per state on
-        the path, not the call stack, and yields each path as it reaches the
-        goal.  A step is taken only if the goal stays within reach, counted in
-        hops, of the intermediates left.  Extending more than
-        ``_MAX_PREFIXES`` path prefixes raises an unsupported-configuration error.
-        """
+        """Yield simple paths start -> goal with at most ``max_intermediates`` states strictly
+        between the endpoints, in lexicographic order (the depth-first order over ascending
+        neighbours).  The walk keeps its own stack of one neighbour iterator per state on the
+        path, not the call stack, and yields each path as it reaches the goal.  A step is taken
+        only if the goal stays within reach, counted in hops, of the intermediates left.
+        Extending more than ``_MAX_PREFIXES`` path prefixes raises an unsupported-configuration
+        error."""
         if start == goal:
             return
         hops = self._hops_to(goal)
@@ -393,29 +466,7 @@ def path_normalisation(graph: CouplingGraph, targets: tuple[int, int], lam: floa
     return complex(np.linalg.det(_loop_matrix(graph, gaps, eliminated)))
 
 
-# ---------------------------------------------------------------------------
-# Report over a grid of phase offsets
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class EffectiveTable:
-    """Two-level machinery evaluated on a grid of offsets dphi from pi."""
-
-    dphis: np.ndarray
-    eps: np.ndarray
-    v01_abs: np.ndarray
-    ratio_analytic: np.ndarray
-    e_minus: np.ndarray
-    e_plus: np.ndarray
-
-    def rows(self):
-        columns = (self.dphis, self.eps, self.v01_abs, self.ratio_analytic, self.e_minus, self.e_plus)
-        return zip(*(column.tolist() for column in columns))
-
-    def to_csv(self, path, comment: str | None = None) -> None:
-        header = ("dphi", "eps", "v01_abs", "ratio_analytic", "E_minus", "E_plus")
-        write_csv(path, header, self.rows(), comment=comment)
+# --- Report over a grid of phase offsets ---
 
 
 def effective_point(params: ModelParams, dphi: float, elimination: LowdinResult | None = None) -> TwoLevelModel:
@@ -436,20 +487,18 @@ def effective_point(params: ModelParams, dphi: float, elimination: LowdinResult 
     return two_level_predict(e0, eps, elimination.v01)
 
 
-def effective_report(params: ModelParams, dphi_grid: Sequence[float]) -> EffectiveTable:
+def effective_report(params: ModelParams, dphi_grid: Sequence[float]) -> Table:
     """Tabulate the two-level machinery over a grid of offsets from pi.
 
-    The flow Hamiltonian is built once for the report.  Like
-    ``effective_point``, it requires equal tunnelling.
+    The flow Hamiltonian is built once and every offset eliminated in one batch
+    (``_sweep_eliminations``).  Like ``effective_point``, it needs equal tunnelling.
     """
-    dphis = np.asarray(list(dphi_grid), dtype=float)
-    sweep = flow_sweep(params)
-    models = [effective_point(params, d, lowdin_coupling(sweep.at(math.pi + d))) for d in dphis]
-    return EffectiveTable(
-        dphis=dphis,
-        eps=np.array([m.eps for m in models]),
-        v01_abs=np.array([abs(m.v01) for m in models]),
-        ratio_analytic=np.array([abs(m.predicted_ratio) for m in models]),
-        e_minus=np.array([m.predicted_energies[0] for m in models]),
-        e_plus=np.array([m.predicted_energies[1] for m in models]),
-    )
+    dphis, sweep = np.asarray(list(dphi_grid), dtype=float), flow_sweep(params)
+    eliminations = _sweep_eliminations(sweep, dphis)[2]
+    models = [effective_point(params, d, e or lowdin_coupling(sweep.at(math.pi + d)))
+              for d, e in zip(dphis.tolist(), eliminations)]
+    rows = [(d, m.eps, abs(m.v01), abs(m.predicted_ratio), *m.predicted_energies)
+            for d, m in zip(dphis.tolist(), models)]
+    columns = np.array(rows).reshape(-1, 6).T
+    return Table(("dphi", "eps", "v01_abs", "ratio_analytic", "E_minus", "E_plus"), rows,
+                 **dict(zip(("dphis", "eps", "v01_abs", "ratio_analytic", "e_minus", "e_plus"), columns)))

@@ -23,13 +23,9 @@ and the contact interaction becomes
 Unequal bonds put their mean on that diagonal and their asymmetry into
 hopping between the flow modes, which couples the quasi-momentum sectors.
 
-Both bases are assembled the same way: every off-diagonal term is one
-normal-ordered product of ladder operators applied to all basis states at
-once (``basis._ladder``), and the diagonal terms are sums over the
-occupation array.  The hopping is one routine for both bases, fed the bond
-matrix in the site modes or in the flow modes.  Both are returned as a
-``PhaseSweep``, H(phi) = H_0 + e^{i phi/3} A + h.c., with the real
-phase-independent part H_0 built once and A the hopping.
+Both bases are assembled from ladder terms applied to all states at once
+(``basis._ladder``), with one hopping routine fed the bonds in either basis,
+and returned as a ``PhaseSweep`` H(phi) = H_0 + e^{i phi/3} A + h.c.
 """
 
 import dataclasses
@@ -115,21 +111,6 @@ def _hermitian(matrix, atol: float = 1e-12) -> np.ndarray:
     return 0.5 * (m + adjoint)
 
 
-def _levels_above(matrix: np.ndarray, cut: float) -> bool:
-    """Whether the Hermitian ``matrix`` provably has no level at or below ``cut``:
-    its diagonal lies above the cut and a Cholesky factorisation of matrix - cut
-    succeeds, which proves it up to rounding of order n eps |H|."""
-    if np.min(np.diagonal(matrix).real, initial=np.inf) <= cut:
-        return False
-    shifted = matrix.copy()
-    shifted.flat[:: len(matrix) + 1] -= cut
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
 #: Most entries of any dense matrix an operator holds or assembles (a sector block, a site or
 #: unequal-bond operator, ``HermitianOperator.matrix``): 512 MiB real, 1 GiB complex.
 MAX_DENSE_ENTRIES = 1 << 26
@@ -153,16 +134,15 @@ def _sectors(basis: FockBasis, params: ModelParams | None) -> tuple[np.ndarray, 
 class HermitianOperator:
     """A Hermitian operator, held as ``blocks[b]`` on ``sectors[b]``.
 
-    The sectors, each ascending, are the quasi-momentum sectors k = 0, 1, 2 of
-    a flow operator with equal tunnelling and else the whole basis.  ``matrix``
-    is the whole dense matrix, split into blocks after checking that it does
-    not couple the sectors, or the blocks of the given ``sectors``.  Without a
-    ``basis`` it is one block on ``np.arange(n)`` (an explicit few-state
-    model), and ``basis`` and ``params`` stay None.  Each block is checked
-    finite and Hermitian to ``hermitian_atol`` and symmetrised exactly, here
-    and nowhere else; one already exactly Hermitian is kept, not copied, so it
-    must not be changed afterwards, and a real one stays real.  The ``matrix``
-    property assembles the dense matrix on demand.
+    The sectors, each ascending, are the quasi-momentum sectors k = 0, 1, 2 of a flow
+    operator with equal tunnelling and else the whole basis.  ``matrix`` is the whole
+    dense matrix, split into blocks after checking that it does not couple the sectors,
+    or the blocks of the given ``sectors``.  Without a ``basis`` it is one block on
+    ``np.arange(n)`` (an explicit few-state model), and ``basis`` and ``params`` stay
+    None.  Each block is checked finite and Hermitian to ``hermitian_atol`` and
+    symmetrised exactly, here and nowhere else; one already exactly Hermitian is kept,
+    not copied, so it must not be changed afterwards, and a real one stays real.  The
+    ``matrix`` property assembles the dense matrix on demand.
     """
 
     def __init__(self, matrix, basis: FockBasis | None = None, params: ModelParams | None = None,
@@ -277,15 +257,13 @@ def _hopping(occ: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
 class PhaseSweep:
     """Ring Hamiltonian over a sweep of phase twists, built once.
 
-    H(phi) = H_0 + e^{i phi/3} A + h.c.  The real phase-independent part H_0
-    is held as ``base``, one dense block per sector of ``sectors`` (see
-    ``HermitianOperator``); A is the hopping, held as triplets:
-    A[rows, cols] = values.  In the flow basis A has the diagonal
-    -J sum_k n_k e^{-2 pi i k/3}, with J the mean bond, so that A + h.c. is
-    the kinetic diagonal in cos(phi/3) and sin(phi/3).  With equal tunnelling
-    that diagonal is all of A: H(phi) stays real and conserves quasi-momentum,
-    and ``at`` copies each block and adds its diagonal, building no matrix of
-    the whole basis.  Otherwise there is one sector, the whole basis.
+    H(phi) = H_0 + e^{i phi/3} A + h.c., with the real H_0 held as ``base``,
+    one dense block per sector of ``sectors`` (see ``HermitianOperator``), and
+    the hopping A as triplets A[rows, cols] = values.  In the flow basis A has
+    the diagonal -J sum_k n_k e^{-2 pi i k/3}, J the mean bond.  With equal
+    tunnelling that is all of A: H(phi) is real, conserves quasi-momentum and
+    differs from H_0 only by the diagonal ``_kinetic``, which ``at`` adds to
+    copies of the blocks.  Otherwise there is one sector, the whole basis.
     """
 
     params: ModelParams
@@ -296,17 +274,20 @@ class PhaseSweep:
     cols: np.ndarray
     values: np.ndarray
 
+    def _kinetic(self, phi: float) -> np.ndarray:
+        """The diagonal A + h.c. at ``phi`` over the whole basis, when A is diagonal."""
+        diagonal = np.zeros(self.basis.dimension)
+        diagonal[self.rows] = 2.0 * (math.cos(phi / 3.0) * self.values.real - math.sin(phi / 3.0) * self.values.imag)
+        return diagonal
+
     def at(self, phi: float) -> HermitianOperator:
         """The Hamiltonian at phase twist ``phi``."""
-        c, s = math.cos(phi / 3.0), math.sin(phi / 3.0)
         if np.array_equal(self.rows, self.cols):
-            diagonal = np.zeros(self.basis.dimension)
-            diagonal[self.rows] = 2.0 * (c * self.values.real - s * self.values.imag)
-            blocks = tuple(block.copy() for block in self.base)
+            diagonal, blocks = self._kinetic(phi), tuple(block.copy() for block in self.base)
             for members, h in zip(self.sectors, blocks):
                 h.flat[:: len(h) + 1] += diagonal[members]
         else:
-            hop = complex(c, s) * self.values
+            hop = complex(math.cos(phi / 3.0), math.sin(phi / 3.0)) * self.values
             (h,) = blocks = (self.base[0].astype(complex),)
             h[self.rows, self.cols] += hop
             h[self.cols, self.rows] += hop.conj()
@@ -395,9 +376,7 @@ def build_flow_hamiltonian(params: ModelParams) -> HermitianOperator:
         raise UnsupportedConfigurationError(
             "analytic flow Hamiltonian requires equal tunnelling; use flow_sweep for unequal bonds"
         )
-    coefficients = (
-        _printed_dipolar_coefficients(params) if params.dipolar else _flow_interaction_coefficients(params)
-    )
+    coefficients = _printed_dipolar_coefficients(params) if params.dipolar else _flow_interaction_coefficients(params)
     return _flow_sweep(params, coefficients).at(params.phi)
 
 

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import UnsupportedConfigurationError
-from .util import write_csv
+from .util import Table, level_rows
 
 
 @dataclass(frozen=True)
@@ -99,9 +99,7 @@ def _barrier_levels(params: LoopParams, phis: np.ndarray, k_max: int, n_levels: 
     dim = 2 * k_max + 1
     n_levels = dim if n_levels is None else n_levels
     if not 1 <= n_levels <= dim:
-        raise UnsupportedConfigurationError(
-            f"n_levels must be in [1, {dim}] for k_max={k_max}, got {n_levels}"
-        )
+        raise UnsupportedConfigurationError(f"n_levels must be in [1, {dim}] for k_max={k_max}, got {n_levels}")
     rho = params.barrier / params.length
     ks = np.arange(-k_max, k_max + 1)
     levels = np.empty((len(phis), n_levels))
@@ -183,9 +181,7 @@ def loop_coupling_v01(params: LoopParams, n: int) -> LoopCouplingResult:
     analytic = v * (n / 2.0) * ((n - 1) / (2.0 * length)) * (2.0 * math.pi) ** (-(n - 1))
 
     if n > QUADRATURE_MAX_ATOMS:
-        return LoopCouplingResult(
-            analytic=analytic, quadrature=None, quadrature_available=False, discrepancy=None
-        )
+        return LoopCouplingResult(analytic=analytic, quadrature=None, quadrature_available=False, discrepancy=None)
 
     # <psi_1| delta(x_i - x_j) |psi_0> with psi_0 = L^{-N/2} and
     # psi_1 = L^{-N/2} prod_m e^{i 2pi x_m / L}: after setting x_j = x_i the
@@ -215,32 +211,14 @@ def loop_coupling_v01(params: LoopParams, n: int) -> LoopCouplingResult:
     )
 
 
-@dataclass
-class LoopTable:
-    """Barrier-split loop levels over a grid of phase twists, in units of C."""
-
-    phis: np.ndarray
-    n_levels: int
-    energies_over_c: np.ndarray
-
-    def rows(self):
-        for phi, energies in zip(self.phis.tolist(), self.energies_over_c.tolist()):
-            yield from ((phi, level, energy) for level, energy in enumerate(energies))
-
-    def to_csv(self, path, comment: str | None = None) -> None:
-        write_csv(path, ("phi", "level", "energy_over_C"), self.rows(), comment=comment)
-
-
 def loop_sweep(
     params: LoopParams,
     phi_grid: Sequence[float],
     k_max: int,
     n_levels: int,
-) -> LoopTable:
+) -> Table:
     """Sweep the barrier-split loop spectrum over phase twists in one secular solve."""
     phis = np.asarray(list(phi_grid), dtype=float)
-    return LoopTable(
-        phis=phis,
-        n_levels=n_levels,
-        energies_over_c=_barrier_levels(params, phis, k_max, n_levels) / params.c_energy,
-    )
+    energies = _barrier_levels(params, phis, k_max, n_levels) / params.c_energy
+    return Table(("phi", "level", "energy_over_C"), level_rows(phis, energies), phis=phis, n_levels=n_levels,
+                 energies_over_c=energies)

@@ -7,8 +7,8 @@ import numpy as np
 
 from .basis import FockBasis
 from .errors import NumericalContractError, UnsupportedConfigurationError
-from .hamiltonians import HermitianOperator, ModelParams, _levels_above, flow_sweep
-from .util import write_csv
+from .hamiltonians import HermitianOperator, ModelParams, flow_sweep
+from .util import Table, level_rows
 
 #: Relative tolerances on the eigensolver's own output, checked on every call.
 RESIDUAL_RTOL = 1e-9
@@ -29,17 +29,15 @@ def eigensolve(operator: HermitianOperator | np.ndarray, n_levels: int | None = 
                _values_only: bool = False) -> EigenResult:
     """Dense Hermitian diagonalization, truncated to the lowest ``n_levels`` (all by default).
 
-    An operator is solved one of its ``blocks`` at a time; a bare matrix is
-    made a one-block ``HermitianOperator`` first, which rejects non-Hermitian
-    input with a numerical-contract error.  The levels are merged in the
-    order (energy, block, index within the block) and embedded in the full
-    basis.  Blocks are visited from the smallest diagonal entry up; once
+    An operator is solved one of its ``blocks`` at a time (a bare matrix is made
+    a one-block ``HermitianOperator``, which rejects non-Hermitian input); the
+    levels are merged in the order (energy, block, index) and embedded in the
+    full basis.  Blocks are visited from the smallest diagonal entry up; once
     ``n_levels`` levels are held, a block is skipped when ``_levels_above``
-    proves it free of levels up to the cut, that level plus ``RESIDUAL_RTOL``
-    times the operator's ``frobenius`` norm.  The residual and orthonormality
-    guarantees are verified on the returned pairs.  Real symmetric input is
-    solved in real arithmetic and gives real vectors.  A caller that reads only
-    the energies passes ``_values_only`` to solve each block by ``_checked_levels``.
+    proves it free of levels up to that level plus ``RESIDUAL_RTOL`` times the
+    ``frobenius`` norm.  The returned pairs pass the residual and orthonormality
+    checks; real input gives real vectors.  A caller that reads only the
+    energies passes ``_values_only`` to solve each block by ``_checked_levels``.
     """
     if not isinstance(operator, HermitianOperator):
         operator = HermitianOperator(operator)
@@ -133,49 +131,76 @@ def _layers(matrix: np.ndarray) -> list[np.ndarray]:
     return groups
 
 
+def _passes_cholesky(pivots: np.ndarray) -> np.ndarray:
+    """For each matrix of the stack ``pivots``, whether a Cholesky factorisation of it succeeds."""
+    try:
+        np.linalg.cholesky(pivots)
+    except np.linalg.LinAlgError:
+        return np.array([len(pivots) > 1 and _passes_cholesky(p[None])[0] for p in pivots], bool)
+    return np.ones(len(pivots), bool)
+
+
+class _Layered:
+    """A Hermitian matrix on the ``_layers`` of its pattern, where it is block tridiagonal: per layer
+    its states and the blocks on them and to the layers before and after.  Its diagonal is not read."""
+
+    def __init__(self, matrix: np.ndarray):
+        groups, none = _layers(matrix), np.zeros(0, np.intp)
+        self.dimension, self.dtype = len(matrix), matrix.dtype
+        self.layers = [(rows, matrix[np.ix_(rows, rows)], matrix[np.ix_(rows, before)], matrix[np.ix_(rows, after)])
+                       for before, rows, after in zip([none] + groups, groups, groups[1:] + [none])]
+
+    def solve(self, diagonals: np.ndarray, rhs: np.ndarray, prove: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """(y, proven): y[b] solves A_b y = ``rhs`` (or ``rhs[b]``), A_b the matrix with the diagonal
+        ``diagonals[b]``, by block LDL^T elimination without pivoting, batched over b: with D_i, L_i,
+        U_i the blocks of layer i, the pivot is S_i = D_i - L_i G_{i-1}, S_i [G_i | g_i] =
+        [U_i | b_i - L_i g_{i-1}] and y_i = g_i - G_i y_{i+1}.  With ``prove``, proven[b] says whether
+        every S_i passed Cholesky, which proves A_b positive definite (Sylvester's law of inertia) up
+        to rounding of order n eps |A|; a failed S_i becomes the identity, and y[b] is meaningless."""
+        batch, eliminated = len(diagonals), []
+        rhs, proven = np.broadcast_to(rhs, (batch, self.dimension, rhs.shape[-1])), np.ones(batch, bool)
+        for rows, block, lower, upper in self.layers:
+            width = len(rows)
+            pivot = np.empty((batch, width, width), np.result_type(block, diagonals))
+            pivot[:] = block
+            pivot[:, range(width), range(width)] = diagonals[:, rows]
+            known = rhs[:, rows]
+            if eliminated:
+                coupled = lower @ eliminated[-1]
+                pivot, known = pivot - coupled[:, :, :width], known - coupled[:, :, width:]
+            if prove:
+                pivot[~proven] = np.eye(width)
+                proven &= _passes_cholesky(pivot)
+                pivot[~proven] = np.eye(width)
+            known = np.concatenate([np.broadcast_to(upper, (batch, *upper.shape)), known], axis=2)
+            eliminated.append(np.linalg.solve(pivot, known))
+        y = np.empty((batch, self.dimension, rhs.shape[-1]), np.result_type(self.dtype, diagonals, rhs))
+        step = np.zeros((batch, 0, rhs.shape[-1]))
+        for (rows, *_), solved in zip(self.layers[::-1], eliminated[::-1]):
+            step = solved[:, :, step.shape[1]:] - solved[:, :, : step.shape[1]] @ step
+            y[:, rows] = step
+        return y, proven
+
+
+def _levels_above(matrix: np.ndarray, cut: float) -> bool:
+    """Whether the Hermitian ``matrix`` provably has no level at or below ``cut``:
+    ``_Layered.solve`` proves matrix - cut positive definite."""
+    return bool(_Layered(matrix).solve(np.diagonal(matrix).real[None] - cut, np.zeros((len(matrix), 0)), True)[1][0])
+
+
 def _inverse_iteration(matrix: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """One step of inverse iteration at each of ``shifts`` from fixed start vectors b, orthonormalised
-    by one QR.  Each (matrix - shift) y = b is solved by block elimination without pivoting over the
-    ``_layers``, batched over the shifts: with D_i, L_i, U_i the blocks of layer i, the pivot is
-    S_i = D_i - shift - L_i G_{i-1}, S_i [G_i | g_i] = [U_i | b_i - L_i g_{i-1}], y_i = g_i - G_i y_{i+1}."""
-    groups, eliminated = _layers(matrix), []
+    """One step of inverse iteration at each of ``shifts`` from fixed start vectors, solved by
+    ``_Layered.solve`` batched over the shifts, and orthonormalised by one QR."""
     starts = np.cos(np.outer(np.arange(1.0, len(matrix) + 1), np.sqrt(np.arange(2.0, len(shifts) + 2))))
-    for previous, rows, following in zip([None] + groups, groups, groups[1:] + [groups[0][:0]]):
-        pivot = matrix[np.ix_(rows, rows)] - shifts[:, None, None] * np.eye(len(rows))
-        rhs = starts[rows].T[:, :, None]
-        if eliminated:
-            coupled = matrix[np.ix_(rows, previous)] @ eliminated[-1]
-            pivot, rhs = pivot - coupled[:, :, :-1], rhs - coupled[:, :, -1:]
-        upper = np.broadcast_to(matrix[np.ix_(rows, following)], (len(shifts), len(rows), len(following)))
-        eliminated.append(np.linalg.solve(pivot, np.concatenate([upper, rhs], 2)))
-    vectors, step = np.empty(starts.shape, np.result_type(matrix, starts)), np.zeros((len(shifts), 0, 1))
-    for rows, solved in zip(groups[::-1], eliminated[::-1]):
-        step = solved[:, :, -1:] - solved[:, :, :-1] @ step
-        vectors[rows] = step[:, :, 0].T
+    vectors = _Layered(matrix).solve(np.diagonal(matrix) - shifts[:, None], starts.T[:, :, None])[0][:, :, 0].T
     return np.linalg.qr(vectors / np.max(np.abs(vectors), axis=0))[0]
-
-
-@dataclass
-class SpectrumTable:
-    """Lowest levels of the ring Hamiltonian on a grid of phase twists."""
-
-    phis: np.ndarray
-    n_levels: int
-    energies: np.ndarray  # shape (len(phis), n_levels)
-
-    def rows(self):
-        for phi, energies in zip(self.phis.tolist(), self.energies.tolist()):
-            yield from ((phi, level, energy) for level, energy in enumerate(energies))
-
-    def to_csv(self, path, comment: str | None = None) -> None:
-        write_csv(path, ("phi", "level", "energy"), self.rows(), comment=comment)
 
 
 def spectrum_sweep(
     params: ModelParams,
     phi_grid: Sequence[float],
     n_levels: int,
-) -> SpectrumTable:
+) -> Table:
     """Lowest levels of the ring Hamiltonian at each phase of ``phi_grid``.
 
     The flow Hamiltonian is built once for the sweep.  With equal tunnelling
@@ -187,5 +212,6 @@ def spectrum_sweep(
     dim = sweep.basis.dimension
     if not 1 <= n_levels <= dim:
         raise UnsupportedConfigurationError(f"n_levels must be in [1, {dim}] for n={params.n}, got {n_levels}")
-    levels = [eigensolve(sweep.at(phi), n_levels, _values_only=True).energies for phi in phis]
-    return SpectrumTable(phis=phis, n_levels=n_levels, energies=np.array(levels))
+    energies = np.array([eigensolve(sweep.at(phi), n_levels, _values_only=True).energies for phi in phis])
+    rows = level_rows(phis, energies)
+    return Table(("phi", "level", "energy"), rows, phis=phis, n_levels=n_levels, energies=energies)

@@ -1,4 +1,4 @@
-"""Small shared helpers: float formatting and CSV writing."""
+"""Small shared helpers: float formatting, CSV writing and the table every sweep returns."""
 
 from typing import Iterable, Sequence
 
@@ -15,3 +15,22 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence], comment: st
     lines += (",".join(map(format_value, row)) for row in rows)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+class Table:
+    """A sweep's results: each of ``columns`` as an attribute, and ``rows``, the
+    CSV rows under ``header`` that ``to_csv`` writes."""
+
+    def __init__(self, header: Sequence[str], rows: list[tuple], **columns):
+        self.__dict__.update(columns, header=header, _rows=rows)
+
+    def rows(self) -> Iterable[tuple]:
+        return iter(self._rows)
+
+    def to_csv(self, path, comment: str | None = None) -> None:
+        write_csv(path, self.header, self._rows, comment=comment)
+
+
+def level_rows(phis, energies) -> list[tuple]:
+    """(phi, level, energy) for each level of each phase, from an array of one row per phase."""
+    return [(phi, level, e) for phi, row in zip(phis.tolist(), energies.tolist()) for level, e in enumerate(row)]

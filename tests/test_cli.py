@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import re
 import shlex
@@ -83,7 +84,8 @@ def test_catscan_accepts_negative_grid_start(tmp_path):
 def test_near_resonant_equal_bond_catscan_point_takes_the_dense_route(tmp_path, monkeypatch):
     """At N = 3, U = 0 and dphi = 6.5 an eliminated level meets the working
     energy: that point is solved densely with a nan analytic ratio, as with
-    unequal bonds.  Each point's elimination is attempted once."""
+    unequal bonds.  Off the batched elimination of the scan, the elimination
+    is attempted once more, for that point alone."""
     attempts, lowdin_coupling = [], catmetrics.lowdin_coupling
 
     def counted(operator):
@@ -94,7 +96,8 @@ def test_near_resonant_equal_bond_catscan_point_takes_the_dense_route(tmp_path, 
     out = tmp_path / "c.csv"
     assert run_cli(["catscan", "--n", "3", "--u", "0", "--dphi", "0.1:6.5:2", "--out", str(out)]) == 0
     off, resonant = (row.split(",") for row in out.read_text().splitlines()[2:])
-    assert off[-1] != "nan" and len(attempts) == 2
+    assert off[-1] != "nan" and len(attempts) == 1
+    assert attempts[0].params.phi == math.pi + 6.5
     metrics = ground_cat_metrics(ModelParams(n=3, u=0.0), 6.5)
     assert metrics.a0 == metrics.a1 == 0
     assert resonant[2:] == ["6.5", "0", "0", "0", "0", "nan", "0", "nan"]

@@ -22,7 +22,7 @@ from ringcat import (
     quasimomentum_labels,
     spectrum_sweep,
 )
-from ringcat.hamiltonians import _levels_above
+from ringcat.solver import _levels_above
 from ringcat.solver import _checked_eigh
 
 
