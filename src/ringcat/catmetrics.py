@@ -8,16 +8,13 @@ and the weight |a0|^2 + |a1|^2 captured by the pair.
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .basis import FockBasis, embed_single_flow
-from .effective import (
-    LowdinResult, _PairElimination, _sweep_eliminations, branch_vector, default_flow_targets, effective_point,
-    lowdin_coupling,
-)
-from .errors import NearResonantIntermediateError, NumericalContractError, UnsupportedConfigurationError
+from .effective import _PairElimination, _sweep_eliminations, branch_vector, default_flow_targets, effective_point
+from .errors import NumericalContractError, UnsupportedConfigurationError
 from .hamiltonians import HermitianOperator, ModelParams, flow_sweep
 from .solver import RESIDUAL_RTOL, eigensolve
 from .util import Table
@@ -136,66 +133,63 @@ def _eliminated_states(pair: _PairElimination, diagonals: np.ndarray, eliminatio
     return states
 
 
-def _eliminated_ground_state(operator: HermitianOperator, elimination: LowdinResult) -> np.ndarray | None:
-    """``_eliminated_states`` of one flow ``operator`` and its ``elimination``."""
-    pair = _PairElimination(operator)
-    return _eliminated_states(pair, pair.diagonal[None], [elimination])[0]
+def _own_state(operator: HermitianOperator) -> np.ndarray | None:
+    """``_eliminated_states`` of ``operator`` from one layout of its own pair and one ``eliminate``
+    of one row; None where ``_PairElimination`` rejects it (a site operator, or too large a pair)."""
+    try:
+        pair = _PairElimination(operator)
+    except UnsupportedConfigurationError:
+        return None
+    diagonals = pair.diagonal[None]
+    return _eliminated_states(pair, diagonals, pair.eliminate(diagonals))[0]
 
 
-def _ground_state(operator: HermitianOperator, dphi: float, elimination: LowdinResult | None = None) -> tuple:
-    """(state, elimination) at phase twist pi + dphi.  The elimination, ``lowdin_coupling``'s
-    unless given, is None where that meets a near-resonant level or the operator is not a
-    flow operator.  Off the crossing the state is ``_eliminated_ground_state`` wherever that
-    proves it.  Else ``eigensolve`` solves the blocks that can hold a requested level; for
-    |dphi| <= ``CROSSING_DPHI_ATOL`` the state is ``crossing_pair_state`` of the two lowest
-    levels, maybe the first excited one."""
-    if elimination is None:
-        try:
-            elimination = lowdin_coupling(operator)
-        except (NearResonantIntermediateError, UnsupportedConfigurationError):
-            pass
+def _ground_state(dphi: float, state: np.ndarray | None, build: Callable[[], HermitianOperator]) -> np.ndarray:
+    """The state at pi + dphi: the eliminated ``state`` where it is proven, off the crossing.  Else
+    ``eigensolve`` solves the blocks of the operator ``build()`` that can hold a requested level; for
+    |dphi| <= ``CROSSING_DPHI_ATOL`` it is ``crossing_pair_state`` of the two lowest levels."""
     crossing = abs(dphi) <= CROSSING_DPHI_ATOL
-    state = None if crossing or elimination is None else _eliminated_ground_state(operator, elimination)
-    if state is None:
-        state = crossing_pair_state(eigensolve(operator, n_levels=2 if crossing else 1).vectors, operator.basis)
-    return state, elimination
+    if state is None or crossing:
+        h = build()
+        state = crossing_pair_state(eigensolve(h, n_levels=2 if crossing else 1).vectors, h.basis)
+    return state
 
 
 def ground_cat_metrics(params: ModelParams, dphi: float, operator: HermitianOperator | None = None) -> CatMetrics:
     """Cat metrics of the exact ground state at phase twist pi + dphi.
 
-    The state is ``_ground_state`` of ``operator`` if given and of the flow
-    Hamiltonian at pi + dphi otherwise; on the crossing it is the one of the two
-    lowest levels with the larger pair weight.  A ground state outside the blocks
-    that hold the pair (dipolar N = 6, dphi = -0.2) gives a0 = a1 = 0.
+    The state is ``_ground_state`` of ``operator`` (the flow Hamiltonian at pi +
+    dphi unless given) and of its own elimination, ``_own_state``; on the crossing
+    it is the one of the two lowest levels with the larger pair weight.  A ground
+    state outside the pair's blocks (dipolar N = 6, dphi = -0.2) gives a0 = a1 = 0.
     """
     if operator is None:
         operator = flow_sweep(params).at(math.pi + dphi)
-    return cat_amplitudes(_ground_state(operator, dphi)[0], operator.basis)
+    return cat_amplitudes(_ground_state(dphi, _own_state(operator), lambda: operator), operator.basis)
 
 
 def catscan(params: ModelParams, dphi_grid: Sequence[float]) -> Table:
     """Scan the exact cat metrics and the two-level prediction over offsets.
 
     The flow Hamiltonian is built once.  With equal bonds all offsets are eliminated in
-    one batch (``_sweep_eliminations``) and, off the crossing, give their state by
-    ``_eliminated_states``, with no operator per offset.  The crossing, unequal bonds and
-    any offset whose state is not proven take ``_ground_state`` of that offset's operator.
-    With unequal bonds, or where the elimination meets a near-resonant level, the
-    analytic ratio is nan.
+    one batch (``_sweep_eliminations``) and give their state by ``_eliminated_states``;
+    ``_ground_state`` solves an offset's operator only on the crossing or where the state
+    is not proven.  With unequal bonds each offset's operator takes ``ground_cat_metrics``.
+    The analytic ratio is nan there and where the elimination meets a near-resonant level.
     """
     dphis = np.asarray(list(dphi_grid), dtype=float)
     sweep = flow_sweep(params)
-    pair, diagonals, eliminations = _sweep_eliminations(sweep, dphis)
-    states = [None] * len(dphis) if pair is None else _eliminated_states(pair, diagonals, eliminations)
-    del pair, diagonals  # the per-offset route below needs neither: free them before it allocates
-    metrics, analytic = [], []
-    for dphi, state, elimination in zip(dphis.tolist(), states, eliminations):
-        if state is None or abs(dphi) <= CROSSING_DPHI_ATOL:
-            state, elimination = _ground_state(sweep.at(math.pi + dphi), dphi, elimination)
-        metrics.append(cat_amplitudes(state, sweep.basis))
-        eliminated = params.equal_j and elimination is not None
-        analytic.append(abs(effective_point(params, dphi, elimination).predicted_ratio) if eliminated else math.nan)
+    if params.equal_j:
+        pair, diagonals, eliminations = _sweep_eliminations(sweep, dphis)
+        states = _eliminated_states(pair, diagonals, eliminations)
+        del pair, diagonals  # the dense route needs neither: free them before it allocates
+        metrics = [cat_amplitudes(_ground_state(dphi, state, lambda: sweep.at(math.pi + dphi)), sweep.basis)
+                   for dphi, state in zip(dphis.tolist(), states)]
+    else:
+        metrics = [ground_cat_metrics(params, dphi, sweep.at(math.pi + dphi)) for dphi in dphis.tolist()]
+        eliminations = [None] * len(dphis)
+    analytic = [math.nan if elimination is None else abs(effective_point(params, dphi, elimination).predicted_ratio)
+                for dphi, elimination in zip(dphis.tolist(), eliminations)]
     u_over_j = ((params.u0 if params.dipolar else params.u) / params.j1) if params.j1 != 0 else math.nan
     header = ("N", "u_over_j", "dphi", "a0_re", "a0_im", "a1_re", "a1_im", "ratio", "captured_norm", "ratio_analytic")
     rows = [(params.n, u_over_j, dphi, m.a0.real, m.a0.imag, m.a1.real, m.a1.imag, m.ratio, m.captured_norm, ratio)

@@ -132,7 +132,7 @@ class _PairElimination:
     an equal-bond sweep's H_0 it serves every phase, which enters only the diagonal."""
 
     def __init__(self, operator: HermitianOperator):
-        if operator.basis.interpretation != "flow":
+        if operator.basis is None or operator.basis.interpretation != "flow":
             raise UnsupportedConfigurationError("elimination expects a flow-basis operator")
         t0, t1 = targets = default_flow_targets(operator.basis)
         blocks = _pair_blocks(operator)
@@ -228,9 +228,9 @@ def _sweep_eliminations(sweep: PhaseSweep, dphis: np.ndarray) -> tuple:
     """(pair, diagonals, eliminations) at the offsets ``dphis`` from pi: the ``_PairElimination``
     of an equal-bond sweep's H_0, the diagonal of H(pi + dphi) at each offset and one batched
     ``pair.eliminate``, equal bit for bit to ``lowdin_coupling`` of each offset's operator.
-    Unequal bonds give (None, None, a None per offset)."""
+    Unequal bonds, whose phase is no diagonal on H_0, are refused."""
     if not sweep.params.equal_j:
-        return None, None, [None] * len(dphis)
+        raise UnsupportedConfigurationError("eliminating a whole sweep requires equal tunnelling")
     pair = _PairElimination(HermitianOperator(sweep.base, sweep.basis, sweep.params, sectors=sweep.sectors))
     diagonals = np.tile(pair.diagonal, (len(dphis), 1))
     for row, dphi in zip(diagonals, dphis.tolist()):

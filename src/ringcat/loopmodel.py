@@ -11,6 +11,7 @@ interaction between atoms in product flow states contributes V per same-flow
 pair and 2V per distinct-flow pair.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -191,13 +192,7 @@ def loop_coupling_v01(params: LoopParams, n: int) -> LoopCouplingResult:
     double = np.exp(-4j * math.pi * grid / length)
     weight = (length / QUADRATURE_POINTS) ** (n - 1) / length**n
 
-    axes = [double] + [single] * (n - 2)
-    mesh = np.ones([QUADRATURE_POINTS] * (n - 1), dtype=complex)
-    for axis, values in enumerate(axes):
-        shape = [1] * (n - 1)
-        shape[axis] = QUADRATURE_POINTS
-        mesh = mesh * values.reshape(shape)
-    pair_value = weight * mesh.sum()
+    pair_value = weight * functools.reduce(np.multiply.outer, [double] + [single] * (n - 2)).sum()
 
     n_pairs = n * (n - 1) // 2
     quadrature = v * n_pairs * pair_value

@@ -13,6 +13,8 @@ from .util import Table, level_rows
 #: Relative tolerances on the eigensolver's own output, checked on every call.
 RESIDUAL_RTOL = 1e-9
 ORTHONORMALITY_ATOL = 1e-9
+#: ``_Layered.solve`` eliminates its batch in chunks of rows whose factors hold at most this many entries.
+_BATCH_ENTRIES = 1 << 20
 
 
 @dataclass
@@ -156,29 +158,33 @@ class _Layered:
         U_i the blocks of layer i, the pivot is S_i = D_i - L_i G_{i-1}, S_i [G_i | g_i] =
         [U_i | b_i - L_i g_{i-1}] and y_i = g_i - G_i y_{i+1}.  With ``prove``, proven[b] says whether
         every S_i passed Cholesky, which proves A_b positive definite (Sylvester's law of inertia) up
-        to rounding of order n eps |A|; a failed S_i becomes the identity, and y[b] is meaningless."""
-        batch, eliminated = len(diagonals), []
-        rhs, proven = np.broadcast_to(rhs, (batch, self.dimension, rhs.shape[-1])), np.ones(batch, bool)
-        for rows, block, lower, upper in self.layers:
-            width = len(rows)
-            pivot = np.empty((batch, width, width), np.result_type(block, diagonals))
-            pivot[:] = block
-            pivot[:, range(width), range(width)] = diagonals[:, rows]
-            known = rhs[:, rows]
-            if eliminated:
-                coupled = lower @ eliminated[-1]
-                pivot, known = pivot - coupled[:, :, :width], known - coupled[:, :, width:]
-            if prove:
-                pivot[~proven] = np.eye(width)
-                proven &= _passes_cholesky(pivot)
-                pivot[~proven] = np.eye(width)
-            known = np.concatenate([np.broadcast_to(upper, (batch, *upper.shape)), known], axis=2)
-            eliminated.append(np.linalg.solve(pivot, known))
-        y = np.empty((batch, self.dimension, rhs.shape[-1]), np.result_type(self.dtype, diagonals, rhs))
-        step = np.zeros((batch, 0, rhs.shape[-1]))
-        for (rows, *_), solved in zip(self.layers[::-1], eliminated[::-1]):
-            step = solved[:, :, step.shape[1]:] - solved[:, :, : step.shape[1]] @ step
-            y[:, rows] = step
+        to rounding of order n eps |A|; a failed S_i becomes the identity, and y[b] is meaningless.
+        No row depends on another: the batch is eliminated in chunks of at most ``_BATCH_ENTRIES``."""
+        rhs, proven = np.broadcast_to(rhs, (len(diagonals), *rhs.shape[-2:])), np.ones(len(diagonals), bool)
+        size = max(1, _BATCH_ENTRIES // (sum(u.size + len(rows) * rhs.shape[2] for rows, *_, u in self.layers) or 1))
+        for chunk in (slice(start, start + size) for start in range(0, len(diagonals) or 1, size)):
+            d, b, ok, eliminated = diagonals[chunk], rhs[chunk], proven[chunk], []  # ok is a view: &= marks proven
+            for rows, block, lower, upper in self.layers:
+                width = len(rows)
+                pivot = np.empty((len(d), width, width), np.result_type(block, d))
+                pivot[:] = block
+                pivot[:, range(width), range(width)] = d[:, rows]
+                known = b[:, rows]
+                if eliminated:
+                    coupled = lower @ eliminated[-1]
+                    pivot, known = pivot - coupled[:, :, :width], known - coupled[:, :, width:]
+                if prove:
+                    pivot[~ok] = np.eye(width)
+                    ok &= _passes_cholesky(pivot)
+                    pivot[~ok] = np.eye(width)
+                known = np.concatenate([np.broadcast_to(upper, (len(d), *upper.shape)), known], axis=2)
+                eliminated.append(np.linalg.solve(pivot, known))
+            if not chunk.start:  # not during the first chunk's factorisation, whose temporaries set the peak
+                y = np.empty(rhs.shape, np.result_type(self.dtype, diagonals, rhs))
+            step = np.zeros((len(d), 0, rhs.shape[2]))
+            for (rows, *_), solved in zip(self.layers[::-1], eliminated[::-1]):
+                step = solved[:, :, step.shape[1]:] - solved[:, :, : step.shape[1]] @ step
+                y[chunk, rows] = step
         return y, proven
 
 

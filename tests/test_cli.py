@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import os
 import re
 import shlex
@@ -15,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from ringcat import NumericalContractError
-from ringcat import catmetrics, cli, effective
+from ringcat import cli, effective
 from ringcat.catmetrics import ground_cat_metrics
 from ringcat.hamiltonians import ModelParams
 
@@ -84,20 +83,19 @@ def test_catscan_accepts_negative_grid_start(tmp_path):
 def test_near_resonant_equal_bond_catscan_point_takes_the_dense_route(tmp_path, monkeypatch):
     """At N = 3, U = 0 and dphi = 6.5 an eliminated level meets the working
     energy: that point is solved densely with a nan analytic ratio, as with
-    unequal bonds.  Off the batched elimination of the scan, the elimination
-    is attempted once more, for that point alone."""
-    attempts, lowdin_coupling = [], catmetrics.lowdin_coupling
+    unequal bonds.  The point is eliminated only in the scan's one batch, never
+    again on its own."""
+    batches, eliminate = [], effective._PairElimination.eliminate
 
-    def counted(operator):
-        attempts.append(operator)
-        return lowdin_coupling(operator)
+    def counted(pair, diagonals):
+        batches.append(len(diagonals))
+        return eliminate(pair, diagonals)
 
-    monkeypatch.setattr(catmetrics, "lowdin_coupling", counted)
+    monkeypatch.setattr(effective._PairElimination, "eliminate", counted)
     out = tmp_path / "c.csv"
     assert run_cli(["catscan", "--n", "3", "--u", "0", "--dphi", "0.1:6.5:2", "--out", str(out)]) == 0
     off, resonant = (row.split(",") for row in out.read_text().splitlines()[2:])
-    assert off[-1] != "nan" and len(attempts) == 1
-    assert attempts[0].params.phi == math.pi + 6.5
+    assert off[-1] != "nan" and batches == [2]
     metrics = ground_cat_metrics(ModelParams(n=3, u=0.0), 6.5)
     assert metrics.a0 == metrics.a1 == 0
     assert resonant[2:] == ["6.5", "0", "0", "0", "0", "nan", "0", "nan"]

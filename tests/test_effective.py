@@ -192,6 +192,12 @@ def test_elimination_requires_flow_basis():
         lowdin_coupling(build_site_hamiltonian(N3_PARAMS.with_phi(math.pi)))
 
 
+def test_elimination_of_an_operator_without_a_basis_is_a_config_error():
+    """A one-block operator made from a bare matrix has no flow targets."""
+    with pytest.raises(UnsupportedConfigurationError, match="flow-basis"):
+        lowdin_coupling(HermitianOperator(np.eye(3)))
+
+
 @pytest.mark.parametrize(
     "params, dphi", [(ModelParams(n=12, u=0.1), 0.05), (ModelParams(n=5, j=(1.0, 0.9, 1.1), u=0.1), -0.1)]
 )

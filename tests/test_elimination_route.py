@@ -1,11 +1,11 @@
 """Differential test: the ground state from the elimination against the dense route.
 
 Off the crossing, ``ground_cat_metrics`` builds the ground state of a flow
-operator from ``lowdin_coupling``: c_P is the lowest eigenvector of the 2x2
-H_eff(lam) and c_Q = -x c_P.  The reference is the lowest eigenvector of
-``eigensolve``.  A dense eigenvector carries an absolute error of about
-eps |H| / gap in every component, so the amplitudes are compared to TOL plus
-that much; the elimination's own error is relative.
+operator from the elimination of its own pair (``_PairElimination``): c_P is
+the lowest eigenvector of the 2x2 H_eff(lam) and c_Q = -x c_P.  The reference
+is the lowest eigenvector of ``eigensolve``.  A dense eigenvector carries an
+absolute error of about eps |H| / gap in every component, so the amplitudes
+are compared to TOL plus that much; the elimination's own error is relative.
 """
 
 from __future__ import annotations
@@ -18,18 +18,11 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from ringcat import (
-    ModelParams,
-    NearResonantIntermediateError,
-    cat_amplitudes,
-    catscan,
-    crossing_pair_state,
-    eigensolve,
-    flow_sweep,
-    ground_cat_metrics,
-    lowdin_coupling,
+    ModelParams, cat_amplitudes, catscan, cli, crossing_pair_state, eigensolve, flow_sweep, ground_cat_metrics,
 )
 from ringcat import catmetrics as catmetrics_module
-from ringcat.catmetrics import CROSSING_DPHI_ATOL, _eliminated_ground_state
+from ringcat.catmetrics import CROSSING_DPHI_ATOL, _eliminated_states
+from ringcat.effective import _PairElimination
 
 TOL = 1e-10
 #: Measured |Delta| / (eps |H|_2 / gap) stayed below 0.62 over 300 random cases.
@@ -52,12 +45,12 @@ offset = st.builds(lambda sign, exponent: sign * 10.0**exponent, st.sampled_from
 
 
 def _eliminated_state(operator):
-    """``_eliminated_ground_state`` of the operator's elimination; None where
-    the elimination meets a near-resonant level."""
-    try:
-        return _eliminated_ground_state(operator, lowdin_coupling(operator))
-    except NearResonantIntermediateError:
-        return None
+    """``_eliminated_states`` of the operator's own pair, eliminated at its own
+    diagonal; None where the elimination meets a near-resonant level or the
+    state is not proven."""
+    pair = _PairElimination(operator)
+    diagonals = pair.diagonal[None]
+    return _eliminated_states(pair, diagonals, pair.eliminate(diagonals))[0]
 
 
 def _dense(operator):
@@ -96,7 +89,7 @@ def test_pair_block_ground_states_come_from_the_elimination(params, dphi):
     is split over two (N = 7, 35), and unequal bonds (one block), take their
     state from the elimination."""
     operator = flow_sweep(params).at(math.pi + dphi)
-    state = _eliminated_ground_state(operator, lowdin_coupling(operator))
+    state = _eliminated_state(operator)
     assert state is not None
     np.testing.assert_allclose(np.linalg.norm(state), 1.0, rtol=1e-14)
 
@@ -127,7 +120,7 @@ def test_fallback_rows_equal_the_dense_route_exactly(params, dphis):
     for dphi, row in zip(dphis, table.metrics):
         operator = sweep.at(math.pi + dphi)
         if abs(dphi) > CROSSING_DPHI_ATOL:
-            assert _eliminated_ground_state(operator, lowdin_coupling(operator)) is None
+            assert _eliminated_state(operator) is None
         vectors = eigensolve(operator, n_levels=2 if abs(dphi) <= CROSSING_DPHI_ATOL else 1).vectors
         assert row == cat_amplitudes(crossing_pair_state(vectors, operator.basis), operator.basis)
 
@@ -137,9 +130,9 @@ def test_a_state_failing_the_residual_bound_falls_back(monkeypatch):
     the row is the dense route's."""
     params, dphi = ModelParams(n=12, u=0.1), 0.05
     operator = flow_sweep(params).at(math.pi + dphi)
-    assert _eliminated_ground_state(operator, lowdin_coupling(operator)) is not None
+    assert _eliminated_state(operator) is not None
     monkeypatch.setattr(catmetrics_module, "RESIDUAL_RTOL", 0.0)
-    assert _eliminated_ground_state(operator, lowdin_coupling(operator)) is None
+    assert _eliminated_state(operator) is None
     vectors = eigensolve(operator, n_levels=1).vectors
     assert ground_cat_metrics(params, dphi, operator=operator) == cat_amplitudes(vectors[:, 0], operator.basis)
 
@@ -176,8 +169,32 @@ def test_the_proof_holds_where_the_squared_norm_overflows():
     params, dphi = ModelParams(n=3, u=1e200), 0.05
     operator = flow_sweep(params).at(math.pi + dphi)
     assert np.isinf(np.vdot(operator.matrix, operator.matrix))
-    assert _eliminated_ground_state(operator, lowdin_coupling(operator)) is not None
+    assert _eliminated_state(operator) is not None
     fast = ground_cat_metrics(params, dphi, operator=operator)
     dense, _ = _dense(operator)
     for got, want in ((fast.captured_norm, dense.captured_norm), (abs(fast.a0), abs(dense.a0)), (abs(fast.a1), abs(dense.a1))):
         assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "argv, layouts, eliminations",
+    [
+        # Unequal bonds: each offset's operator is laid out and eliminated once.
+        (["--n", "24", "--j", "1,0.9,1.1", "--dphi=-0.2:0.2:9"], 9, 9),
+        # Dipolar N = 7: the 8 rows in [-0.29, -0.22] that the batch cannot prove
+        # go straight to the dense route.
+        (["--n", "7", "--u0", "0.1", "--u1", "0.05"], 1, 1),
+        # The near-resonant row at dphi = 6.5 is not eliminated again.
+        (["--n", "3", "--u", "0", "--dphi", "0.1:6.5:2"], 1, 1),
+    ],
+)
+def test_each_scan_lays_out_and_eliminates_each_pair_once(argv, layouts, eliminations, tmp_path, monkeypatch):
+    calls = {"__init__": 0, "eliminate": 0}
+    for name in calls:
+        def counted(*args, _name=name, _method=getattr(_PairElimination, name)):
+            calls[_name] += 1
+            return _method(*args)
+
+        monkeypatch.setattr(_PairElimination, name, counted)
+    assert cli.main(["catscan", *argv, "--out", str(tmp_path / "c.csv")]) == 0
+    assert calls == {"__init__": layouts, "eliminate": eliminations}

@@ -12,6 +12,7 @@ layered recursion in mpmath.
 from __future__ import annotations
 
 import math
+import tracemalloc
 from unittest import mock
 
 import mpmath
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from ringcat import ModelParams, catscan, cli, flow_sweep, lowdin_coupling
+from ringcat import ModelParams, catscan, cli, flow_sweep, lowdin_coupling, solver
 from ringcat.effective import RESONANCE_RTOL, _PairElimination, _sweep_eliminations
 from ringcat.hamiltonians import HermitianOperator
 from ringcat.solver import _Layered
@@ -239,3 +240,25 @@ def test_a_strongly_interacting_point_takes_lam_from_eigvalsh(monkeypatch):
     dense_route = (36, 1.0, 0.1, 0.0031683771381186324, 0.0, 0.6994982928062539, 0.0,
                    0.004529499457972524, 0.48930790025255305, 0.0075388282372920645)
     np.testing.assert_allclose(row, dense_route, rtol=1e-12, atol=0)
+
+
+def test_a_long_batch_is_solved_in_chunks_of_bounded_memory(monkeypatch):
+    """With ``_BATCH_ENTRIES`` at 2**14, 400 rows of a 300-state banded matrix (about 5.4e3
+    factor entries each, 17 MB at once) are eliminated three rows at a time: the traced peak
+    stays within 1 MiB of the solution itself, and each row equals its own solve bit for bit."""
+    rng = np.random.default_rng(11)
+    band = sum(np.diag(rng.normal(size=300 - k), k) for k in (1, 2, 3))
+    layered = _Layered(band + band.T)
+    diagonals, rhs = rng.normal(size=(400, 300)) + 8.0, np.ones((300, 1))
+    monkeypatch.setattr(solver, "_BATCH_ENTRIES", 1 << 14, raising=False)
+    tracemalloc.start()
+    try:
+        y, proven = layered.solve(diagonals, rhs, prove=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - y.nbytes <= 1 << 20
+    assert proven.all()
+    for b in (0, 1, 2, 199, 399):
+        single, _ = layered.solve(diagonals[b : b + 1], rhs, prove=True)
+        np.testing.assert_array_equal(y[b], single[0])
