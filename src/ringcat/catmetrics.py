@@ -13,10 +13,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .basis import FockBasis, embed_single_flow
-from .effective import _PairElimination, _sweep_eliminations, branch_vector, default_flow_targets, effective_point
-from .errors import NumericalContractError, UnsupportedConfigurationError
+from .effective import _own_state, _sweep_eliminations, default_flow_targets, effective_point
+from .errors import NumericalContractError
 from .hamiltonians import HermitianOperator, ModelParams, flow_sweep
-from .solver import RESIDUAL_RTOL, eigensolve
+from .solver import eigensolve
 from .util import Table
 
 #: Offsets smaller than this are treated as sitting exactly on the crossing,
@@ -100,90 +100,46 @@ def crossing_pair_state(vectors: np.ndarray, basis: FockBasis) -> np.ndarray:
     return vectors @ eigvecs[:, -1]
 
 
-def _eliminated_states(pair: _PairElimination, diagonals: np.ndarray, eliminations: list) -> list[np.ndarray | None]:
-    """Ground state of the operator with each row of ``diagonals`` as its diagonal, from
-    its elimination: c_P = ``branch_vector`` of H_eff(lam) on its lowest branch and
-    c_Q = -x c_P.  None unless r > 0, the state passes the eigensolver's residual bound
-    on the blocks that hold a target, and the kernel proves each other block free of
-    levels up to lam + RESIDUAL_RTOL |H|_F, in one batch per block."""
-    states, frobenius = [None] * len(eliminations), pair.scales(diagonals)[1]
-    for b, elimination in enumerate(eliminations):
-        if elimination is None:
-            continue
-        lam, ((a, v), (_, c)) = elimination.lam, elimination.heff
-        eps = 0.5 * float(np.real(a - c))
-        r = math.hypot(eps, abs(v))
-        if r == 0.0:
-            continue
-        # Scaling by a power of two keeps the norm finite and changes no bit of the normalised state.
-        c_p = branch_vector(eps, v, r) * math.ldexp(1.0, -math.frexp(r)[1])
-        state = np.zeros(len(pair.diagonal), dtype=np.result_type(c_p, elimination.x))
-        state[elimination.indices] = np.concatenate([c_p, -elimination.x @ c_p])
-        state /= np.linalg.norm(state)
-        local, d = state[pair.indices], diagonals[b, pair.indices]
-        residual = np.max(np.abs(pair.matrix @ local + (d - np.diagonal(pair.matrix) - lam) * local))
-        if residual <= RESIDUAL_RTOL * max(abs(lam), float(np.max(np.abs(d)))):
-            states[b] = state
-    tried = np.array([b for b, state in enumerate(states) if state is not None], np.intp)
-    cuts = np.array([eliminations[b].lam for b in tried]) + RESIDUAL_RTOL * frobenius[tried]
-    for members, layered in pair.others if len(tried) else ():
-        shifted = diagonals[np.ix_(tried, members)] - cuts[:, None]
-        for b, proven in zip(tried.tolist(), layered.solve(shifted, np.zeros((len(members), 0)), prove=True)[1]):
-            states[b] = states[b] if proven else None
-    return states
-
-
-def _own_state(operator: HermitianOperator) -> np.ndarray | None:
-    """``_eliminated_states`` of ``operator`` from one layout of its own pair and one ``eliminate``
-    of one row; None where ``_PairElimination`` rejects it (a site operator, or too large a pair)."""
-    try:
-        pair = _PairElimination(operator)
-    except UnsupportedConfigurationError:
-        return None
-    diagonals = pair.diagonal[None]
-    return _eliminated_states(pair, diagonals, pair.eliminate(diagonals))[0]
-
-
-def _ground_state(dphi: float, state: np.ndarray | None, build: Callable[[], HermitianOperator]) -> np.ndarray:
-    """The state at pi + dphi: the eliminated ``state`` where it is proven, off the crossing.  Else
-    ``eigensolve`` solves the blocks of the operator ``build()`` that can hold a requested level; for
-    |dphi| <= ``CROSSING_DPHI_ATOL`` it is ``crossing_pair_state`` of the two lowest levels."""
+def _ground_state(dphi: float, eliminated: Callable, build: Callable[[], HermitianOperator]) -> np.ndarray:
+    """The state at pi + dphi: off the crossing ``eliminated()`` where that is not None, else from
+    ``eigensolve`` of ``build()``; on the crossing (|dphi| <= ``CROSSING_DPHI_ATOL``), where ``eliminated``
+    is not called, ``crossing_pair_state`` of the two lowest levels."""
     crossing = abs(dphi) <= CROSSING_DPHI_ATOL
-    if state is None or crossing:
-        h = build()
-        state = crossing_pair_state(eigensolve(h, n_levels=2 if crossing else 1).vectors, h.basis)
-    return state
+    if not crossing and (state := eliminated()) is not None:
+        return state
+    h = build()
+    return crossing_pair_state(eigensolve(h, n_levels=2 if crossing else 1).vectors, h.basis)
 
 
 def ground_cat_metrics(params: ModelParams, dphi: float, operator: HermitianOperator | None = None) -> CatMetrics:
     """Cat metrics of the exact ground state at phase twist pi + dphi.
 
     The state is ``_ground_state`` of ``operator`` (the flow Hamiltonian at pi +
-    dphi unless given) and of its own elimination, ``_own_state``; on the crossing
-    it is the one of the two lowest levels with the larger pair weight.  A ground
-    state outside the pair's blocks (dipolar N = 6, dphi = -0.2) gives a0 = a1 = 0.
+    dphi unless given): off the crossing that of its own elimination, ``_own_state``;
+    on it, uneliminated, the one of the two lowest levels with the larger pair weight.
+    A ground state outside the pair's blocks (dipolar N = 6, dphi = -0.2) gives a0 = a1 = 0.
     """
     if operator is None:
         operator = flow_sweep(params).at(math.pi + dphi)
-    return cat_amplitudes(_ground_state(dphi, _own_state(operator), lambda: operator), operator.basis)
+    return cat_amplitudes(_ground_state(dphi, lambda: _own_state(operator), lambda: operator), operator.basis)
 
 
 def catscan(params: ModelParams, dphi_grid: Sequence[float]) -> Table:
     """Scan the exact cat metrics and the two-level prediction over offsets.
 
-    The flow Hamiltonian is built once.  With equal bonds all offsets are eliminated in
-    one batch (``_sweep_eliminations``) and give their state by ``_eliminated_states``;
-    ``_ground_state`` solves an offset's operator only on the crossing or where the state
-    is not proven.  With unequal bonds each offset's operator takes ``ground_cat_metrics``.
-    The analytic ratio is nan there and where the elimination meets a near-resonant level.
+    The flow Hamiltonian is built once.  With equal bonds all offsets are eliminated in one batch
+    (``_sweep_eliminations``) and give their state by ``_PairElimination.states``; ``_ground_state``
+    solves an offset's operator only on the crossing or where the state is not proven.  With unequal
+    bonds each offset's operator takes ``ground_cat_metrics``, eliminated off the crossing only.  The
+    analytic ratio is nan there and where the elimination meets a near-resonant level.
     """
     dphis = np.asarray(list(dphi_grid), dtype=float)
     sweep = flow_sweep(params)
     if params.equal_j:
         pair, diagonals, eliminations = _sweep_eliminations(sweep, dphis)
-        states = _eliminated_states(pair, diagonals, eliminations)
+        states = pair.states(diagonals, eliminations)
         del pair, diagonals  # the dense route needs neither: free them before it allocates
-        metrics = [cat_amplitudes(_ground_state(dphi, state, lambda: sweep.at(math.pi + dphi)), sweep.basis)
+        metrics = [cat_amplitudes(_ground_state(dphi, lambda: state, lambda: sweep.at(math.pi + dphi)), sweep.basis)
                    for dphi, state in zip(dphis.tolist(), states)]
     else:
         metrics = [ground_cat_metrics(params, dphi, sweep.at(math.pi + dphi)) for dphi in dphis.tolist()]

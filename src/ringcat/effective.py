@@ -24,7 +24,7 @@ from .errors import NearResonantIntermediateError, NumericalContractError, Unsup
 from .hamiltonians import (
     HermitianOperator, ModelParams, PhaseSweep, _dense_zeros, _flow_interaction_coefficients, flow_sweep
 )
-from .solver import _Layered
+from .solver import RESIDUAL_RTOL, _Layered
 from .util import Table
 
 #: An eliminated state within this many times the operator's scale (its largest entry,
@@ -201,6 +201,45 @@ class _PairElimination:
         return [LowdinResult(v01=complex(heff[b, 0, 1]), lam=float(lam[b]), heff=heff[b], indices=self.indices, x=y[b])
                 if proven[len(d) + b] else None for b in range(len(d))]
 
+    def proven(self, diagonals: np.ndarray, eliminations: list) -> list[LowdinResult]:
+        """``eliminations`` of the rows of ``diagonals``, or the near-resonance error of the first that is None."""
+        if None in eliminations:
+            margin = RESONANCE_RTOL * self.scales(diagonals)[0][eliminations.index(None)]
+            raise NearResonantIntermediateError(f"an eliminated level lies within {margin:.3e} of the working energy")
+        return eliminations
+
+    def states(self, diagonals: np.ndarray, eliminations: list) -> list[np.ndarray | None]:
+        """Ground state of the operator with each row of ``diagonals`` as its diagonal, from
+        its elimination: c_P = ``branch_vector`` of H_eff(lam) on its lowest branch and
+        c_Q = -x c_P.  None unless r > 0, the state passes the eigensolver's residual bound
+        on the blocks that hold a target, and the kernel proves each other block free of
+        levels up to lam + RESIDUAL_RTOL |H|_F, in one batch per block."""
+        states, frobenius = [None] * len(eliminations), self.scales(diagonals)[1]
+        for b, elimination in enumerate(eliminations):
+            if elimination is None:
+                continue
+            lam, ((a, v), (_, c)) = elimination.lam, elimination.heff
+            eps = 0.5 * float(np.real(a - c))
+            r = math.hypot(eps, abs(v))
+            if r == 0.0:
+                continue
+            # Scaling by a power of two keeps the norm finite and changes no bit of the normalised state.
+            c_p = branch_vector(eps, v, r) * math.ldexp(1.0, -math.frexp(r)[1])
+            state = np.zeros(len(self.diagonal), dtype=np.result_type(c_p, elimination.x))
+            state[self.indices] = np.concatenate([c_p, -elimination.x @ c_p])
+            state /= np.linalg.norm(state)
+            local, d = state[self.indices], diagonals[b, self.indices]
+            residual = np.max(np.abs(self.matrix @ local + (d - np.diagonal(self.matrix) - lam) * local))
+            if residual <= RESIDUAL_RTOL * max(abs(lam), float(np.max(np.abs(d)))):
+                states[b] = state
+        tried = np.array([b for b, state in enumerate(states) if state is not None], np.intp)
+        cuts = np.array([eliminations[b].lam for b in tried]) + RESIDUAL_RTOL * frobenius[tried]
+        for members, layered in self.others if len(tried) else ():
+            shifted = diagonals[np.ix_(tried, members)] - cuts[:, None]
+            for b, free in zip(tried.tolist(), layered.solve(shifted, np.zeros((len(members), 0)), prove=True)[1]):
+                states[b] = states[b] if free else None
+        return states
+
 
 def lowdin_coupling(operator: HermitianOperator) -> LowdinResult:
     """Exact effective coupling between two flow states.
@@ -214,14 +253,20 @@ def lowdin_coupling(operator: HermitianOperator) -> LowdinResult:
     H_QQ lies at or above lam (interlacing); unless it is proven above lam +
     RESONANCE_RTOL * ``scale`` (a zero operator never passes), a near-resonant-
     intermediate error is raised.  The result keeps x = (H_QQ - lam)^{-1} H_QP,
-    the eigenvector at lam.  It is ``_PairElimination.eliminate`` of one row.
+    the eigenvector at lam.  It is one row of ``_PairElimination.eliminate``, checked by ``proven``.
     """
     pair = _PairElimination(operator)
-    (result,) = pair.eliminate(pair.diagonal[None])
-    if result is None:
-        margin = RESONANCE_RTOL * operator.scale
-        raise NearResonantIntermediateError(f"an eliminated level lies within {margin:.3e} of the working energy")
-    return result
+    return pair.proven(pair.diagonal[None], pair.eliminate(pair.diagonal[None]))[0]
+
+
+def _own_state(operator: HermitianOperator) -> np.ndarray | None:
+    """``_PairElimination.states`` of ``operator`` from one layout of its own pair and one ``eliminate``
+    of one row; None where ``_PairElimination`` rejects it (a site operator, or too large a pair)."""
+    try:
+        pair = _PairElimination(operator)
+    except UnsupportedConfigurationError:
+        return None
+    return pair.states(pair.diagonal[None], pair.eliminate(pair.diagonal[None]))[0]
 
 
 def _sweep_eliminations(sweep: PhaseSweep, dphis: np.ndarray) -> tuple:
@@ -490,13 +535,12 @@ def effective_point(params: ModelParams, dphi: float, elimination: LowdinResult 
 def effective_report(params: ModelParams, dphi_grid: Sequence[float]) -> Table:
     """Tabulate the two-level machinery over a grid of offsets from pi.
 
-    The flow Hamiltonian is built once and every offset eliminated in one batch
-    (``_sweep_eliminations``).  Like ``effective_point``, it needs equal tunnelling.
+    The flow Hamiltonian is built once, every offset eliminated in one batch (``_sweep_eliminations``)
+    and checked by ``_PairElimination.proven``.  Like ``effective_point``, it needs equal tunnelling.
     """
     dphis, sweep = np.asarray(list(dphi_grid), dtype=float), flow_sweep(params)
-    eliminations = _sweep_eliminations(sweep, dphis)[2]
-    models = [effective_point(params, d, e or lowdin_coupling(sweep.at(math.pi + d)))
-              for d, e in zip(dphis.tolist(), eliminations)]
+    pair, diagonals, eliminations = _sweep_eliminations(sweep, dphis)
+    models = [effective_point(params, d, e) for d, e in zip(dphis.tolist(), pair.proven(diagonals, eliminations))]
     rows = [(d, m.eps, abs(m.v01), abs(m.predicted_ratio), *m.predicted_energies)
             for d, m in zip(dphis.tolist(), models)]
     columns = np.array(rows).reshape(-1, 6).T

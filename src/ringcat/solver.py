@@ -162,6 +162,7 @@ class _Layered:
         No row depends on another: the batch is eliminated in chunks of at most ``_BATCH_ENTRIES``."""
         rhs, proven = np.broadcast_to(rhs, (len(diagonals), *rhs.shape[-2:])), np.ones(len(diagonals), bool)
         size = max(1, _BATCH_ENTRIES // (sum(u.size + len(rows) * rhs.shape[2] for rows, *_, u in self.layers) or 1))
+        y = np.empty(rhs.shape, np.result_type(self.dtype, diagonals, rhs))
         for chunk in (slice(start, start + size) for start in range(0, len(diagonals) or 1, size)):
             d, b, ok, eliminated = diagonals[chunk], rhs[chunk], proven[chunk], []  # ok is a view: &= marks proven
             for rows, block, lower, upper in self.layers:
@@ -179,8 +180,6 @@ class _Layered:
                     pivot[~ok] = np.eye(width)
                 known = np.concatenate([np.broadcast_to(upper, (len(d), *upper.shape)), known], axis=2)
                 eliminated.append(np.linalg.solve(pivot, known))
-            if not chunk.start:  # not during the first chunk's factorisation, whose temporaries set the peak
-                y = np.empty(rhs.shape, np.result_type(self.dtype, diagonals, rhs))
             step = np.zeros((len(d), 0, rhs.shape[2]))
             for (rows, *_), solved in zip(self.layers[::-1], eliminated[::-1]):
                 step = solved[:, :, step.shape[1]:] - solved[:, :, : step.shape[1]] @ step

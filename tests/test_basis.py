@@ -144,6 +144,11 @@ def test_mode_transform_single_particle_matches_mode_phases():
     np.testing.assert_allclose(w, MODE_PHASES, atol=1e-15)
 
 
+def test_mode_transform_rejects_a_negative_particle_number():
+    with pytest.raises(InvalidOccupationError, match="particle number must be non-negative, got -1"):
+        mode_transform_matrix(-1)
+
+
 def test_dimension_formula_up_to_forty_particles():
     for n in range(41):
         basis = enumerate_fock(n)

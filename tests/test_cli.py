@@ -169,11 +169,30 @@ def test_descending_grid_rejected(capsys):
         (["paths", "--max-order", "-1"], "'max_order'"),
         (["loop", "--kmax", "2", "--levels", "9", "--phi", "0"], "n_levels must be in [1, 5] for k_max=2, got 9"),
         (["spectrum", "--n", "2", "--levels", "9", "--phi", "0"], "n_levels must be in [1, 6] for n=2, got 9"),
+        (["catscan", "--dphi", "1:2"], "invalid grid for 'dphi': '1:2' (expected start:stop:count)"),
+        (["catscan", "--dphi", "0:1:0"], "invalid grid for 'dphi': '0:1:0' (count must be >= 1)"),
+        (["catscan", "--j", "a"], "invalid tunnelling strengths: 'a'"),
+        (["catscan", "--j", "1,2"], "expected one or three tunnelling strengths, got '1,2'"),
+        (["catscan", "--j", "1,inf,1"], "tunnelling strengths must be finite, got (1.0, inf, 1.0)"),
+        # The bracket a_k overflows at phi = 1e300, C = (hbar^2/2m)(2pi/L)^2 at L = 1e-200.
+        (["loop", "--phi", "1e300"], "the brackets a_k = C (k - phi/2pi)^2 - b/L and a_k + (b/L)(2 k_max + 1) must be finite"),
+        (["loop", "--length", "1e-200"], "C = (hbar^2/2m)(2pi/L)^2 must be finite and positive, got inf"),
     ],
 )
 def test_range_validation(args, pattern, capsys):
     assert run_cli(args) == 2
     assert pattern in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [("n 3", "expected 'key = value', got 'n 3'"), ("n =", "empty value for key 'n'")],
+)
+def test_malformed_config_line_exits_2_with_its_message(line, message, tmp_path, capsys):
+    config = tmp_path / "bad.cfg"
+    config.write_text(line + "\n")
+    assert run_cli(["catscan", "--config", str(config), "--out", str(tmp_path / "c.csv")]) == 2
+    assert capsys.readouterr().err == f"ringcat: config error: {config}:1: {message}\n"
 
 
 def test_paths_summary_connected(tmp_path, capsys):

@@ -20,9 +20,9 @@ from hypothesis import strategies as st
 from ringcat import (
     ModelParams, cat_amplitudes, catscan, cli, crossing_pair_state, eigensolve, flow_sweep, ground_cat_metrics,
 )
-from ringcat import catmetrics as catmetrics_module
-from ringcat.catmetrics import CROSSING_DPHI_ATOL, _eliminated_states
-from ringcat.effective import _PairElimination
+from ringcat import effective as effective_module
+from ringcat.catmetrics import CROSSING_DPHI_ATOL
+from ringcat.effective import _own_state, _PairElimination
 
 TOL = 1e-10
 #: Measured |Delta| / (eps |H|_2 / gap) stayed below 0.62 over 300 random cases.
@@ -44,15 +44,6 @@ unequal = st.builds(
 offset = st.builds(lambda sign, exponent: sign * 10.0**exponent, st.sampled_from([-1.0, 1.0]), st.floats(-11.0, -0.5))
 
 
-def _eliminated_state(operator):
-    """``_eliminated_states`` of the operator's own pair, eliminated at its own
-    diagonal; None where the elimination meets a near-resonant level or the
-    state is not proven."""
-    pair = _PairElimination(operator)
-    diagonals = pair.diagonal[None]
-    return _eliminated_states(pair, diagonals, pair.eliminate(diagonals))[0]
-
-
 def _dense(operator):
     """Cat metrics of the lowest eigenvector of ``eigensolve``, and the gap above it."""
     result = eigensolve(operator, n_levels=2)
@@ -66,7 +57,7 @@ def test_elimination_route_matches_the_dense_route(params, dphi):
     operator = flow_sweep(params).at(math.pi + dphi)
     fast = ground_cat_metrics(params, dphi, operator=operator)
     dense, gap = _dense(operator)
-    event(f"elimination route: {_eliminated_state(operator) is not None}")
+    event(f"elimination route: {_own_state(operator) is not None}")
     np.testing.assert_allclose(fast.captured_norm, dense.captured_norm, rtol=TOL, atol=TOL)
     atol = TOL + CONDITIONING_FACTOR * np.finfo(float).eps * np.linalg.norm(operator.matrix, 2) / gap
     np.testing.assert_allclose(abs(fast.a0), abs(dense.a0), rtol=TOL, atol=atol)
@@ -89,7 +80,7 @@ def test_pair_block_ground_states_come_from_the_elimination(params, dphi):
     is split over two (N = 7, 35), and unequal bonds (one block), take their
     state from the elimination."""
     operator = flow_sweep(params).at(math.pi + dphi)
-    state = _eliminated_state(operator)
+    state = _own_state(operator)
     assert state is not None
     np.testing.assert_allclose(np.linalg.norm(state), 1.0, rtol=1e-14)
 
@@ -120,7 +111,7 @@ def test_fallback_rows_equal_the_dense_route_exactly(params, dphis):
     for dphi, row in zip(dphis, table.metrics):
         operator = sweep.at(math.pi + dphi)
         if abs(dphi) > CROSSING_DPHI_ATOL:
-            assert _eliminated_state(operator) is None
+            assert _own_state(operator) is None
         vectors = eigensolve(operator, n_levels=2 if abs(dphi) <= CROSSING_DPHI_ATOL else 1).vectors
         assert row == cat_amplitudes(crossing_pair_state(vectors, operator.basis), operator.basis)
 
@@ -130,9 +121,9 @@ def test_a_state_failing_the_residual_bound_falls_back(monkeypatch):
     the row is the dense route's."""
     params, dphi = ModelParams(n=12, u=0.1), 0.05
     operator = flow_sweep(params).at(math.pi + dphi)
-    assert _eliminated_state(operator) is not None
-    monkeypatch.setattr(catmetrics_module, "RESIDUAL_RTOL", 0.0)
-    assert _eliminated_state(operator) is None
+    assert _own_state(operator) is not None
+    monkeypatch.setattr(effective_module, "RESIDUAL_RTOL", 0.0)
+    assert _own_state(operator) is None
     vectors = eigensolve(operator, n_levels=1).vectors
     assert ground_cat_metrics(params, dphi, operator=operator) == cat_amplitudes(vectors[:, 0], operator.basis)
 
@@ -169,26 +160,16 @@ def test_the_proof_holds_where_the_squared_norm_overflows():
     params, dphi = ModelParams(n=3, u=1e200), 0.05
     operator = flow_sweep(params).at(math.pi + dphi)
     assert np.isinf(np.vdot(operator.matrix, operator.matrix))
-    assert _eliminated_state(operator) is not None
+    assert _own_state(operator) is not None
     fast = ground_cat_metrics(params, dphi, operator=operator)
     dense, _ = _dense(operator)
     for got, want in ((fast.captured_norm, dense.captured_norm), (abs(fast.a0), abs(dense.a0)), (abs(fast.a1), abs(dense.a1))):
         assert got == pytest.approx(want, rel=1e-12)
 
 
-@pytest.mark.parametrize(
-    "argv, layouts, eliminations",
-    [
-        # Unequal bonds: each offset's operator is laid out and eliminated once.
-        (["--n", "24", "--j", "1,0.9,1.1", "--dphi=-0.2:0.2:9"], 9, 9),
-        # Dipolar N = 7: the 8 rows in [-0.29, -0.22] that the batch cannot prove
-        # go straight to the dense route.
-        (["--n", "7", "--u0", "0.1", "--u1", "0.05"], 1, 1),
-        # The near-resonant row at dphi = 6.5 is not eliminated again.
-        (["--n", "3", "--u", "0", "--dphi", "0.1:6.5:2"], 1, 1),
-    ],
-)
-def test_each_scan_lays_out_and_eliminates_each_pair_once(argv, layouts, eliminations, tmp_path, monkeypatch):
+@pytest.fixture
+def pair_calls(monkeypatch):
+    """Counts of ``_PairElimination`` layouts (``__init__``) and ``eliminate`` calls."""
     calls = {"__init__": 0, "eliminate": 0}
     for name in calls:
         def counted(*args, _name=name, _method=getattr(_PairElimination, name)):
@@ -196,5 +177,42 @@ def test_each_scan_lays_out_and_eliminates_each_pair_once(argv, layouts, elimina
             return _method(*args)
 
         monkeypatch.setattr(_PairElimination, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv, layouts, eliminations",
+    [
+        # Unequal bonds: each offset's operator is laid out and eliminated once,
+        # but the crossing row dphi = 0, which takes the dense route, not at all.
+        (["--n", "24", "--j", "1,0.9,1.1", "--dphi=-0.2:0.2:9"], 8, 8),
+        # Dipolar N = 7: the 8 rows in [-0.29, -0.22] that the batch cannot prove
+        # go straight to the dense route.
+        (["--n", "7", "--u0", "0.1", "--u1", "0.05"], 1, 1),
+        # The near-resonant row at dphi = 6.5 is not eliminated again.
+        (["--n", "3", "--u", "0", "--dphi", "0.1:6.5:2"], 1, 1),
+        # An equal-bond scan: one layout and one batch for every offset.
+        (["--n", "36", "--dphi=-0.2:0.2:3"], 1, 1),
+    ],
+)
+def test_each_scan_lays_out_and_eliminates_each_pair_once(argv, layouts, eliminations, tmp_path, pair_calls):
     assert cli.main(["catscan", *argv, "--out", str(tmp_path / "c.csv")]) == 0
-    assert calls == {"__init__": layouts, "eliminate": eliminations}
+    assert pair_calls == {"__init__": layouts, "eliminate": eliminations}
+
+
+def test_a_near_resonant_effective_offset_is_not_eliminated_again(tmp_path, pair_calls, capsys):
+    """The batch's own verdict and scale raise the exit-3 error of a standalone elimination."""
+    assert cli.main(["effective", "--n", "3", "--u", "0", "--dphi", "0.1:6.5:2", "--out", str(tmp_path / "e.csv")]) == 3
+    assert capsys.readouterr().err == (
+        "ringcat: numerical contract violation: an eliminated level lies within 5.984e-10 of the working energy\n"
+    )
+    assert pair_calls == {"__init__": 1, "eliminate": 1}
+
+
+def test_the_crossing_is_not_eliminated(pair_calls):
+    """On the crossing the state is the dense route's, and no elimination is laid out for it."""
+    params = ModelParams(n=3, u=0.1)
+    metrics = ground_cat_metrics(params, 0.0)
+    assert pair_calls == {"__init__": 0, "eliminate": 0}
+    operator = flow_sweep(params).at(math.pi)
+    assert metrics == cat_amplitudes(crossing_pair_state(eigensolve(operator, n_levels=2).vectors, operator.basis), operator.basis)
