@@ -13,7 +13,8 @@ from .basis import (
 from .catmetrics import CatMetrics, cat_amplitudes, catscan, crossing_pair_state, ground_cat_metrics
 from .effective import (
     CouplingGraph, LowdinResult, TwoLevelModel, build_coupling_graph, default_flow_targets, effective_point,
-    effective_report, epsilon_of_phi, lowdin_coupling, path_coupling, path_normalisation, two_level_predict,
+    effective_report, epsilon_of_phi, lowdin_coupling, path_coupling, path_normalisation, paths_report,
+    two_level_predict,
 )
 from .errors import (
     ConfigError, InvalidModeError, InvalidOccupationError, NearResonantIntermediateError, NumericalContractError,

@@ -100,11 +100,15 @@ def crossing_pair_state(vectors: np.ndarray, basis: FockBasis) -> np.ndarray:
     return vectors @ eigvecs[:, -1]
 
 
+def _on_crossing(dphi: float) -> bool:
+    return abs(dphi) <= CROSSING_DPHI_ATOL
+
+
 def _ground_state(dphi: float, eliminated: Callable, build: Callable[[], HermitianOperator]) -> np.ndarray:
     """The state at pi + dphi: off the crossing ``eliminated()`` where that is not None, else from
-    ``eigensolve`` of ``build()``; on the crossing (|dphi| <= ``CROSSING_DPHI_ATOL``), where ``eliminated``
-    is not called, ``crossing_pair_state`` of the two lowest levels."""
-    crossing = abs(dphi) <= CROSSING_DPHI_ATOL
+    ``eigensolve`` of ``build()``; on the crossing (``_on_crossing``), where ``eliminated`` is not
+    called, ``crossing_pair_state`` of the two lowest levels."""
+    crossing = _on_crossing(dphi)
     if not crossing and (state := eliminated()) is not None:
         return state
     h = build()
@@ -128,16 +132,16 @@ def catscan(params: ModelParams, dphi_grid: Sequence[float]) -> Table:
     """Scan the exact cat metrics and the two-level prediction over offsets.
 
     The flow Hamiltonian is built once.  With equal bonds all offsets are eliminated in one batch
-    (``_sweep_eliminations``) and give their state by ``_PairElimination.states``; ``_ground_state``
-    solves an offset's operator only on the crossing or where the state is not proven.  With unequal
-    bonds each offset's operator takes ``ground_cat_metrics``, eliminated off the crossing only.  The
-    analytic ratio is nan there and where the elimination meets a near-resonant level.
+    (``_sweep_eliminations``) and those off the crossing give their state by ``_PairElimination.states``;
+    ``_ground_state`` solves an offset's operator only on the crossing or where the state is not proven.
+    With unequal bonds each offset's operator takes ``ground_cat_metrics``, eliminated off the crossing
+    only.  The analytic ratio is nan there and where the elimination meets a near-resonant level.
     """
     dphis = np.asarray(list(dphi_grid), dtype=float)
     sweep = flow_sweep(params)
     if params.equal_j:
         pair, diagonals, eliminations = _sweep_eliminations(sweep, dphis)
-        states = pair.states(diagonals, eliminations)
+        states = pair.states(diagonals, [None if _on_crossing(d) else e for d, e in zip(dphis.tolist(), eliminations)])
         del pair, diagonals  # the dense route needs neither: free them before it allocates
         metrics = [cat_amplitudes(_ground_state(dphi, lambda: state, lambda: sweep.at(math.pi + dphi)), sweep.basis)
                    for dphi, state in zip(dphis.tolist(), states)]

@@ -16,20 +16,13 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .effective import (
-    build_coupling_graph,
-    default_flow_targets,
-    effective_report,
-    lowdin_coupling,
-    path_normalisation,
-    weighted_paths,
-)
+from .effective import effective_report, paths_report
 from .errors import ConfigError, NumericalContractError, UnsupportedConfigurationError
-from .hamiltonians import ModelParams, flow_sweep
+from .hamiltonians import ModelParams
 from .catmetrics import catscan
 from .loopmodel import LoopParams, loop_sweep
 from .solver import spectrum_sweep
-from .util import format_value, write_csv
+from .util import format_value
 
 
 class Option(NamedTuple):
@@ -191,6 +184,8 @@ def resolve_options(args: argparse.Namespace) -> dict:
         opts["dipolar"] = "u0" in given or "u1" in given
     grid_key = "dphi" if "dphi" in opts else "phi"
     opts["grid"] = parse_grid(opts[grid_key], grid_key)
+    if command == "paths" and len(opts["grid"]) != 1:
+        raise ConfigError(f"'paths' takes one phase, got a grid of {len(opts['grid'])}")
     return opts
 
 
@@ -216,42 +211,24 @@ def config_comment(opts: dict) -> str:
     return " ".join(f"{key}={_text(opts[key])}" for key in RECORDED if key in opts)
 
 
-def run_paths(opts: dict) -> str:
-    params = model_params(opts)
-    operator = flow_sweep(params).at(params.phi)
-    targets = default_flow_targets(operator.basis)
-    elimination = lowdin_coupling(operator)
-    graph = build_coupling_graph(operator)
-    labels = ["-".join(map(str, occ)) for occ in operator.basis.states]
-    rows = []
-    total = 0j
-    paths = weighted_paths(graph, targets, elimination.lam, opts["max_order"])
-    for index, (path, weight, factor) in enumerate(paths):
-        label = ">".join([labels[i] for i in path])
-        rows.append((index, len(path) - 2, label, weight.real, weight.imag))
-        total += weight * factor
-    normalised = total / path_normalisation(graph, targets, elimination.lam)
-    header = ("path_index", "n_intermediates", "path", "weight_re", "weight_im")
-    write_csv(opts["out"], header, rows, comment=config_comment(opts))
-    return (f"{len(rows)} connecting path(s) up to order {opts['max_order']}; normalised path-sum coupling = "
-            f"{normalised:.9g} (raw sum {total:.9g}); elimination coupling = {elimination.v01:.9g} "
-            f"at working energy {elimination.lam:.12g}")
-
-
 def run(opts: dict) -> str:
     command, out, grid = opts["command"], opts["out"], opts["grid"]
-    if command == "paths":
-        return f"wrote {out}; {run_paths(opts)}"
     if command == "spectrum":
         table = spectrum_sweep(model_params(opts), grid, n_levels=opts["levels"])
     elif command == "catscan":
         table = catscan(model_params(opts), grid)
     elif command == "effective":
         table = effective_report(model_params(opts), grid)
+    elif command == "paths":
+        table = paths_report(model_params(opts), opts["max_order"])
     else:
         loop_params = LoopParams(length=opts["length"], barrier=opts["barrier"])
         table = loop_sweep(loop_params, grid, k_max=opts["kmax"], n_levels=opts["levels"])
     table.to_csv(out, comment=config_comment(opts))
+    if command == "paths":
+        return (f"wrote {out}; {len(list(table.rows()))} connecting path(s) up to order {opts['max_order']}; "
+                f"normalised path-sum coupling = {table.normalised:.9g} (raw sum {table.total:.9g}); "
+                f"elimination coupling = {table.v01:.9g} at working energy {table.lam:.12g}")
     if "levels" in opts:
         return f"wrote {out} ({len(grid)} phases x {table.n_levels} levels)"
     return f"wrote {out} ({len(grid)} offsets)"

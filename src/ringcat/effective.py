@@ -546,3 +546,20 @@ def effective_report(params: ModelParams, dphi_grid: Sequence[float]) -> Table:
     columns = np.array(rows).reshape(-1, 6).T
     return Table(("dphi", "eps", "v01_abs", "ratio_analytic", "E_minus", "E_plus"), rows,
                  **dict(zip(("dphis", "eps", "v01_abs", "ratio_analytic", "e_minus", "e_plus"), columns)))
+
+
+def paths_report(params: ModelParams, max_order: int) -> Table:
+    """``weighted_paths`` at ``params.phi`` as rows, their sum, it normalised, and ``lowdin_coupling``'s v01 and lam."""
+    operator = flow_sweep(params).at(params.phi)
+    targets = default_flow_targets(operator.basis)
+    elimination = lowdin_coupling(operator)
+    graph = build_coupling_graph(operator)
+    labels = ["-".join(map(str, occ)) for occ in operator.basis.states]
+    rows = []
+    total = 0j
+    for index, (path, weight, factor) in enumerate(weighted_paths(graph, targets, elimination.lam, max_order)):
+        rows.append((index, len(path) - 2, ">".join([labels[i] for i in path]), weight.real, weight.imag))
+        total += weight * factor
+    return Table(("path_index", "n_intermediates", "path", "weight_re", "weight_im"), rows, total=total,
+                 normalised=total / path_normalisation(graph, targets, elimination.lam),
+                 v01=elimination.v01, lam=elimination.lam)

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from ringcat import NumericalContractError
-from ringcat import cli, effective
+from ringcat import cli, effective, util
 from ringcat.catmetrics import ground_cat_metrics
 from ringcat.hamiltonians import ModelParams
 
@@ -167,6 +167,8 @@ def test_descending_grid_rejected(capsys):
         (["spectrum", "--levels", "0", "--phi", "0"], "'levels'"),
         (["loop", "--kmax", "0", "--phi", "0"], "k_max"),
         (["paths", "--max-order", "-1"], "'max_order'"),
+        (["paths", "--phi", "0:1:3"], "'paths' takes one phase, got a grid of 3"),
+        (["paths", "--phi=-1:1:2"], "'paths' takes one phase, got a grid of 2"),
         (["loop", "--kmax", "2", "--levels", "9", "--phi", "0"], "n_levels must be in [1, 5] for k_max=2, got 9"),
         (["spectrum", "--n", "2", "--levels", "9", "--phi", "0"], "n_levels must be in [1, 6] for n=2, got 9"),
         (["catscan", "--dphi", "1:2"], "invalid grid for 'dphi': '1:2' (expected start:stop:count)"),
@@ -193,6 +195,40 @@ def test_malformed_config_line_exits_2_with_its_message(line, message, tmp_path,
     config.write_text(line + "\n")
     assert run_cli(["catscan", "--config", str(config), "--out", str(tmp_path / "c.csv")]) == 2
     assert capsys.readouterr().err == f"ringcat: config error: {config}:1: {message}\n"
+
+
+def test_paths_takes_one_phase_from_a_config_file_or_a_one_point_grid(tmp_path, capsys):
+    config = tmp_path / "p.cfg"
+    config.write_text("phi = 0:1:3\n")
+    assert run_cli(["paths", "--config", str(config), "--out", str(tmp_path / "p.csv")]) == 2
+    assert capsys.readouterr().err == "ringcat: config error: 'paths' takes one phase, got a grid of 3\n"
+    assert run_cli(["paths", "--phi", "0:1:1", "--out", str(tmp_path / "p.csv")]) == 0
+    assert run_cli(["paths", "--phi", "0", "--out", str(tmp_path / "q.csv")]) == 0
+    assert (tmp_path / "p.csv").read_text().splitlines()[2:] == (tmp_path / "q.csv").read_text().splitlines()[2:]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--n", "3", "--phi", "0:1:2"],
+        ["catscan", "--n", "3", "--dphi", "0:0.1:2"],
+        ["effective", "--n", "3", "--dphi", "0:0.1:2"],
+        ["paths", "--n", "3"],
+        ["loop", "--kmax", "4", "--phi", "0:1:2"],
+    ],
+)
+def test_each_subcommand_writes_its_csv_through_one_table(argv, tmp_path, monkeypatch, capsys):
+    written, to_csv = [], util.Table.to_csv
+
+    def spy(table, path, comment=None):
+        written.append(path)
+        to_csv(table, path, comment=comment)
+
+    monkeypatch.setattr(util.Table, "to_csv", spy)
+    out = str(tmp_path / "out.csv")
+    assert run_cli([*argv, "--out", out]) == 0
+    assert written == [out]
+    assert capsys.readouterr().out.startswith(f"ringcat {argv[0]}: wrote {out}")
 
 
 def test_paths_summary_connected(tmp_path, capsys):

@@ -29,6 +29,7 @@ from ringcat import (
     lowdin_coupling,
     path_coupling,
     path_normalisation,
+    paths_report,
     two_level_predict,
 )
 from ringcat import effective as effective_module
@@ -390,6 +391,31 @@ def test_normalised_all_orders_path_sum_equals_elimination_coupling(params):
     total = path_coupling(graph, targets, elimination.lam, max_order=all_orders)
     normalised = total / path_normalisation(graph, targets, elimination.lam)
     assert abs(normalised - elimination.v01) <= 1e-12 * abs(elimination.v01)
+
+
+@pytest.mark.parametrize(
+    "n, max_order, count",
+    # N = 12 as the benchmark runs it; N = 3 with no path; N = 5, a split pair (v01 = 0, no path).
+    [(12, 11, 7706), (3, 0, 0), (5, 6, 0)],
+)
+def test_paths_report_holds_the_path_sum_and_the_elimination(n, max_order, count):
+    params = ModelParams(n=n, u=0.1, phi=math.pi)
+    table = paths_report(params, max_order)
+    op = flow_sweep(params).at(math.pi)
+    targets, elimination, graph = default_flow_targets(op.basis), lowdin_coupling(op), build_coupling_graph(op)
+    paths = list(weighted_paths(graph, targets, elimination.lam, max_order))
+    rows = list(table.rows())
+    assert len(rows) == count
+    assert [row[:3] for row in rows] == [
+        (k, len(path) - 2, ">".join("-".join(map(str, op.basis.states[i])) for i in path))
+        for k, (path, _, _) in enumerate(paths)
+    ]
+    assert [repr(complex(*row[3:])) for row in rows] == [repr(weight) for _, weight, _ in paths]
+    # Both add weight * factor from 0j in path order, so the sums agree bit for bit.
+    assert repr(table.total) == repr(path_coupling(graph, targets, elimination.lam, max_order))
+    assert repr(table.normalised) == repr(table.total / path_normalisation(graph, targets, elimination.lam))
+    assert (repr(table.v01), repr(table.lam)) == (repr(elimination.v01), repr(elimination.lam))
+    assert (table.v01 == 0) == (n == 5)
 
 
 def test_path_sum_requires_distinct_targets():

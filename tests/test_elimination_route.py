@@ -18,7 +18,8 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from ringcat import (
-    ModelParams, cat_amplitudes, catscan, cli, crossing_pair_state, eigensolve, flow_sweep, ground_cat_metrics,
+    ModelParams, cat_amplitudes, catscan, cli, crossing_pair_state, effective_point, eigensolve, flow_sweep,
+    ground_cat_metrics,
 )
 from ringcat import effective as effective_module
 from ringcat.catmetrics import CROSSING_DPHI_ATOL
@@ -216,3 +217,19 @@ def test_the_crossing_is_not_eliminated(pair_calls):
     assert pair_calls == {"__init__": 0, "eliminate": 0}
     operator = flow_sweep(params).at(math.pi)
     assert metrics == cat_amplitudes(crossing_pair_state(eigensolve(operator, n_levels=2).vectors, operator.basis), operator.basis)
+
+
+def test_an_equal_bond_scan_builds_no_state_on_the_crossing(monkeypatch):
+    """The crossing row, which takes the dense route, reaches ``_PairElimination.states`` without its
+    elimination, but is still eliminated for its analytic ratio."""
+    given, states = [], _PairElimination.states
+
+    def spy(self, diagonals, eliminations):
+        given.append([elimination is not None for elimination in eliminations])
+        return states(self, diagonals, eliminations)
+
+    monkeypatch.setattr(_PairElimination, "states", spy)
+    params, dphis = ModelParams(n=36, u=0.1), np.linspace(-0.2, 0.2, 21)
+    table = catscan(params, dphis)
+    assert given == [[abs(dphi) > CROSSING_DPHI_ATOL for dphi in dphis]] and sum(given[0]) == 20
+    assert table.ratio_analytic[10] == abs(effective_point(params, dphis[10]).predicted_ratio)
