@@ -8,14 +8,14 @@ and the weight |a0|^2 + |a1|^2 captured by the pair.
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .basis import FockBasis, embed_single_flow
-from .effective import _own_state, _sweep_eliminations, default_flow_targets, effective_point
+from .effective import _sweep_eliminations, default_flow_targets, effective_point
 from .errors import NumericalContractError
-from .hamiltonians import HermitianOperator, ModelParams, flow_sweep
+from .hamiltonians import ModelParams, PhaseSweep, flow_sweep
 from .solver import eigensolve
 from .util import Table
 
@@ -104,52 +104,42 @@ def _on_crossing(dphi: float) -> bool:
     return abs(dphi) <= CROSSING_DPHI_ATOL
 
 
-def _ground_state(dphi: float, eliminated: Callable, build: Callable[[], HermitianOperator]) -> np.ndarray:
-    """The state at pi + dphi: off the crossing ``eliminated()`` where that is not None, else from
-    ``eigensolve`` of ``build()``; on the crossing (``_on_crossing``), where ``eliminated`` is not
-    called, ``crossing_pair_state`` of the two lowest levels."""
-    crossing = _on_crossing(dphi)
-    if not crossing and (state := eliminated()) is not None:
-        return state
-    h = build()
-    return crossing_pair_state(eigensolve(h, n_levels=2 if crossing else 1).vectors, h.basis)
+def _dense_metrics(sweep: PhaseSweep, dphi: float) -> CatMetrics:
+    """Cat metrics at pi + dphi by ``eigensolve``: of its lowest level, or ``crossing_pair_state`` on the crossing."""
+    h = sweep.at(math.pi + dphi)
+    state = crossing_pair_state(eigensolve(h, n_levels=2 if _on_crossing(dphi) else 1).vectors, h.basis)
+    return cat_amplitudes(state, h.basis)
 
 
-def ground_cat_metrics(params: ModelParams, dphi: float, operator: HermitianOperator | None = None) -> CatMetrics:
+def ground_cat_metrics(params: ModelParams, dphi: float) -> CatMetrics:
     """Cat metrics of the exact ground state at phase twist pi + dphi.
 
-    The state is ``_ground_state`` of ``operator`` (the flow Hamiltonian at pi +
-    dphi unless given): off the crossing that of its own elimination, ``_own_state``;
-    on it, uneliminated, the one of the two lowest levels with the larger pair weight.
+    Off the crossing it is ``catscan``'s row for the one offset, eliminated; on it, where nothing is
+    eliminated, the one of the two lowest levels with the larger pair weight (``_dense_metrics``).
     A ground state outside the pair's blocks (dipolar N = 6, dphi = -0.2) gives a0 = a1 = 0.
     """
-    if operator is None:
-        operator = flow_sweep(params).at(math.pi + dphi)
-    return cat_amplitudes(_ground_state(dphi, lambda: _own_state(operator), lambda: operator), operator.basis)
+    if not _on_crossing(dphi):
+        return catscan(params, [dphi]).metrics[0]
+    return _dense_metrics(flow_sweep(params), dphi)
 
 
 def catscan(params: ModelParams, dphi_grid: Sequence[float]) -> Table:
     """Scan the exact cat metrics and the two-level prediction over offsets.
 
-    The flow Hamiltonian is built once.  With equal bonds all offsets are eliminated in one batch
-    (``_sweep_eliminations``) and those off the crossing give their state by ``_PairElimination.states``;
-    ``_ground_state`` solves an offset's operator only on the crossing or where the state is not proven.
-    With unequal bonds each offset's operator takes ``ground_cat_metrics``, eliminated off the crossing
-    only.  The analytic ratio is nan there and where the elimination meets a near-resonant level.
+    The flow Hamiltonian is built once and, for any bonds, every offset eliminated in one batch
+    (``_sweep_eliminations``); those off the crossing give their state by ``_PairElimination.states``.
+    ``_dense_metrics`` solves an offset's operator only on the crossing or where the state is not proven.
+    The analytic ratio is nan with unequal bonds and where the elimination meets a near-resonant level.
     """
     dphis = np.asarray(list(dphi_grid), dtype=float)
     sweep = flow_sweep(params)
-    if params.equal_j:
-        pair, diagonals, eliminations = _sweep_eliminations(sweep, dphis)
-        states = pair.states(diagonals, [None if _on_crossing(d) else e for d, e in zip(dphis.tolist(), eliminations)])
-        del pair, diagonals  # the dense route needs neither: free them before it allocates
-        metrics = [cat_amplitudes(_ground_state(dphi, lambda: state, lambda: sweep.at(math.pi + dphi)), sweep.basis)
-                   for dphi, state in zip(dphis.tolist(), states)]
-    else:
-        metrics = [ground_cat_metrics(params, dphi, sweep.at(math.pi + dphi)) for dphi in dphis.tolist()]
-        eliminations = [None] * len(dphis)
-    analytic = [math.nan if elimination is None else abs(effective_point(params, dphi, elimination).predicted_ratio)
-                for dphi, elimination in zip(dphis.tolist(), eliminations)]
+    pair, diagonals, weights, eliminations = _sweep_eliminations(sweep, dphis)
+    states = pair.states(diagonals, [None if _on_crossing(d) else e for d, e in zip(dphis.tolist(), eliminations)], weights)
+    del pair, diagonals, weights  # the dense route needs none of them: free them before it allocates
+    metrics = [_dense_metrics(sweep, dphi) if state is None else cat_amplitudes(state, sweep.basis)
+               for dphi, state in zip(dphis.tolist(), states)]
+    analytic = [math.nan if e is None or not params.equal_j else abs(effective_point(params, dphi, e).predicted_ratio)
+                for dphi, e in zip(dphis.tolist(), eliminations)]
     u_over_j = ((params.u0 if params.dipolar else params.u) / params.j1) if params.j1 != 0 else math.nan
     header = ("N", "u_over_j", "dphi", "a0_re", "a0_im", "a1_re", "a1_im", "ratio", "captured_norm", "ratio_analytic")
     rows = [(params.n, u_over_j, dphi, m.a0.real, m.a0.imag, m.a1.real, m.a1.imag, m.ratio, m.captured_norm, ratio)

@@ -1,10 +1,10 @@
 """Command-line interface: CSV sweeps of the ring and loop models.
 
 ``OPTIONS`` decides each option's type, default, help and least value once.
-``COMMANDS`` lists the subcommands (spectrum, catscan, effective, paths,
-loop), the options each reads besides ``--out`` and ``--config``, and the
-defaults each sets differently; any other flag is an argparse error.  A flat
-``key = value`` config file may set the same options (a key the subcommand
+``COMMANDS`` lists the subcommands (spectrum, catscan, effective, paths, loop),
+the options each reads besides ``--out`` and ``--config``, and the options whose
+default or help each sets differently; any other flag is an argparse error.  A
+flat ``key = value`` config file may set the same options (a key the subcommand
 does not read is a config error); flags override file entries.  Exit codes:
 0 success, 2 configuration error, 3 numerical-contract failure.
 """
@@ -58,13 +58,15 @@ OPTIONS: dict[str, Option] = {
 RING_OPTIONS = ("n", "u", "u0", "u1", "u_over_j", "j")
 
 #: Each subcommand: its help, the options it reads besides ``out`` and
-#: ``config``, and the defaults it sets differently from ``OPTIONS``.
-COMMANDS: dict[str, tuple[str, tuple[str, ...], dict[str, object]]] = {
+#: ``config``, and the options whose default or help it sets differently from ``OPTIONS``.
+COMMANDS: dict[str, tuple[str, tuple[str, ...], dict[str, Option]]] = {
     "spectrum": ("sweep the lowest ring levels over phase twists", RING_OPTIONS + ("phi", "levels"), {}),
     "catscan": ("cat metrics of the exact ground state near the crossing", RING_OPTIONS + ("dphi",), {}),
     "effective": ("two-level detuning/coupling report near the crossing", RING_OPTIONS + ("dphi",), {}),
-    "paths": ("coupling paths between the zero-flow and one-flow states", RING_OPTIONS + ("phi", "max_order"), {"phi": repr(math.pi)}),
-    "loop": ("continuum loop levels with a delta barrier", ("phi", "levels", "length", "barrier", "kmax"), {"levels": 4}),
+    "paths": ("coupling paths between the zero-flow and one-flow states", RING_OPTIONS + ("phi", "max_order"),
+              {"phi": Option(str, repr(math.pi), "phase twist, one value")}),
+    "loop": ("continuum loop levels with a delta barrier", ("phi", "levels", "length", "barrier", "kmax"),
+             {"levels": OPTIONS["levels"]._replace(default=4)}),
 }
 
 #: The keys of a resolved config, in the order its CSV comment lists them.
@@ -75,7 +77,7 @@ RECORDED = ("command", "n", "j", "u", "u0", "u1", "dipolar", "length", "barrier"
 def command_defaults(command: str) -> dict[str, object]:
     """Each option of ``command`` at its default; ``out`` defaults to ``<command>.csv``."""
     _, keys, own = COMMANDS[command]
-    return {**{key: OPTIONS[key].default for key in keys}, "out": f"{command}.csv", **own}
+    return {**{key: own.get(key, OPTIONS[key]).default for key in keys}, "out": f"{command}.csv"}
 
 
 def _text(value) -> str:
@@ -153,11 +155,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cat states of superfluid flow in a phase-twisted three-site ring.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (description, keys, _) in COMMANDS.items():
+    for name, (description, keys, own) in COMMANDS.items():
         p = sub.add_parser(name, help=description)
         defaults = command_defaults(name)
         for key in keys + ("out", "config"):
-            option, default = OPTIONS[key], defaults.get(key)
+            option, default = own.get(key, OPTIONS[key]), defaults.get(key)
             text = option.help if default is None else f"{option.help} (default {_text(default)})"
             p.add_argument("--" + key.replace("_", "-"), dest=key, type=option.kind, help=text)
     return parser

@@ -24,7 +24,7 @@ from .errors import NearResonantIntermediateError, NumericalContractError, Unsup
 from .hamiltonians import (
     HermitianOperator, ModelParams, PhaseSweep, _dense_zeros, _flow_interaction_coefficients, flow_sweep
 )
-from .solver import RESIDUAL_RTOL, _Layered
+from .solver import RESIDUAL_RTOL, _Layered, _mixed
 from .util import Table
 
 #: An eliminated state within this many times the operator's scale (its largest entry,
@@ -125,13 +125,14 @@ _NEWTON_STEPS = 32
 
 
 class _PairElimination:
-    """A flow operator laid out once for the layered kernel (``solver._Layered``):
-    ``indices``, the targets P then the eliminated states Q (the rest of the blocks
-    that hold a target); the ``matrix`` on them, with H_QQ layered; each other block
-    layered; the diagonal; and the largest entry and Frobenius norm off it.  Made from
-    an equal-bond sweep's H_0 it serves every phase, which enters only the diagonal."""
+    """A flow operator laid out once for the layered kernel (``solver._Layered``): ``indices``, the
+    targets P then the eliminated states Q (the rest of the blocks that hold a target); the ``matrix``
+    on them, with H_QQ layered; each other block layered; the diagonal; and the entries above it.
+    Row b of a batch has the diagonal ``diagonals[b]`` and adds ``weights[b]`` times the ``parts``
+    A + A^dagger and i (A - A^dagger) on P and Q of the off-diagonal ``hopping`` triplets A of a
+    one-block operator: made from a sweep's H_0 and hopping, it serves every phase."""
 
-    def __init__(self, operator: HermitianOperator):
+    def __init__(self, operator: HermitianOperator, hopping: tuple = (np.zeros(0, np.intp),) * 3):
         if operator.basis is None or operator.basis.interpretation != "flow":
             raise UnsupportedConfigurationError("elimination expects a flow-basis operator")
         t0, t1 = targets = default_flow_targets(operator.basis)
@@ -141,48 +142,53 @@ class _PairElimination:
         where, self.diagonal, self.others = np.empty(operator.dimension, np.intp), np.empty(operator.dimension), []
         where[self.indices] = np.arange(len(self.indices))
         self.matrix = _dense_zeros(len(self.indices), np.result_type(*operator.blocks))
+        rows, cols, values = hopping
+        self.parts = np.zeros((2 if len(values) else 0, *self.matrix.shape), complex if len(values) else self.matrix.dtype)
+        for part, term in zip(self.parts, (values, 1j * values)):  # B + B^dagger for B = A, then i A
+            np.add.at(part, (where[np.r_[rows, cols]], where[np.r_[cols, rows]]), np.r_[term, term.conj()])
         for members, h, held in blocks:
             if held:
                 self.matrix[np.ix_(where[members], where[members])] = h
             else:
                 self.others.append((members, _Layered(h)))
             self.diagonal[members] = np.diagonal(h).real
-        self.qq = _Layered(self.matrix[2:, 2:])
-        self.off_scale = max(float(np.max(np.abs(np.triu(h, 1)), initial=0.0)) for h in operator.blocks)
-        uppers = (np.linalg.norm(np.triu(h, 1) / (self.off_scale or 1.0)) for h in operator.blocks)
-        self.off_norm = math.sqrt(2.0) * math.hypot(*uppers)
+        self.qq = _Layered(self.matrix[2:, 2:], self.parts[:, 2:, 2:])
+        self.pp, self.qp = (self.matrix[:2, :2], self.parts[:, :2, :2]), (self.matrix[2:, :2], self.parts[:, 2:, :2])
+        upper = np.triu((self.matrix != 0) | (self.parts != 0).any(axis=0), 1)  # other blocks only come without parts
+        rest = [h[np.triu(h, 1) != 0] for _, h, held in blocks if not held]
+        self.upper = np.concatenate([self.matrix[upper], *rest]), self.parts[:, upper]
 
-    def scales(self, diagonals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(``scale``, ``frobenius``) of the operator with each row of ``diagonals`` as its diagonal."""
-        scale = np.maximum(self.off_scale, np.max(np.abs(diagonals), axis=1, initial=0.0))
-        unit = np.where(scale > 0.0, scale, 1.0)
-        off_diagonal = self.off_norm * self.off_scale / unit
-        return scale, unit * np.hypot(off_diagonal, np.linalg.norm(diagonals / unit[:, None], axis=1))
+    def scales(self, diagonals: np.ndarray, weights: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """(``scale``, ``frobenius``) of the operator of each row of ``diagonals`` and ``weights``; no entry is squared."""
+        off = np.abs(_mixed(*self.upper, weights))
+        scale = np.maximum(np.max(off, axis=-1, initial=0.0), np.max(np.abs(diagonals), axis=1, initial=0.0))
+        return scale, np.hypot(math.sqrt(2.0) * np.hypot.reduce(off, axis=-1), np.hypot.reduce(diagonals, axis=1))
 
-    def _heff(self, d: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """H_eff = H_PP - H_PQ x for each row of ``d``, the diagonal on P and Q."""
-        h_pp = np.broadcast_to(self.matrix[:2, :2], (len(d), 2, 2)).copy()
+    def _heff(self, d: np.ndarray, x: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+        """H_eff = H_PP - H_PQ x for each row of ``d``, the diagonal on P and Q, and of ``weights``."""
+        h_pp = np.broadcast_to(_mixed(*self.pp, weights), (len(d), 2, 2)).copy()
         h_pp[:, 0, 0], h_pp[:, 1, 1] = d[:, 0], d[:, 1]
-        return h_pp - self.matrix[2:, :2].conj().T @ x
+        return h_pp - np.swapaxes(_mixed(*self.qp, weights).conj(), -1, -2) @ x
 
-    def eliminate(self, diagonals: np.ndarray) -> list[LowdinResult | None]:
-        """``lowdin_coupling`` of the operator with each row of ``diagonals`` as its diagonal, batched
+    def eliminate(self, diagonals: np.ndarray, weights: np.ndarray | None = None) -> list[LowdinResult | None]:
+        """``lowdin_coupling`` of the operator of each row of ``diagonals`` and ``weights``, batched
         over the rows; None where H_QQ is not proven above lam + RESONANCE_RTOL * ``scale``.  lam is the
         root of g(x) = lambda_min(H_eff(x)) - x, by Newton steps with g' = -1 - |X c_P|^2, X =
         (H_QQ - x)^{-1} H_QP and c_P the unit lowest ``branch_vector`` of H_eff(x), from x0, the lower
         level of H_PP (at or above lam by interlacing).  Once the kernel proves H_QQ - x0 positive
         definite, g is concave and decreasing up to x0 and the steps descend onto lam, until one is at
         most 4 eps ``scale``.  Where that proof fails or Newton does not converge, lam is the lowest
-        level of ``matrix`` by ``eigvalsh``.  One more kernel call gives x at lam and the resonance proof."""
-        d, scale = diagonals[:, self.indices], self.scales(diagonals)[0]
+        level of the row's matrix by ``eigvalsh``.  One more kernel call gives x at lam and the resonance proof."""
+        weights = np.zeros((len(diagonals), 0)) if weights is None else weights
+        d, scale = diagonals[:, self.indices], self.scales(diagonals, weights)[0]
         lam, todo = np.full(len(d), np.nan), np.arange(len(d))
-        x = 0.5 * (d[:, 0] + d[:, 1]) - np.hypot(0.5 * (d[:, 0] - d[:, 1]), abs(self.matrix[0, 1]))
+        x = 0.5 * (d[:, 0] + d[:, 1]) - np.hypot(0.5 * (d[:, 0] - d[:, 1]), np.abs(_mixed(*self.pp, weights)[..., 0, 1]))
         with np.errstate(all="ignore"):
             for step in range(_NEWTON_STEPS):
                 if not len(todo):
                     break
-                y, proven = self.qq.solve(d[todo, 2:] - x[todo, None], self.matrix[2:, :2], prove=step == 0)
-                heff = self._heff(d[todo], y)
+                y, proven = self.qq.solve(d[todo, 2:] - x[todo, None], _mixed(*self.qp, weights[todo]), step == 0, weights[todo])
+                heff = self._heff(d[todo], y, weights[todo])
                 h00, h11, v = heff[:, 0, 0].real, heff[:, 1, 1].real, heff[:, 0, 1]
                 r = np.hypot(0.5 * (h00 - h11), np.abs(v))
                 c_p = branch_vector(0.5 * (h00 - h11), v, r)
@@ -193,28 +199,31 @@ class _PairElimination:
                 done = proven & (dx <= 4.0 * np.finfo(float).eps * scale[todo])
                 lam[todo[done]] = x[todo[done]]
                 todo = todo[proven & ~done & np.isfinite(x[todo])]
-        for b in np.flatnonzero(np.isnan(lam)).tolist():  # the matrix on P and Q with the diagonal d[b]
-            lam[b] = np.linalg.eigvalsh(np.where(np.eye(len(self.matrix), dtype=bool), np.diag(d[b]), self.matrix))[0]
-        shifts = np.concatenate([lam, lam + RESONANCE_RTOL * scale])
-        y, proven = self.qq.solve(np.tile(d[:, 2:], (2, 1)) - shifts[:, None], self.matrix[2:, :2], prove=True)
-        heff = self._heff(d, y[: len(d)])
+        for b in np.flatnonzero(np.isnan(lam)).tolist():  # row b's matrix on P and Q, assembled in place
+            h = np.tensordot(weights[b], self.parts, 1)
+            h += self.matrix
+            h[np.diag_indices_from(h)] = d[b]
+            lam[b] = np.linalg.eigvalsh(h)[0]
+        shifts, w = np.concatenate([lam, lam + RESONANCE_RTOL * scale]), np.tile(weights, (2, 1))
+        y, proven = self.qq.solve(np.tile(d[:, 2:], (2, 1)) - shifts[:, None], _mixed(*self.qp, w), True, w)
+        heff = self._heff(d, y[: len(d)], weights)
         return [LowdinResult(v01=complex(heff[b, 0, 1]), lam=float(lam[b]), heff=heff[b], indices=self.indices, x=y[b])
                 if proven[len(d) + b] else None for b in range(len(d))]
 
     def proven(self, diagonals: np.ndarray, eliminations: list) -> list[LowdinResult]:
-        """``eliminations`` of the rows of ``diagonals``, or the near-resonance error of the first that is None."""
+        """``eliminations`` of the rows of ``diagonals`` (no parts), or the near-resonance error of the first None."""
         if None in eliminations:
             margin = RESONANCE_RTOL * self.scales(diagonals)[0][eliminations.index(None)]
             raise NearResonantIntermediateError(f"an eliminated level lies within {margin:.3e} of the working energy")
         return eliminations
 
-    def states(self, diagonals: np.ndarray, eliminations: list) -> list[np.ndarray | None]:
-        """Ground state of the operator with each row of ``diagonals`` as its diagonal, from
+    def states(self, diagonals: np.ndarray, eliminations: list, weights: np.ndarray) -> list[np.ndarray | None]:
+        """Ground state of the operator of each row of ``diagonals`` and ``weights``, from
         its elimination: c_P = ``branch_vector`` of H_eff(lam) on its lowest branch and
         c_Q = -x c_P.  None unless r > 0, the state passes the eigensolver's residual bound
         on the blocks that hold a target, and the kernel proves each other block free of
         levels up to lam + RESIDUAL_RTOL |H|_F, in one batch per block."""
-        states, frobenius = [None] * len(eliminations), self.scales(diagonals)[1]
+        states, frobenius = [None] * len(eliminations), self.scales(diagonals, weights)[1]
         for b, elimination in enumerate(eliminations):
             if elimination is None:
                 continue
@@ -229,7 +238,8 @@ class _PairElimination:
             state[self.indices] = np.concatenate([c_p, -elimination.x @ c_p])
             state /= np.linalg.norm(state)
             local, d = state[self.indices], diagonals[b, self.indices]
-            residual = np.max(np.abs(self.matrix @ local + (d - np.diagonal(self.matrix) - lam) * local))
+            product = _mixed(self.matrix @ local, self.parts @ local, weights[b])
+            residual = np.max(np.abs(product + (d - np.diagonal(self.matrix) - lam) * local))
             if residual <= RESIDUAL_RTOL * max(abs(lam), float(np.max(np.abs(d)))):
                 states[b] = state
         tried = np.array([b for b, state in enumerate(states) if state is not None], np.intp)
@@ -259,28 +269,16 @@ def lowdin_coupling(operator: HermitianOperator) -> LowdinResult:
     return pair.proven(pair.diagonal[None], pair.eliminate(pair.diagonal[None]))[0]
 
 
-def _own_state(operator: HermitianOperator) -> np.ndarray | None:
-    """``_PairElimination.states`` of ``operator`` from one layout of its own pair and one ``eliminate``
-    of one row; None where ``_PairElimination`` rejects it (a site operator, or too large a pair)."""
-    try:
-        pair = _PairElimination(operator)
-    except UnsupportedConfigurationError:
-        return None
-    return pair.states(pair.diagonal[None], pair.eliminate(pair.diagonal[None]))[0]
-
-
 def _sweep_eliminations(sweep: PhaseSweep, dphis: np.ndarray) -> tuple:
-    """(pair, diagonals, eliminations) at the offsets ``dphis`` from pi: the ``_PairElimination``
-    of an equal-bond sweep's H_0, the diagonal of H(pi + dphi) at each offset and one batched
-    ``pair.eliminate``, equal bit for bit to ``lowdin_coupling`` of each offset's operator.
-    Unequal bonds, whose phase is no diagonal on H_0, are refused."""
-    if not sweep.params.equal_j:
-        raise UnsupportedConfigurationError("eliminating a whole sweep requires equal tunnelling")
-    pair = _PairElimination(HermitianOperator(sweep.base, sweep.basis, sweep.params, sectors=sweep.sectors))
-    diagonals = np.tile(pair.diagonal, (len(dphis), 1))
-    for row, dphi in zip(diagonals, dphis.tolist()):
-        row += sweep._kinetic(math.pi + dphi)
-    return pair, diagonals, pair.eliminate(diagonals)
+    """(pair, diagonals, weights, eliminations) at the offsets ``dphis`` from pi: the ``_PairElimination`` of
+    the sweep's H_0 and off-diagonal hopping, each offset's diagonal and weights (cos, sin)(phi / 3) of the
+    parts, and one batched ``pair.eliminate``; with equal bonds (no part) each row is ``lowdin_coupling``'s."""
+    phis, off = (math.pi + dphis).tolist(), sweep.rows != sweep.cols
+    pair = _PairElimination(HermitianOperator(sweep.base, sweep.basis, sweep.params, sectors=sweep.sectors),
+                            (sweep.rows[off], sweep.cols[off], sweep.values[off]))
+    diagonals = np.array([pair.diagonal + sweep._kinetic(phi) for phi in phis]).reshape(len(phis), len(pair.diagonal))
+    weights = np.array([(math.cos(phi / 3.0), math.sin(phi / 3.0)) for phi in phis]).reshape(-1, 2)[:, : len(pair.parts)]
+    return pair, diagonals, weights, pair.eliminate(diagonals, weights)
 
 
 # --- Coupling graph and perturbative path sum ---
@@ -538,8 +536,9 @@ def effective_report(params: ModelParams, dphi_grid: Sequence[float]) -> Table:
     The flow Hamiltonian is built once, every offset eliminated in one batch (``_sweep_eliminations``)
     and checked by ``_PairElimination.proven``.  Like ``effective_point``, it needs equal tunnelling.
     """
+    epsilon_of_phi(params, math.pi)  # refuses unequal bonds before any layout
     dphis, sweep = np.asarray(list(dphi_grid), dtype=float), flow_sweep(params)
-    pair, diagonals, eliminations = _sweep_eliminations(sweep, dphis)
+    pair, diagonals, _, eliminations = _sweep_eliminations(sweep, dphis)
     models = [effective_point(params, d, e) for d, e in zip(dphis.tolist(), pair.proven(diagonals, eliminations))]
     rows = [(d, m.eps, abs(m.v01), abs(m.predicted_ratio), *m.predicted_energies)
             for d, m in zip(dphis.tolist(), models)]

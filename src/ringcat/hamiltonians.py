@@ -260,10 +260,10 @@ class PhaseSweep:
     H(phi) = H_0 + e^{i phi/3} A + h.c., with the real H_0 held as ``base``,
     one dense block per sector of ``sectors`` (see ``HermitianOperator``), and
     the hopping A as triplets A[rows, cols] = values.  In the flow basis A has
-    the diagonal -J sum_k n_k e^{-2 pi i k/3}, J the mean bond.  With equal
-    tunnelling that is all of A: H(phi) is real, conserves quasi-momentum and
-    differs from H_0 only by the diagonal ``_kinetic``, which ``at`` adds to
-    copies of the blocks.  Otherwise there is one sector, the whole basis.
+    the diagonal -J sum_k n_k e^{-2 pi i k/3} (``_kinetic``), J the mean bond.
+    With equal tunnelling that is all of A: H(phi) is real and conserves
+    quasi-momentum.  Otherwise there is one sector, the whole basis, and the
+    rest of A enters as cos(phi/3) (A + A^dagger) + sin(phi/3) i (A - A^dagger).
     """
 
     params: ModelParams
@@ -275,9 +275,9 @@ class PhaseSweep:
     values: np.ndarray
 
     def _kinetic(self, phi: float) -> np.ndarray:
-        """The diagonal A + h.c. at ``phi`` over the whole basis, when A is diagonal."""
-        diagonal = np.zeros(self.basis.dimension)
-        diagonal[self.rows] = 2.0 * (math.cos(phi / 3.0) * self.values.real - math.sin(phi / 3.0) * self.values.imag)
+        """The diagonal of e^{i phi/3} A + h.c. over the whole basis, from the diagonal triplets of A."""
+        diagonal, on = np.zeros(self.basis.dimension), self.rows == self.cols
+        diagonal[self.rows[on]] = 2.0 * (math.cos(phi / 3.0) * self.values[on].real - math.sin(phi / 3.0) * self.values[on].imag)
         return diagonal
 
     def at(self, phi: float) -> HermitianOperator:

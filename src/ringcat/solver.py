@@ -111,11 +111,11 @@ def _checked_pairs(matrix: np.ndarray, energies: np.ndarray, vectors: np.ndarray
     return energies, vectors
 
 
-def _layers(matrix: np.ndarray) -> list[np.ndarray]:
-    """States in groups on which ``matrix`` is block tridiagonal: the states joined to no other,
-    one layer each, then the breadth-first layers of the nonzero pattern, each connected component
+def _layers(matrix: np.ndarray, parts: np.ndarray = ()) -> list[np.ndarray]:
+    """States in groups on which ``matrix`` and ``parts`` are block tridiagonal: the states joined to no other,
+    one layer each, then the breadth-first layers of the joint nonzero pattern, each connected component
     walked from its first state; consecutive layers are merged up to ceil(sqrt(n)) states."""
-    joined, width = matrix != 0, int(np.ceil(len(matrix) ** 0.5))
+    joined, width = sum((part != 0 for part in parts), matrix != 0), int(np.ceil(len(matrix) ** 0.5))
     np.fill_diagonal(joined, False)
     seen = ~joined.any(axis=0)
     layers, groups = list(np.flatnonzero(seen)[:, None]), []
@@ -142,31 +142,40 @@ def _passes_cholesky(pivots: np.ndarray) -> np.ndarray:
     return np.ones(len(pivots), bool)
 
 
+def _mixed(base: np.ndarray, parts: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
+    """base + sum_k weights[..., k] parts[k], one per row of ``weights``; ``base`` itself without parts."""
+    return base + np.tensordot(weights, parts, 1) if len(parts) else base
+
+
 class _Layered:
-    """A Hermitian matrix on the ``_layers`` of its pattern, where it is block tridiagonal: per layer
-    its states and the blocks on them and to the layers before and after.  Its diagonal is not read."""
+    """A Hermitian matrix and ``parts`` on the ``_layers`` of their joint pattern: per layer its states, the matrix's
+    blocks on them and to the layers before and after, and the parts' stacks of those blocks.  No diagonal is read."""
 
-    def __init__(self, matrix: np.ndarray):
-        groups, none = _layers(matrix), np.zeros(0, np.intp)
-        self.dimension, self.dtype = len(matrix), matrix.dtype
-        self.layers = [(rows, matrix[np.ix_(rows, rows)], matrix[np.ix_(rows, before)], matrix[np.ix_(rows, after)])
-                       for before, rows, after in zip([none] + groups, groups, groups[1:] + [none])]
+    def __init__(self, matrix: np.ndarray, parts: np.ndarray = ()):
+        groups, none = _layers(matrix, parts), np.zeros(0, np.intp)
+        self.dtype, self.layers = np.result_type(matrix, *parts), []
+        for before, rows, after in zip([none] + groups, groups, groups[1:] + [none]):
+            blocks = [[m[np.ix_(rows, cols)] for m in (matrix, *parts)] for cols in (rows, before, after)]
+            self.layers.append((rows, *(b[0] for b in blocks), [np.array(b[1:]) for b in blocks] if len(parts) else []))
 
-    def solve(self, diagonals: np.ndarray, rhs: np.ndarray, prove: bool = False) -> tuple[np.ndarray, np.ndarray]:
-        """(y, proven): y[b] solves A_b y = ``rhs`` (or ``rhs[b]``), A_b the matrix with the diagonal
-        ``diagonals[b]``, by block LDL^T elimination without pivoting, batched over b: with D_i, L_i,
-        U_i the blocks of layer i, the pivot is S_i = D_i - L_i G_{i-1}, S_i [G_i | g_i] =
-        [U_i | b_i - L_i g_{i-1}] and y_i = g_i - G_i y_{i+1}.  With ``prove``, proven[b] says whether
-        every S_i passed Cholesky, which proves A_b positive definite (Sylvester's law of inertia) up
-        to rounding of order n eps |A|; a failed S_i becomes the identity, and y[b] is meaningless.
-        No row depends on another: the batch is eliminated in chunks of at most ``_BATCH_ENTRIES``."""
+    def solve(self, diagonals: np.ndarray, rhs: np.ndarray, prove: bool = False,
+              weights: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """(y, proven): y[b] solves A_b y = ``rhs`` (or ``rhs[b]``), A_b the matrix plus ``weights[b]`` times
+        the parts (if any), with the diagonal ``diagonals[b]``, by block LDL^T elimination without
+        pivoting, batched over b: with D_i, L_i, U_i the blocks of layer i, the pivot is S_i = D_i - L_i G_{i-1},
+        S_i [G_i | g_i] = [U_i | b_i - L_i g_{i-1}] and y_i = g_i - G_i y_{i+1}.  With ``prove``, proven[b]
+        says whether every S_i passed Cholesky, which proves A_b positive definite (Sylvester's law of inertia)
+        up to rounding of order n eps |A|; a failed S_i becomes the identity, and y[b] is meaningless.  No row
+        depends on another: the batch is weighed and eliminated in chunks of at most ``_BATCH_ENTRIES``."""
         rhs, proven = np.broadcast_to(rhs, (len(diagonals), *rhs.shape[-2:])), np.ones(len(diagonals), bool)
-        size = max(1, _BATCH_ENTRIES // (sum(u.size + len(rows) * rhs.shape[2] for rows, *_, u in self.layers) or 1))
+        size = max(1, _BATCH_ENTRIES // (sum(u.size + len(rows) * rhs.shape[2] for rows, _, _, u, _ in self.layers) or 1))
         y = np.empty(rhs.shape, np.result_type(self.dtype, diagonals, rhs))
         for chunk in (slice(start, start + size) for start in range(0, len(diagonals) or 1, size)):
             d, b, ok, eliminated = diagonals[chunk], rhs[chunk], proven[chunk], []  # ok is a view: &= marks proven
-            for rows, block, lower, upper in self.layers:
+            for rows, block, lower, upper, parts in self.layers:
                 width = len(rows)
+                if parts:
+                    block, lower, upper = (_mixed(m, p, weights[chunk]) for m, p in zip((block, lower, upper), parts))
                 pivot = np.empty((len(d), width, width), np.result_type(block, d))
                 pivot[:] = block
                 pivot[:, range(width), range(width)] = d[:, rows]
@@ -178,7 +187,7 @@ class _Layered:
                     pivot[~ok] = np.eye(width)
                     ok &= _passes_cholesky(pivot)
                     pivot[~ok] = np.eye(width)
-                known = np.concatenate([np.broadcast_to(upper, (len(d), *upper.shape)), known], axis=2)
+                known = np.concatenate([np.broadcast_to(upper, (len(d), *upper.shape[-2:])), known], axis=2)
                 eliminated.append(np.linalg.solve(pivot, known))
             step = np.zeros((len(d), 0, rhs.shape[2]))
             for (rows, *_), solved in zip(self.layers[::-1], eliminated[::-1]):

@@ -87,9 +87,9 @@ def test_near_resonant_equal_bond_catscan_point_takes_the_dense_route(tmp_path, 
     again on its own."""
     batches, eliminate = [], effective._PairElimination.eliminate
 
-    def counted(pair, diagonals):
+    def counted(pair, diagonals, *weights):
         batches.append(len(diagonals))
-        return eliminate(pair, diagonals)
+        return eliminate(pair, diagonals, *weights)
 
     monkeypatch.setattr(effective._PairElimination, "eliminate", counted)
     out = tmp_path / "c.csv"
@@ -104,6 +104,15 @@ def test_near_resonant_equal_bond_catscan_point_takes_the_dense_route(tmp_path, 
 def test_effective_with_unequal_tunnelling_is_a_config_error(capsys):
     assert run_cli(["effective", "--j", "1,0.9,1.1", "--dphi", "0"]) == 2
     assert "equal tunnelling" in capsys.readouterr().err
+
+
+def test_effective_refuses_unequal_bonds_before_any_layout(tmp_path, monkeypatch, capsys):
+    """The refusal is the detuning's own, and comes before any pair is laid out for the sweep."""
+    made = []
+    monkeypatch.setattr(effective._PairElimination, "__init__", lambda *args: made.append(args))
+    assert run_cli(["effective", "--j", "1,0.9,1.1", "--out", str(tmp_path / "e.csv")]) == 2
+    assert capsys.readouterr().err == "ringcat: config error: the two-level detuning eps(phi) requires equal tunnelling\n"
+    assert made == [] and not (tmp_path / "e.csv").exists()
 
 
 def test_config_file_merging_and_flag_precedence(tmp_path):
@@ -419,6 +428,25 @@ def test_help_lists_exactly_the_options_read(command, capsys):
         run_cli([command, "--help"])
     assert exc.value.code == 0
     assert listed_flags(capsys.readouterr().out) == HELP_FLAGS[command]
+
+
+#: How each subcommand's help describes the phase option it reads.
+PHASE_HELP = {
+    "spectrum": "--phi PHI phase grid start:stop:count, or one value",
+    "catscan": "--dphi DPHI offset-from-pi grid start:stop:count, or one value",
+    "effective": "--dphi DPHI offset-from-pi grid start:stop:count, or one value",
+    "paths": "--phi PHI phase twist, one value (default 3.141592653589793)",
+    "loop": "--phi PHI phase grid start:stop:count, or one value",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PHASE_HELP))
+def test_help_describes_the_phase_as_the_subcommand_reads_it(command, capsys):
+    """``paths`` takes one phase and exits 2 on a grid, so its help offers no grid."""
+    with pytest.raises(SystemExit):
+        run_cli([command, "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert PHASE_HELP[command] in text and ("start:stop:count" in text) == (command != "paths")
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,8 @@
 """Differential test: the ground state from the elimination against the dense route.
 
 Off the crossing, ``ground_cat_metrics`` builds the ground state of a flow
-operator from the elimination of its own pair (``_PairElimination``): c_P is
-the lowest eigenvector of the 2x2 H_eff(lam) and c_Q = -x c_P.  The reference
+operator from the sweep's elimination of its pair (``_sweep_eliminations``): c_P
+is the lowest eigenvector of the 2x2 H_eff(lam) and c_Q = -x c_P.  The reference
 is the lowest eigenvector of ``eigensolve``.  A dense eigenvector carries an
 absolute error of about eps |H| / gap in every component, so the amplitudes
 are compared to TOL plus that much; the elimination's own error is relative.
@@ -23,7 +23,7 @@ from ringcat import (
 )
 from ringcat import effective as effective_module
 from ringcat.catmetrics import CROSSING_DPHI_ATOL
-from ringcat.effective import _own_state, _PairElimination
+from ringcat.effective import _PairElimination, _sweep_eliminations
 
 TOL = 1e-10
 #: Measured |Delta| / (eps |H|_2 / gap) stayed below 0.62 over 300 random cases.
@@ -45,6 +45,12 @@ unequal = st.builds(
 offset = st.builds(lambda sign, exponent: sign * 10.0**exponent, st.sampled_from([-1.0, 1.0]), st.floats(-11.0, -0.5))
 
 
+def _swept_state(params, dphi):
+    """The eliminated state at pi + dphi as ``catscan`` builds it, from a one-offset sweep; None where unproven."""
+    pair, diagonals, weights, eliminations = _sweep_eliminations(flow_sweep(params), np.array([dphi]))
+    return pair.states(diagonals, eliminations, weights)[0]
+
+
 def _dense(operator):
     """Cat metrics of the lowest eigenvector of ``eigensolve``, and the gap above it."""
     result = eigensolve(operator, n_levels=2)
@@ -56,9 +62,9 @@ def _dense(operator):
 def test_elimination_route_matches_the_dense_route(params, dphi):
     assert abs(dphi) > CROSSING_DPHI_ATOL
     operator = flow_sweep(params).at(math.pi + dphi)
-    fast = ground_cat_metrics(params, dphi, operator=operator)
+    fast = ground_cat_metrics(params, dphi)
     dense, gap = _dense(operator)
-    event(f"elimination route: {_own_state(operator) is not None}")
+    event(f"elimination route: {_swept_state(params, dphi) is not None}")
     np.testing.assert_allclose(fast.captured_norm, dense.captured_norm, rtol=TOL, atol=TOL)
     atol = TOL + CONDITIONING_FACTOR * np.finfo(float).eps * np.linalg.norm(operator.matrix, 2) / gap
     np.testing.assert_allclose(abs(fast.a0), abs(dense.a0), rtol=TOL, atol=atol)
@@ -80,8 +86,7 @@ def test_pair_block_ground_states_come_from_the_elimination(params, dphi):
     """Equal-bond contact and dipolar operators whose pair shares a block or
     is split over two (N = 7, 35), and unequal bonds (one block), take their
     state from the elimination."""
-    operator = flow_sweep(params).at(math.pi + dphi)
-    state = _own_state(operator)
+    state = _swept_state(params, dphi)
     assert state is not None
     np.testing.assert_allclose(np.linalg.norm(state), 1.0, rtol=1e-14)
 
@@ -112,7 +117,7 @@ def test_fallback_rows_equal_the_dense_route_exactly(params, dphis):
     for dphi, row in zip(dphis, table.metrics):
         operator = sweep.at(math.pi + dphi)
         if abs(dphi) > CROSSING_DPHI_ATOL:
-            assert _own_state(operator) is None
+            assert _swept_state(params, dphi) is None
         vectors = eigensolve(operator, n_levels=2 if abs(dphi) <= CROSSING_DPHI_ATOL else 1).vectors
         assert row == cat_amplitudes(crossing_pair_state(vectors, operator.basis), operator.basis)
 
@@ -122,11 +127,11 @@ def test_a_state_failing_the_residual_bound_falls_back(monkeypatch):
     the row is the dense route's."""
     params, dphi = ModelParams(n=12, u=0.1), 0.05
     operator = flow_sweep(params).at(math.pi + dphi)
-    assert _own_state(operator) is not None
+    assert _swept_state(params, dphi) is not None
     monkeypatch.setattr(effective_module, "RESIDUAL_RTOL", 0.0)
-    assert _own_state(operator) is None
+    assert _swept_state(params, dphi) is None
     vectors = eigensolve(operator, n_levels=1).vectors
-    assert ground_cat_metrics(params, dphi, operator=operator) == cat_amplitudes(vectors[:, 0], operator.basis)
+    assert ground_cat_metrics(params, dphi) == cat_amplitudes(vectors[:, 0], operator.basis)
 
 
 @pytest.mark.parametrize(
@@ -161,8 +166,8 @@ def test_the_proof_holds_where_the_squared_norm_overflows():
     params, dphi = ModelParams(n=3, u=1e200), 0.05
     operator = flow_sweep(params).at(math.pi + dphi)
     assert np.isinf(np.vdot(operator.matrix, operator.matrix))
-    assert _own_state(operator) is not None
-    fast = ground_cat_metrics(params, dphi, operator=operator)
+    assert _swept_state(params, dphi) is not None
+    fast = ground_cat_metrics(params, dphi)
     dense, _ = _dense(operator)
     for got, want in ((fast.captured_norm, dense.captured_norm), (abs(fast.a0), abs(dense.a0)), (abs(fast.a1), abs(dense.a1))):
         assert got == pytest.approx(want, rel=1e-12)
@@ -184,9 +189,8 @@ def pair_calls(monkeypatch):
 @pytest.mark.parametrize(
     "argv, layouts, eliminations",
     [
-        # Unequal bonds: each offset's operator is laid out and eliminated once,
-        # but the crossing row dphi = 0, which takes the dense route, not at all.
-        (["--n", "24", "--j", "1,0.9,1.1", "--dphi=-0.2:0.2:9"], 8, 8),
+        # Unequal bonds: one layout and one batch for every offset, as with equal bonds.
+        (["--n", "24", "--j", "1,0.9,1.1", "--dphi=-0.2:0.2:9"], 1, 1),
         # Dipolar N = 7: the 8 rows in [-0.29, -0.22] that the batch cannot prove
         # go straight to the dense route.
         (["--n", "7", "--u0", "0.1", "--u1", "0.05"], 1, 1),
@@ -224,9 +228,9 @@ def test_an_equal_bond_scan_builds_no_state_on_the_crossing(monkeypatch):
     elimination, but is still eliminated for its analytic ratio."""
     given, states = [], _PairElimination.states
 
-    def spy(self, diagonals, eliminations):
+    def spy(self, diagonals, eliminations, *weights):
         given.append([elimination is not None for elimination in eliminations])
-        return states(self, diagonals, eliminations)
+        return states(self, diagonals, eliminations, *weights)
 
     monkeypatch.setattr(_PairElimination, "states", spy)
     params, dphis = ModelParams(n=36, u=0.1), np.linspace(-0.2, 0.2, 21)

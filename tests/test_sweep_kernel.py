@@ -1,4 +1,4 @@
-"""Tests for the layered elimination kernel of equal-bond sweeps.
+"""Tests for the layered elimination kernel of phase sweeps.
 
 ``effective._PairElimination`` lays a flow operator out once for
 ``solver._Layered``: H_QQ is block tridiagonal in breadth-first layers, and
@@ -6,7 +6,8 @@
 then x at lam and every proof by block elimination.  The references here are
 dense: a Rayleigh quotient in extended precision, LU solves, Cholesky
 factorisations and ``eigvalsh`` of the assembled pair block, and a 30-digit
-layered recursion in mpmath.
+layered recursion in mpmath.  With unequal bonds each row also adds its weighted
+hopping parts; the references are each offset's own operator and matrix.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from ringcat import ModelParams, catscan, cli, flow_sweep, lowdin_coupling, solver
+from ringcat import ModelParams, NearResonantIntermediateError, catscan, cli, flow_sweep, lowdin_coupling, solver
 from ringcat.effective import RESONANCE_RTOL, _PairElimination, _sweep_eliminations
 from ringcat.hamiltonians import HermitianOperator
 from ringcat.solver import _Layered
@@ -49,8 +50,8 @@ def _dense_passes(matrix: np.ndarray) -> bool:
 def _ground_level(h: np.ndarray) -> float:
     """The lowest level of ``h``: the Rayleigh quotient of ``eigh``'s vector in extended
     precision, whose error is of order |residual|^2 / gap, far below eps |h|."""
-    v = _TRUE["eigh"](h)[1][:, 0].astype(np.longdouble)
-    return float((v @ (h.astype(np.longdouble) @ v)) / (v @ v))
+    v = _TRUE["eigh"](h)[1][:, 0].astype(np.clongdouble if np.iscomplexobj(h) else np.longdouble)
+    return float(np.real((v.conj() @ (h.astype(v.dtype) @ v)) / (v.conj() @ v)))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -110,12 +111,76 @@ def test_batched_rows_equal_single_rows_bit_for_bit():
     same eliminations, bit for bit."""
     params, dphis = ModelParams(n=21, u0=0.2, u1=0.05, dipolar=True), np.linspace(-0.3, 0.3, 7)
     sweep = flow_sweep(params)
-    _, _, batched = _sweep_eliminations(sweep, dphis)
+    *_, batched = _sweep_eliminations(sweep, dphis)
     for dphi, row in zip(dphis, batched):
         single = lowdin_coupling(sweep.at(math.pi + dphi))
         assert (row.lam, row.v01) == (single.lam, single.v01)
         np.testing.assert_array_equal(row.x, single.x)
         np.testing.assert_array_equal(row.heff, single.heff)
+
+
+bonds = st.tuples(st.floats(0.5, 1.5), st.floats(0.5, 1.5), st.floats(0.5, 1.5))
+unequal = st.one_of(
+    st.builds(lambda n, j, u: ModelParams(n=n, j=j, u=u), st.integers(1, 12), bonds, st.floats(0.01, 1.0)),
+    st.builds(
+        lambda n, j, u0, u1: ModelParams(n=n, j=j, u0=u0, u1=u1, dipolar=True),
+        st.integers(1, 12),
+        bonds,
+        st.floats(0.01, 1.0),
+        st.floats(-0.3, 0.3),
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(params=unequal, dphis=st.lists(st.floats(-0.4, 0.4), min_size=1, max_size=4))
+def test_swept_unequal_bond_rows_match_each_offsets_own_elimination(params, dphis):
+    """Each row of one batch, whose hopping parts the kernel weighs, against its offset's own complex
+    operator: the resonance verdict of ``lowdin_coupling``, lam within 10 eps |H|_2 of the ground level
+    of the pair block, and v01 at that lam within 1e-12 plus 10 eps |H|_2 / gap relative of a dense LU
+    solve, the bounds of the equal-bond test above.  Two ``eigvalsh`` fallbacks, each within 7 eps |H|_2
+    of the level, differed by 10.1 eps |H|_2, so lam is compared with the level, not with the other route."""
+    sweep = flow_sweep(params)
+    *_, batched = _sweep_eliminations(sweep, np.array(dphis))
+    for dphi, row in zip(dphis, batched):
+        operator = sweep.at(math.pi + dphi)
+        try:
+            lowdin_coupling(operator)
+        except NearResonantIntermediateError:
+            assert row is None
+            event("resonant")
+            continue
+        h = _PairElimination(operator).matrix
+        h_qq, h_qp = h[2:, 2:], h[2:, :2]
+        norm = float(np.max(np.abs(_TRUE["eigvalsh"](h))))
+        assert row is not None and abs(row.lam - _ground_level(h)) <= 10.0 * EPS * norm
+        v01 = (h[:2, :2] - h_qp.conj().T @ _TRUE["solve"](h_qq - row.lam * np.eye(len(h_qq)), h_qp))[0, 1]
+        lowest_q = float(_TRUE["eigvalsh"](h_qq)[0]) if len(h_qq) else math.inf
+        assert abs(row.v01 - v01) <= (1e-12 + 10.0 * EPS * norm / (lowest_q - row.lam)) * abs(v01)
+
+
+def test_weighed_parts_equal_each_rows_assembled_matrix():
+    """A batch whose rows weigh two complex Hermitian parts onto a real matrix gives the y, bit for bit,
+    and the proofs of ``_Layered`` of each row's assembled matrix, rows below and above its lowest level."""
+    rng = np.random.default_rng(3)
+
+    def sparse(density, scale):
+        m = np.where(rng.random((50, 50)) < density, rng.normal(size=(50, 50)) * scale, 0.0)
+        return np.triu(m, 1) + np.triu(m, 1).conj().T
+
+    matrix, parts = sparse(0.04, 1.0), np.stack([sparse(0.03, 1.0 + 1.0j), sparse(0.03, 1.0 - 0.5j)])
+    weights = rng.normal(size=(6, 2))
+    assembled = [matrix + np.tensordot(w, parts, 1) for w in weights]
+    below = np.array([_TRUE["eigvalsh"](a)[0] for a in assembled]) + np.array([-0.1, 0.1, -1.0, 1.0, -0.01, 3.0])
+    diagonals, rhs = -below[:, None] + np.zeros(50), rng.normal(size=(50, 2))
+    y, proven = _Layered(matrix, parts).solve(diagonals, rhs, prove=True, weights=weights)
+    assert proven.tolist() == [True, False, True, False, True, False]
+    for b, a in enumerate(assembled):
+        single_y, single_proven = _Layered(a).solve(diagonals[b : b + 1], rhs, prove=True)
+        assert proven[b] == single_proven[0]
+        np.testing.assert_array_equal(y[b], single_y[0])
+        if proven[b]:
+            np.testing.assert_allclose((a - below[b] * np.eye(50)) @ y[b], rhs, atol=1e-10)
 
 
 def test_failed_pivots_are_flagged_per_row_and_leave_finite_solutions():
