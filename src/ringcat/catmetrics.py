@@ -1,9 +1,8 @@
 """Cat-state diagnostics of exact ground states near the flow anti-crossing.
 
-The ground state near phi = pi is dominated by the pair of flow Fock states
-|N,0,0> (no flow) and |0,N,0> (one clockwise quantum per atom).  The metrics
-report the two amplitudes a0 and a1, their magnitude ratio, relative phase,
-and the weight |a0|^2 + |a1|^2 captured by the pair.
+The ground state near phi = pi is dominated by the pair of flow Fock states |N,0,0> (no flow) and |0,N,0> (one
+clockwise quantum per atom).  The metrics report the two amplitudes a0 and a1, their magnitude ratio, relative
+phase, and the weight |a0|^2 + |a1|^2 captured by the pair.
 """
 
 import math
@@ -51,9 +50,8 @@ def _pair_projections(states: np.ndarray, basis: FockBasis) -> np.ndarray:
 def cat_amplitudes(state: Sequence[complex], basis: FockBasis) -> CatMetrics:
     """Cat metrics of a state given in the site or flow basis.
 
-    The global phase is fixed so that a0 is real and non-negative (if a0
-    vanishes, so that a1 is); theta is then arg(a1) in (-pi, pi].  A vanishing
-    a1 with finite a0 is reported as an infinite ratio and flagged.
+    The global phase is fixed so that a0 is real and non-negative (if a0 vanishes, so that a1 is); theta is then
+    arg(a1) in (-pi, pi].  A vanishing a1 with finite a0 is reported as an infinite ratio and flagged.
     """
     vec = np.asarray(state, dtype=complex)
     if vec.shape != (basis.dimension,):
@@ -84,14 +82,10 @@ def cat_amplitudes(state: Sequence[complex], basis: FockBasis) -> CatMetrics:
 
 
 def crossing_pair_state(vectors: np.ndarray, basis: FockBasis) -> np.ndarray:
-    """Combination of the columns of ``vectors`` maximising the cat weight |a0|^2 + |a1|^2.
-
-    It is the top eigenvector of the Gram matrix of the projections onto the
-    cat pair; a single column comes back as it is.  On the crossing the two
-    lowest levels are split by 2|v01|; for the contact interaction with equal
-    bonds each has a1 = +-a0, so the combination is the level with the larger
-    pair weight: at N = 3, 6, 9 and U/J = 0.1 the first excited level.
-    """
+    """Combination of the columns of ``vectors`` maximising the cat weight |a0|^2 + |a1|^2: the top
+    eigenvector of the Gram matrix of their projections onto the cat pair; one column comes back as it is.
+    Where each column has a1 = +-a0 (the contact interaction, equal bonds) it is the column with the larger
+    weight, which ``_PairElimination._parity`` picks at dphi = 0."""
     if vectors.shape[1] == 1:
         return vectors[:, 0]
     a = _pair_projections(vectors, basis)  # (2, n_vectors)
@@ -100,41 +94,33 @@ def crossing_pair_state(vectors: np.ndarray, basis: FockBasis) -> np.ndarray:
     return vectors @ eigvecs[:, -1]
 
 
-def _on_crossing(dphi: float) -> bool:
-    return abs(dphi) <= CROSSING_DPHI_ATOL
-
-
 def _dense_metrics(sweep: PhaseSweep, dphi: float) -> CatMetrics:
     """Cat metrics at pi + dphi by ``eigensolve``: of its lowest level, or ``crossing_pair_state`` on the crossing."""
     h = sweep.at(math.pi + dphi)
-    state = crossing_pair_state(eigensolve(h, n_levels=2 if _on_crossing(dphi) else 1).vectors, h.basis)
+    state = crossing_pair_state(eigensolve(h, n_levels=2 if abs(dphi) <= CROSSING_DPHI_ATOL else 1).vectors, h.basis)
     return cat_amplitudes(state, h.basis)
 
 
 def ground_cat_metrics(params: ModelParams, dphi: float) -> CatMetrics:
-    """Cat metrics of the exact ground state at phase twist pi + dphi.
-
-    Off the crossing it is ``catscan``'s row for the one offset, eliminated; on it, where nothing is
-    eliminated, the one of the two lowest levels with the larger pair weight (``_dense_metrics``).
-    A ground state outside the pair's blocks (dipolar N = 6, dphi = -0.2) gives a0 = a1 = 0.
-    """
-    if not _on_crossing(dphi):
-        return catscan(params, [dphi]).metrics[0]
-    return _dense_metrics(flow_sweep(params), dphi)
+    """Cat metrics of the exact ground state at phase twist pi + dphi: ``catscan``'s row for the one offset.
+    A ground state outside the pair's blocks (dipolar N = 6, dphi = -0.2) gives a0 = a1 = 0."""
+    return catscan(params, [dphi]).metrics[0]
 
 
 def catscan(params: ModelParams, dphi_grid: Sequence[float]) -> Table:
     """Scan the exact cat metrics and the two-level prediction over offsets.
 
     The flow Hamiltonian is built once and, for any bonds, every offset eliminated in one batch
-    (``_sweep_eliminations``); those off the crossing give their state by ``_PairElimination.states``.
-    ``_dense_metrics`` solves an offset's operator only on the crossing or where the state is not proven.
-    The analytic ratio is nan with unequal bonds and where the elimination meets a near-resonant level.
+    (``_sweep_eliminations``); ``_PairElimination.states`` gives the state off the crossing and, from the
+    parity halves, at dphi = 0.  ``_dense_metrics`` solves an offset's operator only on the rest of the
+    crossing or where the state is not proven.  The analytic ratio is nan with unequal bonds and where
+    the elimination meets a near-resonant level.
     """
     dphis = np.asarray(list(dphi_grid), dtype=float)
     sweep = flow_sweep(params)
     pair, diagonals, weights, eliminations = _sweep_eliminations(sweep, dphis)
-    states = pair.states(diagonals, [None if _on_crossing(d) else e for d, e in zip(dphis.tolist(), eliminations)], weights)
+    given = [e if d == 0.0 or abs(d) > CROSSING_DPHI_ATOL else None for d, e in zip(dphis.tolist(), eliminations)]
+    states = pair.states(diagonals, given, weights, np.flatnonzero(dphis == 0.0))
     del pair, diagonals, weights  # the dense route needs none of them: free them before it allocates
     metrics = [_dense_metrics(sweep, dphi) if state is None else cat_amplitudes(state, sweep.basis)
                for dphi, state in zip(dphis.tolist(), states)]

@@ -1,14 +1,12 @@
 """Two-level reduction of the flow-state anti-crossing.
 
-Near phase twist phi = pi the zero-flow state |N,0,0> and the single
-clockwise-flow state |0,N,0> are quasi-degenerate.  Eliminating every other
-flow state yields an effective 2x2 model
+Near phase twist phi = pi the zero-flow state |N,0,0> and the single clockwise-flow state |0,N,0> are
+quasi-degenerate.  Eliminating every other flow state yields an effective 2x2 model
 
     [[E0 + eps, v01], [conj(v01), E0 - eps]]
 
-with detuning eps(phi) = J N - 2 J N cos(phi/3) and an effective coupling
-v01 obtained either by exact elimination (resolvent / partitioning) or by a
-perturbative sum over coupling paths through intermediate states.
+with detuning eps(phi) = J N - 2 J N cos(phi/3) and an effective coupling v01 obtained either by exact
+elimination (resolvent / partitioning) or by a perturbative sum over coupling paths through intermediate states.
 """
 
 import cmath
@@ -19,7 +17,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .basis import FockBasis
+from .basis import FockBasis, _ranks
 from .errors import NearResonantIntermediateError, NumericalContractError, UnsupportedConfigurationError
 from .hamiltonians import (
     HermitianOperator, ModelParams, PhaseSweep, _dense_zeros, _flow_interaction_coefficients, flow_sweep
@@ -34,15 +32,16 @@ RESONANCE_RTOL = 1e-10
 
 
 def epsilon_of_phi(params: ModelParams, phi: float) -> float:
-    """Detuning of the zero-flow level from its crossing-point energy.
+    """Detuning of the zero-flow level from its crossing-point energy: ``_detuning(params, phi - pi)``."""
+    return _detuning(params, phi - math.pi)
 
-    eps(phi) = J N - 2 J N cos(phi/3); zero at phi = pi, negative at phi = 0,
-    slope J N / sqrt(3) at the crossing.  Requires equal tunnelling.
-    """
+
+def _detuning(params: ModelParams, dphi: float) -> float:
+    """eps(pi + dphi) = J N - 2 J N cos((pi + dphi)/3) = J N (2 sin^2(dphi/6) + sqrt(3) sin(dphi/3)): exactly 0 at
+    the crossing and not cancelling near it, slope J N / sqrt(3) there, -J N at phi = 0.  Requires equal tunnelling."""
     if not params.equal_j:
         raise UnsupportedConfigurationError("the two-level detuning eps(phi) requires equal tunnelling")
-    jn = params.j1 * params.n
-    return jn - 2.0 * jn * math.cos(phi / 3.0)
+    return params.j1 * params.n * (2.0 * math.sin(dphi / 6.0) ** 2 + math.sqrt(3.0) * math.sin(dphi / 3.0))
 
 
 def branch_vector(eps: float, v01, signed_r: float) -> np.ndarray:
@@ -60,11 +59,9 @@ def branch_vector(eps: float, v01, signed_r: float) -> np.ndarray:
 class TwoLevelModel:
     """Prediction of the effective 2x2 anti-crossing model.
 
-    ``predicted_energies`` is (E0 - r, E0 + r) with r = sqrt(eps^2 + |v01|^2);
-    ``predicted_ratio`` is the signed ground-state amplitude ratio a0/a1 of
-    the zero-flow and clockwise-flow components, c0 / c1 of
-    ``branch_vector(eps, v01, r)`` (inf where c1 = 0, nan where r = 0); the
-    excited branch uses -r.
+    ``predicted_energies`` is (E0 - r, E0 + r) with r = sqrt(eps^2 + |v01|^2); ``predicted_ratio`` is the signed
+    ground-state amplitude ratio a0/a1 of the zero-flow and clockwise-flow components, c0 / c1 of
+    ``branch_vector(eps, v01, r)`` (inf where c1 = 0, nan where r = 0); the excited branch uses -r.
     """
 
     e0: float
@@ -108,8 +105,7 @@ class LowdinResult:
 
 def default_flow_targets(basis: FockBasis) -> tuple[int, int]:
     """Indices of |N,0,0> and |0,N,0> in a flow basis."""
-    n = basis.n
-    return basis.index((n, 0, 0)), basis.index((0, n, 0))
+    return basis.index((basis.n, 0, 0)), basis.index((0, basis.n, 0))
 
 
 def _pair_blocks(operator: HermitianOperator) -> list[tuple[np.ndarray, np.ndarray, bool]]:
@@ -125,12 +121,12 @@ _NEWTON_STEPS = 32
 
 
 class _PairElimination:
-    """A flow operator laid out once for the layered kernel (``solver._Layered``): ``indices``, the
-    targets P then the eliminated states Q (the rest of the blocks that hold a target); the ``matrix``
-    on them, with H_QQ layered; each other block layered; the diagonal; and the entries above it.
-    Row b of a batch has the diagonal ``diagonals[b]`` and adds ``weights[b]`` times the ``parts``
-    A + A^dagger and i (A - A^dagger) on P and Q of the off-diagonal ``hopping`` triplets A of a
-    one-block operator: made from a sweep's H_0 and hopping, it serves every phase."""
+    """A flow operator laid out once for the layered kernel (``solver._Layered``): ``indices``, the targets P then
+    the eliminated states Q (the rest of the blocks that hold a target); the ``matrix`` on them, with H_QQ layered;
+    each other block layered; the diagonal; the ``edges`` above it and their values; and each state's ``partner``
+    under the swap of flow modes 0 and 1.  Row b of a batch has the diagonal ``diagonals[b]`` and adds
+    ``weights[b]`` times the ``parts`` A + A^dagger and i (A - A^dagger) on P and Q of the off-diagonal
+    ``hopping`` triplets A of a one-block operator: made from a sweep's H_0 and hopping, it serves every phase."""
 
     def __init__(self, operator: HermitianOperator, hopping: tuple = (np.zeros(0, np.intp),) * 3):
         if operator.basis is None or operator.basis.interpretation != "flow":
@@ -141,6 +137,7 @@ class _PairElimination:
         self.indices = np.concatenate([targets, space[(space != t0) & (space != t1)]])
         where, self.diagonal, self.others = np.empty(operator.dimension, np.intp), np.empty(operator.dimension), []
         where[self.indices] = np.arange(len(self.indices))
+        self.n, self.partner = operator.basis.n, where[_ranks(operator.basis.occupations[self.indices][:, [1, 0, 2]])]
         self.matrix = _dense_zeros(len(self.indices), np.result_type(*operator.blocks))
         rows, cols, values = hopping
         self.parts = np.zeros((2 if len(values) else 0, *self.matrix.shape), complex if len(values) else self.matrix.dtype)
@@ -154,9 +151,9 @@ class _PairElimination:
             self.diagonal[members] = np.diagonal(h).real
         self.qq = _Layered(self.matrix[2:, 2:], self.parts[:, 2:, 2:])
         self.pp, self.qp = (self.matrix[:2, :2], self.parts[:, :2, :2]), (self.matrix[2:, :2], self.parts[:, 2:, :2])
-        upper = np.triu((self.matrix != 0) | (self.parts != 0).any(axis=0), 1)  # other blocks only come without parts
-        rest = [h[np.triu(h, 1) != 0] for _, h, held in blocks if not held]
-        self.upper = np.concatenate([self.matrix[upper], *rest]), self.parts[:, upper]
+        self.edges = np.nonzero(np.triu((self.matrix != 0) | (self.parts != 0).any(axis=0), 1))  # (rows, cols) above
+        rest = [h[np.triu(h != 0, 1)] for _, h, held in blocks if not held]  # other blocks only come without parts
+        self.upper = np.concatenate([self.matrix[self.edges], *rest]), self.parts[:, self.edges[0], self.edges[1]]
 
     def scales(self, diagonals: np.ndarray, weights: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """(``scale``, ``frobenius``) of the operator of each row of ``diagonals`` and ``weights``; no entry is squared."""
@@ -171,44 +168,55 @@ class _PairElimination:
         return h_pp - np.swapaxes(_mixed(*self.qp, weights).conj(), -1, -2) @ x
 
     def eliminate(self, diagonals: np.ndarray, weights: np.ndarray | None = None) -> list[LowdinResult | None]:
-        """``lowdin_coupling`` of the operator of each row of ``diagonals`` and ``weights``, batched
-        over the rows; None where H_QQ is not proven above lam + RESONANCE_RTOL * ``scale``.  lam is the
-        root of g(x) = lambda_min(H_eff(x)) - x, by Newton steps with g' = -1 - |X c_P|^2, X =
-        (H_QQ - x)^{-1} H_QP and c_P the unit lowest ``branch_vector`` of H_eff(x), from x0, the lower
-        level of H_PP (at or above lam by interlacing).  Once the kernel proves H_QQ - x0 positive
-        definite, g is concave and decreasing up to x0 and the steps descend onto lam, until one is at
-        most 4 eps ``scale``.  Where that proof fails or Newton does not converge, lam is the lowest
-        level of the row's matrix by ``eigvalsh``.  One more kernel call gives x at lam and the resonance proof."""
+        """``lowdin_coupling`` of the operator of each row of ``diagonals`` and ``weights``, batched over the rows;
+        None where H_QQ is not proven above lam + RESONANCE_RTOL * ``scale``.  lam is the root of g(x) =
+        lambda_min(H_eff(x)) - x, by Newton steps with g' = -1 - |X c_P|^2, X = (H_QQ - x)^{-1} H_QP and c_P the
+        unit lowest ``branch_vector`` of H_eff(x), from x0, the lower level of H_PP (at or above lam by
+        interlacing).  Once the kernel proves H_QQ - x0 positive definite, g is concave and decreasing up to x0 and
+        the steps descend onto lam, until one is at most 4 eps ``scale``.  Where that proof fails or Newton does
+        not converge, lam is the lowest level of the row's matrix by ``eigvalsh``, improved by one Newton step
+        where the kernel proves H_QQ - lam positive definite.  One more kernel call gives x at lam and the
+        resonance proof of rows that the proof at x0 does not cover (a fallback, or x0 within the margin)."""
         weights = np.zeros((len(diagonals), 0)) if weights is None else weights
         d, scale = diagonals[:, self.indices], self.scales(diagonals, weights)[0]
+
+        def newton(rows: np.ndarray, x: np.ndarray, prove: bool) -> tuple[np.ndarray, np.ndarray]:  # (dx, proven)
+            y, proven = self.qq.solve(d[rows, 2:] - x[:, None], _mixed(*self.qp, weights[rows]), prove, weights[rows])
+            heff = self._heff(d[rows], y, weights[rows])
+            h00, h11, v = heff[:, 0, 0].real, heff[:, 1, 1].real, heff[:, 0, 1]
+            r = np.hypot(0.5 * (h00 - h11), np.abs(v))
+            c_p = branch_vector(0.5 * (h00 - h11), v, r)
+            slope = -1.0 - np.linalg.norm(y @ (c_p / np.linalg.norm(c_p, axis=0)).T[:, :, None], axis=(1, 2)) ** 2
+            # lambda_min = min(h00, h11) - |v|^2 / (r + |h00 - h11| / 2) does not cancel where |v| is small.
+            return (np.minimum(h00, h11) - np.abs(v) * (np.abs(v) / (r + 0.5 * np.abs(h00 - h11))) - x) / slope, proven
+
         lam, todo = np.full(len(d), np.nan), np.arange(len(d))
-        x = 0.5 * (d[:, 0] + d[:, 1]) - np.hypot(0.5 * (d[:, 0] - d[:, 1]), np.abs(_mixed(*self.pp, weights)[..., 0, 1]))
+        x0 = 0.5 * (d[:, 0] + d[:, 1]) - np.hypot(0.5 * (d[:, 0] - d[:, 1]), np.abs(_mixed(*self.pp, weights)[..., 0, 1]))
+        x = x0.copy()
         with np.errstate(all="ignore"):
             for step in range(_NEWTON_STEPS):
                 if not len(todo):
                     break
-                y, proven = self.qq.solve(d[todo, 2:] - x[todo, None], _mixed(*self.qp, weights[todo]), step == 0, weights[todo])
-                heff = self._heff(d[todo], y, weights[todo])
-                h00, h11, v = heff[:, 0, 0].real, heff[:, 1, 1].real, heff[:, 0, 1]
-                r = np.hypot(0.5 * (h00 - h11), np.abs(v))
-                c_p = branch_vector(0.5 * (h00 - h11), v, r)
-                slope = -1.0 - np.linalg.norm(y @ (c_p / np.linalg.norm(c_p, axis=0)).T[:, :, None], axis=(1, 2)) ** 2
-                # lambda_min = min(h00, h11) - |v|^2 / (r + |h00 - h11| / 2) does not cancel where |v| is small.
-                dx = (np.minimum(h00, h11) - np.abs(v) * (np.abs(v) / (r + 0.5 * np.abs(h00 - h11))) - x[todo]) / slope
+                dx, proven = newton(todo, x[todo], step == 0)
                 x[todo] -= dx
                 done = proven & (dx <= 4.0 * np.finfo(float).eps * scale[todo])
                 lam[todo[done]] = x[todo[done]]
                 todo = todo[proven & ~done & np.isfinite(x[todo])]
-        for b in np.flatnonzero(np.isnan(lam)).tolist():  # row b's matrix on P and Q, assembled in place
-            h = np.tensordot(weights[b], self.parts, 1)
-            h += self.matrix
-            h[np.diag_indices_from(h)] = d[b]
-            lam[b] = np.linalg.eigvalsh(h)[0]
-        shifts, w = np.concatenate([lam, lam + RESONANCE_RTOL * scale]), np.tile(weights, (2, 1))
-        y, proven = self.qq.solve(np.tile(d[:, 2:], (2, 1)) - shifts[:, None], _mixed(*self.qp, w), True, w)
+            covered, fallback = x0 >= lam + RESONANCE_RTOL * scale, np.flatnonzero(np.isnan(lam))
+            for b in fallback.tolist():  # row b's matrix on P and Q, assembled in place
+                h = np.tensordot(weights[b], self.parts, 1)
+                h += self.matrix
+                h[np.diag_indices_from(h)] = d[b]
+                lam[b] = np.linalg.eigvalsh(h)[0]
+            dx, proven = newton(fallback, lam[fallback], True)
+            lam[fallback] -= np.where(proven & np.isfinite(dx), dx, 0.0)
+        explicit = np.flatnonzero(~covered)
+        rows, shifts = np.r_[np.arange(len(d)), explicit], np.r_[lam, lam[explicit] + RESONANCE_RTOL * scale[explicit]]
+        y, proven = self.qq.solve(d[rows, 2:] - shifts[:, None], _mixed(*self.qp, weights[rows]), True, weights[rows])
+        covered[explicit] = proven[len(d):]
         heff = self._heff(d, y[: len(d)], weights)
         return [LowdinResult(v01=complex(heff[b, 0, 1]), lam=float(lam[b]), heff=heff[b], indices=self.indices, x=y[b])
-                if proven[len(d) + b] else None for b in range(len(d))]
+                if covered[b] else None for b in range(len(d))]
 
     def proven(self, diagonals: np.ndarray, eliminations: list) -> list[LowdinResult]:
         """``eliminations`` of the rows of ``diagonals`` (no parts), or the near-resonance error of the first None."""
@@ -217,25 +225,60 @@ class _PairElimination:
             raise NearResonantIntermediateError(f"an eliminated level lies within {margin:.3e} of the working energy")
         return eliminations
 
-    def states(self, diagonals: np.ndarray, eliminations: list, weights: np.ndarray) -> list[np.ndarray | None]:
-        """Ground state of the operator of each row of ``diagonals`` and ``weights``, from
-        its elimination: c_P = ``branch_vector`` of H_eff(lam) on its lowest branch and
-        c_Q = -x c_P.  None unless r > 0, the state passes the eigensolver's residual bound
-        on the blocks that hold a target, and the kernel proves each other block free of
-        levels up to lam + RESIDUAL_RTOL |H|_F, in one batch per block."""
-        states, frobenius = [None] * len(eliminations), self.scales(diagonals, weights)[1]
+    def _parity(self, diagonal: np.ndarray, elimination: LowdinResult, scale: float, frobenius: float) -> tuple | None:
+        """(lam, x, c_P, top) on the crossing: of the two lowest levels the one with the larger pair weight, and
+        the higher level.  Where max |H - PHP| <= 16 eps |H|_F, P swapping flow modes 0 and 1 (``partner``), and the
+        pair lies in one block without parts, each of the P-even and P-odd halves holds one c_P = (1, +-1) / sqrt(2):
+        its level is the root of c_P^T H_eff(x) c_P - x, by Newton steps from the pair's lam (at or below both) in
+        two rows of one batch.  Once the kernel proves H_QQ above the higher + RESIDUAL_RTOL |H|_F, they are the
+        two lowest levels (interlacing).  Pair weights that tie to 8 eps take the lower: P-odd where v01 > 0."""
+        h, partner, (rows, cols), d = self.matrix, self.partner, self.edges, diagonal[self.indices]
+        asymmetry = max(np.max(np.abs(h[rows, cols] - h[partner[rows], partner[cols]]), initial=0.0),
+                        np.max(np.abs(d - d[partner])))
+        if len(self.parts) or self.n % 3 or not asymmetry <= 16.0 * np.finfo(float).eps * frobenius:
+            return None
+        c, x = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0), np.full(2, elimination.lam)
+        with np.errstate(all="ignore"):
+            for _ in range(_NEWTON_STEPS):
+                y = self.qq.solve(d[2:] - x[:, None], self.qp[0])[0]
+                g = np.einsum("bi,bij,bj->b", c, self._heff(np.array([d, d]), y).real, c) - x
+                x -= g / (-1.0 - np.sum((y @ c[:, :, None]) ** 2, axis=(1, 2)))
+                if (np.abs(g) <= 4.0 * np.finfo(float).eps * scale).all():
+                    break
+            else:
+                return None
+            y, proven = self.qq.solve(d[2:] - np.r_[x, x.max() + RESIDUAL_RTOL * frobenius][:, None], self.qp[0], True)
+            weight = 1.0 / (1.0 + np.sum((y[:2] @ c[:, :, None]) ** 2, axis=(1, 2)))
+        tie = abs(weight[0] - weight[1]) <= 8.0 * np.finfo(float).eps
+        odd = int(elimination.v01.real > 0.0 if tie else weight[1] > weight[0])
+        return (x[odd], y[odd], c[odd], x.max()) if proven[2] else None
+
+    def states(self, diagonals: np.ndarray, eliminations: list, weights: np.ndarray, crossing=()) -> list:
+        """Ground state of the operator of each row of ``diagonals`` and ``weights``, from its elimination:
+        c_P = ``branch_vector`` of H_eff(lam) on its lowest branch (on ``crossing`` rows, ``_parity``'s) and
+        c_Q = -x c_P.  None unless r > 0 (``_parity`` gives a level), the state passes the eigensolver's
+        residual bound on the blocks that hold a target, and the kernel proves each other block free of
+        levels up to lam (``_parity``'s top) + RESIDUAL_RTOL |H|_F, in one batch per block."""
+        (scale, frobenius), states = self.scales(diagonals, weights), [None] * len(eliminations)
+        tops = np.array([math.nan if elimination is None else elimination.lam for elimination in eliminations])
         for b, elimination in enumerate(eliminations):
             if elimination is None:
                 continue
-            lam, ((a, v), (_, c)) = elimination.lam, elimination.heff
-            eps = 0.5 * float(np.real(a - c))
-            r = math.hypot(eps, abs(v))
-            if r == 0.0:
-                continue
-            # Scaling by a power of two keeps the norm finite and changes no bit of the normalised state.
-            c_p = branch_vector(eps, v, r) * math.ldexp(1.0, -math.frexp(r)[1])
-            state = np.zeros(len(self.diagonal), dtype=np.result_type(c_p, elimination.x))
-            state[self.indices] = np.concatenate([c_p, -elimination.x @ c_p])
+            if b in crossing:
+                found = self._parity(diagonals[b], elimination, scale[b], frobenius[b])
+                if found is None:
+                    continue
+                lam, x, c_p, tops[b] = found
+            else:
+                lam, x, ((a, v), (_, c)) = elimination.lam, elimination.x, elimination.heff
+                eps = 0.5 * float(np.real(a - c))
+                r = math.hypot(eps, abs(v))
+                if r == 0.0:
+                    continue
+                # Scaling by a power of two keeps the norm finite and changes no bit of the normalised state.
+                c_p = branch_vector(eps, v, r) * math.ldexp(1.0, -math.frexp(r)[1])
+            state = np.zeros(len(self.diagonal), dtype=np.result_type(c_p, x))
+            state[self.indices] = np.concatenate([c_p, -x @ c_p])
             state /= np.linalg.norm(state)
             local, d = state[self.indices], diagonals[b, self.indices]
             product = _mixed(self.matrix @ local, self.parts @ local, weights[b])
@@ -243,7 +286,7 @@ class _PairElimination:
             if residual <= RESIDUAL_RTOL * max(abs(lam), float(np.max(np.abs(d)))):
                 states[b] = state
         tried = np.array([b for b, state in enumerate(states) if state is not None], np.intp)
-        cuts = np.array([eliminations[b].lam for b in tried]) + RESIDUAL_RTOL * frobenius[tried]
+        cuts = tops[tried] + RESIDUAL_RTOL * frobenius[tried]
         for members, layered in self.others if len(tried) else ():
             shifted = diagonals[np.ix_(tried, members)] - cuts[:, None]
             for b, free in zip(tried.tolist(), layered.solve(shifted, np.zeros((len(members), 0)), prove=True)[1]):
@@ -254,16 +297,11 @@ class _PairElimination:
 def lowdin_coupling(operator: HermitianOperator) -> LowdinResult:
     """Exact effective coupling between two flow states.
 
-    The working energy lam is the lowest level of the blocks of the operator
-    that hold a target, the target pair P and the eliminated states Q, and
-
-        H_eff = H_PP - H_PQ (H_QQ - lam)^{-1} H_QP
-
-    has lam as its lowest eigenvalue (Loewdin partitioning).  Every level of
-    H_QQ lies at or above lam (interlacing); unless it is proven above lam +
-    RESONANCE_RTOL * ``scale`` (a zero operator never passes), a near-resonant-
-    intermediate error is raised.  The result keeps x = (H_QQ - lam)^{-1} H_QP,
-    the eigenvector at lam.  It is one row of ``_PairElimination.eliminate``, checked by ``proven``.
+    The working energy lam is the lowest level of the blocks of the operator that hold a target, the
+    target pair P and the eliminated states Q, and H_eff = H_PP - H_PQ (H_QQ - lam)^{-1} H_QP has lam as
+    its lowest eigenvalue (Loewdin partitioning).  Unless H_QQ is proven above lam + RESONANCE_RTOL *
+    ``scale`` (a zero operator never passes), a near-resonant-intermediate error is raised.  The result
+    keeps x = (H_QQ - lam)^{-1} H_QP.  It is one row of ``_PairElimination.eliminate``, checked by ``proven``.
     """
     pair = _PairElimination(operator)
     return pair.proven(pair.diagonal[None], pair.eliminate(pair.diagonal[None]))[0]
@@ -297,10 +335,9 @@ EDGE_ATOL = 1e-14
 class CouplingGraph:
     """States, diagonal energies and off-diagonal couplings of a flow operator.
 
-    ``edges`` is the only store of the edges: ``edges[i]`` maps each state j
-    joined to i, inserted in ascending j, to the matrix element at [i, j];
-    below the diagonal it holds the conjugate of the entry above.  The path
-    walks follow its keys.
+    ``edges`` is the only store of the edges: ``edges[i]`` maps each state j joined to i, inserted in ascending j,
+    to the matrix element at [i, j]; below the diagonal it holds the conjugate of the entry above.  The path walks
+    follow its keys.
     """
 
     basis: FockBasis | None
@@ -323,13 +360,11 @@ class CouplingGraph:
         return hops
 
     def simple_paths(self, start: int, goal: int, max_intermediates: int) -> Iterator[tuple[int, ...]]:
-        """Yield simple paths start -> goal with at most ``max_intermediates`` states strictly
-        between the endpoints, in lexicographic order (the depth-first order over ascending
-        neighbours).  The walk keeps its own stack of one neighbour iterator per state on the
-        path, not the call stack, and yields each path as it reaches the goal.  A step is taken
-        only if the goal stays within reach, counted in hops, of the intermediates left.
-        Extending more than ``_MAX_PREFIXES`` path prefixes raises an unsupported-configuration
-        error."""
+        """Yield simple paths start -> goal with at most ``max_intermediates`` states strictly between the
+        endpoints, in lexicographic order (the depth-first order over ascending neighbours).  The walk keeps its
+        own stack of one neighbour iterator per state on the path, not the call stack, and yields each path as it
+        reaches the goal.  A step is taken only if the goal stays within reach, counted in hops, of the
+        intermediates left.  Extending more than ``_MAX_PREFIXES`` path prefixes raises a configuration error."""
         if start == goal:
             return
         hops = self._hops_to(goal)
@@ -355,10 +390,9 @@ class CouplingGraph:
 
 
 def build_coupling_graph(operator: HermitianOperator | np.ndarray) -> CouplingGraph:
-    """Graph of states joined by matrix elements larger than ``EDGE_ATOL``, read block
-    by block from an operator or a dense matrix, made a one-block ``HermitianOperator``.
-    ``diagonal`` comes from every block, the edges only from the blocks that hold a
-    ``default_flow_targets`` state (those ``lowdin_coupling`` eliminates on, which hold
+    """Graph of states joined by matrix elements larger than ``EDGE_ATOL``, read block by block from an operator
+    or a dense matrix, made a one-block ``HermitianOperator``.  ``diagonal`` comes from every block, the edges only
+    from the blocks that hold a ``default_flow_targets`` state (those ``lowdin_coupling`` eliminates on, which hold
     every path between the targets); a matrix or a one-block operator is read whole."""
     if not isinstance(operator, HermitianOperator):
         operator = HermitianOperator(operator)
@@ -378,9 +412,8 @@ def build_coupling_graph(operator: HermitianOperator | np.ndarray) -> CouplingGr
 
 
 def _loop_matrix(graph: CouplingGraph, gaps: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """(lam - H) / (lam - e_col) over ``nodes``: 1 on the diagonal,
-    -V_ij / (lam - e_j) on each edge, 0 elsewhere.  The loop matrix of a
-    subset of ``nodes`` is the submatrix on that subset."""
+    """(lam - H) / (lam - e_col) over ``nodes``: 1 on the diagonal, -V_ij / (lam - e_j) on each edge, 0 elsewhere.
+    The loop matrix of a subset of ``nodes`` is the submatrix on that subset."""
     position, gap = {node: k for k, node in enumerate(nodes.tolist())}, gaps.tolist()
     m = np.eye(len(nodes), dtype=complex)
     for row, node in enumerate(nodes.tolist()):
@@ -391,9 +424,8 @@ def _loop_matrix(graph: CouplingGraph, gaps: np.ndarray, nodes: np.ndarray) -> n
 
 
 def _loop_factors(loop: np.ndarray, eliminated: np.ndarray, intermediates: np.ndarray) -> np.ndarray:
-    """Loop determinants of the eliminated states off each path, for paths
-    with ``intermediates`` rows of equal length, where ``loop`` is the loop
-    matrix of all of ``eliminated``: one batched determinant of its
+    """Loop determinants of the eliminated states off each path, for paths with ``intermediates`` rows of equal
+    length, where ``loop`` is the loop matrix of all of ``eliminated``: one batched determinant of its
     submatrices, each of which is 1 when no state is off the path."""
     off_path = (eliminated[None, :, None] != intermediates[:, None, :]).all(axis=2)
     size = len(eliminated) - intermediates.shape[1]
@@ -402,9 +434,8 @@ def _loop_factors(loop: np.ndarray, eliminated: np.ndarray, intermediates: np.nd
 
 
 def _check_levels(graph: CouplingGraph, nodes: np.ndarray, gaps: np.ndarray, lam: float) -> None:
-    """Raise on the state of ``nodes`` whose level is nearest to lam if its gap
-    is at most RESONANCE_RTOL * max |diagonal|, so that a zero operator raises;
-    ``gaps`` holds lam - e for every state."""
+    """Raise on the state of ``nodes`` whose level is nearest to lam if its gap is at most RESONANCE_RTOL *
+    max |diagonal|, so that a zero operator raises; ``gaps`` holds lam - e for every state."""
     gap, nearest = min(zip(np.abs(gaps[nodes]).tolist(), nodes.tolist()), default=(math.inf, None))
     if gap > RESONANCE_RTOL * float(np.max(np.abs(graph.diagonal))):
         return
@@ -429,17 +460,14 @@ def _eliminated(graph: CouplingGraph, targets: tuple[int, int]) -> np.ndarray | 
 def weighted_paths(
     graph: CouplingGraph, targets: tuple[int, int], lam: float, max_order: int
 ) -> Iterator[tuple[tuple[int, ...], complex, complex]]:
-    """Yield (path, bare weight, loop factor) for each term of ``path_coupling``,
-    in the order of ``CouplingGraph.simple_paths``.
+    """Yield (path, bare weight, loop factor) for each term of ``path_coupling``, in the order of
+    ``CouplingGraph.simple_paths``.
 
-    The bare weight is the path's contribution without the loop factor: its
-    edges multiplied in path order, then the gap of each intermediate divided
-    out in path order, in Python complex arithmetic.  Each path's
-    intermediates and the eliminated states off it together make up the whole
-    eliminated component, so when a path exists that component is checked for
-    near-resonant levels once.  The loop factors are weighed in blocks of
-    paths, one batched determinant for those of each order, with at most
-    ``_BLOCK_ENTRIES`` entries in each.
+    The bare weight is the path's contribution without the loop factor: its edges multiplied in path order, then
+    the gap of each intermediate divided out in path order, in Python complex arithmetic.  Each path's
+    intermediates and the eliminated states off it make up the whole eliminated component, so when a path exists
+    that component is checked for near-resonant levels once.  The loop factors are weighed in blocks of paths,
+    one batched determinant for those of each order, with at most ``_BLOCK_ENTRIES`` entries in each.
     """
     t0, t1 = targets
     if t0 == t1:
@@ -483,24 +511,18 @@ def path_coupling(graph: CouplingGraph, targets: tuple[int, int], lam: float, ma
 
         V_{0i} V_{i.} ... V_{p1} / [(lam - e_i) ... (lam - e_p)]
 
-    multiplied by the loop-correction factor of the eliminated states off the
-    path (so a direct edge also picks up terms like
-    -V_{01} V_{23} V_{32} / ((lam - e_2)(lam - e_3))).  ``max_order`` caps the
-    number of intermediate states per path; the direct edge is order zero.
-    Summed to all orders this reproduces the exact elimination coupling up to
-    overall resolvent normalisation.
+    multiplied by the loop-correction factor of the eliminated states off the path (so a direct edge also picks
+    up terms like -V_{01} V_{23} V_{32} / ((lam - e_2)(lam - e_3))).  ``max_order`` caps the number of
+    intermediate states per path; the direct edge is order zero.  Summed to all orders this reproduces the exact
+    elimination coupling up to overall resolvent normalisation.
     """
     return sum((weight * factor for _, weight, factor in weighted_paths(graph, targets, lam, max_order)), 0j)
 
 
 def path_normalisation(graph: CouplingGraph, targets: tuple[int, int], lam: float) -> complex:
-    """Loop determinant of the eliminated states connected to the targets:
-    det(lam - H) over them, normalised by prod(lam - diagonal).
-
-    Summed to all orders, ``path_coupling`` equals the elimination coupling
-    times this factor (Loewdin partitioning written out path by path), so
-    dividing by it normalises the path sum.
-    """
+    """Loop determinant of the eliminated states connected to the targets: det(lam - H) over them, normalised by
+    prod(lam - diagonal).  Summed to all orders, ``path_coupling`` equals the elimination coupling times this
+    factor (Loewdin partitioning written out path by path), so dividing by it normalises the path sum."""
     eliminated = _eliminated(graph, targets)
     if eliminated is None or len(eliminated) == 0:
         return 1.0 + 0j
@@ -515,27 +537,22 @@ def path_normalisation(graph: CouplingGraph, targets: tuple[int, int], lam: floa
 def effective_point(params: ModelParams, dphi: float, elimination: LowdinResult | None = None) -> TwoLevelModel:
     """Two-level prediction at phase twist pi + dphi.
 
-    The coupling and the centre energy E0 come from ``elimination`` when it is
-    given, and otherwise from exact elimination in a newly built flow
-    Hamiltonian at pi + dphi.  The detuning is eps(phi),
-    which needs equal tunnelling, plus half the self-energy gap of the
-    targets, (c_0 - c_1) N (N - 1), which is zero for the contact interaction.
+    The coupling and the centre energy E0 come from ``elimination`` when it is given, and otherwise from exact
+    elimination in a newly built flow Hamiltonian at pi + dphi.  The detuning is ``_detuning(params, dphi)``, which
+    needs equal tunnelling, plus half the self-energy gap of the targets, (c_0 - c_1) N (N - 1), zero for contact.
     """
-    phi = math.pi + dphi
     c_self = _flow_interaction_coefficients(params)[0]
-    eps = epsilon_of_phi(params, phi) + (c_self[0] - c_self[1]) * params.n * (params.n - 1) / 2.0
+    eps = _detuning(params, dphi) + (c_self[0] - c_self[1]) * params.n * (params.n - 1) / 2.0
     if elimination is None:
-        elimination = lowdin_coupling(flow_sweep(params).at(phi))
+        elimination = lowdin_coupling(flow_sweep(params).at(math.pi + dphi))
     e0 = 0.5 * float(np.real(elimination.heff[0, 0] + elimination.heff[1, 1]))
     return two_level_predict(e0, eps, elimination.v01)
 
 
 def effective_report(params: ModelParams, dphi_grid: Sequence[float]) -> Table:
-    """Tabulate the two-level machinery over a grid of offsets from pi.
-
-    The flow Hamiltonian is built once, every offset eliminated in one batch (``_sweep_eliminations``)
-    and checked by ``_PairElimination.proven``.  Like ``effective_point``, it needs equal tunnelling.
-    """
+    """Tabulate the two-level machinery over a grid of offsets from pi.  The flow Hamiltonian is built once, every
+    offset eliminated in one batch (``_sweep_eliminations``) and checked by ``_PairElimination.proven``.  Like
+    ``effective_point``, it needs equal tunnelling."""
     epsilon_of_phi(params, math.pi)  # refuses unequal bonds before any layout
     dphis, sweep = np.asarray(list(dphi_grid), dtype=float), flow_sweep(params)
     pair, diagonals, _, eliminations = _sweep_eliminations(sweep, dphis)

@@ -31,15 +31,12 @@ def eigensolve(operator: HermitianOperator | np.ndarray, n_levels: int | None = 
                _values_only: bool = False) -> EigenResult:
     """Dense Hermitian diagonalization, truncated to the lowest ``n_levels`` (all by default).
 
-    An operator is solved one of its ``blocks`` at a time (a bare matrix is made
-    a one-block ``HermitianOperator``, which rejects non-Hermitian input); the
-    levels are merged in the order (energy, block, index) and embedded in the
-    full basis.  Blocks are visited from the smallest diagonal entry up; once
-    ``n_levels`` levels are held, a block is skipped when ``_levels_above``
-    proves it free of levels up to that level plus ``RESIDUAL_RTOL`` times the
-    ``frobenius`` norm.  The returned pairs pass the residual and orthonormality
-    checks; real input gives real vectors.  A caller that reads only the
-    energies passes ``_values_only`` to solve each block by ``_checked_levels``.
+    An operator is solved one of its ``blocks`` at a time (a bare matrix is made a one-block ``HermitianOperator``,
+    which rejects non-Hermitian input); the levels are merged in the order (energy, block, index) and embedded in
+    the full basis.  Blocks are visited from the smallest diagonal entry up; once ``n_levels`` levels are held, a
+    block is skipped when ``_levels_above`` proves it free of levels up to that level plus ``RESIDUAL_RTOL`` times
+    the ``frobenius`` norm.  The returned pairs pass the residual and orthonormality checks; real input gives real
+    vectors.  A caller that reads only the energies passes ``_values_only`` to solve each block by ``_checked_levels``.
     """
     if not isinstance(operator, HermitianOperator):
         operator = HermitianOperator(operator)
@@ -217,9 +214,8 @@ def spectrum_sweep(
 ) -> Table:
     """Lowest levels of the ring Hamiltonian at each phase of ``phi_grid``.
 
-    The flow Hamiltonian is built once for the sweep.  With equal tunnelling
-    it is solved one quasi-momentum block at a time; unequal bonds couple the
-    blocks, so it is diagonalized whole.  Only energies are asked for.
+    The flow Hamiltonian is built once for the sweep.  With equal tunnelling it is solved one quasi-momentum block
+    at a time; unequal bonds couple the blocks, so it is diagonalized whole.  Only energies are asked for.
     """
     phis = np.asarray(list(phi_grid), dtype=float)
     sweep = flow_sweep(params)

@@ -298,11 +298,11 @@ def test_catscan_solves_one_quasi_momentum_block_per_point(monkeypatch):
     """N = 12 has 91 flow states in blocks of 31, 30 and 30.  Both members of
     the pair lie in the 31-state block k = 0, which holds the ground level
     off the crossing and both lowest levels on it.  Off the crossing the
-    state comes from the elimination, with no dense solve; on it the other
-    two blocks are proven to hold no requested level and are skipped."""
+    state comes from the elimination, and on it from the parity halves of
+    that block, with no dense solve of any block."""
     sizes = _recorded_eigh_sizes(monkeypatch)
     catscan(ModelParams(n=12, u=0.1), [-0.3, -0.1, -0.02, 0.0, 0.02, 0.1, 0.3])
-    assert sizes == [31]
+    assert sizes == []
 
 
 def test_dipolar_row_whose_ground_state_lies_outside_the_pair_sector(tmp_path, monkeypatch):

@@ -214,26 +214,28 @@ def test_a_near_resonant_effective_offset_is_not_eliminated_again(tmp_path, pair
     assert pair_calls == {"__init__": 1, "eliminate": 1}
 
 
-def test_the_crossing_is_not_eliminated(pair_calls):
-    """On the crossing the state is the dense route's, and no elimination is laid out for it."""
-    params = ModelParams(n=3, u=0.1)
+def test_a_crossing_without_parity_is_laid_out_once_and_solved_densely(pair_calls):
+    """A dipolar crossing (U1 != 0 breaks the parity of the halves) is eliminated once, with its
+    sweep, for its analytic ratio; its state is the dense route's."""
+    params = ModelParams(n=3, u0=0.1, u1=0.05, dipolar=True)
     metrics = ground_cat_metrics(params, 0.0)
-    assert pair_calls == {"__init__": 0, "eliminate": 0}
+    assert pair_calls == {"__init__": 1, "eliminate": 1}
     operator = flow_sweep(params).at(math.pi)
     assert metrics == cat_amplitudes(crossing_pair_state(eigensolve(operator, n_levels=2).vectors, operator.basis), operator.basis)
 
 
-def test_an_equal_bond_scan_builds_no_state_on_the_crossing(monkeypatch):
-    """The crossing row, which takes the dense route, reaches ``_PairElimination.states`` without its
-    elimination, but is still eliminated for its analytic ratio."""
+def test_an_equal_bond_scan_hands_only_the_exact_crossing_to_the_parity_halves(monkeypatch):
+    """The row at dphi = 0 reaches ``_PairElimination.states`` with its elimination, as one of its
+    ``crossing`` rows; rows within ``CROSSING_DPHI_ATOL`` of it come without theirs (the dense route)."""
     given, states = [], _PairElimination.states
 
-    def spy(self, diagonals, eliminations, *weights):
-        given.append([elimination is not None for elimination in eliminations])
-        return states(self, diagonals, eliminations, *weights)
+    def spy(self, diagonals, eliminations, weights, crossing=()):
+        given.append(([elimination is not None for elimination in eliminations], list(crossing)))
+        return states(self, diagonals, eliminations, weights, crossing)
 
     monkeypatch.setattr(_PairElimination, "states", spy)
-    params, dphis = ModelParams(n=36, u=0.1), np.linspace(-0.2, 0.2, 21)
+    params, dphis = ModelParams(n=36, u=0.1), np.r_[np.linspace(-0.2, 0.2, 21), 1e-13]
     table = catscan(params, dphis)
-    assert given == [[abs(dphi) > CROSSING_DPHI_ATOL for dphi in dphis]] and sum(given[0]) == 20
-    assert table.ratio_analytic[10] == abs(effective_point(params, dphis[10]).predicted_ratio)
+    assert given == [([dphi == 0.0 or abs(dphi) > CROSSING_DPHI_ATOL for dphi in dphis], [10])]
+    assert sum(given[0][0]) == 21
+    assert table.ratio_analytic[10] == abs(effective_point(params, dphis[10]).predicted_ratio) == 1.0

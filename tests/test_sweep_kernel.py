@@ -19,11 +19,12 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from ringcat import ModelParams, NearResonantIntermediateError, catscan, cli, flow_sweep, lowdin_coupling, solver
 from ringcat.effective import RESONANCE_RTOL, _PairElimination, _sweep_eliminations
+from ringcat.basis import enumerate_fock
 from ringcat.hamiltonians import HermitianOperator
 from ringcat.solver import _Layered
 
@@ -56,12 +57,15 @@ def _ground_level(h: np.ndarray) -> float:
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(params=st.one_of(contact, dipolar), dphi=st.floats(-0.4, 0.4))
+@example(params=ModelParams(n=17, u0=0.015625, u1=0.25, dipolar=True), dphi=0.28125)
 def test_kernel_matches_the_dense_elimination(params, dphi):
     """Contact and dipolar operators up to N = 36 and U/J = 1, pairs in one block
     or split over two (N mod 3 != 0):
 
     - Newton's lam lies within 10 eps |H|_2 of the ground level of the pair block
-      (at most 6.8 eps |H|_2 was seen over 400 random cases);
+      (at most 6.8 eps |H|_2 was seen over 400 random cases); where the proof at
+      x0 fails, ``eigvalsh``'s lam and one proven Newton step from it (the N = 17
+      example: ``eigvalsh`` alone was 15.9 eps |H|_2 off);
     - given the same lam, x and v01 agree with a dense LU solve to 1e-12
       relative, plus 10 eps |H|_2 / gap for an eliminated level a gap above lam;
     - the proof verdicts at shifts off the lowest level of H_QQ and of every
@@ -104,6 +108,39 @@ def test_kernel_matches_the_dense_elimination(params, dphi):
             cut = lowest + offset * norm
             proven = layered.solve((pair.diagonal[members] - cut)[None], np.zeros((len(members), 0)), prove=True)[1]
             assert proven[0] == (offset < 0) == _dense_passes(matrix - cut * np.eye(len(matrix)))
+
+
+@pytest.mark.parametrize("level, proven", [(1e-10, False), (1e-8, True)])
+def test_a_row_whose_start_lies_within_the_margin_takes_the_explicit_resonance_proof(level, proven, monkeypatch):
+    """The proof at x0 covers the resonance margin lam + RESONANCE_RTOL |H|_max (1e-9 here) only where x0 lies
+    that far above lam.  Here a coupling of 1e-7 to a level at 10 puts lam 1e-15 below x0 = 0, so the row,
+    Newton's at its first step, takes the explicit proof too, and an eliminated level at 1e-10 fails it."""
+    h = np.diag([0.0, 5.0, level, 1.0, 10.0, 10.0])  # the flow states of N = 2; the targets are 0 and 3
+    h[0, 4] = h[4, 0] = 1e-7
+    pair = _PairElimination(HermitianOperator(h, enumerate_fock(2, "flow")))
+    calls, solve = [], _Layered.solve
+
+    def spy(self, diagonals, rhs, prove=False, weights=None):
+        calls.append((len(diagonals), prove))
+        return solve(self, diagonals, rhs, prove, weights)
+
+    monkeypatch.setattr(_Layered, "solve", spy)
+    with mock.patch.object(np.linalg, "eigvalsh", wraps=_TRUE["eigvalsh"]) as eigvalsh:
+        (result,) = pair.eliminate(pair.diagonal[None])
+    assert not eigvalsh.called and calls[0] == (1, True) and calls[-1] == (2, True)
+    assert (result is not None) == proven
+
+
+def test_rows_whose_start_proof_covers_the_margin_take_no_explicit_proof(monkeypatch):
+    calls, solve = [], _Layered.solve
+
+    def spy(self, diagonals, rhs, prove=False, weights=None):
+        calls.append((len(diagonals), prove))
+        return solve(self, diagonals, rhs, prove, weights)
+
+    monkeypatch.setattr(_Layered, "solve", spy)
+    *_, eliminations = _sweep_eliminations(flow_sweep(ModelParams(n=36, u=0.1)), np.linspace(-0.2, 0.2, 21))
+    assert calls[-1] == (21, True) and None not in eliminations
 
 
 def test_batched_rows_equal_single_rows_bit_for_bit():
