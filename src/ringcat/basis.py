@@ -100,9 +100,7 @@ def _ladder(
     # a^l |n> = sqrt(n!/(n-l)!) |n-l> and (a^+)^r |k> = sqrt((k+r)!/k!) |k+r>:
     # both factorial ratios count up from the lowered occupation k = n - l.
     for m in range(3):
-        for step in range(annihilate[m]):
-            product *= lowered[:, m] + 1 + step
-        for step in range(create[m]):
+        for step in (*range(annihilate[m]), *range(create[m])):
             product *= lowered[:, m] + 1 + step
     raised = lowered + np.asarray(create)
     return _ranks(raised), sources, np.sqrt(product.astype(float))
@@ -151,12 +149,9 @@ def embed_single_flow(n: int, k: int) -> np.ndarray:
         raise InvalidOccupationError(f"need at least one particle, got n={n}")
     if k not in (0, 1, 2):
         raise InvalidModeError(f"flow mode index must be 0, 1 or 2, got {k}")
-    basis = enumerate_fock(n, "site")
-    vec = np.zeros(basis.dimension, dtype=complex)
-    for i, (na, nb, nc) in enumerate(basis.states):
-        multinomial = math.comb(n, na) * math.comb(n - na, nb)
-        vec[i] = math.sqrt(multinomial / 3.0**n) * np.exp(-2j * np.pi * k * (nb + 2 * nc) / 3.0)
-    return vec
+    occ = enumerate_fock(n, "site").occupations
+    multinomial = np.array([math.comb(n, na) * math.comb(n - na, nb) for na, nb, _ in occ.tolist()], dtype=float)
+    return np.sqrt(multinomial / 3.0**n) * np.exp(-2j * np.pi * k * (occ[:, 1] + 2 * occ[:, 2]) / 3.0)
 
 
 def mode_transform_matrix(n: int) -> np.ndarray:
@@ -177,9 +172,8 @@ def mode_transform_matrix(n: int) -> np.ndarray:
         flow = enumerate_fock(m + 1, "flow").occupations
         mode = np.argmax(flow > 0, axis=1)
         parents = w[:, _ranks(flow - _UNIT[mode])] / np.sqrt(flow[np.arange(len(flow)), mode])
-        grown = np.zeros((len(flow), len(flow)), dtype=complex)
+        w = np.zeros((len(flow), len(flow)), dtype=complex)
         for j in range(3):
             targets, sources, amplitudes = _ladder(site, create=_UNIT[j], annihilate=(0, 0, 0))
-            grown[targets] += amplitudes[:, None] * parents[sources] * MODE_PHASES[j, mode]
-        w = grown
+            w[targets] += amplitudes[:, None] * parents[sources] * MODE_PHASES[j, mode]
     return w

@@ -90,8 +90,7 @@ def crossing_pair_state(vectors: np.ndarray, basis: FockBasis) -> np.ndarray:
         return vectors[:, 0]
     a = _pair_projections(vectors, basis)  # (2, n_vectors)
     gram = a.conj().T @ a
-    eigvals, eigvecs = np.linalg.eigh(gram)
-    return vectors @ eigvecs[:, -1]
+    return vectors @ np.linalg.eigh(gram)[1][:, -1]
 
 
 def _dense_metrics(sweep: PhaseSweep, dphi: float) -> CatMetrics:

@@ -96,13 +96,12 @@ def parse_grid(text: str, key: str) -> np.ndarray:
             raise ValueError("start, stop, stop - start and a single value must be finite")
         if len(parts) == 1:
             return np.array(values)
-        start, stop = values
         count = int(parts[2])
         if count < 1:
             raise ValueError("count must be >= 1")
-        if start > stop:
+        if values[0] > values[1]:
             raise ValueError("start must not exceed stop")
-        return np.linspace(start, stop, count)
+        return np.linspace(*values, count)
     except ValueError as exc:
         raise ConfigError(f"invalid grid for '{key}': {text!r} ({exc})") from None
 
@@ -113,11 +112,9 @@ def parse_tunnelling(text: str) -> tuple[float, float, float]:
         parts = [float(v) for v in text.split(",")]
     except ValueError:
         raise ConfigError(f"invalid tunnelling strengths: {text!r}") from None
-    if len(parts) == 1:
-        return (parts[0],) * 3
-    if len(parts) == 3:
-        return tuple(parts)  # type: ignore[return-value]
-    raise ConfigError(f"expected one or three tunnelling strengths, got {text!r}")
+    if len(parts) not in (1, 3):
+        raise ConfigError(f"expected one or three tunnelling strengths, got {text!r}")
+    return tuple(parts * 3 if len(parts) == 1 else parts)  # type: ignore[return-value]
 
 
 def load_config_file(path: str, command: str) -> dict[str, object]:
@@ -135,9 +132,8 @@ def load_config_file(path: str, command: str) -> dict[str, object]:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-        key, _, value = line.partition("=")
-        key = key.strip().replace("-", "_")
-        value = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        key = key.replace("-", "_")
         if key not in keys:
             raise ConfigError(f"{path}:{lineno}: key {key!r} is not an option of '{command}'")
         if not value:
@@ -192,15 +188,8 @@ def resolve_options(args: argparse.Namespace) -> dict:
 
 
 def model_params(opts: dict) -> ModelParams:
-    return ModelParams(
-        n=opts["n"],
-        j=opts["j"],
-        u=opts["u"],
-        u0=opts["u0"],
-        u1=opts["u1"],
-        phi=float(opts["grid"][0]) if "phi" in opts else math.pi,
-        dipolar=opts["dipolar"],
-    )
+    phi = float(opts["grid"][0]) if "phi" in opts else math.pi
+    return ModelParams(**{key: opts[key] for key in ("n", "j", "u", "u0", "u1", "dipolar")}, phi=phi)
 
 
 def config_comment(opts: dict) -> str:

@@ -287,7 +287,7 @@ class _PairElimination:
                 states[b] = state
         tried = np.array([b for b, state in enumerate(states) if state is not None], np.intp)
         cuts = tops[tried] + RESIDUAL_RTOL * frobenius[tried]
-        for members, layered in self.others if len(tried) else ():
+        for members, layered in self.others:
             shifted = diagonals[np.ix_(tried, members)] - cuts[:, None]
             for b, free in zip(tried.tolist(), layered.solve(shifted, np.zeros((len(members), 0)), prove=True)[1]):
                 states[b] = states[b] if free else None

@@ -28,10 +28,9 @@ Both bases are assembled from ladder terms applied to all states at once
 and returned as a ``PhaseSweep`` H(phi) = H_0 + e^{i phi/3} A + h.c.
 """
 
-import dataclasses
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -86,7 +85,7 @@ class ModelParams:
     def with_phi(self, phi: float) -> "ModelParams":
         if float(phi) == self.phi:
             return self
-        return dataclasses.replace(self, phi=float(phi))
+        return replace(self, phi=float(phi))
 
 
 def _hermitian(matrix, atol: float = 1e-12) -> np.ndarray:
@@ -200,15 +199,9 @@ def _flow_interaction_coefficients(params: ModelParams) -> tuple[tuple[float, ..
     terms built on mode m hold the pairs with K = -m mod 3, so
     G = (U0 + 2 U1, U0 - U1, U0 - U1).
     """
-    if params.dipolar:
-        strengths = (params.u0 + 2.0 * params.u1, params.u0 - params.u1, params.u0 - params.u1)
-    else:
-        strengths = (params.u,) * 3
-    return (
-        tuple(g / 3.0 for g in strengths),
-        tuple(4.0 * g / 3.0 for g in strengths),
-        tuple(2.0 * g / 3.0 for g in strengths),
-    )
+    u0, u1 = params.u0, params.u1
+    strengths = (u0 + 2.0 * u1, u0 - u1, u0 - u1) if params.dipolar else (params.u,) * 3
+    return tuple(tuple(factor * g / 3.0 for g in strengths) for factor in (1.0, 4.0, 2.0))
 
 
 def _printed_dipolar_coefficients(params: ModelParams) -> tuple[tuple[float, ...], ...]:
@@ -217,11 +210,8 @@ def _printed_dipolar_coefficients(params: ModelParams) -> tuple[tuple[float, ...
     The tests record its relation to the conjugated site operator: at U1 = 0
     it is half of it.
     """
-    return (
-        ((params.u0 + params.u1) / 6.0,) * 3,
-        ((4.0 * params.u0 + params.u1) / 6.0,) * 3,
-        ((2.0 * params.u0 - params.u1) / 6.0,) * 3,
-    )
+    u0, u1 = params.u0, params.u1
+    return tuple((c / 6.0,) * 3 for c in (u0 + u1, 4.0 * u0 + u1, 2.0 * u0 - u1))
 
 
 #: The directed bonds (p, q) of the ring, in the order of ModelParams.j.
@@ -305,8 +295,7 @@ def site_sweep(params: ModelParams) -> PhaseSweep:
         for p, q in _BONDS:
             _add_exchange(base, sectors, occ, 2 * _UNIT[p], 2 * _UNIT[q], params.u1)
     bonds = np.zeros((3, 3), dtype=complex)
-    for (p, q), j_pq in zip(_BONDS, params.j):
-        bonds[p, q] = -j_pq
+    bonds[tuple(np.transpose(_BONDS))] = np.negative(params.j)
     return PhaseSweep(params, basis, sectors, base, *_hopping(occ, bonds))
 
 

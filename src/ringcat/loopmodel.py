@@ -21,6 +21,8 @@ import numpy as np
 from .errors import UnsupportedConfigurationError
 from .util import Table, level_rows
 
+_MODEL_STEPS = 12  #: Model points tried in a bracket of ``_barrier_levels``, after which it only bisects.
+
 
 @dataclass(frozen=True)
 class LoopParams:
@@ -89,8 +91,11 @@ def _barrier_levels(params: LoopParams, phis: np.ndarray, k_max: int, n_levels: 
 
     In the gauge u -> 1 the barrier (b/L)(u u^+ - I), u_k = e^{-2 pi i k x0/L}, is rank one: each
     level solves 1 + (b/L) sum_k 1/(a_k - E) = 0 with a_k = C (k - phi/2pi)^2 - b/L (Golub, SIAM
-    Rev. 15, 318 (1973)).  The sorted a_k interlace the levels; each is bisected in its own bracket
-    until the midpoint equals an end, so coincident a_k give their deflated level exactly.
+    Rev. 15, 318 (1973)).  The sorted a_k interlace the levels, each sought in its own bracket by the two-pole
+    iteration of ``_secular`` (Bunch, Nielsen & Sorensen, Numer. Math. 31, 31 (1978)).  A model point up to 2 ulps
+    outside the bracket moves to the float inside its end; one further out, and any after ``_MODEL_STEPS`` of them,
+    gives way to the midpoint.  The computed secular function is monotone in E, so each level ends on the pair of
+    adjacent floats that bisection ends on, where its sign changes; coincident a_k give their deflated level exactly.
     """
     if k_max < 1:
         raise UnsupportedConfigurationError(f"k_max must be >= 1, got {k_max}")
@@ -120,18 +125,42 @@ def _barrier_levels(params: LoopParams, phis: np.ndarray, k_max: int, n_levels: 
             continue
         ends = np.hstack([a, edge] if rho > 0 else [edge, a])
         lo, hi = ends[:, :n_levels].flatten(), ends[:, 1 : n_levels + 1].flatten()  # copies: they overlap
-        todo = np.arange(lo.size)
-        while todo.size:
+        bottom, top, steps, todo, probe = lo.copy(), hi.copy(), np.zeros(lo.size, int), np.arange(lo.size), lo + np.nan
+        while True:
             mid = 0.5 * (lo[todo] + hi[todo])
             inside = (mid != lo[todo]) & (mid != hi[todo])
-            todo, mid = todo[inside], mid[inside]
-            with np.errstate(over="ignore", invalid="ignore"):  # a pole closer than 1/DBL_MAX dominates
-                secular = 1.0 + rho * np.sum(1.0 / (a[todo // n_levels] - mid[:, None]), axis=1)
-            above = (secular < 0.0) == (rho > 0.0)  # the root lies above the midpoint
-            lo[todo[above]] = mid[above]
-            hi[todo[~above]] = mid[~above]
+            todo, mid, probe = todo[inside], mid[inside], probe[inside]
+            if not todo.size:
+                break
+            x = np.clip(probe, np.nextafter(lo[todo], np.inf), np.nextafter(hi[todo], -np.inf))
+            model = (np.abs(x - probe) <= 2.0 * np.spacing(np.abs(x))) & (steps[todo] < _MODEL_STEPS)
+            x = np.where(model, x, mid)
+            steps[todo] += model
+            above, probe = _secular(a[todo // n_levels], x, rho, x - bottom[todo], top[todo] - x)
+            lo[todo[above]] = x[above]
+            hi[todo[~above]] = x[~above]
         levels[start : start + step] = (0.5 * (lo + hi)).reshape(-1, n_levels)
     return levels
+
+
+def _secular(a: np.ndarray, x: np.ndarray, rho: float, d_lo: np.ndarray, d_hi: np.ndarray) -> tuple:
+    """(above, next) at each x: whether the secular function, summed over x's row of the sorted ``a`` in its order,
+    puts the root above x, and the root in the bracket (the minus sign of c tau^2 - B tau - C0 = 0, E = x + tau) of
+    c - s/(E - a_lo) + t/(a_hi - E), matched to g = sign(rho) (1 + rho sum_k 1/(a_k - E)) and the slopes of its sums
+    below and above x = a_lo + ``d_lo`` = a_hi - ``d_hi`` (s or t is 0 at an edge).  A root within 2 units of x moves
+    a unit past it, to close the bracket from the far side; a unit is an ulp, or eps / g' where g is flat over more."""
+    with np.errstate(all="ignore"):  # a pole closer than 1/DBL_MAX dominates
+        terms = 1.0 / (a - x[:, None])
+        secular = 1.0 + rho * np.sum(terms, axis=1)
+        above, g, lower = (secular < 0.0) == (rho > 0.0), math.copysign(1.0, rho) * secular, terms < 0.0
+        terms *= abs(rho) * terms
+        below, beyond = np.sum(terms, axis=1, where=lower), np.sum(terms, axis=1, where=~lower)
+        c = g + below * d_lo - beyond * d_hi
+        b, c0 = c * (d_hi - d_lo) + below * d_lo**2 + beyond * d_hi**2, d_lo * d_hi * g
+        root = np.sqrt(b * b + 4.0 * c * c0)
+        tau = np.where(b <= 0.0, (b - root) / (2.0 * c), -2.0 * c0 / (b + root))
+        unit = np.maximum(np.spacing(np.abs(x)), np.finfo(float).eps / (below + beyond))
+        return above, x + np.where(np.abs(tau) <= 2.0 * unit, tau + np.where(above, unit, -unit), tau)
 
 
 def delta_interaction_expectation(occupations: Sequence[int], v: float) -> float:

@@ -167,7 +167,7 @@ class _Layered:
         rhs, proven = np.broadcast_to(rhs, (len(diagonals), *rhs.shape[-2:])), np.ones(len(diagonals), bool)
         size = max(1, _BATCH_ENTRIES // (sum(u.size + len(rows) * rhs.shape[2] for rows, _, _, u, _ in self.layers) or 1))
         y = np.empty(rhs.shape, np.result_type(self.dtype, diagonals, rhs))
-        for chunk in (slice(start, start + size) for start in range(0, len(diagonals) or 1, size)):
+        for chunk in (slice(start, start + size) for start in range(0, len(diagonals), size)):
             d, b, ok, eliminated = diagonals[chunk], rhs[chunk], proven[chunk], []  # ok is a view: &= marks proven
             for rows, block, lower, upper, parts in self.layers:
                 width = len(rows)

@@ -14,11 +14,13 @@ from ringcat import (
     LoopParams,
     UnsupportedConfigurationError,
     applied_phase_velocity,
+    cli,
     delta_interaction_expectation,
     loop_coupling_v01,
     loop_single_energy,
     loop_spectrum_with_barrier,
     loop_sweep,
+    loopmodel,
     single_flow_energy,
 )
 
@@ -275,18 +277,19 @@ def test_secular_levels_match_dense_matrix(length, barrier, x0_fraction, k_max, 
 
 
 def _mp_secular_levels(params: LoopParams, phi: float, k_max: int, n_levels: int) -> list:
-    """Lowest roots of 1 + rho sum_k 1/(a_k - E) = 0 for rho > 0, bisected in
-    40-digit arithmetic from the float inputs."""
+    """Lowest roots of 1 + rho sum_k 1/(a_k - E) = 0, bisected in 40-digit arithmetic from the float inputs
+    between neighbouring a_k and the edge a_top + rho dim (rho > 0) or a_0 + rho dim (rho < 0)."""
     with mpmath.workdps(40):
         rho = mpmath.mpf(params.barrier) / mpmath.mpf(params.length)
         shift = mpmath.mpf(phi) / (2 * mpmath.pi)
         a = sorted(mpmath.mpf(params.c_energy) * (k - shift) ** 2 - rho for k in range(-k_max, k_max + 1))
+        ends = a + [a[-1] + rho * len(a)] if rho > 0 else [a[0] + rho * len(a)] + a
         levels = []
         for i in range(n_levels):
-            lo, hi = a[i], a[i + 1]
+            lo, hi = ends[i], ends[i + 1]
             for _ in range(80):
                 mid = (lo + hi) / 2
-                if 1 + rho * mpmath.fsum(1 / (ak - mid) for ak in a) < 0:
+                if (1 + rho * mpmath.fsum(1 / (ak - mid) for ak in a) < 0) == (rho > 0):
                     lo = mid
                 else:
                     hi = mid
@@ -296,15 +299,86 @@ def _mp_secular_levels(params: LoopParams, phi: float, k_max: int, n_levels: int
 
 def test_barrier_levels_match_high_precision_secular_roots():
     """At k_max = 128 the lowest levels sit within 1e-14 C of a 40-digit
-    solution; a dense solve is off by about eps |H| ~ 1e-12 C there."""
-    params = LoopParams(barrier=0.1)
-    c = params.c_energy
+    solution, for either sign of the barrier; a dense solve is off by about
+    eps |H| ~ 1e-12 C there."""
     phis = np.linspace(0.0, 2.0 * math.pi, 81)
-    for phi in phis[[17, 33, 52]]:
-        got = loop_spectrum_with_barrier(params, phi, k_max=128, n_levels=4)
-        exact = _mp_secular_levels(params, float(phi), 128, 4)
-        errors = [abs(mpmath.mpf(float(g)) - e) for g, e in zip(got, exact)]
-        assert max(errors) < 1e-14 * c
+    for params in (LoopParams(barrier=0.1), LoopParams(barrier=-0.1)):
+        for phi in phis[[17, 33, 52]]:
+            got = loop_spectrum_with_barrier(params, phi, k_max=128, n_levels=4)
+            exact = _mp_secular_levels(params, float(phi), 128, 4)
+            errors = [abs(mpmath.mpf(float(g)) - e) for g, e in zip(got, exact)]
+            assert max(errors) < 1e-14 * params.c_energy
+
+
+def _bisected_levels(params: LoopParams, phis: np.ndarray, k_max: int, n_levels: int) -> np.ndarray:
+    """Reference: each barrier level bisected in its bracket until the midpoint equals an end, with the
+    secular sum taken over the sorted a_k as ``loopmodel._secular`` takes it."""
+    rho, dim = params.barrier / params.length, 2 * k_max + 1
+    shifts = np.arange(-k_max, k_max + 1) - phis[:, None] / (2.0 * math.pi)
+    a = np.sort(params.c_energy * shifts**2 - rho, axis=1)
+    if rho == 0.0:
+        return a[:, :n_levels]
+    ends = np.hstack([a, a[:, -1:] + rho * dim] if rho > 0 else [a[:, :1] + rho * dim, a])
+    lo, hi = ends[:, :n_levels].flatten(), ends[:, 1 : n_levels + 1].flatten()
+    todo = np.arange(lo.size)
+    while todo.size:
+        mid = 0.5 * (lo[todo] + hi[todo])
+        inside = (mid != lo[todo]) & (mid != hi[todo])
+        todo, mid = todo[inside], mid[inside]
+        with np.errstate(over="ignore", invalid="ignore"):
+            secular = 1.0 + rho * np.sum(1.0 / (a[todo // n_levels] - mid[:, None]), axis=1)
+        above = (secular < 0.0) == (rho > 0.0)
+        lo[todo[above]] = mid[above]
+        hi[todo[~above]] = mid[~above]
+    return (0.5 * (lo + hi)).reshape(-1, n_levels)
+
+
+_POLES = (0.0, math.pi, 2.0 * math.pi)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    length=st.floats(0.2, 5.0),
+    magnitude=st.one_of(st.sampled_from([5e-324, 1e-310, 1e-12]), st.floats(1e-12, 20.0)),
+    sign=st.sampled_from([1.0, -1.0]),
+    k_max=st.integers(1, 64),
+    level_fraction=st.floats(0.0, 1.0),
+    phis=st.lists(
+        st.one_of(
+            st.sampled_from([p + d for p in _POLES for d in (0.0, 1e-9, -1e-9)]),
+            st.sampled_from(np.linspace(-7.0, 7.0, 29).tolist()),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+@example(length=1.0, magnitude=0.1, sign=1.0, k_max=64, level_fraction=1.0, phis=[0.0, math.pi, 1e-9, 2.0 * math.pi])
+@example(length=1.0, magnitude=3.0, sign=-1.0, k_max=40, level_fraction=0.25, phis=[-7.0, 0.0, -1e-9, 1e-9])
+@example(length=1.0, magnitude=1e-12, sign=1.0, k_max=64, level_fraction=1.0, phis=[0.0, 1.0])
+@example(length=1.0, magnitude=5e-324, sign=-1.0, k_max=3, level_fraction=1.0, phis=[0.0, math.pi])
+def test_barrier_levels_equal_bisection_bit_for_bit(length, magnitude, sign, k_max, level_fraction, phis):
+    """Every level of the two-pole iteration is the pair of adjacent floats that bisection ends on, for both
+    barrier signs, |b| from subnormal to 20, phases at and within 1e-9 of coincident poles, and every bracket
+    up to the top one."""
+    params = LoopParams(length=length, barrier=sign * magnitude)
+    n_levels = 1 + int(level_fraction * 2 * k_max)
+    phis = np.array(phis)
+    got = loopmodel._barrier_levels(params, phis, k_max, n_levels)
+    assert got.tobytes() == _bisected_levels(params, phis, k_max, n_levels).tobytes()
+
+
+def test_the_default_loop_grid_takes_at_most_20_evaluations_per_block(tmp_path, monkeypatch):
+    """``loop --kmax 128`` solves its 81 phases x 4 levels in two blocks of at most 257 brackets; the
+    secular sums are evaluated at most 20 times per block, where bisection needs about 60."""
+    calls, secular = [], loopmodel._secular
+
+    def spy(a, x, *args):
+        calls.append(len(x))
+        return secular(a, x, *args)
+
+    monkeypatch.setattr(loopmodel, "_secular", spy)
+    assert cli.main(["loop", "--kmax", "128", "--out", str(tmp_path / "loop.csv")]) == 0
+    assert 0 < len(calls) <= 20 * math.ceil(81 / (257 // 4))
 
 
 def test_sweep_rejects_an_empty_plane_wave_cutoff():

@@ -364,3 +364,26 @@ def test_a_long_batch_is_solved_in_chunks_of_bounded_memory(monkeypatch):
     for b in (0, 1, 2, 199, 399):
         single, _ = layered.solve(diagonals[b : b + 1], rhs, prove=True)
         np.testing.assert_array_equal(y[b], single[0])
+
+
+def test_an_empty_batch_is_returned_at_once(monkeypatch):
+    """A batch of no rows eliminates no layer: y has no rows and nothing is proven."""
+    layered = _Layered(np.diag([2.0, 3.0, 4.0]) + np.diag([1.0, 1.0], 1) + np.diag([1.0, 1.0], -1))
+    monkeypatch.setattr(np.linalg, "solve", None)
+    monkeypatch.setattr(np.linalg, "cholesky", None)
+    y, proven = layered.solve(np.zeros((0, 3)), np.ones((3, 2)), prove=True)
+    assert y.shape == (0, 3, 2) and proven.shape == (0,)
+
+
+def test_an_equal_bond_scan_factorises_no_empty_batch(tmp_path, monkeypatch):
+    """``catscan --n 36 --dphi=-0.2:0.2:21`` has no fallback row, and the kernel factorises and
+    solves no layer for a batch of no rows."""
+    batches = []
+    for name in ("cholesky", "solve"):
+        def recorded(matrix, *args, _routine=_TRUE[name], **kwargs):
+            batches.append(np.shape(matrix)[:-2])
+            return _routine(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    assert cli.main(["catscan", "--n", "36", "--dphi=-0.2:0.2:21", "--out", str(tmp_path / "out.csv")]) == 0
+    assert batches and all(0 not in batch for batch in batches)
