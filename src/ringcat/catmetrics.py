@@ -18,11 +18,6 @@ from .hamiltonians import ModelParams, PhaseSweep, flow_sweep
 from .solver import eigensolve
 from .util import Table
 
-#: Offsets smaller than this are treated as sitting exactly on the crossing,
-#: where the two lowest levels are split only by 2|v01|.
-CROSSING_DPHI_ATOL = 1e-12
-
-
 @dataclass
 class CatMetrics:
     """Amplitudes of the two cat components in a normalised state."""
@@ -94,9 +89,9 @@ def crossing_pair_state(vectors: np.ndarray, basis: FockBasis) -> np.ndarray:
 
 
 def _dense_metrics(sweep: PhaseSweep, dphi: float) -> CatMetrics:
-    """Cat metrics at pi + dphi by ``eigensolve``: of its lowest level, or ``crossing_pair_state`` on the crossing."""
+    """Cat metrics at pi + dphi by ``eigensolve``: of its lowest level, or ``crossing_pair_state`` at dphi = 0."""
     h = sweep.at(math.pi + dphi)
-    state = crossing_pair_state(eigensolve(h, n_levels=2 if abs(dphi) <= CROSSING_DPHI_ATOL else 1).vectors, h.basis)
+    state = crossing_pair_state(eigensolve(h, n_levels=2 if dphi == 0.0 else 1).vectors, h.basis)
     return cat_amplitudes(state, h.basis)
 
 
@@ -110,16 +105,15 @@ def catscan(params: ModelParams, dphi_grid: Sequence[float]) -> Table:
     """Scan the exact cat metrics and the two-level prediction over offsets.
 
     The flow Hamiltonian is built once and, for any bonds, every offset eliminated in one batch
-    (``_sweep_eliminations``); ``_PairElimination.states`` gives the state off the crossing and, from the
-    parity halves, at dphi = 0.  ``_dense_metrics`` solves an offset's operator only on the rest of the
-    crossing or where the state is not proven.  The analytic ratio is nan with unequal bonds and where
-    the elimination meets a near-resonant level.
+    (``_sweep_eliminations``); ``_PairElimination.states`` gives each offset's ground state, and at
+    dphi = 0 the state from the parity halves.  ``_dense_metrics`` solves an offset's operator only where
+    that state is not proven.  The analytic ratio is nan with unequal bonds and where the elimination meets
+    a near-resonant level.
     """
     dphis = np.asarray(list(dphi_grid), dtype=float)
     sweep = flow_sweep(params)
     pair, diagonals, weights, eliminations = _sweep_eliminations(sweep, dphis)
-    given = [e if d == 0.0 or abs(d) > CROSSING_DPHI_ATOL else None for d, e in zip(dphis.tolist(), eliminations)]
-    states = pair.states(diagonals, given, weights, np.flatnonzero(dphis == 0.0))
+    states = pair.states(diagonals, eliminations, weights, np.flatnonzero(dphis == 0.0))
     del pair, diagonals, weights  # the dense route needs none of them: free them before it allocates
     metrics = [_dense_metrics(sweep, dphi) if state is None else cat_amplitudes(state, sweep.basis)
                for dphi, state in zip(dphis.tolist(), states)]

@@ -311,6 +311,8 @@ def _sweep_eliminations(sweep: PhaseSweep, dphis: np.ndarray) -> tuple:
     """(pair, diagonals, weights, eliminations) at the offsets ``dphis`` from pi: the ``_PairElimination`` of
     the sweep's H_0 and off-diagonal hopping, each offset's diagonal and weights (cos, sin)(phi / 3) of the
     parts, and one batched ``pair.eliminate``; with equal bonds (no part) each row is ``lowdin_coupling``'s."""
+    if not np.isfinite(dphis).all():
+        raise UnsupportedConfigurationError(f"phase offsets must be finite, got {dphis[~np.isfinite(dphis)][0]}")
     phis, off = (math.pi + dphis).tolist(), sweep.rows != sweep.cols
     pair = _PairElimination(HermitianOperator(sweep.base, sweep.basis, sweep.params, sectors=sweep.sectors),
                             (sweep.rows[off], sweep.cols[off], sweep.values[off]))

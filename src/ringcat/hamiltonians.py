@@ -30,6 +30,7 @@ and returned as a ``PhaseSweep`` H(phi) = H_0 + e^{i phi/3} A + h.c.
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -64,8 +65,8 @@ class ModelParams:
         if len(j) != 3:
             raise UnsupportedConfigurationError(f"need 3 tunnelling strengths, got {self.j!r}")
         object.__setattr__(self, "j", tuple(float(v) for v in j))
-        if self.n < 1:
-            raise UnsupportedConfigurationError(f"particle number must be >= 1, got {self.n}")
+        if not isinstance(self.n, numbers.Integral) or self.n < 1:
+            raise UnsupportedConfigurationError(f"particle number must be an integer >= 1, got {self.n!r}")
         for name in ("u", "u0", "u1", "phi"):
             value = getattr(self, name)
             object.__setattr__(self, name, float(value))

@@ -11,10 +11,12 @@ from ringcat import cli
 from ringcat import (
     ModelParams,
     NumericalContractError,
+    UnsupportedConfigurationError,
     cat_amplitudes,
     catscan,
     crossing_pair_state,
     effective_point,
+    effective_report,
     eigensolve,
     embed_single_flow,
     enumerate_fock,
@@ -321,3 +323,13 @@ def test_dipolar_row_whose_ground_state_lies_outside_the_pair_sector(tmp_path, m
     assert [float(values[key]) for key in ("a0_re", "a0_im", "a1_re", "a1_im", "captured_norm")] == [0.0] * 5
     assert math.isnan(float(values["ratio"]))
     np.testing.assert_allclose(float(values["ratio_analytic"]), 0.48706, rtol=1e-4)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "entry", [catscan, effective_report, lambda params, dphis: ground_cat_metrics(params, dphis[-1])],
+    ids=["catscan", "effective_report", "ground_cat_metrics"],
+)
+def test_non_finite_offsets_are_a_configuration_error(entry, bad):
+    with pytest.raises(UnsupportedConfigurationError, match=f"^phase offsets must be finite, got {bad}$"):
+        entry(ModelParams(n=3, u=0.1), [0.1, bad])

@@ -22,7 +22,6 @@ from ringcat import (
     ground_cat_metrics,
 )
 from ringcat import effective as effective_module
-from ringcat.catmetrics import CROSSING_DPHI_ATOL
 from ringcat.effective import _PairElimination, _sweep_eliminations
 
 TOL = 1e-10
@@ -41,8 +40,8 @@ dipolar = st.builds(
 unequal = st.builds(
     lambda n, j, u: ModelParams(n=n, j=j, u=u), st.integers(1, 12), st.tuples(bond, bond, bond), st.floats(0.01, 0.5)
 )
-#: Offsets off the crossing, from just above CROSSING_DPHI_ATOL to 0.3.
-offset = st.builds(lambda sign, exponent: sign * 10.0**exponent, st.sampled_from([-1.0, 1.0]), st.floats(-11.0, -0.5))
+#: Offsets off the crossing, from 1e-13 to 0.3.  At 1e-14 the dense gap can round to exactly 0.
+offset = st.builds(lambda sign, exponent: sign * 10.0**exponent, st.sampled_from([-1.0, 1.0]), st.floats(-13.0, -0.5))
 
 
 def _swept_state(params, dphi):
@@ -60,7 +59,7 @@ def _dense(operator):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(params=st.one_of(contact, dipolar, unequal), dphi=offset)
 def test_elimination_route_matches_the_dense_route(params, dphi):
-    assert abs(dphi) > CROSSING_DPHI_ATOL
+    assert dphi != 0.0
     operator = flow_sweep(params).at(math.pi + dphi)
     fast = ground_cat_metrics(params, dphi)
     dense, gap = _dense(operator)
@@ -116,10 +115,8 @@ def test_fallback_rows_equal_the_dense_route_exactly(params, dphis):
     sweep = flow_sweep(params)
     for dphi, row in zip(dphis, table.metrics):
         operator = sweep.at(math.pi + dphi)
-        if abs(dphi) > CROSSING_DPHI_ATOL:
-            assert _swept_state(params, dphi) is None
-        vectors = eigensolve(operator, n_levels=2 if abs(dphi) <= CROSSING_DPHI_ATOL else 1).vectors
-        assert row == cat_amplitudes(crossing_pair_state(vectors, operator.basis), operator.basis)
+        assert _swept_state(params, dphi) is None
+        assert row == cat_amplitudes(eigensolve(operator, n_levels=1).vectors[:, 0], operator.basis)
 
 
 def test_a_state_failing_the_residual_bound_falls_back(monkeypatch):
@@ -150,7 +147,7 @@ def test_split_pair_scans_match_the_dense_route(params):
     sweep = flow_sweep(params)
     for dphi, fast in zip(dphis, table.metrics):
         operator = sweep.at(math.pi + dphi)
-        if abs(dphi) <= CROSSING_DPHI_ATOL:
+        if dphi == 0.0:
             continue
         dense, gap = _dense(operator)
         atol = TOL + CONDITIONING_FACTOR * np.finfo(float).eps * np.linalg.norm(operator.matrix, 2) / gap
@@ -225,8 +222,8 @@ def test_a_crossing_without_parity_is_laid_out_once_and_solved_densely(pair_call
 
 
 def test_an_equal_bond_scan_hands_only_the_exact_crossing_to_the_parity_halves(monkeypatch):
-    """The row at dphi = 0 reaches ``_PairElimination.states`` with its elimination, as one of its
-    ``crossing`` rows; rows within ``CROSSING_DPHI_ATOL`` of it come without theirs (the dense route)."""
+    """Every row reaches ``_PairElimination.states`` with its elimination, and only the row at dphi = 0
+    as one of its ``crossing`` rows: the row at 1e-13 is eliminated like any other offset."""
     given, states = [], _PairElimination.states
 
     def spy(self, diagonals, eliminations, weights, crossing=()):
@@ -236,6 +233,5 @@ def test_an_equal_bond_scan_hands_only_the_exact_crossing_to_the_parity_halves(m
     monkeypatch.setattr(_PairElimination, "states", spy)
     params, dphis = ModelParams(n=36, u=0.1), np.r_[np.linspace(-0.2, 0.2, 21), 1e-13]
     table = catscan(params, dphis)
-    assert given == [([dphi == 0.0 or abs(dphi) > CROSSING_DPHI_ATOL for dphi in dphis], [10])]
-    assert sum(given[0][0]) == 21
+    assert given == [([True] * 22, [10])]
     assert table.ratio_analytic[10] == abs(effective_point(params, dphis[10]).predicted_ratio) == 1.0

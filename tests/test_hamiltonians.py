@@ -50,6 +50,17 @@ def test_params_validation():
         ModelParams(n=2, phi=math.nan)
 
 
+@pytest.mark.parametrize("n", [2.5, 3.0, "3", None])
+def test_the_particle_number_must_be_an_integer(n):
+    with pytest.raises(UnsupportedConfigurationError, match=f"particle number must be an integer >= 1, got {n!r}"):
+        ModelParams(n=n)
+
+
+@pytest.mark.parametrize("n", [3, np.int64(3), np.uint8(3)])
+def test_python_and_numpy_integers_are_particle_numbers(n):
+    assert ModelParams(n=n).n == 3 and flow_sweep(ModelParams(n=n, u=0.1)).basis.dimension == 10
+
+
 def test_operator_rejects_non_hermitian_and_wrong_shape():
     basis = enumerate_fock(1)
     bad = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])

@@ -7,7 +7,8 @@ P-odd half, each holding one of (|N,0,0> +- |0,N,0>) / sqrt(2).
 reports the one with the larger pair weight.  The reference is the dense route:
 the top eigenvector of the Gram matrix of the two lowest levels of
 ``eigensolve`` (``crossing_pair_state``), which for these operators is that
-same level up to rounding.
+same level up to rounding.  Only dphi = 0 is the crossing: a row next to it is
+the ground state, checked against a 40-digit one.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from ringcat import (
     ModelParams, cat_amplitudes, catscan, cli, crossing_pair_state, effective_point, eigensolve, flow_sweep, solver,
 )
 from ringcat import catmetrics as catmetrics_module
-from ringcat.catmetrics import CROSSING_DPHI_ATOL
+from ringcat.effective import default_flow_targets
 
 
 def _dense_crossing(params: ModelParams, dphi: float = 0.0):
@@ -60,17 +61,51 @@ def test_equal_bond_contact_scans_call_no_dense_eigensolver(tmp_path, dense_call
     [
         (ModelParams(n=6, u0=0.1, u1=0.05, dipolar=True), 0.0),  # dipolar U1 != 0 breaks P
         (ModelParams(n=9, u0=0.1, u1=-0.05, dipolar=True), 0.0),
-        (ModelParams(n=6, u=0.1), 1e-12),  # on the crossing, not at dphi = 0
-        (ModelParams(n=6, u=0.1), -5e-13),
         (ModelParams(n=7, u=0.1), 0.0),  # a split pair
         (ModelParams(n=6, j=(1.0, 0.9, 1.1), u=0.1), 0.0),  # unequal bonds
     ],
 )
 def test_crossing_rows_without_the_parity_halves_take_the_dense_route(params, dphi, dense_calls):
-    assert abs(dphi) <= CROSSING_DPHI_ATOL
+    assert dphi == 0.0
     row = catscan(params, [dphi]).metrics[0]
     assert "eigensolve" in dense_calls
     assert row == _dense_crossing(params, dphi)
+
+
+def _ground_pair_to_40_digits(operator) -> tuple[float, float]:
+    """(|a0| / |a1|, |a0|^2 + |a1|^2) of the ground state, the lowest level of the block holding the pair by a
+    40-digit ``mpmath.eigsy`` of that float block, checked below the lowest level of every other block."""
+    t0, t1 = default_flow_targets(operator.basis)
+    (members, block), = [(m, h) for m, h in zip(operator.sectors, operator.blocks) if t0 in m and t1 in m]
+    with mpmath.workdps(40):
+        energies, vectors = mpmath.eigsy(mpmath.matrix(block.tolist()))
+        low, where = min(range(len(members)), key=lambda i: energies[i]), members.tolist()
+        assert all(float(energies[low]) < np.linalg.eigvalsh(h)[0] for h in operator.blocks if h is not block)
+        a0, a1 = abs(vectors[where.index(t0), low]), abs(vectors[where.index(t1), low])
+        return float(a0 / a1), float(a0**2 + a1**2)
+
+
+@pytest.mark.parametrize(
+    "params, dphi",
+    [(ModelParams(n=6, u=0.1), 1e-12), (ModelParams(n=6, u=0.1), -5e-13)]
+    + [(ModelParams(n=12, u=0.001), dphi) for dphi in (-1e-12, -1e-13, 1e-13, 1e-12)],
+)
+def test_rows_next_to_the_crossing_are_the_ground_state(params, dphi, dense_calls):
+    """Only dphi = 0 is the crossing: a row 1e-12 from it is eliminated like any other, with no dense
+    eigensolver, and is the ground state.  At N = 12, U/J = 0.001, eps (6.9e-13 at 1e-13) is above
+    |v01| = 2.9e-14, so that state is far from a balanced cat; the dense route on the crossing wrote
+    ratios of about 0.9998 there."""
+    row = catscan(params, [dphi]).metrics[0]
+    assert dense_calls == []
+    ratio, captured_norm = _ground_pair_to_40_digits(flow_sweep(params).at(math.pi + dphi))
+    assert abs(row.ratio - ratio) <= 1e-4 * ratio
+    assert abs(row.captured_norm - captured_norm) <= 1e-10
+
+
+def test_the_n24_row_at_dphi_1e_13_matches_the_40_digit_ratio():
+    """A 40-digit ground state of N = 24, U/J = 0.01 at dphi = 1e-13 has ratio 5.48e-3; the dense route
+    on the crossing wrote 0.996."""
+    assert catscan(ModelParams(n=24, u=0.01), [1e-13]).metrics[0].ratio == pytest.approx(5.48e-3, rel=0.01)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

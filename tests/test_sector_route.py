@@ -24,11 +24,12 @@ from ringcat import (
     ground_cat_metrics,
     spectrum_sweep,
 )
-from ringcat.catmetrics import CROSSING_DPHI_ATOL
 
 TOL = 1e-10
 
-DPHIS = [0.0, CROSSING_DPHI_ATOL, -CROSSING_DPHI_ATOL, 0.05, -0.05, 0.3, -0.3]
+#: Offsets next to the crossing, whose ground state can be nearly degenerate with the next level.
+NEAR = [1e-12, -1e-12]
+DPHIS = [0.0, *NEAR, 0.05, -0.05, 0.3, -0.3]
 
 bond = st.floats(0.5, 1.5)
 bonds = st.one_of(bond, st.tuples(bond, bond, bond))
@@ -62,16 +63,21 @@ def test_sector_route_matches_dense_site_oracle(params, dphi):
     )
 
     fast = ground_cat_metrics(params, dphi)
-    crossing = abs(dphi) <= CROSSING_DPHI_ATOL
-    oracle = cat_amplitudes(crossing_pair_state(eigensolve(site, n_levels=2 if crossing else 1).vectors, site.basis), site.basis)
-    np.testing.assert_allclose(fast.captured_norm, oracle.captured_norm, rtol=TOL, atol=TOL)
+    oracle = cat_amplitudes(crossing_pair_state(eigensolve(site, n_levels=2 if dphi == 0.0 else 1).vectors, site.basis), site.basis)
     atol = amplitude_tol(params, dphi, site)
+    np.testing.assert_allclose(fast.captured_norm, oracle.captured_norm, rtol=TOL, atol=atol if dphi in NEAR else TOL)
     np.testing.assert_allclose(abs(fast.a0), abs(oracle.a0), rtol=TOL, atol=atol)
     np.testing.assert_allclose(abs(fast.a1), abs(oracle.a1), rtol=TOL, atol=atol)
 
 
 def amplitude_tol(params: ModelParams, dphi: float, site) -> float:
-    """Tolerance on |a0| and |a1|, widened on the crossing by its conditioning.
+    """Tolerance on |a0| and |a1|, widened next to and on the crossing by its conditioning.
+
+    Next to it the metrics are those of the ground state, whose dense
+    eigenvector carries an error of about eps |H|_2 / gap, the gap to the
+    next level; so does the captured norm.  Dipolar N = 2 at U0 = U1 = 0.125
+    has a gap of 1.2e-12 there, and the dense captured norm is 2e-7 off the
+    40-digit one, which the elimination route matches.
 
     On the crossing the metrics use the top eigenvector of the 2x2 Gram
     matrix of the pair projections of the two lowest levels.  Rounding of
@@ -82,7 +88,10 @@ def amplitude_tol(params: ModelParams, dphi: float, site) -> float:
     (contact interaction, N mod 3 != 0), so that any split between |a0| and
     |a1| is a ground state.  Measured |Delta| * gap stayed below 2.3e-15.
     """
-    if abs(dphi) > CROSSING_DPHI_ATOL:
+    if dphi in NEAR:
+        energies = eigensolve(site, n_levels=2).energies
+        return TOL + 10.0 * np.finfo(float).eps * np.linalg.norm(site.matrix, 2) / (energies[1] - energies[0])
+    if dphi != 0.0:
         return TOL
     vectors = eigensolve(site, n_levels=2).vectors
     pair = np.vstack([embed_single_flow(params.n, 0), embed_single_flow(params.n, 1)]).conj() @ vectors
