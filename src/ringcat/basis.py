@@ -43,9 +43,8 @@ def _as_occupation(occupation: Sequence[int]) -> Occupation:
 class FockBasis:
     """Ordered basis of 3-mode occupation triples at fixed particle number.
 
-    States are ordered lexicographically descending, so ``(N, 0, 0)`` is
-    index 0 and ``(0, 0, N)`` is last.  ``interpretation`` records whether
-    the triple means site occupations (n_a, n_b, n_c) or flow occupations
+    States are ordered lexicographically descending, so ``(N, 0, 0)`` is index 0 and ``(0, 0, N)`` is last.
+    ``interpretation`` records whether the triple means site occupations (n_a, n_b, n_c) or flow occupations
     (n_alpha, n_beta, n_gamma).
     """
 
@@ -75,9 +74,8 @@ class FockBasis:
 def _ranks(occupations: np.ndarray) -> np.ndarray:
     """Basis index of valid occupation rows (n1, n2, n3), without checks.
 
-    In the descending order the states with n2 + n3 = t start at t(t+1)/2 and
-    are ordered by increasing n3, so the rank does not depend on the particle
-    number.
+    In the descending order the states with n2 + n3 = t start at t(t+1)/2 and are ordered by increasing n3, so
+    the rank does not depend on the particle number.
     """
     tail = occupations[..., 1] + occupations[..., 2]
     return tail * (tail + 1) // 2 + occupations[..., 2]
@@ -88,9 +86,8 @@ def _ladder(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Apply prod_m (a_m^dagger)^create[m] prod_m a_m^annihilate[m] to every state.
 
-    ``occupations`` holds one state per row.  Returns (targets, sources,
-    amplitudes): the term maps row ``sources[i]`` to the state of rank
-    ``targets[i]`` with amplitude ``amplitudes[i]``, the square root of the
+    ``occupations`` holds one state per row.  Returns (targets, sources, amplitudes): the term maps row
+    ``sources[i]`` to the state of rank ``targets[i]`` with amplitude ``amplitudes[i]``, the square root of the
     falling factorials; rows the term annihilates are left out.
     """
     lowered = occupations - np.asarray(annihilate)
@@ -109,8 +106,7 @@ def _ladder(
 def enumerate_fock(n: int, interpretation: str = "site") -> FockBasis:
     """Enumerate all occupation triples with ``n`` particles.
 
-    The dimension is (n+1)(n+2)/2.  Ordering is lexicographic descending on
-    (n1, n2, n3).
+    The dimension is (n+1)(n+2)/2.  Ordering is lexicographic descending on (n1, n2, n3).
     """
     if n < 0:
         raise InvalidOccupationError(f"particle number must be non-negative, got {n}")
@@ -157,12 +153,10 @@ def embed_single_flow(n: int, k: int) -> np.ndarray:
 def mode_transform_matrix(n: int) -> np.ndarray:
     """Unitary W mapping flow-basis amplitudes to site-basis amplitudes.
 
-    Column f of W is the site-basis expansion of the flow Fock state at
-    flow-basis index f.  The columns are grown one particle at a time: a
-    state with m + 1 particles is mode_k^dagger / sqrt(n_k) applied to the
-    m-particle state it contains, for one occupied flow mode k, and
-    mode_k^dagger = sum_j MODE_PHASES[j, k] a_j^dagger.  For n = 1 this is the
-    3x3 discrete-Fourier-type matrix of the mode definitions.
+    Column f of W is the site-basis expansion of the flow Fock state at flow-basis index f.  The columns are grown
+    one particle at a time: a state with m + 1 particles is mode_k^dagger / sqrt(n_k) applied to the m-particle
+    state it contains, for one occupied flow mode k, and mode_k^dagger = sum_j MODE_PHASES[j, k] a_j^dagger.  For
+    n = 1 this is the 3x3 discrete-Fourier-type matrix of the mode definitions.
     """
     if n < 0:
         raise InvalidOccupationError(f"particle number must be non-negative, got {n}")

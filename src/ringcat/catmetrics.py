@@ -105,10 +105,9 @@ def catscan(params: ModelParams, dphi_grid: Sequence[float]) -> Table:
     """Scan the exact cat metrics and the two-level prediction over offsets.
 
     The flow Hamiltonian is built once and, for any bonds, every offset eliminated in one batch
-    (``_sweep_eliminations``); ``_PairElimination.states`` gives each offset's ground state, and at
-    dphi = 0 the state from the parity halves.  ``_dense_metrics`` solves an offset's operator only where
-    that state is not proven.  The analytic ratio is nan with unequal bonds and where the elimination meets
-    a near-resonant level.
+    (``_sweep_eliminations``); ``_PairElimination.states`` gives each offset's ground state, and at dphi = 0 the
+    state from the parity halves.  ``_dense_metrics`` solves an offset's operator only where that state is not
+    proven.  The analytic ratio is nan with unequal bonds and where the elimination meets a near-resonant level.
     """
     dphis = np.asarray(list(dphi_grid), dtype=float)
     sweep = flow_sweep(params)

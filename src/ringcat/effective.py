@@ -45,11 +45,10 @@ def _detuning(params: ModelParams, dphi: float) -> float:
 
 
 def branch_vector(eps: float, v01, signed_r: float) -> np.ndarray:
-    """Unnormalised eigenvector (c0, c1), in the dtype of ``v01``, of
-    [[eps, v01], [conj(v01), -eps]] at -signed_r: (eps - signed_r, conj(v01))
-    where exactly one of eps and signed_r is negative, so that eps + signed_r
-    may cancel, else (-v01, eps + signed_r).  Neither form squares |v01|.  On
-    arrays it works elementwise, with the pair on the leading axis."""
+    """Unnormalised eigenvector (c0, c1), in the dtype of ``v01``, of [[eps, v01], [conj(v01), -eps]] at
+    -signed_r: (eps - signed_r, conj(v01)) where exactly one of eps and signed_r is negative, so that
+    eps + signed_r may cancel, else (-v01, eps + signed_r).  Neither form squares |v01|.  On arrays it works
+    elementwise, with the pair on the leading axis."""
     cancels = np.less(eps, 0.0) != np.less(signed_r, 0.0)
     pair = np.where(cancels, (eps - signed_r, np.conj(v01)), (-v01, eps + signed_r))
     return pair.astype(np.result_type(v01))
@@ -109,9 +108,8 @@ def default_flow_targets(basis: FockBasis) -> tuple[int, int]:
 
 
 def _pair_blocks(operator: HermitianOperator) -> list[tuple[np.ndarray, np.ndarray, bool]]:
-    """(members, block, held) for each block of ``operator``, held when it holds a
-    ``default_flow_targets`` state: the blocks that the pair reduction reads.  Every block
-    of an operator without a basis is held."""
+    """(members, block, held) for each block of ``operator``, held when it holds a ``default_flow_targets``
+    state: the blocks that the pair reduction reads.  Every block of an operator without a basis is held."""
     pair = default_flow_targets(operator.basis) if operator.basis is not None else ()
     return [(m, h, not pair or any(t in m for t in pair)) for m, h in zip(operator.sectors, operator.blocks)]
 
@@ -314,7 +312,7 @@ def _sweep_eliminations(sweep: PhaseSweep, dphis: np.ndarray) -> tuple:
     if not np.isfinite(dphis).all():
         raise UnsupportedConfigurationError(f"phase offsets must be finite, got {dphis[~np.isfinite(dphis)][0]}")
     phis, off = (math.pi + dphis).tolist(), sweep.rows != sweep.cols
-    pair = _PairElimination(HermitianOperator(sweep.base, sweep.basis, sweep.params, sectors=sweep.sectors),
+    pair = _PairElimination(HermitianOperator._proven(sweep.base, sweep.basis, sweep.params, sweep.sectors),
                             (sweep.rows[off], sweep.cols[off], sweep.values[off]))
     diagonals = np.array([pair.diagonal + sweep._kinetic(phi) for phi in phis]).reshape(len(phis), len(pair.diagonal))
     weights = np.array([(math.cos(phi / 3.0), math.sin(phi / 3.0)) for phi in phis]).reshape(-1, 2)[:, : len(pair.parts)]
@@ -427,11 +425,11 @@ def _loop_matrix(graph: CouplingGraph, gaps: np.ndarray, nodes: np.ndarray) -> n
 
 def _loop_factors(loop: np.ndarray, eliminated: np.ndarray, intermediates: np.ndarray) -> np.ndarray:
     """Loop determinants of the eliminated states off each path, for paths with ``intermediates`` rows of equal
-    length, where ``loop`` is the loop matrix of all of ``eliminated``: one batched determinant of its
+    length, where ``loop`` is the loop matrix of all of ``eliminated`` (ascending): one batched determinant of its
     submatrices, each of which is 1 when no state is off the path."""
-    off_path = (eliminated[None, :, None] != intermediates[:, None, :]).all(axis=2)
-    size = len(eliminated) - intermediates.shape[1]
-    kept = np.broadcast_to(np.arange(len(eliminated)), off_path.shape)[off_path].reshape(len(intermediates), size)
+    off_path = np.ones((len(intermediates), len(eliminated)), bool)
+    off_path[np.arange(len(intermediates))[:, None], np.searchsorted(eliminated, intermediates)] = False
+    kept = np.nonzero(off_path)[1].reshape(len(intermediates), len(eliminated) - intermediates.shape[1])
     return np.linalg.det(loop[kept[:, :, None], kept[:, None, :]])
 
 
@@ -469,7 +467,8 @@ def weighted_paths(
     the gap of each intermediate divided out in path order, in Python complex arithmetic.  Each path's
     intermediates and the eliminated states off it make up the whole eliminated component, so when a path exists
     that component is checked for near-resonant levels once.  The loop factors are weighed in blocks of paths,
-    one batched determinant for those of each order, with at most ``_BLOCK_ENTRIES`` entries in each.
+    one batched determinant for the sets of intermediates of each order that are new (a factor depends only on
+    the states off the path), with at most ``_BLOCK_ENTRIES`` entries in each.
     """
     t0, t1 = targets
     if t0 == t1:
@@ -484,7 +483,7 @@ def weighted_paths(
     if block:
         _check_levels(graph, eliminated, gaps, lam)
         loop = _loop_matrix(graph, gaps, eliminated)
-        edges, gap = graph.edges, gaps.tolist()
+        edges, gap, factors = graph.edges, gaps.tolist(), {}  # the loop factor of each sorted set of intermediates
     while block:
         weights = []
         for path in block:
@@ -496,13 +495,12 @@ def weighted_paths(
             if not cmath.isfinite(weight):
                 raise NumericalContractError(f"the weight of path {tuple(map(graph.describe_state, path))} overflows")
             weights.append(weight)
-        lengths = np.array([len(path) for path in block])
-        factors = np.empty(len(block), dtype=complex)
-        for length in np.unique(lengths):
-            rows = np.flatnonzero(lengths == length)
-            nodes = np.array([block[i] for i in rows], dtype=np.intp)
-            factors[rows] = _loop_factors(loop, eliminated, nodes[:, 1:-1])
-        yield from zip(block, weights, factors.tolist())
+        sets = [tuple(sorted(path[1:-1])) for path in block]
+        new = list(dict.fromkeys(key for key in sets if key not in factors))
+        for length in sorted({len(key) for key in new}):
+            keys = [key for key in new if len(key) == length]
+            factors.update(zip(keys, _loop_factors(loop, eliminated, np.array(keys, np.intp)).tolist()))
+        yield from zip(block, weights, [factors[key] for key in sets])
         block = list(itertools.islice(paths, per_block))
 
 

@@ -8,6 +8,9 @@ Site basis (operators a, b, c on sites 0, 1, 2):
 with contact interactions U (a^2 a^2 + b^2 b^2 + c^2 c^2) (number convention
 n(n-1), no 1/2), or dipolar interactions
 U0 sum_j n_j(n_j-1) + U1 [(a^+)^2 b^2 + (b^+)^2 c^2 + (c^+)^2 a^2 + h.c.].
+The pair exchange carries no twist phase, so with U1 != 0 the spectrum is not
+2pi-periodic in phi (N = 6, U0 = 0.1, U1 = 0.05, equal bonds: E0 = -10.0949 at
+phi = 0 and -11.5047 at 2pi): a 2pi flux is a gauge transformation only without it.
 
 Flow basis: with equal tunnelling J the kinetic part is diagonal,
 
@@ -32,6 +35,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass, replace
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -45,11 +49,10 @@ _SQRT3 = math.sqrt(3.0)
 class ModelParams:
     """Physical parameters of the ring model.
 
-    ``j`` holds the three bond tunnelling strengths (a-b, b-c, c-a); a scalar
-    is broadcast to all three bonds.  ``u`` is the contact interaction, used
-    when ``dipolar`` is False; ``u0``/``u1`` are the on-site and
-    pair-exchange strengths of the dipolar variant, used when ``dipolar`` is
-    True.  ``phi`` is the applied phase twist threading the ring.
+    ``j`` holds the three bond tunnelling strengths (a-b, b-c, c-a); a scalar is broadcast to all three bonds.
+    ``u`` is the contact interaction, used when ``dipolar`` is False; ``u0``/``u1`` are the on-site and
+    pair-exchange strengths of the dipolar variant, used when ``dipolar`` is True.  ``phi`` is the applied phase
+    twist threading the ring.
     """
 
     n: int
@@ -92,8 +95,7 @@ class ModelParams:
 def _hermitian(matrix, atol: float = 1e-12) -> np.ndarray:
     """(H + H^dagger) / 2 of a square, finite ``matrix`` with max |H - H^dagger| <= ``atol``.
 
-    An exactly Hermitian ``matrix`` of float or complex dtype is returned as
-    it is, not copied.
+    An exactly Hermitian ``matrix`` of float or complex dtype is returned as it is, not copied.
     """
     m = np.asarray(matrix)
     m = m.astype(complex if np.iscomplexobj(m) else float, copy=False)
@@ -134,31 +136,37 @@ def _sectors(basis: FockBasis, params: ModelParams | None) -> tuple[np.ndarray, 
 class HermitianOperator:
     """A Hermitian operator, held as ``blocks[b]`` on ``sectors[b]``.
 
-    The sectors, each ascending, are the quasi-momentum sectors k = 0, 1, 2 of a flow
-    operator with equal tunnelling and else the whole basis.  ``matrix`` is the whole
-    dense matrix, split into blocks after checking that it does not couple the sectors,
-    or the blocks of the given ``sectors``.  Without a ``basis`` it is one block on
-    ``np.arange(n)`` (an explicit few-state model), and ``basis`` and ``params`` stay
-    None.  Each block is checked finite and Hermitian to ``hermitian_atol`` and
-    symmetrised exactly, here and nowhere else; one already exactly Hermitian is kept,
-    not copied, so it must not be changed afterwards, and a real one stays real.  The
-    ``matrix`` property assembles the dense matrix on demand.
+    The sectors, each ascending, are the quasi-momentum sectors k = 0, 1, 2 of a flow operator with equal
+    tunnelling and else the whole basis.  ``matrix`` is the whole dense matrix, split into blocks after checking
+    that it does not couple the sectors.  Without a ``basis`` it is one block on ``np.arange(n)`` (an explicit
+    few-state model), and ``basis`` and ``params`` stay None.  Each block is checked finite and Hermitian to
+    ``hermitian_atol`` and symmetrised exactly (``_proven`` takes blocks that a ``PhaseSweep`` has proven so); one
+    already exactly Hermitian is kept, not copied, so it must not be changed afterwards, and a real one stays real.
+    ``matrix`` assembles the dense matrix on demand.
     """
 
     def __init__(self, matrix, basis: FockBasis | None = None, params: ModelParams | None = None,
-                 hermitian_atol: float = 1e-12, sectors: tuple[np.ndarray, ...] | None = None):
-        self.basis, self.params = basis, params
-        if sectors is None and basis is not None:
+                 hermitian_atol: float = 1e-12):
+        self.basis, self.params, blocks, sectors = basis, params, [matrix], None
+        if basis is not None:
             (labels, sectors), matrix = _sectors(basis, params), np.asarray(matrix)
             if matrix.shape != (basis.dimension,) * 2:
                 raise NumericalContractError(f"matrix of shape {matrix.shape} does not fit {basis.dimension} states")
             leak = np.max(np.abs(matrix[labels[:, None] != labels]), initial=0.0)
             if not leak <= hermitian_atol:
                 raise NumericalContractError(f"operator couples its sectors: max |H_kk'| = {leak:.3e}")
-            matrix = [matrix[np.ix_(m, m)] for m in sectors] if len(sectors) > 1 else [matrix]
-        self.blocks = tuple(_hermitian(block, hermitian_atol) for block in ([matrix] if sectors is None else matrix))
+            blocks = [matrix[np.ix_(m, m)] for m in sectors] if len(sectors) > 1 else [matrix]
+        self.blocks = tuple(_hermitian(block, hermitian_atol) for block in blocks)
         self.sectors = (np.arange(len(self.blocks[0])),) if sectors is None else sectors
         self.dimension = sum(map(len, self.sectors))
+
+    @classmethod
+    def _proven(cls, blocks, basis: FockBasis, params: ModelParams, sectors: tuple) -> "HermitianOperator":
+        """``blocks`` on ``sectors``, proven finite and exactly Hermitian by the caller: not checked, not copied."""
+        operator = cls.__new__(cls)
+        operator.__dict__.update(basis=basis, params=params, blocks=tuple(blocks), sectors=sectors,
+                                 dimension=sum(map(len, sectors)))
+        return operator
 
     @property
     def matrix(self) -> np.ndarray:
@@ -208,8 +216,7 @@ def _flow_interaction_coefficients(params: ModelParams) -> tuple[tuple[float, ..
 def _printed_dipolar_coefficients(params: ModelParams) -> tuple[tuple[float, ...], ...]:
     """Printed dipolar flow form, kept verbatim as a comparison target.
 
-    The tests record its relation to the conjugated site operator: at U1 = 0
-    it is half of it.
+    The tests record its relation to the conjugated site operator: at U1 = 0 it is half of it.
     """
     u0, u1 = params.u0, params.u1
     return tuple((c / 6.0,) * 3 for c in (u0 + u1, 4.0 * u0 + u1, 2.0 * u0 - u1))
@@ -248,13 +255,16 @@ def _hopping(occ: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
 class PhaseSweep:
     """Ring Hamiltonian over a sweep of phase twists, built once.
 
-    H(phi) = H_0 + e^{i phi/3} A + h.c., with the real H_0 held as ``base``,
-    one dense block per sector of ``sectors`` (see ``HermitianOperator``), and
-    the hopping A as triplets A[rows, cols] = values.  In the flow basis A has
-    the diagonal -J sum_k n_k e^{-2 pi i k/3} (``_kinetic``), J the mean bond.
-    With equal tunnelling that is all of A: H(phi) is real and conserves
-    quasi-momentum.  Otherwise there is one sector, the whole basis, and the
-    rest of A enters as cos(phi/3) (A + A^dagger) + sin(phi/3) i (A - A^dagger).
+    H(phi) = H_0 + e^{i phi/3} A + h.c., with the real H_0 held as ``base``, one dense block per sector of
+    ``sectors`` (see ``HermitianOperator``), and the hopping A as triplets A[rows, cols] = values.  In the flow
+    basis A has the diagonal -J sum_k n_k e^{-2 pi i k/3} (``_kinetic``), J the mean bond.  With equal tunnelling
+    that is all of A: H(phi) is real and conserves quasi-momentum.  Otherwise there is one sector, the whole
+    basis, and the rest of A enters as cos(phi/3) (A + A^dagger) + sin(phi/3) i (A - A^dagger).
+
+    It is checked once, when built: H_0 by ``_hermitian``, and that no off-diagonal triplet lands on an
+    off-diagonal entry of H_0 (hopping moves occupations by (+1, -1), H_0's exchange by two quanta).  Then
+    [r, c] and [c, r] of H(phi) receive exactly conjugate sums and its diagonal v + conj(v), and no entry exceeds
+    max |H_0| + 2 max |A| beyond rounding, checked finite four times over: H(phi) is finite and exactly Hermitian.
     """
 
     params: ModelParams
@@ -265,6 +275,15 @@ class PhaseSweep:
     cols: np.ndarray
     values: np.ndarray
 
+    def __post_init__(self):
+        object.__setattr__(self, "base", tuple(map(_hermitian, self.base)))
+        off = self.rows != self.cols
+        if np.any(self.base[0][self.rows[off], self.cols[off]]):
+            raise NumericalContractError("the hopping lands on an off-diagonal entry of H_0")
+        bound = 8.0 * sum(float(np.max(np.abs(m), initial=0.0)) for m in (*self.base, self.values))
+        if not math.isfinite(bound):
+            raise NumericalContractError(f"the hopping is not finite, or overflows: 8 (|H_0| + |A|) = {bound}")
+
     def _kinetic(self, phi: float) -> np.ndarray:
         """The diagonal of e^{i phi/3} A + h.c. over the whole basis, from the diagonal triplets of A."""
         diagonal, on = np.zeros(self.basis.dimension), self.rows == self.cols
@@ -273,16 +292,25 @@ class PhaseSweep:
 
     def at(self, phi: float) -> HermitianOperator:
         """The Hamiltonian at phase twist ``phi``."""
-        if np.array_equal(self.rows, self.cols):
-            diagonal, blocks = self._kinetic(phi), tuple(block.copy() for block in self.base)
-            for members, h in zip(self.sectors, blocks):
-                h.flat[:: len(h) + 1] += diagonal[members]
-        else:
-            hop = complex(math.cos(phi / 3.0), math.sin(phi / 3.0)) * self.values
-            (h,) = blocks = (self.base[0].astype(complex),)
-            h[self.rows, self.cols] += hop
-            h[self.cols, self.rows] += hop.conj()
-        return HermitianOperator(blocks, self.basis, self.params.with_phi(phi), sectors=self.sectors)
+        return next(self.over((phi,)))
+
+    def over(self, phis: Iterable[float]) -> Iterator[HermitianOperator]:
+        """The Hamiltonian at each of ``phis`` in turn, assembled straight from H_0 into one set of blocks: the next
+        operator overwrites the one before."""
+        diagonal_only = np.array_equal(self.rows, self.cols)
+        blocks = tuple(np.empty(h0.shape, h0.dtype if diagonal_only else complex) for h0 in self.base)
+        for phi in phis:
+            for h, h0 in zip(blocks, self.base):
+                h[...] = h0
+            if diagonal_only:
+                diagonal = self._kinetic(phi)
+                for members, h in zip(self.sectors, blocks):
+                    h.flat[:: len(h) + 1] += diagonal[members]
+            else:
+                hop = complex(math.cos(phi / 3.0), math.sin(phi / 3.0)) * self.values
+                blocks[0][self.rows, self.cols] += hop
+                blocks[0][self.cols, self.rows] += hop.conj()
+            yield HermitianOperator._proven(blocks, self.basis, self.params.with_phi(phi), self.sectors)
 
 
 def site_sweep(params: ModelParams) -> PhaseSweep:
@@ -346,10 +374,9 @@ def _flow_sweep(params: ModelParams, coefficients: tuple[tuple[float, ...], ...]
 def flow_sweep(params: ModelParams) -> PhaseSweep:
     """Flow Hamiltonian of ``params`` at any phase, with the interaction built once.
 
-    Contact and dipolar interactions are both exact, for any bonds:
-    ``sweep.at(phi)`` is the site Hamiltonian conjugated into the flow basis.
-    With equal tunnelling it is real and conserves quasi-momentum; unequal
-    bonds add hopping between the flow modes and make it complex.
+    Contact and dipolar interactions are both exact, for any bonds: ``sweep.at(phi)`` is the site Hamiltonian
+    conjugated into the flow basis.  With equal tunnelling it is real and conserves quasi-momentum; unequal bonds
+    add hopping between the flow modes and make it complex.
     """
     return _flow_sweep(params, _flow_interaction_coefficients(params))
 
@@ -357,15 +384,13 @@ def flow_sweep(params: ModelParams) -> PhaseSweep:
 def build_flow_hamiltonian(params: ModelParams) -> HermitianOperator:
     """Dense flow-basis Hamiltonian from the analytic flow-form expressions.
 
-    The dipolar interaction uses the printed flow coefficients, a comparison
-    target only (``flow_sweep`` holds the exact dipolar form).  Requires
-    equal tunnelling on all bonds, where the kinetic part is diagonal in the
+    The dipolar interaction uses the printed flow coefficients, a comparison target only (``flow_sweep`` holds
+    the exact dipolar form).  Requires equal tunnelling on all bonds, where the kinetic part is diagonal in the
     flow basis; ``flow_sweep`` takes any bonds.
     """
     if not params.equal_j:
-        raise UnsupportedConfigurationError(
-            "analytic flow Hamiltonian requires equal tunnelling; use flow_sweep for unequal bonds"
-        )
+        raise UnsupportedConfigurationError("analytic flow Hamiltonian requires equal tunnelling; "
+                                            "use flow_sweep for unequal bonds")
     coefficients = _printed_dipolar_coefficients(params) if params.dipolar else _flow_interaction_coefficients(params)
     return _flow_sweep(params, coefficients).at(params.phi)
 
@@ -373,8 +398,7 @@ def build_flow_hamiltonian(params: ModelParams) -> HermitianOperator:
 def flow_hamiltonian_by_conjugation(params: ModelParams) -> HermitianOperator:
     """Flow-basis Hamiltonian by unitary conjugation of the site Hamiltonian.
 
-    Valid for any tunnelling pattern; the dense reference that ``flow_sweep``
-    is tested against.
+    Valid for any tunnelling pattern; the dense reference that ``flow_sweep`` is tested against.
     """
     site = build_site_hamiltonian(params)
     w = mode_transform_matrix(params.n)

@@ -71,12 +71,7 @@ def single_flow_energy(params: LoopParams, k: int, phi: float, n: int) -> float:
     return n * loop_single_energy(params, k, phi)
 
 
-def loop_spectrum_with_barrier(
-    params: LoopParams,
-    phi: float,
-    k_max: int,
-    n_levels: int | None = None,
-) -> np.ndarray:
+def loop_spectrum_with_barrier(params: LoopParams, phi: float, k_max: int, n_levels: int | None = None) -> np.ndarray:
     """Single-particle levels with a delta barrier, in the plane-wave basis.
 
     The basis is k = -k_max .. k_max; the levels are the roots of the barrier's
@@ -196,13 +191,10 @@ QUADRATURE_POINTS = 64
 def loop_coupling_v01(params: LoopParams, n: int) -> LoopCouplingResult:
     """Coupling between the N-atom zero-flow and one-flow plane-wave states.
 
-    ``analytic`` evaluates the closed-form value
-    V (N/2) ((N-1)/(2L)) (2pi)^{-(N-1)}.  ``quadrature`` evaluates
-    <psi_1| V sum_{i<j} delta(x_i - x_j) |psi_0> directly, collapsing each
-    delta analytically and integrating the remaining N-1 periodic coordinates
-    with a tensor-product trapezoid rule (spectrally accurate here).  The two
-    are reported side by side with a discrepancy flag; no reconciliation is
-    attempted.
+    ``analytic`` evaluates the closed-form value V (N/2) ((N-1)/(2L)) (2pi)^{-(N-1)}.  ``quadrature`` evaluates
+    <psi_1| V sum_{i<j} delta(x_i - x_j) |psi_0> directly, collapsing each delta analytically and integrating the
+    remaining N-1 periodic coordinates with a tensor-product trapezoid rule (spectrally accurate here).  The two are
+    reported side by side with a discrepancy flag; no reconciliation is attempted.
     """
     if n < 2:
         raise UnsupportedConfigurationError(f"need at least two atoms for a pair coupling, got n={n}")
@@ -213,34 +205,20 @@ def loop_coupling_v01(params: LoopParams, n: int) -> LoopCouplingResult:
     if n > QUADRATURE_MAX_ATOMS:
         return LoopCouplingResult(analytic=analytic, quadrature=None, quadrature_available=False, discrepancy=None)
 
-    # <psi_1| delta(x_i - x_j) |psi_0> with psi_0 = L^{-N/2} and
-    # psi_1 = L^{-N/2} prod_m e^{i 2pi x_m / L}: after setting x_j = x_i the
-    # integrand is e^{-i 4pi x_i / L} prod_{m != i,j} e^{-i 2pi x_m / L} / L^N.
+    # <psi_1| delta(x_i - x_j) |psi_0> with psi_0 = L^{-N/2} and psi_1 = L^{-N/2} prod_m e^{i 2pi x_m / L}: after
+    # setting x_j = x_i the integrand is e^{-i 4pi x_i / L} prod_{m != i,j} e^{-i 2pi x_m / L} / L^N.
     grid = np.arange(QUADRATURE_POINTS) * (length / QUADRATURE_POINTS)
     single = np.exp(-2j * math.pi * grid / length)
     double = np.exp(-4j * math.pi * grid / length)
     weight = (length / QUADRATURE_POINTS) ** (n - 1) / length**n
 
     pair_value = weight * functools.reduce(np.multiply.outer, [double] + [single] * (n - 2)).sum()
-
-    n_pairs = n * (n - 1) // 2
-    quadrature = v * n_pairs * pair_value
-    quad_real = float(abs(quadrature))
+    quadrature = v * (n * (n - 1) // 2) * pair_value
     flag = abs(quadrature - analytic) > max(1e-8, 1e-8 * abs(analytic))
-    return LoopCouplingResult(
-        analytic=analytic,
-        quadrature=quad_real,
-        quadrature_available=True,
-        discrepancy=bool(flag),
-    )
+    return LoopCouplingResult(analytic, float(abs(quadrature)), quadrature_available=True, discrepancy=bool(flag))
 
 
-def loop_sweep(
-    params: LoopParams,
-    phi_grid: Sequence[float],
-    k_max: int,
-    n_levels: int,
-) -> Table:
+def loop_sweep(params: LoopParams, phi_grid: Sequence[float], k_max: int, n_levels: int) -> Table:
     """Sweep the barrier-split loop spectrum over phase twists in one secular solve."""
     phis = np.asarray(list(phi_grid), dtype=float)
     energies = _barrier_levels(params, phis, k_max, n_levels) / params.c_energy

@@ -28,7 +28,7 @@ class EigenResult:
 
 
 def eigensolve(operator: HermitianOperator | np.ndarray, n_levels: int | None = None, *,
-               _values_only: bool = False) -> EigenResult:
+               _values_only: bool = False, _groups: Sequence | None = None) -> EigenResult:
     """Dense Hermitian diagonalization, truncated to the lowest ``n_levels`` (all by default).
 
     An operator is solved one of its ``blocks`` at a time (a bare matrix is made a one-block ``HermitianOperator``,
@@ -36,7 +36,8 @@ def eigensolve(operator: HermitianOperator | np.ndarray, n_levels: int | None = 
     the full basis.  Blocks are visited from the smallest diagonal entry up; once ``n_levels`` levels are held, a
     block is skipped when ``_levels_above`` proves it free of levels up to that level plus ``RESIDUAL_RTOL`` times
     the ``frobenius`` norm.  The returned pairs pass the residual and orthonormality checks; real input gives real
-    vectors.  A caller that reads only the energies passes ``_values_only`` to solve each block by ``_checked_levels``.
+    vectors.  A caller that reads only the energies passes ``_values_only`` to solve each block by ``_checked_levels``,
+    and one that has laid the blocks out passes the ``_groups`` of each (see ``_Layered``).
     """
     if not isinstance(operator, HermitianOperator):
         operator = HermitianOperator(operator)
@@ -45,11 +46,12 @@ def eigensolve(operator: HermitianOperator | np.ndarray, n_levels: int | None = 
     if not 1 <= n_levels <= dim:
         raise UnsupportedConfigurationError(f"n_levels must be in [1, {dim}], got {n_levels}")
     lowest = [np.min(np.diagonal(block).real, initial=np.inf) for block in blocks]
-    solved, levels = {}, []
+    solved, levels, groups = {}, [], _groups or [None] * len(blocks)
     for b in sorted(range(len(blocks)), key=lowest.__getitem__):
-        if len(levels) == n_levels and _levels_above(blocks[b], levels[-1][0] + RESIDUAL_RTOL * operator.frobenius):
+        if len(levels) == n_levels and _levels_above(blocks[b], levels[-1][0] + RESIDUAL_RTOL * operator.frobenius,
+                                                     groups[b]):
             continue
-        solved[b] = (_checked_levels if _values_only else _checked_eigh)(blocks[b], n_levels)
+        solved[b] = _checked_levels(blocks[b], n_levels, groups[b]) if _values_only else _checked_eigh(blocks[b], n_levels)
         levels = sorted(levels + [(float(e), b, i) for i, e in enumerate(solved[b][0])])[:n_levels]
     vectors = np.zeros((dim, n_levels), dtype=np.result_type(*blocks))
     for column, (_, b, i) in enumerate(levels):
@@ -65,12 +67,12 @@ def _checked_eigh(matrix: np.ndarray, n_levels: int) -> tuple[np.ndarray, np.nda
     return _checked_pairs(matrix, energies[:n_levels], vectors[:, :n_levels], _sum_rule_scale(matrix, energies))
 
 
-def _checked_levels(matrix: np.ndarray, n_levels: int) -> tuple[np.ndarray, np.ndarray]:
+def _checked_levels(matrix: np.ndarray, n_levels: int, groups: list | None) -> tuple[np.ndarray, np.ndarray]:
     """``_checked_eigh`` for a caller that reads only the energies.  Where 32 ``n_levels`` states
     fit in the matrix (below that ``eigh`` is as fast), the levels come from ``eigvalsh`` and pass
     the same sum rules; each returned level e is paired with one step of ``_inverse_iteration`` at
-    e - 1e-3 RESIDUAL_RTOL max |e|, so that an exact level of a diagonal block is no singular pivot,
-    and the pairs pass ``_checked_pairs``.  A singular pivot, a non-finite value or a failed pair
+    e - 1e-3 RESIDUAL_RTOL max |e| (on ``groups``, or the matrix's own layers where None), so that an exact
+    level of a diagonal block is no singular pivot, and the pairs pass ``_checked_pairs``.  A singular pivot, a non-finite value or a failed pair
     check solves the matrix by ``_checked_eigh`` instead."""
     if 32 * n_levels > len(matrix):
         return _checked_eigh(matrix, n_levels)
@@ -78,7 +80,7 @@ def _checked_levels(matrix: np.ndarray, n_levels: int) -> tuple[np.ndarray, np.n
     scale, energies = _sum_rule_scale(matrix, energies), energies[:n_levels]
     try:
         with np.errstate(all="ignore"):
-            vectors = _inverse_iteration(matrix, energies - 1e-3 * RESIDUAL_RTOL * scale)
+            vectors = _inverse_iteration(matrix, energies - 1e-3 * RESIDUAL_RTOL * scale, groups)
             return _checked_pairs(matrix, energies, vectors, scale)
     except (np.linalg.LinAlgError, NumericalContractError):
         return _checked_eigh(matrix, n_levels)
@@ -145,11 +147,12 @@ def _mixed(base: np.ndarray, parts: np.ndarray, weights: np.ndarray | None) -> n
 
 
 class _Layered:
-    """A Hermitian matrix and ``parts`` on the ``_layers`` of their joint pattern: per layer its states, the matrix's
-    blocks on them and to the layers before and after, and the parts' stacks of those blocks.  No diagonal is read."""
+    """A Hermitian matrix and ``parts`` on the ``_layers`` of their joint pattern, or on given ``groups``, the
+    ``_layers`` of a pattern that holds theirs: per layer its states, the matrix's blocks on them and to the layers
+    before and after, and the parts' stacks of those blocks.  No diagonal is read."""
 
-    def __init__(self, matrix: np.ndarray, parts: np.ndarray = ()):
-        groups, none = _layers(matrix, parts), np.zeros(0, np.intp)
+    def __init__(self, matrix: np.ndarray, parts: np.ndarray = (), groups: list | None = None):
+        groups, none = _layers(matrix, parts) if groups is None else groups, np.zeros(0, np.intp)
         self.dtype, self.layers = np.result_type(matrix, *parts), []
         for before, rows, after in zip([none] + groups, groups, groups[1:] + [none]):
             blocks = [[m[np.ix_(rows, cols)] for m in (matrix, *parts)] for cols in (rows, before, after)]
@@ -193,35 +196,39 @@ class _Layered:
         return y, proven
 
 
-def _levels_above(matrix: np.ndarray, cut: float) -> bool:
+def _levels_above(matrix: np.ndarray, cut: float, groups: list | None = None) -> bool:
     """Whether the Hermitian ``matrix`` provably has no level at or below ``cut``:
-    ``_Layered.solve`` proves matrix - cut positive definite."""
-    return bool(_Layered(matrix).solve(np.diagonal(matrix).real[None] - cut, np.zeros((len(matrix), 0)), True)[1][0])
+    ``_Layered.solve`` (on ``groups``, see ``_Layered``) proves matrix - cut positive definite."""
+    layered = _Layered(matrix, groups=groups)
+    return bool(layered.solve(np.diagonal(matrix).real[None] - cut, np.zeros((len(matrix), 0)), True)[1][0])
 
 
-def _inverse_iteration(matrix: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+def _inverse_iteration(matrix: np.ndarray, shifts: np.ndarray, groups: list | None) -> np.ndarray:
     """One step of inverse iteration at each of ``shifts`` from fixed start vectors, solved by
-    ``_Layered.solve`` batched over the shifts, and orthonormalised by one QR."""
+    ``_Layered.solve`` (on ``groups``, see ``_Layered``) batched over the shifts, and orthonormalised by one QR."""
     starts = np.cos(np.outer(np.arange(1.0, len(matrix) + 1), np.sqrt(np.arange(2.0, len(shifts) + 2))))
-    vectors = _Layered(matrix).solve(np.diagonal(matrix) - shifts[:, None], starts.T[:, :, None])[0][:, :, 0].T
+    layered = _Layered(matrix, groups=groups)
+    vectors = layered.solve(np.diagonal(matrix) - shifts[:, None], starts.T[:, :, None])[0][:, :, 0].T
     return np.linalg.qr(vectors / np.max(np.abs(vectors), axis=0))[0]
 
 
-def spectrum_sweep(
-    params: ModelParams,
-    phi_grid: Sequence[float],
-    n_levels: int,
-) -> Table:
+def spectrum_sweep(params: ModelParams, phi_grid: Sequence[float], n_levels: int) -> Table:
     """Lowest levels of the ring Hamiltonian at each phase of ``phi_grid``.
 
-    The flow Hamiltonian is built once for the sweep.  With equal tunnelling it is solved one quasi-momentum block
-    at a time; unequal bonds couple the blocks, so it is diagonalized whole.  Only energies are asked for.
+    The flow Hamiltonian is built, checked and laid out once for the sweep (each block on the layers of its pattern
+    at any phase: H_0's and the off-diagonal hopping's), and assembled at each phase into one set of blocks.  With
+    equal tunnelling it is solved one quasi-momentum block at a time; unequal bonds couple the blocks, so it is
+    diagonalized whole.  Only energies are asked for.
     """
     phis = np.asarray(list(phi_grid), dtype=float)
     sweep = flow_sweep(params)
     dim = sweep.basis.dimension
     if not 1 <= n_levels <= dim:
         raise UnsupportedConfigurationError(f"n_levels must be in [1, {dim}] for n={params.n}, got {n_levels}")
-    energies = np.array([eigensolve(sweep.at(phi), n_levels, _values_only=True).energies for phi in phis])
+    patterns, off = [h0 != 0 for h0 in sweep.base], sweep.rows != sweep.cols  # off-diagonal hopping: one sector
+    patterns[0][sweep.rows[off], sweep.cols[off]] = patterns[0][sweep.cols[off], sweep.rows[off]] = True
+    groups = [_layers(pattern) for pattern in patterns]
+    energies = np.array([eigensolve(operator, n_levels, _values_only=True, _groups=groups).energies
+                         for operator in sweep.over(phis)])
     rows = level_rows(phis, energies)
     return Table(("phi", "level", "energy"), rows, phis=phis, n_levels=n_levels, energies=energies)

@@ -807,6 +807,27 @@ def test_weighted_paths_do_not_depend_on_the_batch_bound(monkeypatch):
     assert [factor for _, _, factor in one] == [factor for _, _, factor in many]
 
 
+def test_each_set_of_intermediates_is_weighed_once(monkeypatch):
+    """A loop factor depends only on the states off the path, so the 573 paths at N = 9 take one determinant per
+    set of intermediates, across batches too, and the paths of one set share its factor."""
+    op = flow_sweep(ModelParams(n=9, u=0.1)).at(math.pi)
+    graph, targets = build_coupling_graph(op), default_flow_targets(op.basis)
+    lam, weighed, loop_factors = lowdin_coupling(op).lam, [], effective_module._loop_factors
+    monkeypatch.setattr(effective_module, "_loop_factors",
+                        lambda loop, eliminated, nodes: weighed.extend(map(tuple, nodes.tolist()))
+                        or loop_factors(loop, eliminated, nodes))
+    for entries in (1, 2**17):
+        monkeypatch.setattr(effective_module, "_BLOCK_ENTRIES", entries)
+        weighed.clear()
+        terms = list(weighted_paths(graph, targets, lam, 9))
+        sets = [tuple(sorted(path[1:-1])) for path, _, _ in terms]
+        assert sorted(weighed) == sorted(set(sets))
+        assert len(weighed) < len(terms) == 573
+        factors = {}
+        for key, (_, _, factor) in zip(sets, terms):
+            assert factors.setdefault(key, factor) == factor
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(
     k=st.integers(-60, 60),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -364,3 +365,83 @@ def test_sectors_are_quasimomentum_blocks_only_for_equal_bond_flow_operators(n):
     for k, block in enumerate(blocks):
         assert np.all(np.diff(block) > 0)
         assert [quasimomentum_sector(flow.basis.states[i]) for i in block] == [k] * len(block)
+
+
+_BOND = st.floats(-2.0, 2.0, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 12),
+    build=st.sampled_from((site_sweep, flow_sweep)),
+    bonds=st.tuples(_BOND, _BOND, _BOND) | _BOND,
+    dipolar=st.booleans(),
+    strengths=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    phi=st.sampled_from((0.0, math.pi, 2.0 * math.pi)) | st.floats(-20.0, 20.0),
+)
+def test_every_phase_of_a_sweep_is_exactly_hermitian(n, build, bonds, dipolar, strengths, phi):
+    """The sweep is checked once, when built; ``at`` and ``over`` check nothing, because
+    they assemble an exactly Hermitian matrix at every phase, site and flow, any bonds."""
+    u, u1 = strengths
+    params = ModelParams(n=n, j=bonds, **({"u0": u, "u1": u1, "dipolar": True} if dipolar else {"u": u}))
+    sweep = build(params)
+    for op in (sweep.at(phi), next(sweep.over([phi]))):
+        for block in op.blocks:
+            assert np.array_equal(block, block.conj().T)
+            assert np.isfinite(block).all()
+
+
+@pytest.mark.parametrize("params", [ModelParams(n=6, u=0.3), ModelParams(n=5, j=(1.0, 0.8, 1.2), u0=0.2, u1=0.1,
+                                                                       dipolar=True)])
+def test_over_assembles_every_phase_into_one_set_of_blocks(params):
+    """``over`` gives each phase the blocks of ``at``, bit for bit, in the blocks of the phase before."""
+    sweep, phis = flow_sweep(params), [0.0, 1.3, math.pi, 5.0]
+    first = None
+    for phi, op in zip(phis, sweep.over(phis)):
+        first = first or op.blocks
+        assert op.params == params.with_phi(phi)
+        for block, alone, reused in zip(op.blocks, sweep.at(phi).blocks, first):
+            assert block.dtype == alone.dtype and block is reused
+            np.testing.assert_array_equal(block, alone)
+
+
+def _sweep_with_base(sweep, bad_entry, value):
+    base = [h0.copy() for h0 in sweep.base]
+    base[0][bad_entry] = value
+    return dataclasses.replace(sweep, base=tuple(base))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_sweep_with_a_non_finite_h0_is_refused_when_built(bad):
+    sweep = site_sweep(ModelParams(n=3, j=(1.0, 0.8, 1.2), u0=0.2, u1=0.1, dipolar=True))
+    with pytest.raises(NumericalContractError, match=rf"operator matrix has the non-finite entry {bad} at \[1, 2\]"):
+        _sweep_with_base(sweep, (1, 2), bad)
+
+
+def test_a_sweep_with_a_non_hermitian_h0_is_refused_and_a_nearly_hermitian_one_symmetrised():
+    sweep = site_sweep(ModelParams(n=3, j=(1.0, 0.8, 1.2), u0=0.2, u1=0.1, dipolar=True))
+    (row, col), value = np.argwhere(np.triu(sweep.base[0] != 0, 1))[0], np.max(sweep.base[0])
+    with pytest.raises(NumericalContractError, match="operator is not hermitian: max \\|H - H\\^dagger\\| = 1.000e-09"):
+        _sweep_with_base(sweep, (row, col), sweep.base[0][row, col] + 1e-9)
+    nearly = _sweep_with_base(sweep, (row, col), sweep.base[0][row, col] + 1e-13 * value)
+    assert np.array_equal(nearly.base[0], nearly.base[0].T)
+    assert nearly.base[0][row, col] != sweep.base[0][row, col]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 1e308])
+def test_a_sweep_with_non_finite_or_overflowing_hopping_is_refused_when_built(bad):
+    sweep = flow_sweep(ModelParams(n=3, j=(1.0, 0.8, 1.2), u=0.2))
+    values = sweep.values.copy()
+    values[-1] = bad
+    with pytest.raises(NumericalContractError, match="the hopping is not finite, or overflows"):
+        dataclasses.replace(sweep, values=values)
+
+
+def test_a_sweep_whose_hopping_lands_on_an_off_diagonal_entry_of_h0_is_refused():
+    """Only there could [r, c] and [c, r] of H(phi) receive sums that are not exactly conjugate."""
+    sweep = site_sweep(ModelParams(n=3, j=(1.0, 0.8, 1.2), u=0.2))
+    off = np.flatnonzero(sweep.rows != sweep.cols)[0]
+    base = sweep.base[0].copy()
+    base[sweep.rows[off], sweep.cols[off]] = base[sweep.cols[off], sweep.rows[off]] = 0.5
+    with pytest.raises(NumericalContractError, match="the hopping lands on an off-diagonal entry of H_0"):
+        dataclasses.replace(sweep, base=(base,))

@@ -96,6 +96,41 @@ def test_spectrum_is_periodic_and_reflection_symmetric(n, u):
         np.testing.assert_allclose(e_mirrored, e_phi, atol=1e-10)
 
 
+_BOND = st.floats(-2.0, 2.0, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 9),
+    bonds=st.tuples(_BOND, _BOND, _BOND) | _BOND,
+    interaction=st.sampled_from(("contact", "dipolar", "dipolar without exchange")),
+    strengths=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    phis=st.lists(st.floats(0.0, 2.0 * math.pi), min_size=1, max_size=4),
+)
+def test_sweep_spectrum_is_even_in_phi_and_periodic_without_pair_exchange(n, bonds, interaction, strengths, phis):
+    """E(-phi) = E(phi) for any bonds, contact or dipolar: H(-phi) is the complex conjugate of H(phi).  Without
+    the dipolar pair exchange, which carries no twist phase, E(phi + 2 pi) = E(phi) too: a 2 pi flux is a gauge
+    transformation of the hopping.  Both to 1e-12 of the largest level."""
+    u, u1 = strengths
+    params = ModelParams(n=n, j=bonds, **{
+        "contact": {"u": u}, "dipolar": {"u0": u, "u1": u1, "dipolar": True},
+        "dipolar without exchange": {"u0": u, "u1": 0.0, "dipolar": True}}[interaction])
+    levels = min(4, (n + 1) * (n + 2) // 2)
+    energies = spectrum_sweep(params, phis, levels).energies
+    tolerance = 1e-12 * max(float(np.max(np.abs(energies))), 1e-300)
+    mirrored = spectrum_sweep(params, [-phi for phi in phis], levels).energies
+    np.testing.assert_allclose(mirrored, energies, rtol=0.0, atol=tolerance)
+    if params.u1 == 0.0:
+        shifted = spectrum_sweep(params, [phi + 2.0 * math.pi for phi in phis], levels).energies
+        np.testing.assert_allclose(shifted, energies, rtol=0.0, atol=tolerance)
+
+
+def test_dipolar_pair_exchange_breaks_two_pi_periodicity():
+    """The documented model: the pair exchange U1 carries no twist phase, so E0 moves over one 2 pi period."""
+    energies = spectrum_sweep(ModelParams(n=6, u0=0.1, u1=0.05, dipolar=True), [0.0, 2.0 * math.pi], 1).energies
+    np.testing.assert_allclose(energies[:, 0], [-10.0949, -11.5047], atol=5e-5)
+
+
 def test_sweep_is_deterministic_across_thread_counts():
     """The output does not depend on the execution strategy: each row of a
     sweep built once equals the solve of an operator built for that point

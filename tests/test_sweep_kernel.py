@@ -322,7 +322,7 @@ def test_off_crossing_sweeps_hand_no_matrix_larger_than_a_layer(command, tmp_pat
     layer of the pair's H_QQ or of another block (the largest has 19 states of the
     233 and 234)."""
     sweep = flow_sweep(ModelParams(n=36, u=0.1))
-    pair = _PairElimination(HermitianOperator(sweep.base, sweep.basis, sweep.params, sectors=sweep.sectors))
+    pair = _PairElimination(HermitianOperator._proven(sweep.base, sweep.basis, sweep.params, sweep.sectors))
     widest = max(len(rows) for layered in [pair.qq] + [l for _, l in pair.others] for rows, *_ in layered.layers)
     sizes = _recorded_linalg_sizes(monkeypatch)
     argv = [command, "--n", "36", "--dphi=-0.2:0.2:20", "--out", str(tmp_path / "out.csv")]

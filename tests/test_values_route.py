@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringcat import ModelParams, NumericalContractError, cli, eigensolve, flow_sweep, spectrum_sweep
+from ringcat import ModelParams, NumericalContractError, cli, eigensolve, flow_sweep, hamiltonians, solver, spectrum_sweep
 from ringcat.solver import _layers
 
 _TRUE_EIGH = np.linalg.eigh
@@ -167,6 +167,37 @@ def test_free_equal_bond_spectrum_calls_no_eigh():
     sweep = flow_sweep(params)
     for phi, row in zip(phis, table.energies):
         np.testing.assert_array_equal(row, eigensolve(sweep.at(phi), n_levels=6).energies)
+
+
+@pytest.mark.parametrize("params, sectors", [
+    (ModelParams(n=15, u=0.1), 3),
+    (ModelParams(n=15, u0=0.1, u1=0.05, dipolar=True), 3),
+    (ModelParams(n=9, j=(1.0, 0.9, 1.1), u0=0.1, u1=0.05, dipolar=True), 1),
+])
+def test_a_sweep_is_checked_and_laid_out_once(params, sectors, monkeypatch):
+    """``spectrum_sweep`` runs ``_hermitian`` once per H_0 block and ``_layers`` once per sector, not once per
+    phase; every phase's layered solves run on those layers, which hold each phase's blocks block tridiagonal,
+    and the energies are ``eigensolve``'s of each phase's own operator, bit for bit."""
+    calls, layered = {"_hermitian": [], "_layers": []}, []
+
+    def spy(name, real):
+        return lambda *args: calls[name].append(real(*args)) or calls[name][-1]
+
+    monkeypatch.setattr(hamiltonians, "_hermitian", spy("_hermitian", hamiltonians._hermitian))
+    monkeypatch.setattr(solver, "_layers", spy("_layers", solver._layers))
+    init = solver._Layered.__init__
+    monkeypatch.setattr(solver._Layered, "__init__", lambda self, *args, **kw: layered.append(kw) or init(self, *args, **kw))
+    phis = np.linspace(0.0, 2.0 * math.pi, 7)
+    table = spectrum_sweep(params, phis, n_levels=1)
+    groups = calls["_layers"]
+    assert (len(calls["_hermitian"]), len(groups), len(layered) >= len(phis)) == (sectors, sectors, True)
+    assert all(any(kw["groups"] is block_groups for block_groups in groups) for kw in layered)
+    sweep = flow_sweep(params)
+    for phi, row in zip(phis, table.energies):
+        operator = sweep.at(phi)
+        for block, block_groups in zip(operator.blocks, groups):
+            _assert_block_tridiagonal(block, block_groups)
+        np.testing.assert_array_equal(row, eigensolve(operator, n_levels=1, _values_only=True).energies)
 
 
 def test_subcommands_import_neither_numpy_random_nor_scipy(tmp_path):
