@@ -10,7 +10,7 @@ from .basis import (
     FockBasis, Occupation, embed_single_flow, enumerate_fock, mode_transform_matrix, quasimomentum_labels,
     quasimomentum_sector,
 )
-from .catmetrics import CatMetrics, cat_amplitudes, catscan, crossing_pair_state, ground_cat_metrics
+from .catmetrics import CatMetrics, cat_amplitudes, catscan, ground_cat_metrics
 from .effective import (
     CouplingGraph, LowdinResult, TwoLevelModel, build_coupling_graph, default_flow_targets, effective_point,
     effective_report, epsilon_of_phi, lowdin_coupling, path_coupling, path_normalisation, paths_report,

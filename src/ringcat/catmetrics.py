@@ -30,18 +30,6 @@ class CatMetrics:
     diverged: bool = False
 
 
-def _pair_projections(states: np.ndarray, basis: FockBasis) -> np.ndarray:
-    """Amplitudes on |N,0,0> and |0,N,0> (rows) of one state or of columns of states.
-
-    In the flow basis they are the two entries themselves; in the site basis
-    they are projections onto the embedded flow states.
-    """
-    if basis.interpretation == "flow":
-        return states[list(default_flow_targets(basis))]
-    pair = np.vstack([embed_single_flow(basis.n, 0), embed_single_flow(basis.n, 1)])
-    return pair.conj() @ states
-
-
 def cat_amplitudes(state: Sequence[complex], basis: FockBasis) -> CatMetrics:
     """Cat metrics of a state given in the site or flow basis.
 
@@ -56,7 +44,11 @@ def cat_amplitudes(state: Sequence[complex], basis: FockBasis) -> CatMetrics:
         raise NumericalContractError("cannot compute cat metrics of a zero state")
     vec = vec / norm
 
-    a0, a1 = (complex(a) for a in _pair_projections(vec, basis))
+    if basis.interpretation == "flow":  # the two entries themselves
+        amplitudes = vec[list(default_flow_targets(basis))]
+    else:  # projections onto the embedded flow states
+        amplitudes = np.vstack([embed_single_flow(basis.n, 0), embed_single_flow(basis.n, 1)]).conj() @ vec
+    a0, a1 = (complex(a) for a in amplitudes)
     reference = a0 if abs(a0) > 0.0 else a1
     if abs(reference) > 0.0:
         # Adding 0j makes the zero parts of a real state's amplitudes +0.0.
@@ -76,23 +68,10 @@ def cat_amplitudes(state: Sequence[complex], basis: FockBasis) -> CatMetrics:
     )
 
 
-def crossing_pair_state(vectors: np.ndarray, basis: FockBasis) -> np.ndarray:
-    """Combination of the columns of ``vectors`` maximising the cat weight |a0|^2 + |a1|^2: the top
-    eigenvector of the Gram matrix of their projections onto the cat pair; one column comes back as it is.
-    Where each column has a1 = +-a0 (the contact interaction, equal bonds) it is the column with the larger
-    weight, which ``_PairElimination._parity`` picks at dphi = 0."""
-    if vectors.shape[1] == 1:
-        return vectors[:, 0]
-    a = _pair_projections(vectors, basis)  # (2, n_vectors)
-    gram = a.conj().T @ a
-    return vectors @ np.linalg.eigh(gram)[1][:, -1]
-
-
 def _dense_metrics(sweep: PhaseSweep, dphi: float) -> CatMetrics:
-    """Cat metrics at pi + dphi by ``eigensolve``: of its lowest level, or ``crossing_pair_state`` at dphi = 0."""
+    """Cat metrics of the lowest level at pi + dphi by ``eigensolve``."""
     h = sweep.at(math.pi + dphi)
-    state = crossing_pair_state(eigensolve(h, n_levels=2 if dphi == 0.0 else 1).vectors, h.basis)
-    return cat_amplitudes(state, h.basis)
+    return cat_amplitudes(eigensolve(h, n_levels=1).vectors[:, 0], h.basis)
 
 
 def ground_cat_metrics(params: ModelParams, dphi: float) -> CatMetrics:
@@ -106,8 +85,9 @@ def catscan(params: ModelParams, dphi_grid: Sequence[float]) -> Table:
 
     The flow Hamiltonian is built once and, for any bonds, every offset eliminated in one batch
     (``_sweep_eliminations``); ``_PairElimination.states`` gives each offset's ground state, and at dphi = 0 the
-    state from the parity halves.  ``_dense_metrics`` solves an offset's operator only where that state is not
-    proven.  The analytic ratio is nan with unequal bonds and where the elimination meets a near-resonant level.
+    proven doublet's level with the larger pair weight, else the ground state.  ``_dense_metrics`` solves an
+    offset's lowest level only where its state is not proven.  The analytic ratio is nan with unequal bonds and
+    where the elimination meets a near-resonant level.
     """
     dphis = np.asarray(list(dphi_grid), dtype=float)
     sweep = flow_sweep(params)

@@ -114,17 +114,23 @@ def _pair_blocks(operator: HermitianOperator) -> list[tuple[np.ndarray, np.ndarr
     return [(m, h, not pair or any(t in m for t in pair)) for m, h in zip(operator.sectors, operator.blocks)]
 
 
-#: Newton steps on the working energy before ``_PairElimination.eliminate`` takes it from ``eigvalsh``.
-_NEWTON_STEPS = 32
+def _bracketed(x, g, slope, proven, lo, hi, done) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(next x, lo, hi) of a safeguarded Newton step on each row's decreasing g: a proven x with g > 0 becomes lo, any
+    other x hi (an unproven one lies above H_QQ's lowest level, so above any root); next is x - g / g' where x is
+    ``done``, or proven and that lies inside (lo, hi), else the midpoint."""
+    left = proven & (g > 0.0)
+    lo, hi, step = np.where(left, x, lo), np.where(left, hi, x), x - g / slope
+    return np.where(done | proven & (lo < step) & (step < hi), step, 0.5 * (lo + hi)), lo, hi
 
 
 class _PairElimination:
     """A flow operator laid out once for the layered kernel (``solver._Layered``): ``indices``, the targets P then
-    the eliminated states Q (the rest of the blocks that hold a target); the ``matrix`` on them, with H_QQ layered;
-    each other block layered; the diagonal; the ``edges`` above it and their values; and each state's ``partner``
-    under the swap of flow modes 0 and 1.  Row b of a batch has the diagonal ``diagonals[b]`` and adds
-    ``weights[b]`` times the ``parts`` A + A^dagger and i (A - A^dagger) on P and Q of the off-diagonal
-    ``hopping`` triplets A of a one-block operator: made from a sweep's H_0 and hopping, it serves every phase."""
+    the eliminated states Q (the rest of the blocks that hold a target; ``split`` where the targets lie in two); the
+    ``matrix`` on them, with H_QQ layered; each other block layered; the diagonal; the ``edges`` above it and their
+    values; and each state's ``partner`` under the swap of flow modes 0 and 1.  Row b of a batch has the diagonal
+    ``diagonals[b]`` and adds ``weights[b]`` times the ``parts`` A + A^dagger and i (A - A^dagger) on P and Q of the
+    off-diagonal ``hopping`` triplets A of a one-block operator: made from a sweep's H_0 and hopping, it serves every
+    phase."""
 
     def __init__(self, operator: HermitianOperator, hopping: tuple = (np.zeros(0, np.intp),) * 3):
         if operator.basis is None or operator.basis.interpretation != "flow":
@@ -133,9 +139,10 @@ class _PairElimination:
         blocks = _pair_blocks(operator)
         space = np.concatenate([members for members, _, held in blocks if held])
         self.indices = np.concatenate([targets, space[(space != t0) & (space != t1)]])
+        self.split = sum(held for _, _, held in blocks) > 1
         where, self.diagonal, self.others = np.empty(operator.dimension, np.intp), np.empty(operator.dimension), []
         where[self.indices] = np.arange(len(self.indices))
-        self.n, self.partner = operator.basis.n, where[_ranks(operator.basis.occupations[self.indices][:, [1, 0, 2]])]
+        self.partner = where[_ranks(operator.basis.occupations[self.indices][:, [1, 0, 2]])]
         self.matrix = _dense_zeros(len(self.indices), np.result_type(*operator.blocks))
         rows, cols, values = hopping
         self.parts = np.zeros((2 if len(values) else 0, *self.matrix.shape), complex if len(values) else self.matrix.dtype)
@@ -165,53 +172,57 @@ class _PairElimination:
         h_pp[:, 0, 0], h_pp[:, 1, 1] = d[:, 0], d[:, 1]
         return h_pp - np.swapaxes(_mixed(*self.qp, weights).conj(), -1, -2) @ x
 
+    def _newton(self, d: np.ndarray, x: np.ndarray, weights: np.ndarray, prove: bool, k=0, pins=None) -> tuple:
+        """(g, g', proven, y, c_P) at each row of ``d`` (the diagonal on P and Q), ``x`` and ``weights``, from one
+        kernel solve y = (H_QQ - x)^{-1} H_QP: g = lambda_k(H_eff(x)) - x and g' = -1 - |y c_P|^2, c_P the unit k-th
+        ``branch_vector`` of H_eff(x), or (1 - k, k) where its splitting r is 0; with ``pins``, c_P = pins[k] and g =
+        c_P^T H_eff(x) c_P - x.  Below the lowest level of H_QQ, H_eff' = -y^dagger y, so g decreases."""
+        y, proven = self.qq.solve(d[:, 2:] - x[:, None], _mixed(*self.qp, weights), prove, weights)
+        heff = self._heff(d, y, weights)
+        if pins is not None:
+            g = np.einsum("bi,bij,bj->b", pins[k], heff.real, pins[k]) - x
+            return g, -1.0 - np.sum(np.abs(y @ pins[k][:, :, None]) ** 2, axis=(1, 2)), proven, y, pins[k]
+        h00, h11, v = heff[:, 0, 0].real, heff[:, 1, 1].real, heff[:, 0, 1]
+        r, k = np.hypot(0.5 * (h00 - h11), np.abs(v)), np.broadcast_to(k, x.shape)
+        c_p = np.where(r == 0.0, [1 - k, k], branch_vector(0.5 * (h00 - h11), v, (1 - 2 * k) * r))
+        c_p = (c_p / np.linalg.norm(c_p, axis=0)).T
+        # lambda_k = min or max(h00, h11) -+ |v|^2 / (r + |h00 - h11| / 2) does not cancel where |v| is small.
+        shift = np.abs(v) * (np.abs(v) / (r + 0.5 * np.abs(h00 - h11) + (r == 0.0)))
+        g = np.where(k, np.maximum(h00, h11) + shift, np.minimum(h00, h11) - shift) - x
+        return g, -1.0 - np.linalg.norm(y @ c_p[:, :, None], axis=(1, 2)) ** 2, proven, y, c_p
+
     def eliminate(self, diagonals: np.ndarray, weights: np.ndarray | None = None) -> list[LowdinResult | None]:
-        """``lowdin_coupling`` of the operator of each row of ``diagonals`` and ``weights``, batched over the rows;
-        None where H_QQ is not proven above lam + RESONANCE_RTOL * ``scale``.  lam is the root of g(x) =
-        lambda_min(H_eff(x)) - x, by Newton steps with g' = -1 - |X c_P|^2, X = (H_QQ - x)^{-1} H_QP and c_P the
-        unit lowest ``branch_vector`` of H_eff(x), from x0, the lower level of H_PP (at or above lam by
-        interlacing).  Once the kernel proves H_QQ - x0 positive definite, g is concave and decreasing up to x0 and
-        the steps descend onto lam, until one is at most 4 eps ``scale``.  Where that proof fails or Newton does
-        not converge, lam is the lowest level of the row's matrix by ``eigvalsh``, improved by one Newton step
-        where the kernel proves H_QQ - lam positive definite.  One more kernel call gives x at lam and the
-        resonance proof of rows that the proof at x0 does not cover (a fallback, or x0 within the margin)."""
+        """``lowdin_coupling`` of each row of ``diagonals`` and ``weights``, batched; None where H_QQ is not proven
+        above lam + RESONANCE_RTOL * ``scale``.  lam is the root of g(x) = lambda_min(H_eff(x)) - x (``_newton``),
+        at or below x0, the lower level of H_PP.  Where H_QQ - x is proven positive definite, g is concave and
+        decreasing up to x, so from x >= lam Newton steps descend onto lam, until one is at most 4 eps ``scale``
+        or moves x by nothing.  An unproven x0 steps down, twice as far each time plus |H_QP|_F, until a proven x;
+        ``_bracketed`` steps in a bracket from -|H|_F (below every level) go on from there, and one that closes on
+        two adjacent floats ends the row.  One more kernel call gives x at lam and the resonance proof of rows whose
+        highest proven x lies within the margin of lam."""
         weights = np.zeros((len(diagonals), 0)) if weights is None else weights
-        d, scale = diagonals[:, self.indices], self.scales(diagonals, weights)[0]
-
-        def newton(rows: np.ndarray, x: np.ndarray, prove: bool) -> tuple[np.ndarray, np.ndarray]:  # (dx, proven)
-            y, proven = self.qq.solve(d[rows, 2:] - x[:, None], _mixed(*self.qp, weights[rows]), prove, weights[rows])
-            heff = self._heff(d[rows], y, weights[rows])
-            h00, h11, v = heff[:, 0, 0].real, heff[:, 1, 1].real, heff[:, 0, 1]
-            r = np.hypot(0.5 * (h00 - h11), np.abs(v))
-            c_p = branch_vector(0.5 * (h00 - h11), v, r)
-            slope = -1.0 - np.linalg.norm(y @ (c_p / np.linalg.norm(c_p, axis=0)).T[:, :, None], axis=(1, 2)) ** 2
-            # lambda_min = min(h00, h11) - |v|^2 / (r + |h00 - h11| / 2) does not cancel where |v| is small.
-            return (np.minimum(h00, h11) - np.abs(v) * (np.abs(v) / (r + 0.5 * np.abs(h00 - h11))) - x) / slope, proven
-
-        lam, todo = np.full(len(d), np.nan), np.arange(len(d))
-        x0 = 0.5 * (d[:, 0] + d[:, 1]) - np.hypot(0.5 * (d[:, 0] - d[:, 1]), np.abs(_mixed(*self.pp, weights)[..., 0, 1]))
-        x = x0.copy()
+        d, (scale, frobenius) = diagonals[:, self.indices], self.scales(diagonals, weights)
+        x = 0.5 * (d[:, 0] + d[:, 1]) - np.hypot(0.5 * (d[:, 0] - d[:, 1]), np.abs(_mixed(*self.pp, weights)[..., 0, 1]))
+        coupling = np.abs(np.broadcast_to(_mixed(*self.qp, weights), (len(d), *self.qp[0].shape))).reshape(len(d), -1)
+        x0, b, lo, hi = x.copy(), np.hypot.reduce(coupling, axis=1), -frobenius, np.full(len(d), np.inf)  # b = |H_QP|_F
+        lam, top, todo = np.full(len(d), np.nan), np.full(len(d), -np.inf), np.arange(len(d))  # top: highest proven x
         with np.errstate(all="ignore"):
-            for step in range(_NEWTON_STEPS):
-                if not len(todo):
-                    break
-                dx, proven = newton(todo, x[todo], step == 0)
-                x[todo] -= dx
-                done = proven & (dx <= 4.0 * np.finfo(float).eps * scale[todo])
-                lam[todo[done]] = x[todo[done]]
-                todo = todo[proven & ~done & np.isfinite(x[todo])]
-            covered, fallback = x0 >= lam + RESONANCE_RTOL * scale, np.flatnonzero(np.isnan(lam))
-            for b in fallback.tolist():  # row b's matrix on P and Q, assembled in place
-                h = np.tensordot(weights[b], self.parts, 1)
-                h += self.matrix
-                h[np.diag_indices_from(h)] = d[b]
-                lam[b] = np.linalg.eigvalsh(h)[0]
-            dx, proven = newton(fallback, lam[fallback], True)
-            lam[fallback] -= np.where(proven & np.isfinite(dx), dx, 0.0)
-        explicit = np.flatnonzero(~covered)
-        rows, shifts = np.r_[np.arange(len(d)), explicit], np.r_[lam, lam[explicit] + RESONANCE_RTOL * scale[explicit]]
+            while len(todo):
+                at, prove = x[todo], bool((x[todo] > top[todo]).any())  # below a proven x, H_QQ - x is proven too
+                g, slope, proven, _, _ = self._newton(d[todo], at, weights[todo], prove)
+                top[todo], step = np.where(proven & prove, np.maximum(top[todo], at), top[todo]), at - g / slope
+                done = proven & ((np.abs(g / slope) <= 4.0 * np.finfo(float).eps * scale[todo]) | (step == at))
+                nxt, lo[todo], hi[todo] = _bracketed(at, g, slope, proven, lo[todo], hi[todo], done)
+                down = np.maximum(lo[todo], 2.0 * at - x0[todo] - b[todo])  # twice as far below x0, plus b
+                x[todo] = np.where(top[todo] == -np.inf, down, nxt)  # down until a proven x
+                ended = done | (x[todo] == lo[todo]) | (x[todo] == hi[todo]) | ~np.isfinite(x[todo])
+                lam[todo[ended]] = x[todo[ended]]
+                todo = todo[~ended]
+        margin = lam + RESONANCE_RTOL * scale
+        covered = top >= margin
+        rows, shifts = np.r_[np.arange(len(d)), np.flatnonzero(~covered)], np.r_[lam, margin[~covered]]
         y, proven = self.qq.solve(d[rows, 2:] - shifts[:, None], _mixed(*self.qp, weights[rows]), True, weights[rows])
-        covered[explicit] = proven[len(d):]
+        covered[~covered] = proven[len(d):]
         heff = self._heff(d, y[: len(d)], weights)
         return [LowdinResult(v01=complex(heff[b, 0, 1]), lam=float(lam[b]), heff=heff[b], indices=self.indices, x=y[b])
                 if covered[b] else None for b in range(len(d))]
@@ -223,72 +234,73 @@ class _PairElimination:
             raise NearResonantIntermediateError(f"an eliminated level lies within {margin:.3e} of the working energy")
         return eliminations
 
-    def _parity(self, diagonal: np.ndarray, elimination: LowdinResult, scale: float, frobenius: float) -> tuple | None:
-        """(lam, x, c_P, top) on the crossing: of the two lowest levels the one with the larger pair weight, and
-        the higher level.  Where max |H - PHP| <= 16 eps |H|_F, P swapping flow modes 0 and 1 (``partner``), and the
-        pair lies in one block without parts, each of the P-even and P-odd halves holds one c_P = (1, +-1) / sqrt(2):
-        its level is the root of c_P^T H_eff(x) c_P - x, by Newton steps from the pair's lam (at or below both) in
-        two rows of one batch.  Once the kernel proves H_QQ above the higher + RESIDUAL_RTOL |H|_F, they are the
-        two lowest levels (interlacing).  Pair weights that tie to 8 eps take the lower: P-odd where v01 > 0."""
+    def _crossing(self, diagonal: np.ndarray, weights: np.ndarray, elimination: LowdinResult, scale: float,
+                  frobenius: float) -> tuple | None:
+        """(lam, x, c_P, top) of a doublet's level with the larger pair weight 1 / (1 + |x c_P|^2), and its upper
+        level top; None where no doublet is proven.  The levels are the roots of g_k (``_newton``, k = 0, 1), by
+        ``_bracketed`` Newton steps from the pair's lam in two rows of one batch.  c_P is pinned where exact: (1, 0)
+        and (0, 1) on a ``split`` pair, and (1, +-1) / sqrt(2) where P, swapping flow modes 0 and 1 (``partner``),
+        gives max |H - PHP| <= 16 eps |H|_F without parts.  Once the kernel proves H_QQ (here) and every other
+        block (``states``) above top + RESIDUAL_RTOL |H|_F, the roots are the two lowest levels (Haynsworth's
+        inertia).  A split pair with P has degenerate levels and reports its |N,0,0> one; weights that tie to 8 eps
+        take the lower level, P-odd where v01 > 0."""
         h, partner, (rows, cols), d = self.matrix, self.partner, self.edges, diagonal[self.indices]
         asymmetry = max(np.max(np.abs(h[rows, cols] - h[partner[rows], partner[cols]]), initial=0.0),
                         np.max(np.abs(d - d[partner])))
-        if len(self.parts) or self.n % 3 or not asymmetry <= 16.0 * np.finfo(float).eps * frobenius:
-            return None
-        c, x = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0), np.full(2, elimination.lam)
+        symmetric = not len(self.parts) and asymmetry <= 16.0 * np.finfo(float).eps * frobenius
+        pins = np.eye(2) if self.split else np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0) if symmetric else None
+        k, x, lo, hi = np.arange(2), np.full(2, elimination.lam), np.full(2, -frobenius), np.full(2, np.inf)
+        d, weights, top = np.array([d, d, d]), np.array([weights, weights, weights]), x.copy()  # proven up to lam
         with np.errstate(all="ignore"):
-            for _ in range(_NEWTON_STEPS):
-                y = self.qq.solve(d[2:] - x[:, None], self.qp[0])[0]
-                g = np.einsum("bi,bij,bj->b", c, self._heff(np.array([d, d]), y).real, c) - x
-                x -= g / (-1.0 - np.sum((y @ c[:, :, None]) ** 2, axis=(1, 2)))
-                if (np.abs(g) <= 4.0 * np.finfo(float).eps * scale).all():
+            while True:
+                prove = bool((x > top).any())
+                g, slope, proven, _, _ = self._newton(d[:2], x, weights[:2], prove, k, pins)
+                top = np.where(proven & prove, np.maximum(top, x), top)
+                converged = np.abs(g / slope) <= 4.0 * np.finfo(float).eps * scale
+                x, lo, hi = _bracketed(x, g, slope, proven, lo, hi, converged)
+                if (converged | (x == lo) | (x == hi) | ~np.isfinite(x)).all():  # or a bracket closed on adjacent floats
                     break
-            else:
-                return None
-            y, proven = self.qq.solve(d[2:] - np.r_[x, x.max() + RESIDUAL_RTOL * frobenius][:, None], self.qp[0], True)
-            weight = 1.0 / (1.0 + np.sum((y[:2] @ c[:, :, None]) ** 2, axis=(1, 2)))
-        tie = abs(weight[0] - weight[1]) <= 8.0 * np.finfo(float).eps
-        odd = int(elimination.v01.real > 0.0 if tie else weight[1] > weight[0])
-        return (x[odd], y[odd], c[odd], x.max()) if proven[2] else None
+            cut = x.max() + RESIDUAL_RTOL * frobenius
+            _, slope, proven, y, c_p = self._newton(d, np.r_[x, cut], weights, True, k[[0, 1, 1]], pins)
+        if not proven[2]:
+            return None
+        weight, lower = -1.0 / slope[:2], int(elimination.v01.real > 0.0) if symmetric else int(np.argmin(x))
+        pick = lower if abs(weight[0] - weight[1]) <= 8.0 * np.finfo(float).eps else int(weight[1] > weight[0])
+        pick = 0 if self.split and symmetric else pick
+        return x[pick], y[pick], c_p[pick], x.max()
 
     def states(self, diagonals: np.ndarray, eliminations: list, weights: np.ndarray, crossing=()) -> list:
-        """Ground state of the operator of each row of ``diagonals`` and ``weights``, from its elimination:
-        c_P = ``branch_vector`` of H_eff(lam) on its lowest branch (on ``crossing`` rows, ``_parity``'s) and
-        c_Q = -x c_P.  None unless r > 0 (``_parity`` gives a level), the state passes the eigensolver's
-        residual bound on the blocks that hold a target, and the kernel proves each other block free of
-        levels up to lam (``_parity``'s top) + RESIDUAL_RTOL |H|_F, in one batch per block."""
-        (scale, frobenius), states = self.scales(diagonals, weights), [None] * len(eliminations)
-        tops = np.array([math.nan if elimination is None else elimination.lam for elimination in eliminations])
+        """Ground state of each row of ``diagonals`` and ``weights`` from its elimination, or on ``crossing`` rows the
+        level of a doublet that ``_crossing`` finds: c_P = ``branch_vector`` of H_eff(lam) on its lowest branch ((1,
+        0) where r = 0), or ``_crossing``'s, and c_Q = -x c_P.  None unless the state passes the eigensolver's
+        residual bound and the kernel proves each other block free of levels up to lam (the doublet's top) +
+        RESIDUAL_RTOL |H|_F, in one batch per block; a doublet that fails either gives way to the ground state."""
+        (scale, frobenius), states, tried = self.scales(diagonals, weights), [None] * len(eliminations), []
         for b, elimination in enumerate(eliminations):
             if elimination is None:
                 continue
-            if b in crossing:
-                found = self._parity(diagonals[b], elimination, scale[b], frobenius[b])
-                if found is None:
-                    continue
-                lam, x, c_p, tops[b] = found
-            else:
-                lam, x, ((a, v), (_, c)) = elimination.lam, elimination.x, elimination.heff
-                eps = 0.5 * float(np.real(a - c))
-                r = math.hypot(eps, abs(v))
-                if r == 0.0:
-                    continue
-                # Scaling by a power of two keeps the norm finite and changes no bit of the normalised state.
-                c_p = branch_vector(eps, v, r) * math.ldexp(1.0, -math.frexp(r)[1])
-            state = np.zeros(len(self.diagonal), dtype=np.result_type(c_p, x))
-            state[self.indices] = np.concatenate([c_p, -x @ c_p])
-            state /= np.linalg.norm(state)
-            local, d = state[self.indices], diagonals[b, self.indices]
-            product = _mixed(self.matrix @ local, self.parts @ local, weights[b])
-            residual = np.max(np.abs(product + (d - np.diagonal(self.matrix) - lam) * local))
-            if residual <= RESIDUAL_RTOL * max(abs(lam), float(np.max(np.abs(d)))):
-                states[b] = state
-        tried = np.array([b for b, state in enumerate(states) if state is not None], np.intp)
-        cuts = tops[tried] + RESIDUAL_RTOL * frobenius[tried]
+            lam, x, ((a, v), (_, c)) = elimination.lam, elimination.x, elimination.heff
+            eps = 0.5 * float(np.real(a - c))
+            r = math.hypot(eps, abs(v))
+            # Scaling by a power of two keeps the norm finite and changes no bit of the normalised state.
+            c_p = branch_vector(eps, v, r) * math.ldexp(1.0, -math.frexp(r)[1]) if r else np.array([1, 0], type(v))
+            doublet = b in crossing and self._crossing(diagonals[b], weights[b], elimination, scale[b], frobenius[b])
+            for lam, x, c_p, top in ([doublet] if doublet else []) + [(lam, x, c_p, lam)]:
+                state = np.zeros(len(self.diagonal), dtype=np.result_type(c_p, x))
+                state[self.indices] = np.concatenate([c_p, -x @ c_p])
+                state /= np.linalg.norm(state)
+                local, d = state[self.indices], diagonals[b, self.indices]
+                product = _mixed(self.matrix @ local, self.parts @ local, weights[b])
+                residual = np.max(np.abs(product + (d - np.diagonal(self.matrix) - lam) * local))
+                if residual <= RESIDUAL_RTOL * max(abs(lam), float(np.max(np.abs(d)))):
+                    tried.append((b, state, top + RESIDUAL_RTOL * frobenius[b]))
+        rows, cuts = np.array([row for row, _, _ in tried], np.intp), np.array([cut for _, _, cut in tried])
+        free = np.ones(len(tried), bool)
         for members, layered in self.others:
-            shifted = diagonals[np.ix_(tried, members)] - cuts[:, None]
-            for b, free in zip(tried.tolist(), layered.solve(shifted, np.zeros((len(members), 0)), prove=True)[1]):
-                states[b] = states[b] if free else None
+            shifted = diagonals[np.ix_(rows, members)] - cuts[:, None]
+            free &= layered.solve(shifted, np.zeros((len(members), 0)), prove=True)[1]
+        for (b, state, _), ok in zip(tried, free.tolist()):
+            states[b] = state if ok and states[b] is None else states[b]
         return states
 
 
@@ -537,14 +549,16 @@ def path_normalisation(graph: CouplingGraph, targets: tuple[int, int], lam: floa
 def effective_point(params: ModelParams, dphi: float, elimination: LowdinResult | None = None) -> TwoLevelModel:
     """Two-level prediction at phase twist pi + dphi.
 
-    The coupling and the centre energy E0 come from ``elimination`` when it is given, and otherwise from exact
-    elimination in a newly built flow Hamiltonian at pi + dphi.  The detuning is ``_detuning(params, dphi)``, which
-    needs equal tunnelling, plus half the self-energy gap of the targets, (c_0 - c_1) N (N - 1), zero for contact.
+    The coupling and the centre energy E0 come from ``elimination`` when it is given, and otherwise from a
+    one-offset ``_sweep_eliminations``, checked by ``_PairElimination.proven``: ``effective_report``'s row.  The
+    detuning is ``_detuning(params, dphi)``, which needs equal tunnelling, plus half the self-energy gap of the
+    targets, (c_0 - c_1) N (N - 1), zero for contact.
     """
     c_self = _flow_interaction_coefficients(params)[0]
     eps = _detuning(params, dphi) + (c_self[0] - c_self[1]) * params.n * (params.n - 1) / 2.0
     if elimination is None:
-        elimination = lowdin_coupling(flow_sweep(params).at(math.pi + dphi))
+        pair, diagonals, _, eliminations = _sweep_eliminations(flow_sweep(params), np.array([dphi], dtype=float))
+        elimination = pair.proven(diagonals, eliminations)[0]
     e0 = 0.5 * float(np.real(elimination.heff[0, 0] + elimination.heff[1, 1]))
     return two_level_predict(e0, eps, elimination.v01)
 

@@ -14,7 +14,6 @@ from ringcat import (
     UnsupportedConfigurationError,
     cat_amplitudes,
     catscan,
-    crossing_pair_state,
     effective_point,
     effective_report,
     eigensolve,
@@ -138,31 +137,39 @@ def test_captured_norm_measures_pair_weight():
     np.testing.assert_allclose(m.captured_norm, 0.64, atol=1e-12)
 
 
-def test_crossing_pair_state_maximises_capture():
-    op_params = N3_PARAMS.with_phi(math.pi)
-    from ringcat import build_site_hamiltonian, eigensolve
+def test_the_n3_crossing_row_is_the_level_with_the_larger_pair_weight():
+    """At dphi = 0 the row is the one of the two lowest levels with the larger pair weight: at N = 3 the
+    first excited level, a balanced cat that captures the whole pair weight."""
+    from ringcat import build_site_hamiltonian
 
-    result = eigensolve(build_site_hamiltonian(op_params), n_levels=2)
+    result = eigensolve(build_site_hamiltonian(N3_PARAMS.with_phi(math.pi)), n_levels=2)
     basis = enumerate_fock(3)
-    best = crossing_pair_state(result.vectors, basis)
-    m = cat_amplitudes(best, basis)
-    m0 = cat_amplitudes(result.vectors[:, 0], basis)
-    m1 = cat_amplitudes(result.vectors[:, 1], basis)
-    assert m.captured_norm >= max(m0.captured_norm, m1.captured_norm) - 1e-12
+    m0, m1 = (cat_amplitudes(result.vectors[:, i], basis) for i in range(2))
+    m = ground_cat_metrics(N3_PARAMS, 0.0)
+    assert m1.captured_norm > m0.captured_norm
+    np.testing.assert_allclose(m.captured_norm, m1.captured_norm, atol=1e-12)
     np.testing.assert_allclose(m.captured_norm, 1.0, atol=1e-9)
-    np.testing.assert_allclose(abs(m.a0), abs(m.a1), atol=1e-9)
+    assert abs(m.a0) == abs(m.a1)
 
 
-def test_crossing_pair_state_returns_a_single_column_itself():
-    """Zero imaginary parts keep their sign: 1-0j does not come back as 1+0j."""
-    basis = enumerate_fock(3, "flow")
-    column = np.zeros((basis.dimension, 1), dtype=complex)
-    column[basis.index((3, 0, 0)), 0] = complex(0.6, -0.0)
-    column[basis.index((0, 3, 0)), 0] = complex(-0.8, -0.0)
-    state = crossing_pair_state(column, basis)
-    assert np.array_equal(state, column[:, 0])
-    assert np.array_equal(np.signbit(state.imag), np.signbit(column[:, 0].imag))
-    assert np.signbit(state.imag).sum() == 2
+def test_the_dense_route_reports_the_lowest_level_itself(monkeypatch):
+    """``_dense_metrics`` asks ``eigensolve`` for one level, also at dphi = 0, and takes the cat metrics of
+    that eigenvector as it is."""
+    from ringcat import catmetrics
+
+    asked, solve = [], catmetrics.eigensolve
+
+    def spy(operator, n_levels=None, **kwargs):
+        asked.append(n_levels)
+        return solve(operator, n_levels, **kwargs)
+
+    monkeypatch.setattr(catmetrics, "eigensolve", spy)
+    sweep = flow_sweep(ModelParams(n=7, u0=0.1, u1=0.05, dipolar=True))
+    for dphi in (0.0, -0.3):
+        operator = sweep.at(math.pi + dphi)
+        expected = cat_amplitudes(solve(operator, n_levels=1).vectors[:, 0], operator.basis)
+        assert catmetrics._dense_metrics(sweep, dphi) == expected
+    assert asked == [1, 1]
 
 
 @pytest.mark.parametrize("dphi", [1e-10, 1e-8])

@@ -462,6 +462,19 @@ def test_effective_report_thread_determinism():
             assert (table.e_minus[i], table.e_plus[i]) == model.predicted_energies
 
 
+@pytest.mark.parametrize("params", [ModelParams(n=36, u=1.0), ModelParams(n=7, u=0.1), N3_PARAMS])
+def test_effective_point_is_the_report_row_bit_for_bit(params):
+    """Without an elimination, ``effective_point`` is a one-offset sweep checked by ``proven``: every column
+    of its row equals ``effective_report``'s, also where Newton's start is not proven (U/J = 1) and on a
+    split pair's crossing, whose ratio is nan."""
+    grid = [-0.2, 0.0, 0.13]
+    for row, dphi in zip(effective_report(params, grid).rows(), grid):
+        model = effective_point(params, dphi)
+        np.testing.assert_array_equal(
+            row, (dphi, model.eps, abs(model.v01), abs(model.predicted_ratio), *model.predicted_energies)
+        )
+
+
 def test_dipolar_report_solves_the_exact_flow_operator():
     """effective, catscan and the elimination of the exact flow Hamiltonian
     agree for the dipolar interaction (the printed flow coefficients do not

@@ -18,7 +18,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from ringcat import (
-    ModelParams, cat_amplitudes, catscan, cli, crossing_pair_state, effective_point, eigensolve, flow_sweep,
+    ModelParams, cat_amplitudes, catscan, cli, effective_point, eigensolve, flow_sweep,
     ground_cat_metrics,
 )
 from ringcat import effective as effective_module
@@ -95,8 +95,9 @@ def test_unequal_bond_scan_off_the_crossing_calls_no_dense_eigh(monkeypatch):
     true_eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda m: sizes.append(len(m)) or true_eigh(m))
     table = catscan(ModelParams(n=5, j=(1.0, 0.9, 1.1), u=0.1), [-0.2, -0.05, 0.0, 0.05, 0.2])
-    assert sizes == [21, 2]  # the crossing row: one whole-operator solve and its 2 x 2 Gram matrix
+    assert sizes == []  # the crossing row too: H_QQ lies below level 1, so it is the proven ground state
     assert all(0.0 < m.captured_norm <= 1.0 for m in table.metrics)
+    assert abs(table.metrics[2].captured_norm - 0.275362976489501) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -211,14 +212,22 @@ def test_a_near_resonant_effective_offset_is_not_eliminated_again(tmp_path, pair
     assert pair_calls == {"__init__": 1, "eliminate": 1}
 
 
-def test_a_crossing_without_parity_is_laid_out_once_and_solved_densely(pair_calls):
-    """A dipolar crossing (U1 != 0 breaks the parity of the halves) is eliminated once, with its
-    sweep, for its analytic ratio; its state is the dense route's."""
-    params = ModelParams(n=3, u0=0.1, u1=0.05, dipolar=True)
+def test_a_crossing_without_parity_is_laid_out_once_and_solved_by_the_kernel(pair_calls, monkeypatch):
+    """A dipolar crossing (U1 != 0 breaks the parity of the halves) is eliminated once, with its sweep, and its
+    row is the doublet level with the larger pair weight, here the upper one, from H_eff's own eigenvectors,
+    with no dense eigensolver: it matches that level of ``eigensolve`` to 1e-10."""
+    params = ModelParams(n=3, u0=0.1, u1=0.01, dipolar=True)
+    operator = flow_sweep(params).at(math.pi)
+    levels = [cat_amplitudes(v, operator.basis) for v in eigensolve(operator, n_levels=2).vectors.T]
+    monkeypatch.setattr(np.linalg, "eigh", None)
+    monkeypatch.setattr(np.linalg, "eigvalsh", None)
     metrics = ground_cat_metrics(params, 0.0)
     assert pair_calls == {"__init__": 1, "eliminate": 1}
-    operator = flow_sweep(params).at(math.pi)
-    assert metrics == cat_amplitudes(crossing_pair_state(eigensolve(operator, n_levels=2).vectors, operator.basis), operator.basis)
+    dense = max(levels, key=lambda m: m.captured_norm)
+    assert dense is levels[1]
+    for got, want in ((metrics.captured_norm, dense.captured_norm), (abs(metrics.a0), abs(dense.a0)),
+                      (abs(metrics.a1), abs(dense.a1))):
+        assert abs(got - want) <= 1e-10
 
 
 def test_an_equal_bond_scan_hands_only_the_exact_crossing_to_the_parity_halves(monkeypatch):

@@ -3,12 +3,13 @@
 At dphi = 0 exactly, P, which swaps flow modes 0 and 1, commutes with the
 contact operator with equal bonds, so the pair block splits into a P-even and a
 P-odd half, each holding one of (|N,0,0> +- |0,N,0>) / sqrt(2).
-``_PairElimination._parity`` takes both levels from the layered kernel and
-reports the one with the larger pair weight.  The reference is the dense route:
-the top eigenvector of the Gram matrix of the two lowest levels of
-``eigensolve`` (``crossing_pair_state``), which for these operators is that
-same level up to rounding.  Only dphi = 0 is the crossing: a row next to it is
-the ground state, checked against a 40-digit one.
+``_PairElimination._crossing`` pins c_P to those halves, takes both levels from
+the layered kernel and reports the one with the larger pair weight.  The
+reference is the dense route: of the two lowest levels of ``eigensolve``, the
+one with the larger pair weight.  A dense eigenvector of a near-degenerate pair
+may mix the two, but for the halves that moves the captured norm only to second
+order.  Only dphi = 0 is the crossing: a row next to it is the ground state,
+checked against a 40-digit one.
 """
 
 from __future__ import annotations
@@ -22,16 +23,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringcat import (
-    ModelParams, cat_amplitudes, catscan, cli, crossing_pair_state, effective_point, eigensolve, flow_sweep, solver,
+    ModelParams, build_site_hamiltonian, cat_amplitudes, catscan, cli, effective_point, eigensolve, flow_sweep, solver,
 )
 from ringcat import catmetrics as catmetrics_module
 from ringcat.effective import default_flow_targets
+from test_sector_route import crossing_oracle
 
 
-def _dense_crossing(params: ModelParams, dphi: float = 0.0):
-    """Cat metrics of the crossing row by the dense route."""
-    operator = flow_sweep(params).at(math.pi + dphi)
-    return cat_amplitudes(crossing_pair_state(eigensolve(operator, n_levels=2).vectors, operator.basis), operator.basis)
+def _dense_crossing(params: ModelParams):
+    """Cat metrics of the crossing row by the dense route: of the two lowest levels, the one with the larger
+    pair weight."""
+    operator = flow_sweep(params).at(math.pi)
+    levels = [cat_amplitudes(vector, operator.basis) for vector in eigensolve(operator, n_levels=2).vectors.T]
+    return max(levels, key=lambda metrics: metrics.captured_norm)
 
 
 @pytest.fixture
@@ -57,6 +61,21 @@ def test_equal_bond_contact_scans_call_no_dense_eigensolver(tmp_path, dense_call
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        "catscan --n 91 --dphi=-0.2:0.2:5",  # a split pair: its crossing row is the |N,0,0> level
+        "catscan --n 60 --j 1,1,0.9 --dphi=-0.2:0.2:5",  # x0 unproven at dphi = 0: a step-down
+        "catscan --n 24 --j 1,0.9,1.1 --dphi=-0.2:0.2:9",  # a doublet from H_eff's own eigenvectors
+        "catscan --n 36 --u 1 --dphi=-0.2:0.2:5",  # x0 unproven at every offset
+        "effective --n 36 --u 1 --dphi=-0.2:0.2:5",
+    ],
+)
+def test_scans_with_unproven_starts_or_without_parity_call_no_dense_eigensolver(argv, tmp_path, dense_calls):
+    assert cli.main([*argv.split(), "--out", str(tmp_path / "out.csv")]) == 0
+    assert dense_calls == []
+
+
+@pytest.mark.parametrize(
     "params, dphi",
     [
         (ModelParams(n=6, u0=0.1, u1=0.05, dipolar=True), 0.0),  # dipolar U1 != 0 breaks P
@@ -65,11 +84,42 @@ def test_equal_bond_contact_scans_call_no_dense_eigensolver(tmp_path, dense_call
         (ModelParams(n=6, j=(1.0, 0.9, 1.1), u=0.1), 0.0),  # unequal bonds
     ],
 )
-def test_crossing_rows_without_the_parity_halves_take_the_dense_route(params, dphi, dense_calls):
+def test_crossing_rows_without_the_parity_halves_take_no_dense_route(params, dphi, dense_calls):
+    """These rows are the dense oracle's (``crossing_oracle``): the ground state where a level other than
+    the pair's lies below level 1 (the dipolar and unequal-bond cases), the |N,0,0> level of the split
+    pair; and no dense eigensolver is called."""
     assert dphi == 0.0
     row = catscan(params, [dphi]).metrics[0]
-    assert "eigensolve" in dense_calls
-    assert row == _dense_crossing(params, dphi)
+    assert dense_calls == []
+    oracle, atol = crossing_oracle(params, build_site_hamiltonian(params.with_phi(math.pi)))
+    assert abs(row.captured_norm - oracle.captured_norm) <= atol
+    assert abs(abs(row.a0) - abs(oracle.a0)) <= atol and abs(abs(row.a1) - abs(oracle.a1)) <= atol
+
+
+@pytest.mark.parametrize(
+    "n, line",
+    [
+        (6, "6,0.1,0,0.703543788047518,0,-0.703543788047518,0,1,0.989947723400503,1"),
+        (36, "36,0.1,0,0.661962928305351,0,-0.661962928305351,0,1,0.87638983690119,1"),
+        (90, "90,0.1,0,0.610408576228103,0,-0.610408576228103,0,1,0.745197259865639,1"),
+    ],
+)
+def test_the_contact_crossing_rows_keep_their_csv_lines(n, line, tmp_path):
+    """The parity rows at U/J = 0.1, byte for byte as ``catscan --n N --dphi=-0.2:0.2:k`` writes them."""
+    out = tmp_path / "c.csv"
+    assert cli.main(["catscan", "--n", str(n), "--dphi", "0", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[-1] == line
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 91])
+def test_a_split_pair_crossing_row_is_its_n00_level(n):
+    """N mod 3 != 0: the targets lie in two blocks that P maps onto each other, v01 = 0 exactly and the two
+    levels are degenerate.  The row is the |N,0,0> level, the branch that dphi < 0 continues: a1 = 0 and
+    ratio inf, the captured norm that of the row just below the crossing."""
+    table = catscan(ModelParams(n=n, u=0.1), [-1e-9, 0.0])
+    below, row = table.metrics
+    assert row.a1 == 0.0 and row.a0.real > 0.0 and row.ratio == math.inf
+    assert abs(row.captured_norm - below.captured_norm) <= 1e-8
 
 
 def _ground_pair_to_40_digits(operator) -> tuple[float, float]:

@@ -3,7 +3,8 @@
 ``effective._PairElimination`` lays a flow operator out once for
 ``solver._Layered``: H_QQ is block tridiagonal in breadth-first layers, and
 ``eliminate`` finds lam by Newton steps on g(x) = lambda_min(H_eff(x)) - x,
-then x at lam and every proof by block elimination.  The references here are
+from a start the kernel proves, then x at lam and every proof by block
+elimination.  The references here are
 dense: a Rayleigh quotient in extended precision, LU solves, Cholesky
 factorisations and ``eigvalsh`` of the assembled pair block, and a 30-digit
 layered recursion in mpmath.  With unequal bonds each row also adds its weighted
@@ -63,9 +64,9 @@ def test_kernel_matches_the_dense_elimination(params, dphi):
     or split over two (N mod 3 != 0):
 
     - Newton's lam lies within 10 eps |H|_2 of the ground level of the pair block
-      (at most 6.8 eps |H|_2 was seen over 400 random cases); where the proof at
-      x0 fails, ``eigvalsh``'s lam and one proven Newton step from it (the N = 17
-      example: ``eigvalsh`` alone was 15.9 eps |H|_2 off);
+      (at most 6.8 eps |H|_2 was seen over 400 random cases), with no ``eigvalsh``
+      called, also where the proof at x0 fails and the row steps down to a proven
+      start (the N = 17 example: ``eigvalsh``'s lam there was 15.9 eps |H|_2 off);
     - given the same lam, x and v01 agree with a dense LU solve to 1e-12
       relative, plus 10 eps |H|_2 / gap for an eliminated level a gap above lam;
     - the proof verdicts at shifts off the lowest level of H_QQ and of every
@@ -80,11 +81,13 @@ def test_kernel_matches_the_dense_elimination(params, dphi):
         (result,) = pair.eliminate(pair.diagonal[None])
     h_qq, h_qp = h[2:, 2:], h[2:, :2]
     lowest_q = float(_TRUE["eigvalsh"](h_qq)[0]) if len(h_qq) else math.inf
+    assert not eigvalsh.called
     if result is None:
         event("resonant")
         assert lowest_q - lam <= 2.0 * RESONANCE_RTOL * operator.scale
         return
-    event("lam from eigvalsh" if eigvalsh.called else "lam from Newton")
+    x0 = float(_TRUE["eigvalsh"](h[:2, :2])[0])
+    event("lam from Newton at x0" if _dense_passes(h_qq - x0 * np.eye(len(h_qq))) else "lam after a step-down")
     assert abs(result.lam - lam) <= 10.0 * EPS * norm
 
     d = pair.diagonal[pair.indices][None]
@@ -175,8 +178,9 @@ def test_swept_unequal_bond_rows_match_each_offsets_own_elimination(params, dphi
     """Each row of one batch, whose hopping parts the kernel weighs, against its offset's own complex
     operator: the resonance verdict of ``lowdin_coupling``, lam within 10 eps |H|_2 of the ground level
     of the pair block, and v01 at that lam within 1e-12 plus 10 eps |H|_2 / gap relative of a dense LU
-    solve, the bounds of the equal-bond test above.  Two ``eigvalsh`` fallbacks, each within 7 eps |H|_2
-    of the level, differed by 10.1 eps |H|_2, so lam is compared with the level, not with the other route."""
+    solve, the bounds of the equal-bond test above.  Two rows whose lam came from ``eigvalsh``, each within
+    7 eps |H|_2 of the level, differed by 10.1 eps |H|_2, so lam is compared with the level, not with the
+    other route."""
     sweep = flow_sweep(params)
     *_, batched = _sweep_eliminations(sweep, np.array(dphis))
     for dphi, row in zip(dphis, batched):
@@ -331,14 +335,14 @@ def test_off_crossing_sweeps_hand_no_matrix_larger_than_a_layer(command, tmp_pat
     assert max(size for _, size in sizes) <= widest < 20
 
 
-def test_a_strongly_interacting_point_takes_lam_from_eigvalsh(monkeypatch):
+def test_a_strongly_interacting_point_steps_down_to_a_proven_start(monkeypatch):
     """At U/J = 1, N = 36 the lower level of H_PP lies above the lowest level of
-    H_QQ, so the proof at x0 fails and lam comes from ``eigvalsh`` of the 235-state
-    pair block; the rest stays in the kernel.  The row matches the one the dense
-    route wrote before the kernel to 1e-12 relative."""
+    H_QQ, so the proof at x0 fails; the row steps down to a start the kernel proves
+    and stays in the kernel, with no dense eigensolver.  The row matches the one the
+    dense route wrote before the kernel to 1e-12 relative."""
     sizes = _recorded_linalg_sizes(monkeypatch)
     row = next(catscan(ModelParams(n=36, u=1.0), [0.1]).rows())
-    assert ("eigvalsh", 235) in sizes and ("eigh", 235) not in sizes
+    assert {name for name, _ in sizes} == {"cholesky", "solve"}
     dense_route = (36, 1.0, 0.1, 0.0031683771381186324, 0.0, 0.6994982928062539, 0.0,
                    0.004529499457972524, 0.48930790025255305, 0.0075388282372920645)
     np.testing.assert_allclose(row, dense_route, rtol=1e-12, atol=0)
