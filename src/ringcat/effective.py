@@ -114,15 +114,6 @@ def _pair_blocks(operator: HermitianOperator) -> list[tuple[np.ndarray, np.ndarr
     return [(m, h, not pair or any(t in m for t in pair)) for m, h in zip(operator.sectors, operator.blocks)]
 
 
-def _bracketed(x, g, slope, proven, lo, hi, done) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(next x, lo, hi) of a safeguarded Newton step on each row's decreasing g: a proven x with g > 0 becomes lo, any
-    other x hi (an unproven one lies above H_QQ's lowest level, so above any root); next is x - g / g' where x is
-    ``done``, or proven and that lies inside (lo, hi), else the midpoint."""
-    left = proven & (g > 0.0)
-    lo, hi, step = np.where(left, x, lo), np.where(left, hi, x), x - g / slope
-    return np.where(done | proven & (lo < step) & (step < hi), step, 0.5 * (lo + hi)), lo, hi
-
-
 class _PairElimination:
     """A flow operator laid out once for the layered kernel (``solver._Layered``): ``indices``, the targets P then
     the eliminated states Q (the rest of the blocks that hold a target; ``split`` where the targets lie in two); the
@@ -191,33 +182,46 @@ class _PairElimination:
         g = np.where(k, np.maximum(h00, h11) + shift, np.minimum(h00, h11) - shift) - x
         return g, -1.0 - np.linalg.norm(y @ c_p[:, :, None], axis=(1, 2)) ** 2, proven, y, c_p
 
-    def eliminate(self, diagonals: np.ndarray, weights: np.ndarray | None = None) -> list[LowdinResult | None]:
-        """``lowdin_coupling`` of each row of ``diagonals`` and ``weights``, batched; None where H_QQ is not proven
-        above lam + RESONANCE_RTOL * ``scale``.  lam is the root of g(x) = lambda_min(H_eff(x)) - x (``_newton``),
-        at or below x0, the lower level of H_PP.  Where H_QQ - x is proven positive definite, g is concave and
-        decreasing up to x, so from x >= lam Newton steps descend onto lam, until one is at most 4 eps ``scale``
-        or moves x by nothing.  An unproven x0 steps down, twice as far each time plus |H_QP|_F, until a proven x;
-        ``_bracketed`` steps in a bracket from -|H|_F (below every level) go on from there, and one that closes on
-        two adjacent floats ends the row.  One more kernel call gives x at lam and the resonance proof of rows whose
-        highest proven x lies within the margin of lam."""
-        weights = np.zeros((len(diagonals), 0)) if weights is None else weights
-        d, (scale, frobenius) = diagonals[:, self.indices], self.scales(diagonals, weights)
-        x = 0.5 * (d[:, 0] + d[:, 1]) - np.hypot(0.5 * (d[:, 0] - d[:, 1]), np.abs(_mixed(*self.pp, weights)[..., 0, 1]))
+    def _roots(self, d: np.ndarray, x: np.ndarray, weights: np.ndarray, top: np.ndarray, scale: np.ndarray,
+               frobenius: np.ndarray, k: np.ndarray, pins=None) -> tuple[np.ndarray, np.ndarray]:
+        """(roots, top) of g_k (``_newton``) on each row of ``d`` (the diagonal on P and Q), ``weights`` and ``k``,
+        from ``x``; ``top`` is each row's highest proven x (-inf: none yet).  A row without a proven x steps down,
+        twice as far below its start each time plus |H_QP|_F, to at most -|H|_F (below every level), until one is
+        proven; from there Newton steps go on in a bracket (lo, hi) from (-|H|_F, inf): a proven x with g > 0 becomes
+        lo, any other x hi (an unproven one lies above H_QQ's lowest level, so above any root), and a step outside
+        the bracket becomes its midpoint.  A row ends once a proven step is at most 4 eps ``scale`` or moves x by
+        nothing, or where its next x is not finite or one it has evaluated: hi, or lo once it has a proven x.  A
+        row that proves no x has no root (nan)."""
         coupling = np.abs(np.broadcast_to(_mixed(*self.qp, weights), (len(d), *self.qp[0].shape))).reshape(len(d), -1)
-        x0, b, lo, hi = x.copy(), np.hypot.reduce(coupling, axis=1), -frobenius, np.full(len(d), np.inf)  # b = |H_QP|_F
-        lam, top, todo = np.full(len(d), np.nan), np.full(len(d), -np.inf), np.arange(len(d))  # top: highest proven x
+        x0, b, lo, hi = x, np.hypot.reduce(coupling, axis=1), -frobenius, np.full(len(d), np.inf)
+        x, top, roots, todo = x.copy(), top.copy(), np.full(len(d), np.nan), np.arange(len(d))
         with np.errstate(all="ignore"):
             while len(todo):
                 at, prove = x[todo], bool((x[todo] > top[todo]).any())  # below a proven x, H_QQ - x is proven too
-                g, slope, proven, _, _ = self._newton(d[todo], at, weights[todo], prove)
+                g, slope, proven, _, _ = self._newton(d[todo], at, weights[todo], prove, k[todo], pins)
                 top[todo], step = np.where(proven & prove, np.maximum(top[todo], at), top[todo]), at - g / slope
                 done = proven & ((np.abs(g / slope) <= 4.0 * np.finfo(float).eps * scale[todo]) | (step == at))
-                nxt, lo[todo], hi[todo] = _bracketed(at, g, slope, proven, lo[todo], hi[todo], done)
-                down = np.maximum(lo[todo], 2.0 * at - x0[todo] - b[todo])  # twice as far below x0, plus b
-                x[todo] = np.where(top[todo] == -np.inf, down, nxt)  # down until a proven x
-                ended = done | (x[todo] == lo[todo]) | (x[todo] == hi[todo]) | ~np.isfinite(x[todo])
-                lam[todo[ended]] = x[todo[ended]]
+                left, found = proven & (g > 0.0), top[todo] > -np.inf
+                lo[todo], hi[todo] = np.where(left, at, lo[todo]), np.where(left, hi[todo], at)
+                inside = done | proven & (lo[todo] < step) & (step < hi[todo])
+                nxt = np.where(inside, step, 0.5 * (lo[todo] + hi[todo]))
+                x[todo] = nxt = np.where(found, nxt, np.maximum(lo[todo], 2.0 * at - x0[todo] - b[todo]))
+                ended = done | ~np.isfinite(nxt) | (nxt == hi[todo]) | found & (nxt == lo[todo])
+                roots[todo[ended & found]] = nxt[ended & found]
                 todo = todo[~ended]
+        return roots, top
+
+    def eliminate(self, diagonals: np.ndarray, weights: np.ndarray | None = None) -> list[LowdinResult | None]:
+        """``lowdin_coupling`` of each row of ``diagonals`` and ``weights``, batched; None where H_QQ is not proven
+        above lam + RESONANCE_RTOL * ``scale``.  lam is the root of g(x) = lambda_min(H_eff(x)) - x (``_newton``),
+        at or below x0, the lower level of H_PP, by ``_roots``.  Where H_QQ - x is proven positive definite, g is
+        concave and decreasing up to x, so from x >= lam Newton steps descend onto lam; an unproven x0 first steps
+        down to a proven x.  One more kernel call gives x at lam and the resonance proof of rows whose highest
+        proven x lies within the margin of lam."""
+        weights = np.zeros((len(diagonals), 0)) if weights is None else weights
+        d, (scale, frobenius) = diagonals[:, self.indices], self.scales(diagonals, weights)
+        x0 = 0.5 * (d[:, 0] + d[:, 1]) - np.hypot(0.5 * (d[:, 0] - d[:, 1]), np.abs(_mixed(*self.pp, weights)[..., 0, 1]))
+        lam, top = self._roots(d, x0, weights, np.full(len(d), -np.inf), scale, frobenius, np.zeros(len(d), np.intp))
         margin = lam + RESONANCE_RTOL * scale
         covered = top >= margin
         rows, shifts = np.r_[np.arange(len(d)), np.flatnonzero(~covered)], np.r_[lam, margin[~covered]]
@@ -238,7 +242,7 @@ class _PairElimination:
                   frobenius: float) -> tuple | None:
         """(lam, x, c_P, top) of a doublet's level with the larger pair weight 1 / (1 + |x c_P|^2), and its upper
         level top; None where no doublet is proven.  The levels are the roots of g_k (``_newton``, k = 0, 1), by
-        ``_bracketed`` Newton steps from the pair's lam in two rows of one batch.  c_P is pinned where exact: (1, 0)
+        ``_roots`` from the pair's lam in two rows of one batch.  c_P is pinned where exact: (1, 0)
         and (0, 1) on a ``split`` pair, and (1, +-1) / sqrt(2) where P, swapping flow modes 0 and 1 (``partner``),
         gives max |H - PHP| <= 16 eps |H|_F without parts.  Once the kernel proves H_QQ (here) and every other
         block (``states``) above top + RESIDUAL_RTOL |H|_F, the roots are the two lowest levels (Haynsworth's
@@ -249,33 +253,24 @@ class _PairElimination:
                         np.max(np.abs(d - d[partner])))
         symmetric = not len(self.parts) and asymmetry <= 16.0 * np.finfo(float).eps * frobenius
         pins = np.eye(2) if self.split else np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0) if symmetric else None
-        k, x, lo, hi = np.arange(2), np.full(2, elimination.lam), np.full(2, -frobenius), np.full(2, np.inf)
-        d, weights, top = np.array([d, d, d]), np.array([weights, weights, weights]), x.copy()  # proven up to lam
+        d, weights, lam = np.array([d] * 3), np.array([weights] * 3), np.full(2, elimination.lam)  # proven up to lam
+        x, _ = self._roots(d[:2], lam, weights[:2], lam, np.full(2, scale), np.full(2, frobenius), np.arange(2), pins)
         with np.errstate(all="ignore"):
-            while True:
-                prove = bool((x > top).any())
-                g, slope, proven, _, _ = self._newton(d[:2], x, weights[:2], prove, k, pins)
-                top = np.where(proven & prove, np.maximum(top, x), top)
-                converged = np.abs(g / slope) <= 4.0 * np.finfo(float).eps * scale
-                x, lo, hi = _bracketed(x, g, slope, proven, lo, hi, converged)
-                if (converged | (x == lo) | (x == hi) | ~np.isfinite(x)).all():  # or a bracket closed on adjacent floats
-                    break
-            cut = x.max() + RESIDUAL_RTOL * frobenius
-            _, slope, proven, y, c_p = self._newton(d, np.r_[x, cut], weights, True, k[[0, 1, 1]], pins)
-        if not proven[2]:
-            return None
+            _, slope, proven, y, c_p = self._newton(d, np.r_[x, x.max() + RESIDUAL_RTOL * frobenius], weights, True,
+                                                    np.array([0, 1, 1]), pins)
         weight, lower = -1.0 / slope[:2], int(elimination.v01.real > 0.0) if symmetric else int(np.argmin(x))
         pick = lower if abs(weight[0] - weight[1]) <= 8.0 * np.finfo(float).eps else int(weight[1] > weight[0])
         pick = 0 if self.split and symmetric else pick
-        return x[pick], y[pick], c_p[pick], x.max()
+        return (x[pick], y[pick], c_p[pick], x.max()) if proven[2] else None
 
     def states(self, diagonals: np.ndarray, eliminations: list, weights: np.ndarray, crossing=()) -> list:
         """Ground state of each row of ``diagonals`` and ``weights`` from its elimination, or on ``crossing`` rows the
         level of a doublet that ``_crossing`` finds: c_P = ``branch_vector`` of H_eff(lam) on its lowest branch ((1,
         0) where r = 0), or ``_crossing``'s, and c_Q = -x c_P.  None unless the state passes the eigensolver's
         residual bound and the kernel proves each other block free of levels up to lam (the doublet's top) +
-        RESIDUAL_RTOL |H|_F, in one batch per block; a doublet that fails either gives way to the ground state."""
-        (scale, frobenius), states, tried = self.scales(diagonals, weights), [None] * len(eliminations), []
+        RESIDUAL_RTOL |H|_F, in one batch per block; a doublet that fails either gives way to the ground state,
+        tried in a second batch."""
+        (scale, frobenius), states, queue = self.scales(diagonals, weights), [None] * len(eliminations), {}
         for b, elimination in enumerate(eliminations):
             if elimination is None:
                 continue
@@ -285,7 +280,10 @@ class _PairElimination:
             # Scaling by a power of two keeps the norm finite and changes no bit of the normalised state.
             c_p = branch_vector(eps, v, r) * math.ldexp(1.0, -math.frexp(r)[1]) if r else np.array([1, 0], type(v))
             doublet = b in crossing and self._crossing(diagonals[b], weights[b], elimination, scale[b], frobenius[b])
-            for lam, x, c_p, top in ([doublet] if doublet else []) + [(lam, x, c_p, lam)]:
+            queue[b] = ([doublet] if doublet else []) + [(lam, x, c_p, lam)]
+        while queue:  # each row's first candidate in one batch, then the ground state of rows whose doublet failed
+            tried = []
+            for b, (lam, x, c_p, top) in ((b, candidates.pop(0)) for b, candidates in queue.items()):
                 state = np.zeros(len(self.diagonal), dtype=np.result_type(c_p, x))
                 state[self.indices] = np.concatenate([c_p, -x @ c_p])
                 state /= np.linalg.norm(state)
@@ -294,13 +292,14 @@ class _PairElimination:
                 residual = np.max(np.abs(product + (d - np.diagonal(self.matrix) - lam) * local))
                 if residual <= RESIDUAL_RTOL * max(abs(lam), float(np.max(np.abs(d)))):
                     tried.append((b, state, top + RESIDUAL_RTOL * frobenius[b]))
-        rows, cuts = np.array([row for row, _, _ in tried], np.intp), np.array([cut for _, _, cut in tried])
-        free = np.ones(len(tried), bool)
-        for members, layered in self.others:
-            shifted = diagonals[np.ix_(rows, members)] - cuts[:, None]
-            free &= layered.solve(shifted, np.zeros((len(members), 0)), prove=True)[1]
-        for (b, state, _), ok in zip(tried, free.tolist()):
-            states[b] = state if ok and states[b] is None else states[b]
+            rows, cuts = np.array([row for row, _, _ in tried], np.intp), np.array([cut for _, _, cut in tried])
+            free = np.ones(len(tried), bool)
+            for members, layered in self.others:
+                shifted = diagonals[np.ix_(rows, members)] - cuts[:, None]
+                free &= layered.solve(shifted, np.zeros((len(members), 0)), prove=True)[1]
+            for (b, state, _), ok in zip(tried, free.tolist()):
+                states[b] = state if ok else None
+            queue = {b: candidates for b, candidates in queue.items() if candidates and states[b] is None}
         return states
 
 

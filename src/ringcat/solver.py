@@ -133,12 +133,13 @@ def _layers(matrix: np.ndarray, parts: np.ndarray = ()) -> list[np.ndarray]:
 
 
 def _passes_cholesky(pivots: np.ndarray) -> np.ndarray:
-    """For each matrix of the stack ``pivots``, whether a Cholesky factorisation of it succeeds."""
+    """For each matrix of the stack ``pivots``, whether Cholesky succeeds with a finite factor (nan, without an
+    error, where the matrix holds a nan); each L_ij enters L_ii, so a factor is finite where its trace is."""
     try:
-        np.linalg.cholesky(pivots)
+        factors = np.linalg.cholesky(pivots)
     except np.linalg.LinAlgError:
         return np.array([len(pivots) > 1 and _passes_cholesky(p[None])[0] for p in pivots], bool)
-    return np.ones(len(pivots), bool)
+    return np.isfinite(np.einsum("bii->b", factors))
 
 
 def _mixed(base: np.ndarray, parts: np.ndarray, weights: np.ndarray | None) -> np.ndarray:

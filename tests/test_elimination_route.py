@@ -244,3 +244,22 @@ def test_an_equal_bond_scan_hands_only_the_exact_crossing_to_the_parity_halves(m
     table = catscan(params, dphis)
     assert given == [([True] * 22, [10])]
     assert table.ratio_analytic[10] == abs(effective_point(params, dphis[10]).predicted_ratio) == 1.0
+
+
+def test_only_a_crossing_row_whose_doublet_fails_is_tried_again_as_the_ground_state(monkeypatch):
+    """Each other block's proof runs once over the five offsets of an N = 36 scan whose
+    doublet is proven.  A doublet that fails that proof (its top raised far above every
+    level) gives way to the ground state, tried in a second batch of its row alone."""
+    params = ModelParams(n=36, u=0.1)
+    pair, diagonals, weights, eliminations = _sweep_eliminations(flow_sweep(params), np.linspace(-0.2, 0.2, 5))
+    ground = pair.states(diagonals, eliminations, weights)[2]
+    sizes = []
+    for _, layered in pair.others:
+        monkeypatch.setattr(layered, "solve", lambda d, *args, solve=layered.solve, **kw: sizes.append(len(d))
+                            or solve(d, *args, **kw))
+    assert not np.array_equal(pair.states(diagonals, eliminations, weights, [2])[2], ground)
+    assert sizes == [5, 5]
+    crossing, sizes[:] = _PairElimination._crossing, []
+    monkeypatch.setattr(_PairElimination, "_crossing", lambda *args: (*crossing(*args)[:3], 1e300))
+    assert np.array_equal(pair.states(diagonals, eliminations, weights, [2])[2], ground)
+    assert sizes == [5, 5, 1, 1]

@@ -348,6 +348,38 @@ def test_a_strongly_interacting_point_steps_down_to_a_proven_start(monkeypatch):
     np.testing.assert_allclose(row, dense_route, rtol=1e-12, atol=0)
 
 
+def test_a_step_down_cut_off_at_minus_the_frobenius_norm_is_proven_before_it_ends_the_row(monkeypatch):
+    """H_QQ = -10 lies far below the pair (5, 6), so no point of the step-down from
+    x0 = 5 is proven until it is cut off at -|H|_F = -12.69.  The row is evaluated
+    and proven there before it may end, and lam is the lowest level, not the cut."""
+    h = np.array([[5.0, 0.0, 0.1], [0.0, 6.0, 0.0], [0.1, 0.0, -10.0]])
+    evaluated, newton = [], _PairElimination._newton
+
+    def spy(self, d, x, weights, prove, k=0, pins=None):
+        evaluated.extend(x.tolist())
+        return newton(self, d, x, weights, prove, k, pins)
+
+    monkeypatch.setattr(_PairElimination, "_newton", spy)
+    result = lowdin_coupling(HermitianOperator(h, basis=enumerate_fock(1, "flow")))
+    assert min(evaluated) == pytest.approx(-np.linalg.norm(h), rel=1e-15)
+    assert abs(result.lam - _TRUE["eigvalsh"](h)[0]) <= 10 * EPS * np.linalg.norm(h, 2)
+
+
+@pytest.mark.parametrize("h", [np.zeros((3, 3)), np.diag([5.0, 6.0, -10.0])])
+def test_a_row_that_proves_no_point_has_no_lam(h):
+    """With H_QP = 0 and H_QQ at or below the pair the step-down cannot move from an
+    unproven x0: the row proves no point, has no lam, and ``lowdin_coupling`` raises."""
+    with pytest.raises(NearResonantIntermediateError):
+        lowdin_coupling(HermitianOperator(h, basis=enumerate_fock(1, "flow")))
+
+
+def test_a_pivot_with_a_nan_entry_is_not_proven():
+    """Cholesky of a matrix that holds nan returns a nan factor without an error; the
+    kernel's proof fails there instead of passing."""
+    diagonals = np.array([[1.0, 1.0, 1.0], [1.0, np.nan, 1.0]])
+    assert _Layered(np.eye(3)).solve(diagonals, np.ones((3, 1)), prove=True)[1].tolist() == [True, False]
+
+
 def test_a_long_batch_is_solved_in_chunks_of_bounded_memory(monkeypatch):
     """With ``_BATCH_ENTRIES`` at 2**14, 400 rows of a 300-state banded matrix (about 5.4e3
     factor entries each, 17 MB at once) are eliminated three rows at a time: the traced peak
